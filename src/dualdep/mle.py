@@ -1,22 +1,19 @@
 """Constrained maximum-likelihood fitting with multi-start initialization.
 
 The likelihood surface is sensitive to starting points, so the fit runs a
-deterministic grid of interior starts, polishes each local solution with an
-active-set Newton refinement (L-BFGS-B alone stalls one to two orders of
-magnitude short of tight gradient tolerances because the objective is
-O(1e5) and line searches hit floating-point granularity), and keeps the
-best local maximum. Population sizes are box-constrained between the
-observed totals and the per-stratum naive estimates; probabilities live in
-the unit interval.
+deterministic grid of interior starts, climbs from each with a projected
+Newton method on the analytic Hessian until the projected gradient is below
+the tolerance (1e-8 by default), and keeps the best local maximum.
+Population sizes are box-constrained between the observed totals and the
+per-stratum naive estimates; probabilities live in the unit interval.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import model
 from .exceptions import FitError, InfeasibleConstraintsError, NonConvergenceError
@@ -31,7 +28,6 @@ _ALPHA_GRID = (0.05, 0.10, 0.02, 0.20)  # midpoint-ish value first
 _START_MARGIN = 1e-4
 _ACTIVITY_TOL = 1e-6
 _TIE_TOL = 1e-9
-_MAX_POLISH = 50
 
 
 @dataclass(frozen=True)
@@ -163,23 +159,24 @@ def starting_points(data: SurveyData, options: FitOptions | None = None) -> list
         p2b_hi = 1.0
 
     x2b = float(data.stratum_b.n_list2)
+
+    def point(n_b: float, alpha: float, p1: float, p2b: float) -> ModelParams:
+        params = model.expand(ReducedParams(n_b, alpha, p1, p2b), data)
+        if options.mode == "reduced":
+            return params
+        return replace(
+            params,
+            n_a=_margin_clip(params.n_a, na_lo, na_hi, _START_MARGIN),
+            p2a=_margin_clip(params.p2a, 0.0, 1.0, _START_MARGIN),
+        )
+
     points: list[ModelParams] = []
     for total in anchors:
         for alpha in _ALPHA_GRID:
             n_b = _margin_clip(total / (1.0 + ratio), nb_lo, nb_hi, _START_MARGIN)
             p1 = _margin_clip(pooled.n_list1 / total, 0.0, 1.0, _START_MARGIN)
             p2b = _margin_clip(x2b / n_b, 0.0, p2b_hi, _START_MARGIN)
-            params = model.expand(ReducedParams(n_b, alpha, p1, p2b), data)
-            if options.mode == "full":
-                params = ModelParams(
-                    n_a=_margin_clip(params.n_a, na_lo, na_hi, _START_MARGIN),
-                    n_b=params.n_b,
-                    alpha=params.alpha,
-                    p1=params.p1,
-                    p2a=_margin_clip(params.p2a, 0.0, 1.0, _START_MARGIN),
-                    p2b=params.p2b,
-                )
-            points.append(params)
+            points.append(point(n_b, alpha, p1, p2b))
             if len(points) == options.n_starts:
                 return points
 
@@ -189,14 +186,7 @@ def starting_points(data: SurveyData, options: FitOptions | None = None) -> list
         alpha = _START_MARGIN + (1 - 2 * _START_MARGIN) * rng.random()
         p1 = _START_MARGIN + (1 - 2 * _START_MARGIN) * rng.random()
         p2b = p2b_hi * (_START_MARGIN + (1 - 2 * _START_MARGIN) * rng.random())
-        params = model.expand(ReducedParams(n_b, alpha, p1, p2b), data)
-        if options.mode == "full":
-            params = ModelParams(
-                n_a=_margin_clip(params.n_a, na_lo, na_hi, _START_MARGIN),
-                n_b=params.n_b, alpha=params.alpha, p1=params.p1,
-                p2a=_margin_clip(params.p2a, 0.0, 1.0, _START_MARGIN), p2b=params.p2b,
-            )
-        points.append(params)
+        points.append(point(n_b, alpha, p1, p2b))
     return points
 
 
@@ -217,72 +207,98 @@ def _trimmed_bounds(lo: np.ndarray, hi: np.ndarray, size_idx: tuple[int, ...],
     return lo_t, hi_t
 
 
+def _projected_gradient(u, grad, lo, hi, band):
+    """Which coordinates are free, and the largest free gradient entry (NaN
+    if any entry is NaN). A coordinate within ``band`` of a bound with the
+    gradient pointing out of the box is blocked: it belongs on the bound."""
+    free = [not ((x - a <= w and g < 0.0) or (b - x <= w and g > 0.0))
+            for x, g, a, b, w in zip(u, grad, lo, hi, band)]
+    norm = max([abs(g) if f else 0.0 for g, f in zip(grad, free)])
+    return free, (math.nan if any(map(math.isnan, grad)) else norm)
+
+
+def _ascent_step(hess, grad):
+    """Newton step with the curvature signs flipped to concave, taken in
+    coordinates scaled to unit Hessian diagonal (sizes and probabilities
+    differ by orders of magnitude)."""
+    d = np.sqrt(np.abs(np.diag(hess)))
+    lam, vec = np.linalg.eigh(hess / np.outer(d, d))
+    return (vec @ ((vec.T @ (grad / d)) / np.abs(lam))) / d
+
+
 def _solve_start(u0, counts, jac_map, expand_u, lo_t, hi_t, max_iter, tol):
-    """L-BFGS-B plus active-set Newton polish for one start.
+    """Projected Newton (Bertsekas 1982) from one start.
+
+    Each iteration holds the coordinates blocked at a bound, takes a Newton
+    step on the free ones with the analytic Hessian (curvature flipped to
+    concave where the Newton step would descend), clips it to the box and
+    halves it until the log-likelihood rises or the projected gradient
+    shrinks. The second test is needed because the objective is O(1e5):
+    close to the maximum its changes fall below floating-point granularity,
+    so an ascent test alone stalls short of tight gradient tolerances. At
+    most ``max_iter`` steps are taken. The vectors have four or six entries,
+    so the bookkeeping runs on Python floats, and numpy only assembles and
+    solves the Newton system.
 
     Returns (u, log_likelihood, projected_gradient_norm, iterations, message).
     """
-    def negative(u):
-        theta = expand_u(u)
-        value = model._ll(theta, counts)
-        grad = jac_map.T @ np.asarray(model._grad(theta, counts))
-        return -value, -grad
+    lo, hi = lo_t.tolist(), hi_t.tolist()
+    band = [_ACTIVITY_TOL * (b - a) for a, b in zip(lo, hi)]
+    u = [min(max(x, a), b) for x, a, b in zip(np.asarray(u0, dtype=float).tolist(), lo, hi)]
 
-    res = minimize(
-        negative, u0, jac=True, method="L-BFGS-B",
-        bounds=list(zip(lo_t, hi_t)),
-        options={"maxiter": max_iter, "ftol": 1e-15, "gtol": tol, "maxls": 60},
-    )
-    u = np.clip(res.x, lo_t, hi_t)
-    iterations = int(res.nit)
-    message = str(res.message)
-    width = hi_t - lo_t
+    def gradient(u):
+        return (jac_map.T @ model._grad(expand_u(u), counts)).tolist()
 
-    pg_norm = math.inf
-    for _ in range(_MAX_POLISH):
+    grad = gradient(u)
+    free, pg_norm = _projected_gradient(u, grad, lo, hi, band)
+    iterations = 0
+    while not pg_norm < tol:
+        if iterations >= max_iter:
+            message = "iteration cap reached"
+            break
         theta = expand_u(u)
-        grad = jac_map.T @ np.asarray(model._grad(theta, counts))
-        # at-bound tolerance matches the activity tolerance: an iterate this
-        # close to a bound with an outward gradient belongs on the bound
-        blocked = (((u - lo_t) <= _ACTIVITY_TOL * width) & (grad < 0)) | (
-            ((hi_t - u) <= _ACTIVITY_TOL * width) & (grad > 0)
-        )
-        pg = np.where(blocked, 0.0, grad)
-        pg_norm = float(np.max(np.abs(pg)))
-        if pg_norm < tol:
-            break
-        free = np.where(~blocked)[0]
-        if free.size == 0:
-            break
+        idx = [i for i, f in enumerate(free) if f]
         hess = jac_map.T @ model._hess(theta, counts) @ jac_map
+        if len(idx) < len(u):
+            hess = hess[np.ix_(idx, idx)]
+        g = [grad[i] for i in idx]
         try:
-            step = np.linalg.solve(hess[np.ix_(free, free)], -grad[free])
+            step = np.linalg.solve(hess, [-x for x in g]).tolist()
         except np.linalg.LinAlgError:
-            message += "; polish: singular Newton system"
+            message = "singular Newton system"
             break
-        if not np.all(np.isfinite(step)):
-            message += "; polish: non-finite Newton step"
+        if not sum([a * b for a, b in zip(g, step)]) > 0.0:
+            step = _ascent_step(hess, np.array(g)).tolist()
+        if not all(map(math.isfinite, step)):
+            message = "non-finite Newton step"
             break
-        value0 = model._ll(theta, counts)
-        scale, accepted = 1.0, False
+        # where the curvature is extreme the step can be smaller than the
+        # spacing of floats and round away; move such coordinates one ulp
+        step = [math.nextafter(u[i], math.copysign(math.inf, s)) - u[i]
+                if s != 0.0 and u[i] + s == u[i] else s for i, s in zip(idx, step)]
+        value0, scale = None, 1.0
         while scale > 1e-14:
-            trial = u.copy()
-            trial[free] = u[free] + scale * step
-            np.clip(trial, lo_t, hi_t, out=trial)
-            theta_t = expand_u(trial)
-            grad_t = jac_map.T @ np.asarray(model._grad(theta_t, counts))
-            pg_t = float(np.max(np.abs(np.where(blocked, 0.0, grad_t))))
-            if pg_t < pg_norm or model._ll(theta_t, counts) > value0:
-                u, accepted = trial, True
+            trial = u[:]
+            for i, s in zip(idx, step):
+                trial[i] = min(max(u[i] + scale * s, lo[i]), hi[i])
+            grad_t = gradient(trial)
+            free_t, pg_t = _projected_gradient(trial, grad_t, lo, hi, band)
+            if pg_t < pg_norm:
+                break
+            if value0 is None:
+                value0 = model._ll(theta, counts)
+            if model._ll(expand_u(trial), counts) > value0:
                 break
             scale *= 0.5
-        if not accepted:
-            message += "; polish: no acceptable step"
+        else:
+            message = "no acceptable step"
             break
+        u, grad, free, pg_norm = trial, grad_t, free_t, pg_t
         iterations += 1
+    else:
+        message = "converged"
 
-    value = model._ll(expand_u(u), counts)
-    return u, value, pg_norm, iterations, message
+    return np.array(u), model._ll(expand_u(u), counts), pg_norm, iterations, message
 
 
 def fit(data: SurveyData, options: FitOptions | None = None) -> FitResult:
@@ -307,20 +323,14 @@ def fit(data: SurveyData, options: FitOptions | None = None) -> FitResult:
         lo = np.array([nb_lo, 0.0, 0.0, 0.0])
         hi = np.array([nb_hi, 1.0, 1.0, p2b_hi])
         lo_t, hi_t = _trimmed_bounds(lo, hi, size_idx=(0,))
-        jac_map = np.zeros((6, 4))
-        jac_map[0, 0] = ratio
-        jac_map[1, 0] = 1.0
-        jac_map[2, 1] = 1.0
-        jac_map[3, 2] = 1.0
-        jac_map[4, 3] = multiplier
-        jac_map[5, 3] = 1.0
+        jac_map = np.zeros((6, 4))  # d(N_A, N_B, alpha, p1, p2A, p2B) / d(N_B, alpha, p1, p2B)
+        jac_map[[0, 1, 2, 3, 4, 5], [0, 0, 1, 2, 3, 3]] = (ratio, 1.0, 1.0, 1.0, multiplier, 1.0)
+
+        coords = [1, 2, 3, 5]  # N_B, alpha, p1, p2B
 
         def expand_u(u):
             n_b, alpha, p1, p2b = u
             return (ratio * n_b, n_b, alpha, p1, multiplier * p2b, p2b)
-
-        def to_u(params: ModelParams):
-            return np.array([params.n_b, params.alpha, params.p1, params.p2b])
     else:
         if not na_lo < na_hi or not nb_lo_own < nb_hi_own:
             raise FitError("a stratum size box is degenerate (x10 * x01 = 0)")
@@ -328,20 +338,15 @@ def fit(data: SurveyData, options: FitOptions | None = None) -> FitResult:
         hi = np.array([na_hi, nb_hi_own, 1.0, 1.0, 1.0, 1.0])
         lo_t, hi_t = _trimmed_bounds(lo, hi, size_idx=(0, 1))
         jac_map = np.eye(6)
-
-        def expand_u(u):
-            return tuple(float(v) for v in u)
-
-        def to_u(params: ModelParams):
-            return params.as_array()
+        coords = list(range(6))
+        expand_u = tuple
 
     starts = starting_points(data, options)
     diagnostics: list[StartDiagnostics] = []
     best = None  # (ll, total, u, pg, iterations, converged)
     for start in starts:
-        u0 = np.clip(to_u(start), lo_t, hi_t)
         u, value, pg_norm, iterations, message = _solve_start(
-            u0, counts, jac_map, expand_u, lo_t, hi_t,
+            start.as_array()[coords], counts, jac_map, expand_u, lo_t, hi_t,
             options.max_iterations, options.gradient_tolerance,
         )
         converged = pg_norm < options.gradient_tolerance
@@ -351,18 +356,11 @@ def fit(data: SurveyData, options: FitOptions | None = None) -> FitResult:
         ))
         theta = expand_u(u)
         total = theta[0] + theta[1]
-        if best is None or value > best[0] + _TIE_TOL:
-            take = True
-        elif abs(value - best[0]) <= _TIE_TOL:
-            # ties: a converged candidate beats a stalled duplicate of the
-            # same maximum; among equals, the smaller total wins
-            if converged != best[5]:
-                take = converged
-            else:
-                take = total < best[1]
-        else:
-            take = False
-        if take:
+        # ties: a converged candidate beats a stalled duplicate of the same
+        # maximum; among equals, the smaller total wins
+        if best is None or value > best[0] + _TIE_TOL or (
+            abs(value - best[0]) <= _TIE_TOL and (converged, -total) > (best[5], -best[1])
+        ):
             best = (value, total, u, pg_norm, iterations, converged)
 
     if not any(d.converged for d in diagnostics):
@@ -373,7 +371,7 @@ def fit(data: SurveyData, options: FitOptions | None = None) -> FitResult:
 
     value, _, u, pg_norm, iterations, converged = best
     if options.mode == "reduced":
-        params = model.expand(ReducedParams(float(u[0]), float(u[1]), float(u[2]), float(u[3])), data)
+        params = model.expand(ReducedParams(*u.tolist()), data)
         size_gap = 0.0
         p2_gap = 0.0
     else:

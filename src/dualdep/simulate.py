@@ -12,13 +12,13 @@ index, so summaries are independent of worker count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import mle, model
 from ._parallel import run_indexed
-from .exceptions import FitError, InfeasibleConstraintsError, ValidationError
+from .exceptions import DualdepError, FitError, InfeasibleConstraintsError, ValidationError
 from .inference import confidence_interval, se_from_hessian
 from .mle import DEFAULT_SEED, FitOptions
 from .tables import CellCounts, SurveyData, naive_estimate
@@ -287,14 +287,7 @@ def _fit_generated(survey: SurveyData, options: FitOptions):
     except InfeasibleConstraintsError:
         if options.mode == "full":
             raise
-        full_options = FitOptions(
-            mode="full",
-            max_iterations=options.max_iterations,
-            gradient_tolerance=options.gradient_tolerance,
-            n_starts=options.n_starts,
-            seed=options.seed,
-        )
-        return mle.fit(survey, full_options), True
+        return mle.fit(survey, replace(options, mode="full")), True
 
 
 # --- study 1 -------------------------------------------------------------------
@@ -378,7 +371,7 @@ def _coverage_worker(task):
     try:
         result, fallback = _fit_generated(survey, options)
         hess_se = se_from_hessian(result, survey)
-    except Exception as exc:  # count the replicate as failed, whatever broke
+    except DualdepError as exc:
         return index, None, redraws, False, str(exc)
     if level == 0.95:
         z = 1.96

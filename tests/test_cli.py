@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -190,6 +194,25 @@ def test_estimate_nonconvergence_exit_code(q1_csv, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "gradient tolerance" in err
     assert "stalled" in err  # per-start diagnostics are printed
+
+
+def test_estimate_iteration_cap_exit_code(q1_csv, capsys):
+    code = main(["estimate", "--input", str(q1_csv), "--se", "hessian", "--max-iterations", "1"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "gradient tolerance" in err
+    assert err.count("iteration cap reached") == 12
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is not a dependency; importing it would cost most of the start-up time
+    import dualdep
+
+    src = str(Path(dualdep.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    code = "import sys, dualdep.cli; assert 'scipy' not in sys.modules, 'scipy was imported'"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
 def test_thread_cap_env_var(monkeypatch):

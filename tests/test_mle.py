@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from dualdep.exceptions import FitError, InfeasibleConstraintsError
+from dualdep import mle
+from dualdep.exceptions import FitError, InfeasibleConstraintsError, NonConvergenceError
 from dualdep.mle import FitOptions, fit, starting_points
-from dualdep.model import log_likelihood, size_ratio, p2a_ratio
-from dualdep.simulate import GeneratorConfig, _draw_survey, _rng
+from dualdep.model import gradient, log_likelihood, size_ratio, p2a_ratio
+from dualdep.simulate import GeneratorConfig, _draw_survey, _fit_generated, _rng, _scenario_config
 from dualdep.tables import CellCounts, SurveyData, naive_estimate
 
 from conftest import make_survey
@@ -95,7 +96,7 @@ def test_refit_from_optimum_is_stable(q1):
     refit = fit(q1, FitOptions(n_starts=1))
     start = starting_points(q1, FitOptions(n_starts=1))[0]
     assert refit.log_likelihood >= log_likelihood(start, q1)
-    from dualdep import mle, model
+    from dualdep import model
 
     counts = model._counts(q1)
     ratio = size_ratio(q1)
@@ -167,8 +168,6 @@ def test_reduced_box_maps_exactly_inside_stratum_boxes():
     # the upper bound comes from the mapped stratum-A cap here; the box
     # endpoints must re-multiply into the per-stratum boxes without an
     # ulp of overshoot
-    from dualdep import mle
-
     data = SurveyData(CellCounts(10, 10, 80), CellCounts(10, 10, 90))
     lo, hi = mle._reduced_nb_box(data)
     ratio = size_ratio(data)
@@ -210,3 +209,92 @@ def test_fit_result_carries_diagnostics(q1):
     assert len(result.per_start_diagnostics) == 12
     assert all(math.isfinite(d.log_likelihood) for d in result.per_start_diagnostics)
     assert any(d.converged for d in result.per_start_diagnostics)
+
+
+def held_at_bounds(result, data):
+    """Check first-order optimality of a fit from the model gradient alone.
+
+    The gradient is taken in the fit's own coordinates (through the reduced
+    map in reduced mode). Every entry is below the gradient tolerance unless
+    its coordinate sits on a bound, where it must point out of the box.
+    Returns how many coordinates are held on a bound that way.
+    """
+    params = result.params
+    grad = gradient(params, data)
+    (na_lo, na_hi), (nb_lo, nb_hi) = mle._stratum_boxes(data)
+    if result.mode == "reduced":
+        mult = p2a_ratio(data)
+        jac = np.zeros((6, 4))
+        jac[[0, 1, 2, 3, 4, 5], [0, 0, 1, 2, 3, 3]] = (size_ratio(data), 1, 1, 1, mult, 1)
+        grad = jac.T @ grad
+        coords = np.array([params.n_b, params.alpha, params.p1, params.p2b])
+        nb_lo, nb_hi = mle._reduced_nb_box(data)
+        lo = np.array([nb_lo, 0.0, 0.0, 0.0])
+        hi = np.array([nb_hi, 1.0, 1.0, min(1.0, 1.0 / mult)])
+    else:
+        coords = params.as_array()
+        lo = np.array([na_lo, nb_lo, 0.0, 0.0, 0.0, 0.0])
+        hi = np.array([na_hi, nb_hi, 1.0, 1.0, 1.0, 1.0])
+    # the fit's activity tolerance (1e-6 of the width), with room for the
+    # solver keeping a hair inside the box
+    band = 2e-6 * (hi - lo)
+    outward = ((coords - lo <= band) & (grad < 0)) | ((hi - coords <= band) & (grad > 0))
+    small = np.abs(grad) < result.options.gradient_tolerance
+    assert np.all(small | outward), (grad, coords, lo, hi)
+    return int(np.sum(outward & ~small))
+
+
+def test_fit_first_order_optimal_on_bounds():
+    # independent lists: the fitted alpha and N_A land on their bounds
+    config = GeneratorConfig(
+        n_a=3000, n_b=1500, alpha=0.0, p1_a=0.2, p1_b=0.2,
+        p2_a=0.15, p2_b=0.25, dependence="independent", seed=2,
+    )
+    held = 0
+    for index in range(10):
+        survey, _ = _draw_survey(config, _rng(2, index))
+        result = fit(survey)
+        assert result.converged
+        held += held_at_bounds(result, survey)
+    assert held >= 5
+
+    # study-2 scenario 1 at 0.01: the reduced box is empty, so every draw
+    # falls back to the six-parameter fit
+    config = _scenario_config(1, 0.01, replicates=4, seed=20180331)
+    held = 0
+    for rep in range(4):
+        survey, _ = _draw_survey(config, _rng(config.seed, rep))
+        result, fallback = _fit_generated(survey, FitOptions())
+        assert fallback and result.mode == "full" and result.converged
+        held += held_at_bounds(result, survey)
+    assert held >= 4
+
+
+def test_max_iterations_caps_every_start(q1):
+    with pytest.raises(NonConvergenceError) as info:
+        fit(q1, FitOptions(max_iterations=1))
+    diagnostics = info.value.diagnostics
+    assert len(diagnostics) == 12
+    for d in diagnostics:
+        assert not d.converged
+        assert d.iterations == 1
+        assert d.message == "iteration cap reached"
+    assert fit(q1, FitOptions(max_iterations=100)).converged
+
+
+def test_every_start_reaches_tolerance_on_quarters():
+    for quarter in ("Q1", "Q2", "Q3", "Q4"):
+        for mode in ("reduced", "full"):
+            result = fit(make_survey(quarter), FitOptions(mode=mode))
+            assert all(d.converged and d.message == "converged" for d in result.per_start_diagnostics)
+
+
+def test_fit_converges_where_curvature_outruns_float_spacing():
+    # the maximum sits about 4e-8 below p2B = 1, where the p2B curvature is
+    # about -1e10: one ulp of p2B moves its gradient by more than the 1e-8
+    # tolerance, so a Newton step there is smaller than the float spacing
+    data = SurveyData(CellCounts(201, 4162, 4390), CellCounts(406, 2574, 3265))
+    result = fit(data)
+    assert all(d.converged for d in result.per_start_diagnostics)
+    assert result.active_constraints == {"N_B", "p2B"}
+    assert held_at_bounds(result, data) >= 1

@@ -195,3 +195,15 @@ def test_coverage_small_run():
         assert row.mean_lower < row.mean_upper
     repeat = run_coverage(config, threads=2)
     assert repeat.rows == result.rows
+
+
+def test_coverage_propagates_programming_errors(monkeypatch):
+    # only package errors count as failed replicates; a bug must surface
+    from dualdep import simulate
+
+    def broken(result, survey):
+        raise TypeError("bug in the standard-error code")
+
+    monkeypatch.setattr(simulate, "se_from_hessian", broken)
+    with pytest.raises(TypeError, match="bug in the standard-error code"):
+        run_coverage(study1_config(replicates=2, seed=13))
