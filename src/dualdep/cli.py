@@ -1,10 +1,12 @@
 """Command-line front end: diagnostics, estimation, and simulation studies.
 
-Every command prints a text report and writes two machine-readable files,
-``<stem>.report.json`` (full precision, with a reproducibility manifest)
-and ``<stem>.summary.csv``. Runs are deterministic for a fixed seed; the
-manifest's digest covers everything except its own timestamp, so two runs
-of the same command differ only in that one field.
+Every command prints a text report and then hands its results to one
+writer, ``_write_outputs``, which writes two machine-readable files:
+``<stem>.report.json`` (full precision, strict JSON with every non-finite
+value as null, and a reproducibility manifest) and ``<stem>.summary.csv``
+(non-finite values as empty cells). Runs are deterministic for a fixed
+seed; the manifest's digest covers everything except its own timestamp, so
+two runs of the same command differ only in that one field.
 """
 
 from __future__ import annotations
@@ -22,13 +24,7 @@ from decimal import Decimal, InvalidOperation
 from pathlib import Path
 
 from . import __version__, inference, mle, simulate, tables
-from .exceptions import (
-    BootstrapError,
-    DualdepError,
-    FitError,
-    NonConvergenceError,
-    ValidationError,
-)
+from .exceptions import DualdepError, NonConvergenceError, ValidationError
 
 SIZE_QUANTITIES = ("N_A", "N_B", "N_total")
 PARAM_QUANTITIES = ("alpha", "p1", "p2A", "p2B")
@@ -61,30 +57,53 @@ def _fmt_prob(value) -> str:
     return f"{value:.4f}"
 
 
-def _canonical(payload) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+def _finite(value):
+    """``value`` with every non-finite float, however deeply nested, as None."""
+    if isinstance(value, dict):
+        return {key: _finite(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(item) for item in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
 
 
-def _write_outputs(stem: Path, report: dict, csv_header, csv_rows) -> tuple[Path, Path]:
-    manifest = report["manifest"]
+def _record_rows(records, csv_header) -> list[list]:
+    """CSV rows taken from result records by header name: floats through
+    ``_num``, everything else as it is."""
+    return [
+        [_num(r[key]) if isinstance(r[key], float) else r[key] for key in csv_header]
+        for r in records
+    ]
+
+
+def _write_outputs(args, command: str, inputs: list[str], seed, results: dict,
+                   csv_header, csv_rows) -> tuple[Path, Path]:
+    """Write ``<stem>.report.json`` and ``<stem>.summary.csv`` for a command and
+    print where they went. Non-finite floats in ``results`` become null."""
+    manifest = _manifest(args, command, inputs, seed)
+    report = {"command": command, "results": _finite(results), "manifest": manifest}
     digest_view = dict(report)
     digest_view["manifest"] = {
         k: v for k, v in manifest.items() if k not in ("timestamp", "output_digest")
     }
     manifest["output_digest"] = "sha256:" + hashlib.sha256(
-        _canonical(digest_view).encode("utf-8")
+        json.dumps(digest_view, sort_keys=True, separators=(",", ":"), allow_nan=False)
+        .encode("utf-8")
     ).hexdigest()
 
+    stem = _stem_for(args, command)
     json_path = stem.with_name(stem.name + ".report.json")
     csv_path = stem.with_name(stem.name + ".summary.csv")
     json_path.parent.mkdir(parents=True, exist_ok=True)
     json_path.write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n", encoding="utf-8"
     )
     with csv_path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(csv_header)
         writer.writerows(csv_rows)
+    print(f"wrote {json_path} and {csv_path}")
     return json_path, csv_path
 
 
@@ -165,18 +184,13 @@ def cmd_diagnose(args) -> int:
         "flags": list(diag.flags),
         "bias_approximation": _num(bias_value),
     }
-    report = {
-        "command": "diagnose",
-        "results": results,
-        "manifest": _manifest(args, "diagnose", [str(args.input)], None),
-    }
     rows = [
         (s["label"], s["c_hat"], s["p_hat"], s["naive"]) for s in results["strata"]
     ] + [("pooled", "", "", results["naive_pooled"])]
-    json_path, csv_path = _write_outputs(
-        _stem_for(args, "diagnose"), report, ("stratum", "c_hat", "p_hat", "naive"), rows
+    _write_outputs(
+        args, "diagnose", [str(args.input)], None, results,
+        ("stratum", "c_hat", "p_hat", "naive"), rows,
     )
-    print(f"wrote {json_path} and {csv_path}")
     return 0
 
 
@@ -296,11 +310,6 @@ def cmd_estimate(args) -> int:
             "n_failed_replicates": unc.n_failed_replicates,
         },
     }
-    report = {
-        "command": "estimate",
-        "results": results,
-        "manifest": _manifest(args, "estimate", [str(args.input)], args.seed),
-    }
     rows = []
     for name in SIZE_QUANTITIES + PARAM_QUANTITIES:
         rows.append(
@@ -312,13 +321,10 @@ def cmd_estimate(args) -> int:
                 _num(boot_mean.get(name)) if boot_mean else None,
             )
         )
-    json_path, csv_path = _write_outputs(
-        _stem_for(args, "estimate"),
-        report,
-        ("quantity", "point", "se_hessian", "se_bootstrap", "bootstrap_mean"),
-        rows,
+    _write_outputs(
+        args, "estimate", [str(args.input)], args.seed, results,
+        ("quantity", "point", "se_hessian", "se_bootstrap", "bootstrap_mean"), rows,
     )
-    print(f"wrote {json_path} and {csv_path}")
     return 0
 
 
@@ -341,24 +347,6 @@ def _parse_grid(text: str) -> tuple[float, ...]:
     if n < 0 or abs(quotient - n) > Decimal("1e-9"):
         raise ValidationError(f"grid step does not divide the range: {text!r}")
     return tuple(float(start + k * step) for k in range(n + 1))
-
-
-def _summary_rows(result) -> list[tuple]:
-    rows = []
-    for estimator, summary in result.all_summaries():
-        rows.append(
-            (
-                estimator,
-                summary.quantity,
-                _num(summary.truth),
-                summary.n_used,
-                _num(summary.mean),
-                _num(summary.relative_bias_pct),
-                _num(summary.cv_pct),
-                _num(summary.rmse),
-            )
-        )
-    return rows
 
 
 def _print_study1(result, near_zero_marks: bool = False) -> None:
@@ -396,18 +384,10 @@ def _study1_like(args, command: str, config) -> int:
         "fit_failures": result.fit_failures,
         "reduced_fallbacks": result.reduced_fallbacks,
     }
-    report = {
-        "command": command,
-        "results": results,
-        "manifest": _manifest(args, command, [], args.seed),
-    }
-    json_path, csv_path = _write_outputs(
-        _stem_for(args, command),
-        report,
-        ("estimator", "quantity", "truth", "n_used", "mean", "relative_bias_pct", "cv_pct", "rmse"),
-        _summary_rows(result),
+    header = ("estimator", "quantity", "truth", "n_used", "mean", "relative_bias_pct", "cv_pct", "rmse")
+    _write_outputs(
+        args, command, [], args.seed, results, header, _record_rows(results["summaries"], header)
     )
-    print(f"wrote {json_path} and {csv_path}")
     return 0
 
 
@@ -453,22 +433,10 @@ def cmd_simulate_coverage(args) -> int:
         "redraws": result.redraws,
         "reduced_fallbacks": result.reduced_fallbacks,
     }
-    report = {
-        "command": "coverage",
-        "results": results,
-        "manifest": _manifest(args, "coverage", [], args.seed),
-    }
-    rows = [
-        (r.quantity, r.method, _num(r.mean_lower), _num(r.mean_upper), _num(r.coverage), r.n_used)
-        for r in result.rows
-    ]
-    json_path, csv_path = _write_outputs(
-        _stem_for(args, "coverage"),
-        report,
-        ("quantity", "method", "mean_lower", "mean_upper", "coverage", "n_used"),
-        rows,
+    header = ("quantity", "method", "mean_lower", "mean_upper", "coverage", "n_used")
+    _write_outputs(
+        args, "coverage", [], args.seed, results, header, _record_rows(results["rows"], header)
     )
-    print(f"wrote {json_path} and {csv_path}")
     return 0
 
 
@@ -505,25 +473,11 @@ def cmd_simulate_study2(args) -> int:
         "fit_failures": result.fit_failures,
         "reduced_fallbacks": result.reduced_fallbacks,
     }
-    report = {
-        "command": "study2",
-        "results": results,
-        "manifest": _manifest(args, "study2", [], args.seed),
-    }
-    rows = [
-        (
-            r.grid_value, r.estimator, r.quantity, _num(r.truth), r.n_used,
-            _num(r.mean), _num(r.bias), _num(r.relative_bias_pct), _num(r.rmse),
-        )
-        for r in result.rows
-    ]
-    json_path, csv_path = _write_outputs(
-        _stem_for(args, "study2"),
-        report,
-        ("grid_value", "estimator", "quantity", "truth", "n_used", "mean", "bias", "relative_bias_pct", "rmse"),
-        rows,
+    header = ("grid_value", "estimator", "quantity", "truth", "n_used", "mean", "bias",
+              "relative_bias_pct", "rmse")
+    _write_outputs(
+        args, "study2", [], args.seed, results, header, _record_rows(results["rows"], header)
     )
-    print(f"wrote {json_path} and {csv_path}")
     return 0
 
 
@@ -612,7 +566,7 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (FitError, BootstrapError, DualdepError) as exc:
+    except DualdepError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -15,7 +15,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from . import mle, model
+from . import _parallel, mle, model
 from .exceptions import (
     BootstrapError,
     FitError,
@@ -33,6 +33,7 @@ __all__ = [
     "UncertaintyReport",
     "se_from_hessian",
     "bootstrap",
+    "normal_quantile",
     "confidence_interval",
     "uncertainty_report",
 ]
@@ -214,7 +215,7 @@ def bootstrap(
         raise ValidationError("fit did not converge; bootstrap needs a converged fit")
     options = options or fit.options
     tasks = [(index, int(seed), data, fit, options) for index in range(n_replicates)]
-    outcomes = _run_tasks(_bootstrap_worker, tasks, threads)
+    outcomes = _parallel.run_indexed(_bootstrap_worker, tasks, threads)
 
     rows, failures = [], []
     for index, values, err in outcomes:
@@ -244,10 +245,14 @@ def bootstrap(
     )
 
 
-def _run_tasks(worker, tasks, threads):
-    from ._parallel import run_indexed
+def normal_quantile(level: float) -> float:
+    """Two-sided standard-normal quantile for a confidence level in (0, 1).
 
-    return run_indexed(worker, tasks, threads)
+    The 95% quantile is the conventional 1.96 exactly.
+    """
+    if not 0.0 < level < 1.0:
+        raise ValidationError(f"level must be in (0, 1), got {level}")
+    return 1.96 if level == 0.95 else NormalDist().inv_cdf(0.5 + level / 2.0)
 
 
 def confidence_interval(
@@ -257,18 +262,16 @@ def confidence_interval(
 
     The excess n_hat - x0 is scaled by C = exp(z * sqrt(log(1 + sigma2 /
     (n_hat - x0)^2))), giving [x0 + (n_hat - x0)/C, x0 + (n_hat - x0)*C].
-    The 95% quantile is the conventional 1.96 exactly; other levels use the
-    normal quantile. The lower endpoint can never fall below x0.
+    z is ``normal_quantile(level)``. The lower endpoint can never fall below
+    x0.
     """
-    if not 0.0 < level < 1.0:
-        raise ValidationError(f"level must be in (0, 1), got {level}")
+    z = normal_quantile(level)
     if sigma2 < 0.0:
         raise ValidationError(f"sigma2 must be non-negative, got {sigma2}")
     if not n_hat > x0:
         raise ValidationError(
             f"point estimate {n_hat} must exceed the observed total {x0}"
         )
-    z = 1.96 if level == 0.95 else NormalDist().inv_cdf(0.5 + level / 2.0)
     excess = n_hat - x0
     c = math.exp(z * math.sqrt(math.log1p(sigma2 / excess**2)))
     return (x0 + excess / c, x0 + excess * c)

@@ -5,8 +5,12 @@ reference configuration (N_A=50,000, N_B=20,000, alpha=0.05, p1=0.15,
 p2A=0.05, p2B=0.15) and summarizes bias, CV, and interval coverage of the
 naive and model-based estimators. Study 2 sweeps a grid that violates the
 shared-p1 identification assumption and tracks bias/RMSE of the size
-estimates. Replicates use counter-based random streams keyed by replicate
-index, so summaries are independent of worker count.
+estimates. Every replicate of every study goes through one worker,
+``_replicate``: draw a two-stratum table on a counter-based random stream
+keyed by the replicate (study 2: by grid index and replicate), fit it, and
+return the survey with the fit or the reason it failed. The studies are
+reductions over those records, so summaries are independent of worker
+count.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import numpy as np
 from . import mle, model
 from ._parallel import run_indexed
 from .exceptions import DualdepError, FitError, InfeasibleConstraintsError, ValidationError
-from .inference import confidence_interval, se_from_hessian
+from .inference import confidence_interval, normal_quantile, se_from_hessian
 from .mle import DEFAULT_SEED, FitOptions
 from .tables import CellCounts, SurveyData, naive_estimate
 
@@ -227,10 +231,6 @@ def cell_probabilities_for(
     raise ValidationError(f"unknown dependence kind {dependence!r}")
 
 
-def _draw_cells(n: int, probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    return rng.multinomial(n, probs)
-
-
 def _cell_array(dependence, alpha, p1, p2) -> np.ndarray:
     probs = np.clip(np.array(cell_probabilities_for(dependence, alpha, p1, p2)), 0.0, 1.0)
     return probs / probs.sum()
@@ -247,7 +247,7 @@ def draw_counts(
     """One multinomial table of size n; returns the observed cells and the
     latent x00. Raises ValidationError on the (tiny-n) event that every
     unit lands in the unobserved cell."""
-    table = _draw_cells(int(n), _cell_array(dependence, alpha, p1, p2), rng)
+    table = rng.multinomial(int(n), _cell_array(dependence, alpha, p1, p2))
     return CellCounts(int(table[0]), int(table[1]), int(table[2])), int(table[3])
 
 
@@ -262,8 +262,8 @@ def _draw_survey(config: GeneratorConfig, rng: np.random.Generator) -> tuple[Sur
     probs_b = _cell_array(config.dependence, config.alpha, config.p1_b, config.p2_b)
     redraws = 0
     for _ in range(_MAX_REDRAWS):
-        table_a = _draw_cells(config.n_a, probs_a, rng)
-        table_b = _draw_cells(config.n_b, probs_b, rng)
+        table_a = rng.multinomial(config.n_a, probs_a)
+        table_b = rng.multinomial(config.n_b, probs_b)
         if table_a[0] >= 1 and table_b[0] >= 1:
             return (
                 SurveyData(
@@ -290,23 +290,35 @@ def _fit_generated(survey: SurveyData, options: FitOptions):
         return mle.fit(survey, replace(options, mode="full")), True
 
 
-# --- study 1 -------------------------------------------------------------------
+# --- one replicate -------------------------------------------------------------
 
-def _study1_worker(task):
-    index, config, options = task
-    rng = _rng(config.seed, index)
-    survey, redraws = _draw_survey(config, rng)
-    naive_a = naive_estimate(survey.stratum_a)
-    naive_b = naive_estimate(survey.stratum_b)
+@dataclass(frozen=True, eq=False)
+class _Replicate:
+    """One drawn and fitted replicate. ``fit`` is None when the fit raised a
+    package error or did not converge, and ``reason`` says which."""
+
+    survey: SurveyData
+    fit: mle.FitResult | None
+    redraws: int
+    fallback: bool
+    reason: str = ""
+
+
+def _replicate(task) -> _Replicate:
+    """Draw one survey on random stream ``key`` and fit it. ``fallback`` is
+    True whenever the fit came from the full-mode refit, converged or not."""
+    key, config, options = task
+    survey, redraws = _draw_survey(config, _rng(config.seed, key))
     try:
-        result, fallback = _fit_generated(survey, options)
-    except (FitError, ValidationError) as exc:
-        return index, naive_a, naive_b, None, redraws, False, str(exc)
-    if not result.converged:
-        return index, naive_a, naive_b, None, redraws, fallback, "fit did not converge"
-    p = result.params
-    return index, naive_a, naive_b, (p.n_a, p.n_b, p.alpha, p.p1, p.p2a, p.p2b), redraws, fallback, ""
+        fit, fallback = _fit_generated(survey, options)
+    except DualdepError as exc:
+        return _Replicate(survey, None, redraws, False, str(exc))
+    if not fit.converged:
+        return _Replicate(survey, None, redraws, fallback, "fit did not converge")
+    return _Replicate(survey, fit, redraws, fallback)
 
+
+# --- study 1 -------------------------------------------------------------------
 
 def run_study1(
     config: GeneratorConfig | None = None,
@@ -319,25 +331,15 @@ def run_study1(
     config = config or study1_config()
     options = options or FitOptions()
     tasks = [(index, config, options) for index in range(config.replicates)]
-    outcomes = run_indexed(_study1_worker, tasks, threads)
+    outcomes = run_indexed(_replicate, tasks, threads)
 
-    naive_a, naive_b, fitted = [], [], []
-    redraws = failures = fallbacks = 0
-    for _, na, nb, theta, drew, fallback, _err in outcomes:
-        naive_a.append(na)
-        naive_b.append(nb)
-        redraws += drew
-        fallbacks += int(fallback)
-        if theta is None:
-            failures += 1
-        else:
-            fitted.append(theta)
+    fitted = [o.fit.params for o in outcomes if o.fit is not None]
     if not fitted:
         raise FitError(
             f"every one of the {config.replicates} replicate fits failed; "
             "the configuration is outside the estimator's working range"
         )
-    fitted_m = np.array(fitted, dtype=float)
+    fitted_m = np.array([(p.n_a, p.n_b, p.alpha, p.p1, p.p2a, p.p2b) for p in fitted], dtype=float)
     proposed_truths = (
         ("N_A", float(config.n_a)),
         ("N_B", float(config.n_b)),
@@ -349,48 +351,45 @@ def run_study1(
     return Study1Result(
         config=config,
         naive=(
-            _summarize("N_A", np.array(naive_a), float(config.n_a)),
-            _summarize("N_B", np.array(naive_b), float(config.n_b)),
+            _summarize("N_A", np.array([naive_estimate(o.survey.stratum_a) for o in outcomes]),
+                       float(config.n_a)),
+            _summarize("N_B", np.array([naive_estimate(o.survey.stratum_b) for o in outcomes]),
+                       float(config.n_b)),
         ),
         proposed=tuple(
             _summarize(name, fitted_m[:, col], truth)
             for col, (name, truth) in enumerate(proposed_truths)
         ),
-        redraws=redraws,
-        fit_failures=failures,
-        reduced_fallbacks=fallbacks,
+        redraws=sum(o.redraws for o in outcomes),
+        fit_failures=sum(o.fit is None for o in outcomes),
+        reduced_fallbacks=sum(o.fallback for o in outcomes),
     )
 
 
 # --- coverage ------------------------------------------------------------------
 
-def _coverage_worker(task):
-    index, config, options, level = task
-    rng = _rng(config.seed, index)
-    survey, redraws = _draw_survey(config, rng)
+def _coverage_intervals(outcome: _Replicate, z: float, level: float):
+    """Wald and multiplicative intervals for N_A and N_B from one replicate's
+    information-matrix SEs, or None when the fit failed or either interval
+    is undefined."""
+    if outcome.fit is None:
+        return None
     try:
-        result, fallback = _fit_generated(survey, options)
-        hess_se = se_from_hessian(result, survey)
-    except DualdepError as exc:
-        return index, None, redraws, False, str(exc)
-    if level == 0.95:
-        z = 1.96
-    else:
-        from statistics import NormalDist
-
-        z = NormalDist().inv_cdf(0.5 + level / 2.0)
-    payload = {}
+        se = se_from_hessian(outcome.fit, outcome.survey).se
+    except DualdepError:
+        return None
+    params, survey = outcome.fit.params, outcome.survey
+    intervals = {}
     for name, n_hat, x0 in (
-        ("N_A", result.params.n_a, survey.stratum_a.total),
-        ("N_B", result.params.n_b, survey.stratum_b.total),
+        ("N_A", params.n_a, survey.stratum_a.total),
+        ("N_B", params.n_b, survey.stratum_b.total),
     ):
-        sigma = hess_se.se[name]
+        sigma = se[name]
         if not math.isfinite(sigma) or n_hat <= x0:
-            return index, None, redraws, fallback, f"interval undefined for {name}"
+            return None
         standard = (n_hat - z * sigma, n_hat + z * sigma)
-        lognormal = confidence_interval(n_hat, x0, sigma**2, level)
-        payload[name] = (standard, lognormal)
-    return index, payload, redraws, fallback, ""
+        intervals[name] = (standard, confidence_interval(n_hat, x0, sigma**2, level))
+    return intervals
 
 
 def run_coverage(
@@ -402,10 +401,11 @@ def run_coverage(
     """Empirical coverage of the symmetric (Wald) and multiplicative
     intervals for the stratum sizes, with per-replicate variances from the
     observed information."""
+    z = normal_quantile(level)
     config = config or study1_config()
     options = options or FitOptions()
-    tasks = [(index, config, options, level) for index in range(config.replicates)]
-    outcomes = run_indexed(_coverage_worker, tasks, threads)
+    tasks = [(index, config, options) for index in range(config.replicates)]
+    outcomes = run_indexed(_replicate, tasks, threads)
 
     truth = {"N_A": float(config.n_a), "N_B": float(config.n_b)}
     tallies = {
@@ -413,14 +413,13 @@ def run_coverage(
         for name in ("N_A", "N_B")
         for method in ("standard", "lognormal")
     }
-    redraws = failures = fallbacks = 0
-    for _, payload, drew, fallback, _err in outcomes:
-        redraws += drew
-        fallbacks += int(fallback)
-        if payload is None:
+    failures = 0
+    for outcome in outcomes:
+        intervals = _coverage_intervals(outcome, z, level)
+        if intervals is None:
             failures += 1
             continue
-        for name, (standard, lognormal) in payload.items():
+        for name, (standard, lognormal) in intervals.items():
             for method, (lo, hi) in (("standard", standard), ("lognormal", lognormal)):
                 cell = tallies[(name, method)]
                 cell["lo"] += lo
@@ -444,9 +443,9 @@ def run_coverage(
         config=config,
         level=level,
         rows=tuple(rows),
-        redraws=redraws,
+        redraws=sum(o.redraws for o in outcomes),
         failures=failures,
-        reduced_fallbacks=fallbacks,
+        reduced_fallbacks=sum(o.fallback for o in outcomes),
     )
 
 
@@ -466,21 +465,6 @@ def _scenario_config(scenario: int, value: float, replicates: int, seed: int) ->
         p1_a=p1_a, p1_b=p1_b, p2_a=p2_a, p2_b=p2_b,
         dependence="negative", replicates=replicates, seed=seed,
     )
-
-
-def _study2_worker(task):
-    grid_index, rep, config, options = task
-    rng = _rng(config.seed, (grid_index << 32) | rep)
-    survey, redraws = _draw_survey(config, rng)
-    naive_a = naive_estimate(survey.stratum_a)
-    naive_b = naive_estimate(survey.stratum_b)
-    try:
-        result, fallback = _fit_generated(survey, options)
-    except (FitError, ValidationError) as exc:
-        return grid_index, naive_a, naive_b, None, redraws, False, str(exc)
-    if not result.converged:
-        return grid_index, naive_a, naive_b, None, redraws, fallback, "fit did not converge"
-    return grid_index, naive_a, naive_b, (result.params.n_a, result.params.n_b), redraws, fallback, ""
 
 
 def run_study2(
@@ -505,27 +489,22 @@ def run_study2(
     options = options or FitOptions()
     configs = [_scenario_config(scenario, value, replicates, seed) for value in grid]
     tasks = [
-        (gi, rep, config, options)
+        ((gi << 32) | rep, config, options)
         for gi, config in enumerate(configs)
         for rep in range(replicates)
     ]
-    outcomes = run_indexed(_study2_worker, tasks, threads)
-
-    per_point = {gi: {"naive": [], "prop": []} for gi in range(len(grid))}
-    failures = fallbacks = 0
-    for gi, naive_a, naive_b, sizes, _drew, fallback, _err in outcomes:
-        per_point[gi]["naive"].append((naive_a, naive_b))
-        fallbacks += int(fallback)
-        if sizes is None:
-            failures += 1
-        else:
-            per_point[gi]["prop"].append(sizes)
+    outcomes = run_indexed(_replicate, tasks, threads)
 
     truths = {"N_A": 50_000.0, "N_B": 20_000.0, "N_total": 70_000.0}
     nan = float("nan")
     rows = []
     for gi, value in enumerate(grid):
-        for estimator, pairs in (("proposed", per_point[gi]["prop"]), ("naive", per_point[gi]["naive"])):
+        point = outcomes[gi * replicates:(gi + 1) * replicates]
+        proposed = [(o.fit.params.n_a, o.fit.params.n_b) for o in point if o.fit is not None]
+        naive = [
+            (naive_estimate(o.survey.stratum_a), naive_estimate(o.survey.stratum_b)) for o in point
+        ]
+        for estimator, pairs in (("proposed", proposed), ("naive", naive)):
             matrix = np.array(pairs, dtype=float).reshape(-1, 2)
             series = {
                 "N_A": matrix[:, 0],
@@ -553,6 +532,6 @@ def run_study2(
         grid=grid,
         replicates=replicates,
         rows=tuple(rows),
-        fit_failures=failures,
-        reduced_fallbacks=fallbacks,
+        fit_failures=sum(o.fit is None for o in outcomes),
+        reduced_fallbacks=sum(o.fallback for o in outcomes),
     )

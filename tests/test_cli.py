@@ -242,3 +242,69 @@ def test_bad_grid_is_usage_error(tmp_path, capsys):
                  "--replicates", "2", "--output", str(tmp_path / "x")])
     assert code == 2
     assert "grid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("level", ["1.5", "0"])
+def test_coverage_level_outside_unit_interval_is_usage_error(tmp_path, capsys, monkeypatch, level):
+    from dualdep import simulate
+
+    def no_draw(config, rng):
+        raise AssertionError("the level must be checked before any draw")
+
+    monkeypatch.setattr(simulate, "_draw_survey", no_draw)
+    code = main(["simulate", "coverage", "--level", level, "--replicates", "2",
+                 "--output", str(tmp_path / "cov")])
+    assert code == 2
+    assert "level must be in (0, 1)" in capsys.readouterr().err
+    assert not (tmp_path / "cov.report.json").exists()
+
+
+def test_simulate_report_is_strict_json_when_every_interval_fails(tmp_path, monkeypatch):
+    from dualdep import simulate
+    from dualdep.exceptions import InformationMatrixError
+
+    def singular(result, survey):
+        raise InformationMatrixError("observed information is singular")
+
+    monkeypatch.setattr(simulate, "se_from_hessian", singular)
+    stem = tmp_path / "cov"
+    code = main(["simulate", "coverage", "--replicates", "3", "--seed", "5", "--output", str(stem)])
+    assert code == 0
+
+    def reject(name):
+        raise ValueError(f"non-finite constant {name} in report")
+
+    text = (tmp_path / "cov.report.json").read_text(encoding="utf-8")
+    report = json.loads(text, parse_constant=reject)
+    assert report["results"]["failures"] == 3
+    for row in report["results"]["rows"]:
+        assert row["mean_lower"] is None and row["mean_upper"] is None
+        assert row["coverage"] is None and row["n_used"] == 0
+    with (tmp_path / "cov.summary.csv").open() as fh:
+        rows = list(csv.reader(fh))
+    assert rows[1:] == [
+        [quantity, method, "", "", "", "0"]
+        for quantity in ("N_A", "N_B")
+        for method in ("standard", "lognormal")
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "study1", "--replicates", "6", "--seed", "3"],
+        ["simulate", "coverage", "--replicates", "6", "--seed", "3"],
+        ["simulate", "study2", "--scenario", "1", "--grid", "0.01:0.15:0.14",
+         "--replicates", "3", "--seed", "3"],
+    ],
+    ids=["study1", "coverage", "study2"],
+)
+def test_simulate_reports_thread_invariant(tmp_path, argv):
+    reports, tables = [], []
+    for threads in ("1", "2"):
+        stem = tmp_path / f"t{threads}"
+        assert main(argv + ["--threads", threads, "--output", str(stem)]) == 0
+        reports.append(read_report(stem)["results"])
+        tables.append((tmp_path / f"t{threads}.summary.csv").read_text(encoding="utf-8"))
+    assert reports[0] == reports[1]
+    assert tables[0] == tables[1]

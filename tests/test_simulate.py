@@ -207,3 +207,18 @@ def test_coverage_propagates_programming_errors(monkeypatch):
     monkeypatch.setattr(simulate, "se_from_hessian", broken)
     with pytest.raises(TypeError, match="bug in the standard-error code"):
         run_coverage(study1_config(replicates=2, seed=13))
+
+
+def test_coverage_counts_fallback_when_interval_step_fails(monkeypatch):
+    # a full-mode fallback counts once the fallback fit exists, whatever fails after it
+    from dualdep import simulate
+    from dualdep.exceptions import InformationMatrixError
+
+    def singular(result, survey):
+        raise InformationMatrixError("observed information is singular")
+
+    monkeypatch.setattr(simulate, "se_from_hessian", singular)
+    config = simulate._scenario_config(1, 0.01, replicates=6, seed=2)
+    result = run_coverage(config)
+    assert result.failures == 6
+    assert result.reduced_fallbacks == run_study2(1, (0.01,), replicates=6, seed=2).reduced_fallbacks > 0
