@@ -4,7 +4,9 @@ and the log-normal-style confidence interval for population sizes.
 The bootstrap is "imputed": each replicate resamples a full multinomial
 table of (rounded) fitted size per stratum, including the estimated
 unobserved cell, then refits the model on the starred observed cells.
-Stratum variances add for the total because the strata are independent.
+Replicates run in fixed-size blocks whose refits are one batched solve
+(``mle.fit_many``). Stratum variances add for the total because the strata
+are independent.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 from . import _parallel, mle, model
 from .exceptions import (
     BootstrapError,
-    FitError,
+    DualdepError,
     InformationMatrixError,
     ValidationError,
 )
@@ -163,32 +165,49 @@ def draw_replicate_tables(
     return table_a, table_b
 
 
-def _bootstrap_worker(task):
-    index, seed, data, fit, options = task
-    rng = np.random.Generator(np.random.Philox(key=[seed % 2**64, index]))
-    last_error = "no attempt succeeded"
+def _bootstrap_block(task):
+    """Run one block of replicates. Every replicate draws its first attempt
+    from its own Philox stream (keyed by seed and replicate index) and the
+    block's tables are refit in one batch; only the replicates whose attempt
+    failed draw again, continuing their own streams, for up to
+    _MAX_ATTEMPTS attempts. Returns (index, estimates or None, reason of the
+    last failure) per replicate."""
+    indices, seed, data, fit, options = task
+    rngs = {index: np.random.Generator(np.random.Philox(key=[seed % 2**64, index]))
+            for index in indices}
+    values, reasons = {}, {}
+    pending = list(indices)
     for _ in range(_MAX_ATTEMPTS):
-        table_a, table_b = draw_replicate_tables(data, fit, rng)
-        if table_a[0] < 1 or table_b[0] < 1:
-            last_error = "drawn x11 was zero"
-            continue
-        try:
-            survey = SurveyData(
-                CellCounts(int(table_a[0]), int(table_a[1]), int(table_a[2])),
-                CellCounts(int(table_b[0]), int(table_b[1]), int(table_b[2])),
-                data.label_a,
-                data.label_b,
-            )
-            refit = mle.fit(survey, options)
-        except (FitError, ValidationError) as exc:
-            last_error = str(exc)
-            continue
-        if not refit.converged:
-            last_error = "refit did not converge"
-            continue
-        p = refit.params
-        return index, (p.n_a, p.n_b, p.total, p.alpha, p.p1, p.p2a, p.p2b), ""
-    return index, None, last_error
+        if not pending:
+            break
+        drawn, surveys = [], []
+        for index in pending:
+            table_a, table_b = draw_replicate_tables(data, fit, rngs[index])
+            if table_a[0] < 1 or table_b[0] < 1:
+                reasons[index] = "drawn x11 was zero"
+                continue
+            try:
+                surveys.append(SurveyData(
+                    CellCounts(int(table_a[0]), int(table_a[1]), int(table_a[2])),
+                    CellCounts(int(table_b[0]), int(table_b[1]), int(table_b[2])),
+                    data.label_a,
+                    data.label_b,
+                ))
+            except DualdepError as exc:
+                reasons[index] = str(exc)
+                continue
+            drawn.append(index)
+        for index, refit in zip(drawn, mle.fit_many(surveys, options)):
+            if isinstance(refit, DualdepError):
+                reasons[index] = str(refit)
+            elif not refit.converged:
+                reasons[index] = "refit did not converge"
+            else:
+                p = refit.params
+                values[index] = (p.n_a, p.n_b, p.total, p.alpha, p.p1, p.p2a, p.p2b)
+        pending = [index for index in pending if index not in values]
+    return [(index, values.get(index), "" if index in values else reasons[index])
+            for index in indices]
 
 
 def bootstrap(
@@ -204,18 +223,23 @@ def bootstrap(
     Each replicate redraws both strata from the fitted cell rates and
     refits with the same options as the original fit (overridable). A
     replicate gets up to ten fresh redraws after a failed attempt (zero
-    x11 draw, unfittable table, or non-convergence); replicates that still
-    fail are logged, and more than 5% failures aborts with BootstrapError.
-    Replicate streams are keyed by (seed, replicate index), so results do
-    not depend on ``threads``.
+    x11 draw, a package error from the refit, or non-convergence);
+    replicates that still fail are logged with the reason of their last
+    attempt, and more than 5% failures aborts with BootstrapError.
+    Replicates run in blocks of ``_parallel.BLOCK_SIZE``, each refit as one
+    batch, and the blocks are spread over ``threads`` processes. Replicate
+    streams are keyed by (seed, replicate index) and a refit does not depend
+    on its batch, so results depend neither on ``threads`` nor on the block
+    size.
     """
     if n_replicates < 1:
         raise ValidationError("B must be >= 1 for bootstrap")
     if not fit.converged:
         raise ValidationError("fit did not converge; bootstrap needs a converged fit")
     options = options or fit.options
-    tasks = [(index, int(seed), data, fit, options) for index in range(n_replicates)]
-    outcomes = _parallel.run_indexed(_bootstrap_worker, tasks, threads)
+    tasks = [(block, int(seed), data, fit, options) for block in _parallel.blocks(n_replicates)]
+    outcomes = [row for part in _parallel.run_indexed(_bootstrap_block, tasks, threads)
+                for row in part]
 
     rows, failures = [], []
     for index, values, err in outcomes:
@@ -297,6 +321,7 @@ def uncertainty_report(
     for method in methods:
         if method not in ("hessian", "bootstrap"):
             raise ValidationError(f"unknown uncertainty method {method!r}")
+    normal_quantile(level)  # reject a bad level before any method runs
     x0 = {
         "N_A": float(data.stratum_a.total),
         "N_B": float(data.stratum_b.total),

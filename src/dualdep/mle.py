@@ -11,16 +11,18 @@ per-stratum naive estimates; probabilities live in the unit interval.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import model
-from .exceptions import FitError, InfeasibleConstraintsError, NonConvergenceError
+from .exceptions import DualdepError, FitError, InfeasibleConstraintsError, NonConvergenceError
 from .model import ModelParams, PARAM_NAMES, ReducedParams
 from .tables import SurveyData, naive_estimate
 
-__all__ = ["DEFAULT_SEED", "FitOptions", "StartDiagnostics", "FitResult", "starting_points", "fit"]
+__all__ = [
+    "DEFAULT_SEED", "FitOptions", "StartDiagnostics", "FitResult", "starting_points", "fit", "fit_many",
+]
 
 DEFAULT_SEED = 20180331
 
@@ -156,26 +158,25 @@ def starting_points(data: SurveyData, options: FitOptions | None = None) -> list
         p2b_hi = min(1.0, 1.0 / multiplier) if multiplier > 0.0 else 1.0
     else:
         (na_lo, na_hi), (nb_lo, nb_hi) = _stratum_boxes(data)
+        multiplier = model.p2a_ratio(data)
         p2b_hi = 1.0
 
     x2b = float(data.stratum_b.n_list2)
 
     def point(n_b: float, alpha: float, p1: float, p2b: float) -> ModelParams:
-        params = model.expand(ReducedParams(n_b, alpha, p1, p2b), data)
-        if options.mode == "reduced":
-            return params
-        return replace(
-            params,
-            n_a=_margin_clip(params.n_a, na_lo, na_hi, _START_MARGIN),
-            p2a=_margin_clip(params.p2a, 0.0, 1.0, _START_MARGIN),
-        )
+        # model.expand, with the data ratios computed once
+        n_a, p2a = ratio * n_b, min(multiplier * p2b, 1.0)
+        if options.mode == "full":
+            n_a = _margin_clip(n_a, na_lo, na_hi, _START_MARGIN)
+            p2a = _margin_clip(p2a, 0.0, 1.0, _START_MARGIN)
+        return ModelParams(n_a, n_b, alpha, p1, p2a, p2b)
 
     points: list[ModelParams] = []
     for total in anchors:
+        n_b = _margin_clip(total / (1.0 + ratio), nb_lo, nb_hi, _START_MARGIN)
+        p1 = _margin_clip(pooled.n_list1 / total, 0.0, 1.0, _START_MARGIN)
+        p2b = _margin_clip(x2b / n_b, 0.0, p2b_hi, _START_MARGIN)
         for alpha in _ALPHA_GRID:
-            n_b = _margin_clip(total / (1.0 + ratio), nb_lo, nb_hi, _START_MARGIN)
-            p1 = _margin_clip(pooled.n_list1 / total, 0.0, 1.0, _START_MARGIN)
-            p2b = _margin_clip(x2b / n_b, 0.0, p2b_hi, _START_MARGIN)
             points.append(point(n_b, alpha, p1, p2b))
             if len(points) == options.n_starts:
                 return points
@@ -207,98 +208,408 @@ def _trimmed_bounds(lo: np.ndarray, hi: np.ndarray, size_idx: tuple[int, ...],
     return lo_t, hi_t
 
 
-def _projected_gradient(u, grad, lo, hi, band):
-    """Which coordinates are free, and the largest free gradient entry (NaN
-    if any entry is NaN). A coordinate within ``band`` of a bound with the
-    gradient pointing out of the box is blocked: it belongs on the bound."""
-    free = [not ((x - a <= w and g < 0.0) or (b - x <= w and g > 0.0))
-            for x, g, a, b, w in zip(u, grad, lo, hi, band)]
-    norm = max([abs(g) if f else 0.0 for g, f in zip(grad, free)])
-    return free, (math.nan if any(map(math.isnan, grad)) else norm)
+# The solver works on batches. Arrays of shape (P, K) hold one start per
+# column (P = 4 solver coordinates in reduced mode, 6 in full mode), and each
+# start belongs to a table whose constants (counts, box, and in reduced mode
+# the size ratio and p2A multiplier as ``maps``) sit in arrays with one
+# column per table; ``maps`` is None in full mode. Every operation acts on
+# each column alone, so a start's result does not depend on which other
+# starts share its batch.
+
+def _expand(u, maps):
+    """theta (six rows) from solver coordinates."""
+    if maps is None:
+        return u
+    ratio, multiplier = maps
+    n_b, alpha, p1, p2b = u
+    return (ratio * n_b, n_b, alpha, p1, multiplier * p2b, p2b)
+
+
+def _gradient(u, counts, maps) -> np.ndarray:
+    """Log-likelihood gradient in solver coordinates, shape (P, K)."""
+    g = model._grad(_expand(u, maps), counts)
+    if maps is None:
+        return np.array(g)
+    ratio, multiplier = maps
+    return np.array([ratio * g[0] + g[1], g[2], g[3], multiplier * g[4] + g[5]])
+
+
+def _hessian(u, counts, maps) -> np.ndarray:
+    """Log-likelihood Hessian in solver coordinates, shape (K, P, P)."""
+    h = model._hess(_expand(u, maps), counts)
+    size, rows = u.shape
+    out = np.zeros((rows, size, size))
+    if maps is None:
+        entries = h.items()
+    else:
+        # the chain rule through N_A = ratio N_B and p2A = multiplier p2B;
+        # the sizes never interact, nor alpha with p1, nor p1 with a p2
+        ratio, multiplier = maps
+        entries = (
+            ((0, 0), ratio * ratio * h[0, 0] + h[1, 1]),
+            ((0, 1), ratio * h[0, 2] + h[1, 2]),
+            ((0, 2), ratio * h[0, 3] + h[1, 3]),
+            ((0, 3), ratio * multiplier * h[0, 4] + h[1, 5]),
+            ((1, 1), h[2, 2]),
+            ((1, 3), multiplier * h[2, 4] + h[2, 5]),
+            ((2, 2), h[3, 3]),
+            ((3, 3), multiplier * multiplier * h[4, 4] + h[5, 5]),
+        )
+    for (i, j), value in entries:
+        out[:, i, j] = value
+        out[:, j, i] = value
+    return out
+
+
+def _projected_gradient(u, grad, lo, hi):
+    """Which coordinates are free, and per column the largest free gradient
+    entry (NaN if any entry is NaN). A coordinate within the activity band
+    of a bound with the gradient pointing out of the box is blocked: it
+    belongs on the bound."""
+    band = _ACTIVITY_TOL * (hi - lo)
+    free = ~(((u - lo <= band) & (grad < 0.0)) | ((hi - u <= band) & (grad > 0.0)))
+    return free, np.where(free, np.abs(grad), 0.0).max(axis=0)
+
+
+def _newton_step(hess, grad):
+    """Solve hess[k] step[k] = -grad[k] for each k. Returns the steps and
+    which systems were singular (their steps are NaN)."""
+    rhs = -grad[..., None]
+    singular = np.zeros(len(hess), dtype=bool)
+    try:
+        return np.linalg.solve(hess, rhs)[..., 0], singular
+    except np.linalg.LinAlgError:  # one singular system fails the whole stack
+        step = np.full(grad.shape, np.nan)
+        for k in range(len(hess)):
+            try:
+                step[k] = np.linalg.solve(hess[k], rhs[k])[:, 0]
+            except np.linalg.LinAlgError:
+                singular[k] = True
+        return step, singular
 
 
 def _ascent_step(hess, grad):
-    """Newton step with the curvature signs flipped to concave, taken in
+    """Newton steps with the curvature signs flipped to concave, taken in
     coordinates scaled to unit Hessian diagonal (sizes and probabilities
-    differ by orders of magnitude)."""
-    d = np.sqrt(np.abs(np.diag(hess)))
-    lam, vec = np.linalg.eigh(hess / np.outer(d, d))
-    return (vec @ ((vec.T @ (grad / d)) / np.abs(lam))) / d
+    differ by orders of magnitude); NaN where the scaled system is not
+    finite. ``hess`` is scaled in place, so callers pass a copy."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = np.sqrt(np.abs(np.diagonal(hess, axis1=1, axis2=2)))
+        hess /= d[:, :, None] * d[:, None, :]
+        gd = grad / d
+    step = np.full(grad.shape, np.nan)
+    ok = np.isfinite(hess).all(axis=(1, 2)) & np.isfinite(gd).all(axis=1)
+    if ok.any():
+        lam, vec = np.linalg.eigh(hess if ok.all() else hess[ok])
+        y = np.matmul(np.swapaxes(vec, 1, 2), gd[ok][..., None])[..., 0] / np.abs(lam)
+        step[ok] = np.matmul(vec, y[..., None])[..., 0] / d[ok]
+    return step
 
 
-def _solve_start(u0, counts, jac_map, expand_u, lo_t, hi_t, max_iter, tol):
-    """Projected Newton (Bertsekas 1982) from one start.
+class _Tables:
+    """The per-table constants of a batch, read at the tables of given starts."""
 
-    Each iteration holds the coordinates blocked at a bound, takes a Newton
-    step on the free ones with the analytic Hessian (curvature flipped to
-    concave where the Newton step would descend), clips it to the box and
-    halves it until the log-likelihood rises or the projected gradient
-    shrinks. The second test is needed because the objective is O(1e5):
-    close to the maximum its changes fall below floating-point granularity,
-    so an ascent test alone stalls short of tight gradient tolerances. At
-    most ``max_iter`` steps are taken. The vectors have four or six entries,
-    so the bookkeeping runs on Python floats, and numpy only assembles and
-    solves the Newton system.
+    def __init__(self, counts, maps, lo, hi):
+        self.counts, self.maps, self.lo, self.hi = counts, maps, lo, hi
 
-    Returns (u, log_likelihood, projected_gradient_norm, iterations, message).
+    def model(self, table):
+        """(counts, maps) at each start's table."""
+        return self.counts[:, table], None if self.maps is None else self.maps[:, table]
+
+    def box(self, table):
+        """(lo, hi) at each start's table."""
+        return self.lo[:, table], self.hi[:, table]
+
+
+def _direction(run, tables):
+    """The step of each running start: Newton on the free coordinates (zero
+    on the blocked ones), flipped to ascent where it would descend. Returns
+    (step, singular, broken): the steps, shape (P, K); which Newton systems
+    were singular; and which other steps are not finite."""
+    u, free = run["u"], run["free"]
+    size = u.shape[0]
+    grad = np.where(free, run["grad"], 0.0)
+    # blocked coordinates get an identity row and column and a zero
+    # gradient entry, so their step is zero
+    hess = _hessian(u, *tables.model(run["table"]))
+    np.copyto(hess, np.eye(size), where=~(free.T[:, :, None] & free.T[:, None, :]))
+    step, singular = _newton_step(hess, grad.T)
+    step = step.T
+    descend = ~((grad * step).sum(axis=0) > 0.0) & ~singular
+    if descend.any():
+        step[:, descend] = _ascent_step(hess[descend], grad.T[descend]).T
+    step = np.where(free, step, 0.0)
+    broken = ~np.isfinite(step).all(axis=0) & ~singular
+    # where the curvature is extreme the step can be smaller than the
+    # spacing of floats and round away; move such coordinates one ulp
+    tiny = (step != 0.0) & (u + step == u)
+    if tiny.any():
+        step = np.where(tiny, np.nextafter(u, np.copysign(np.inf, step)) - u, step)
+    return step, singular, broken
+
+
+def _solve_start(u0, table, counts, maps, lo_t, hi_t, max_iter, tol):
+    """Projected Newton (Bertsekas 1982) from a batch of starts.
+
+    Column k of ``u0`` (shape (P, K)) is one start, of table ``table[k]``;
+    ``counts`` (8, T), ``maps`` (2, T) or None, and the trimmed box ``lo_t``
+    and ``hi_t`` (P, T) hold the constants of the T tables. Each iteration
+    holds the coordinates blocked at a bound, takes a Newton step on the
+    free ones with the analytic Hessian (curvature flipped to concave where
+    the Newton step would descend), clips it to the box and halves it until
+    the log-likelihood rises or the projected gradient shrinks. The second
+    test is needed because the objective is O(1e5): close to the maximum its
+    changes fall below floating-point granularity, so an ascent test alone
+    stalls short of tight gradient tolerances. At most ``max_iter`` steps are
+    taken. The starts iterate together: one Hessian evaluation and one
+    stacked solve serve every start still running, and a start leaves the
+    batch when it converges or stops.
+
+    Returns (u, log_likelihood, projected_gradient_norm, iterations,
+    messages), one column of u and one entry of the others per start.
     """
-    lo, hi = lo_t.tolist(), hi_t.tolist()
-    band = [_ACTIVITY_TOL * (b - a) for a, b in zip(lo, hi)]
-    u = [min(max(x, a), b) for x, a, b in zip(np.asarray(u0, dtype=float).tolist(), lo, hi)]
+    tables = _Tables(counts, maps, lo_t, hi_t)
+    size, n_rows = u0.shape
+    out_u = np.empty((size, n_rows))
+    out_pg = np.empty(n_rows)
+    out_it = np.zeros(n_rows, dtype=int)
+    messages = [""] * n_rows
+    # the state of the running starts, one column each
+    table = np.asarray(table)
+    run = {"row": np.arange(n_rows), "table": table, "u": np.clip(u0, *tables.box(table)),
+           "it": np.zeros(n_rows, dtype=int)}
+    run["grad"] = _gradient(run["u"], *tables.model(table))
+    run["free"], run["pg"] = _projected_gradient(run["u"], run["grad"], *tables.box(table))
 
-    def gradient(u):
-        return (jac_map.T @ model._grad(expand_u(u), counts)).tolist()
+    def stop(run, done, message):
+        if not done.any():
+            return run
+        rows = run["row"][done]
+        out_u[:, rows] = run["u"][:, done]
+        out_pg[rows] = run["pg"][done]
+        out_it[rows] = run["it"][done]
+        for row in rows.tolist():
+            messages[row] = message
+        return {key: value[..., ~done] for key, value in run.items()}
 
-    grad = gradient(u)
-    free, pg_norm = _projected_gradient(u, grad, lo, hi, band)
-    iterations = 0
-    while not pg_norm < tol:
-        if iterations >= max_iter:
-            message = "iteration cap reached"
+    while run["row"].size:
+        run = stop(run, run["pg"] < tol, "converged")
+        run = stop(run, run["it"] >= max_iter, "iteration cap reached")
+        if not run["row"].size:
             break
-        theta = expand_u(u)
-        idx = [i for i, f in enumerate(free) if f]
-        hess = jac_map.T @ model._hess(theta, counts) @ jac_map
-        if len(idx) < len(u):
-            hess = hess[np.ix_(idx, idx)]
-        g = [grad[i] for i in idx]
-        try:
-            step = np.linalg.solve(hess, [-x for x in g]).tolist()
-        except np.linalg.LinAlgError:
-            message = "singular Newton system"
+        run["step"], singular, broken = _direction(run, tables)
+        run = stop(run, singular, "singular Newton system")
+        run = stop(run, broken[~singular], "non-finite Newton step")
+        if not run["row"].size:
             break
-        if not sum([a * b for a, b in zip(g, step)]) > 0.0:
-            step = _ascent_step(hess, np.array(g)).tolist()
-        if not all(map(math.isfinite, step)):
-            message = "non-finite Newton step"
+        run = _line_search(run, tables)
+        run = stop(run, ~run.pop("accepted"), "no acceptable step")
+        del run["step"]
+
+    counts, maps = tables.model(table)
+    return out_u, model._ll(_expand(out_u, maps), counts), out_pg, out_it, messages
+
+
+def _line_search(run, tables):
+    """Backtrack each start's step from full length, halving it until the
+    projected gradient shrinks or the log-likelihood rises. Accepted starts
+    move and count an iteration; ``accepted`` marks them. A start's state is
+    updated in place once it is accepted: later rounds read only the
+    columns of starts still searching."""
+    u, grad, free, pg, step = run["u"], run["grad"], run["free"], run["pg"], run["step"]
+    n = u.shape[1]
+    accepted = np.zeros(n, dtype=bool)
+    scale = np.ones(n)
+    value0 = np.full(n, np.nan)  # log-likelihood at u, evaluated when first needed
+    searching = slice(None)  # every start, without copying, in the first round
+    while True:
+        s = searching
+        u_s, table_s = u[:, s], run["table"][s]
+        counts_s, maps_s = tables.model(table_s)
+        lo_s, hi_s = tables.box(table_s)
+        trial = np.clip(u_s + scale[s] * step[:, s], lo_s, hi_s)
+        grad_t = _gradient(trial, counts_s, maps_s)
+        free_t, pg_t = _projected_gradient(trial, grad_t, lo_s, hi_s)
+        ok = pg_t < pg[s]
+        if not ok.all():
+            test = ~ok
+            value0_s = value0[s]
+            missing = test & np.isnan(value0_s)
+            if missing.any():
+                value0_s[missing] = model._ll(
+                    _expand(u_s[:, missing], None if maps_s is None else maps_s[:, missing]),
+                    counts_s[:, missing])
+                value0[s] = value0_s
+            ok[test] = model._ll(
+                _expand(trial[:, test], None if maps_s is None else maps_s[:, test]),
+                counts_s[:, test]) > value0_s[test]
+        rows = np.arange(n)[s]
+        took = rows[ok]
+        u[:, took] = trial[:, ok]
+        grad[:, took] = grad_t[:, ok]
+        free[:, took] = free_t[:, ok]
+        pg[took] = pg_t[ok]
+        accepted[took] = True
+        rest = rows[~ok]
+        scale[rest] *= 0.5
+        searching = rest[scale[rest] > 1e-14]
+        if not searching.size:
             break
-        # where the curvature is extreme the step can be smaller than the
-        # spacing of floats and round away; move such coordinates one ulp
-        step = [math.nextafter(u[i], math.copysign(math.inf, s)) - u[i]
-                if s != 0.0 and u[i] + s == u[i] else s for i, s in zip(idx, step)]
-        value0, scale = None, 1.0
-        while scale > 1e-14:
-            trial = u[:]
-            for i, s in zip(idx, step):
-                trial[i] = min(max(u[i] + scale * s, lo[i]), hi[i])
-            grad_t = gradient(trial)
-            free_t, pg_t = _projected_gradient(trial, grad_t, lo, hi, band)
-            if pg_t < pg_norm:
-                break
-            if value0 is None:
-                value0 = model._ll(theta, counts)
-            if model._ll(expand_u(trial), counts) > value0:
-                break
-            scale *= 0.5
-        else:
-            message = "no acceptable step"
-            break
-        u, grad, free, pg_norm = trial, grad_t, free_t, pg_t
-        iterations += 1
+    run["it"] = run["it"] + accepted
+    run["accepted"] = accepted
+    return run
+
+
+# --- fitting -------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _Problem:
+    """One table's constrained problem in solver coordinates."""
+
+    data: SurveyData
+    counts: tuple[float, ...]
+    lo_t: np.ndarray
+    hi_t: np.ndarray
+    maps: tuple[float, float] | None
+    bounds6: tuple[tuple[float, float], ...]
+    starts: list[ModelParams]
+
+
+_REDUCED_COORDS = [1, 2, 3, 5]  # N_B, alpha, p1, p2B
+
+
+def _problem(data: SurveyData, options: FitOptions) -> _Problem:
+    """The box and the starts of one table; raises the package error that
+    makes the table unfittable."""
+    (na_lo, na_hi), (nb_lo_own, nb_hi_own) = _stratum_boxes(data)
+    ratio = model.size_ratio(data)
+    multiplier = model.p2a_ratio(data)
+    if options.mode == "reduced":
+        nb_lo, nb_hi = _reduced_nb_box(data)
+        p2b_hi = min(1.0, 1.0 / multiplier) if multiplier > 0.0 else 1.0
+        lo_t, hi_t = _trimmed_bounds(np.array([nb_lo, 0.0, 0.0, 0.0]),
+                                     np.array([nb_hi, 1.0, 1.0, p2b_hi]), size_idx=(0,))
+        maps = (ratio, multiplier)
     else:
-        message = "converged"
+        if not na_lo < na_hi or not nb_lo_own < nb_hi_own:
+            raise FitError("a stratum size box is degenerate (x10 * x01 = 0)")
+        lo_t, hi_t = _trimmed_bounds(np.array([na_lo, nb_lo_own, 0.0, 0.0, 0.0, 0.0]),
+                                     np.array([na_hi, nb_hi_own, 1.0, 1.0, 1.0, 1.0]),
+                                     size_idx=(0, 1))
+        maps = None
+    bounds6 = ((na_lo, na_hi), (nb_lo_own, nb_hi_own), (0.0, 1.0), (0.0, 1.0), (0.0, 1.0), (0.0, 1.0))
+    return _Problem(data, model._counts(data), lo_t, hi_t, maps, bounds6,
+                    starting_points(data, options))
 
-    return np.array(u), model._ll(expand_u(u), counts), pg_norm, iterations, message
+
+def _result(problem: _Problem, u, values, pg_norms, iterations, messages, options):
+    """The FitResult of one table from its starts' solver outcomes, or the
+    NonConvergenceError when no start converged."""
+    data = problem.data
+    diagnostics: list[StartDiagnostics] = []
+    best = None  # (ll, total, start index, pg, iterations, converged)
+    if problem.maps is None:
+        totals = (u[0] + u[1]).tolist()
+    else:
+        totals = (problem.maps[0] * u[0] + u[0]).tolist()
+    for k, (start, value, pg_norm, n_iter, message, total) in enumerate(zip(
+        problem.starts, values, pg_norms, iterations, messages, totals
+    )):
+        converged = pg_norm < options.gradient_tolerance
+        diagnostics.append(StartDiagnostics(
+            start=start, log_likelihood=value, projected_gradient=pg_norm,
+            converged=converged, iterations=n_iter, message=message,
+        ))
+        # ties: a converged candidate beats a stalled duplicate of the same
+        # maximum; among equals, the smaller total wins
+        if best is None or value > best[0] + _TIE_TOL or (
+            abs(value - best[0]) <= _TIE_TOL and (converged, -total) > (best[5], -best[1])
+        ):
+            best = (value, total, k, pg_norm, n_iter, converged)
+
+    if not any(d.converged for d in diagnostics):
+        return NonConvergenceError(
+            f"no starting point reached gradient tolerance {options.gradient_tolerance}",
+            diagnostics,
+        )
+
+    value, _, k, pg_norm, n_iter, converged = best
+    u_k = u[:, k].tolist()
+    if problem.maps is not None:
+        params = model.expand(ReducedParams(*u_k), data)
+        size_gap = 0.0
+        p2_gap = 0.0
+    else:
+        ratio, multiplier = model.size_ratio(data), model.p2a_ratio(data)
+        params = ModelParams.from_array(u_k)
+        expected_na = ratio * params.n_b
+        size_gap = abs(params.n_a - expected_na) / expected_na
+        expected_p2a = multiplier * params.p2b
+        denom = max(params.p2a, expected_p2a)
+        p2_gap = abs(params.p2a - expected_p2a) / denom if denom > 0.0 else 0.0
+
+    active = set()
+    for name, value_i, (b_lo, b_hi) in zip(PARAM_NAMES, params.as_tuple(), problem.bounds6):
+        tol_i = _ACTIVITY_TOL * (b_hi - b_lo)
+        if value_i - b_lo <= tol_i or b_hi - value_i <= tol_i:
+            active.add(name)
+
+    return FitResult(
+        params=params,
+        log_likelihood=value,
+        converged=converged,
+        iterations=n_iter,
+        active_constraints=frozenset(active),
+        n_hat_total=params.total,
+        mode=options.mode,
+        options=options,
+        size_ratio_gap=size_gap,
+        p2_identity_gap=p2_gap,
+        per_start_diagnostics=tuple(diagnostics),
+    )
+
+
+def fit_many(tables, options: FitOptions | None = None) -> list:
+    """Fit many tables with one batched solve over every start of every table.
+
+    Returns, in table order, each table's FitResult or the package error
+    fitting it raised (a missing overlap, an empty reduced box, no start
+    reaching the tolerance), so one bad table never ends the others. A
+    table's result is bit-identical whatever other tables share the batch.
+    The batch holds n_starts rows per table; callers with many tables pass
+    them in blocks.
+    """
+    options = options or FitOptions()
+    outcomes: list = [None] * len(tables)
+    problems = []
+    for index, data in enumerate(tables):
+        try:
+            problems.append((index, _problem(data, options)))
+        except DualdepError as exc:
+            outcomes[index] = exc
+    if not problems:
+        return outcomes
+
+    coords = _REDUCED_COORDS if options.mode == "reduced" else list(range(6))
+
+    def columns(per_table):
+        return np.array(per_table, dtype=float).T
+
+    u0 = np.array([s.as_tuple() for _, p in problems for s in p.starts]).T[coords]
+    table = np.repeat(np.arange(len(problems)), [len(p.starts) for _, p in problems])
+    u, values, pg_norms, iterations, messages = _solve_start(
+        u0, table, columns([p.counts for _, p in problems]),
+        None if options.mode == "full" else columns([p.maps for _, p in problems]),
+        columns([p.lo_t for _, p in problems]), columns([p.hi_t for _, p in problems]),
+        options.max_iterations, options.gradient_tolerance,
+    )
+    values, pg_norms, iterations = values.tolist(), pg_norms.tolist(), iterations.tolist()
+    end = 0
+    for index, problem in problems:
+        start, end = end, end + len(problem.starts)
+        outcomes[index] = _result(problem, u[:, start:end], values[start:end], pg_norms[start:end],
+                                  iterations[start:end], messages[start:end], options)
+    return outcomes
 
 
 def fit(data: SurveyData, options: FitOptions | None = None) -> FitResult:
@@ -309,100 +620,9 @@ def fit(data: SurveyData, options: FitOptions | None = None) -> FitResult:
     mapped box; in full mode all six parameters move independently. The
     best local maximum wins; exact log-likelihood ties (within 1e-9) break
     toward the smaller N_A + N_B. Raises NonConvergenceError only if no
-    start reaches the gradient tolerance.
+    start reaches the gradient tolerance. One table through ``fit_many``.
     """
-    options = options or FitOptions()
-    counts = model._counts(data)
-    (na_lo, na_hi), (nb_lo_own, nb_hi_own) = _stratum_boxes(data)
-    ratio = model.size_ratio(data)
-    multiplier = model.p2a_ratio(data)
-
-    if options.mode == "reduced":
-        nb_lo, nb_hi = _reduced_nb_box(data)
-        p2b_hi = min(1.0, 1.0 / multiplier) if multiplier > 0.0 else 1.0
-        lo = np.array([nb_lo, 0.0, 0.0, 0.0])
-        hi = np.array([nb_hi, 1.0, 1.0, p2b_hi])
-        lo_t, hi_t = _trimmed_bounds(lo, hi, size_idx=(0,))
-        jac_map = np.zeros((6, 4))  # d(N_A, N_B, alpha, p1, p2A, p2B) / d(N_B, alpha, p1, p2B)
-        jac_map[[0, 1, 2, 3, 4, 5], [0, 0, 1, 2, 3, 3]] = (ratio, 1.0, 1.0, 1.0, multiplier, 1.0)
-
-        coords = [1, 2, 3, 5]  # N_B, alpha, p1, p2B
-
-        def expand_u(u):
-            n_b, alpha, p1, p2b = u
-            return (ratio * n_b, n_b, alpha, p1, multiplier * p2b, p2b)
-    else:
-        if not na_lo < na_hi or not nb_lo_own < nb_hi_own:
-            raise FitError("a stratum size box is degenerate (x10 * x01 = 0)")
-        lo = np.array([na_lo, nb_lo_own, 0.0, 0.0, 0.0, 0.0])
-        hi = np.array([na_hi, nb_hi_own, 1.0, 1.0, 1.0, 1.0])
-        lo_t, hi_t = _trimmed_bounds(lo, hi, size_idx=(0, 1))
-        jac_map = np.eye(6)
-        coords = list(range(6))
-        expand_u = tuple
-
-    starts = starting_points(data, options)
-    diagnostics: list[StartDiagnostics] = []
-    best = None  # (ll, total, u, pg, iterations, converged)
-    for start in starts:
-        u, value, pg_norm, iterations, message = _solve_start(
-            start.as_array()[coords], counts, jac_map, expand_u, lo_t, hi_t,
-            options.max_iterations, options.gradient_tolerance,
-        )
-        converged = pg_norm < options.gradient_tolerance
-        diagnostics.append(StartDiagnostics(
-            start=start, log_likelihood=value, projected_gradient=pg_norm,
-            converged=converged, iterations=iterations, message=message,
-        ))
-        theta = expand_u(u)
-        total = theta[0] + theta[1]
-        # ties: a converged candidate beats a stalled duplicate of the same
-        # maximum; among equals, the smaller total wins
-        if best is None or value > best[0] + _TIE_TOL or (
-            abs(value - best[0]) <= _TIE_TOL and (converged, -total) > (best[5], -best[1])
-        ):
-            best = (value, total, u, pg_norm, iterations, converged)
-
-    if not any(d.converged for d in diagnostics):
-        raise NonConvergenceError(
-            f"no starting point reached gradient tolerance {options.gradient_tolerance}",
-            diagnostics,
-        )
-
-    value, _, u, pg_norm, iterations, converged = best
-    if options.mode == "reduced":
-        params = model.expand(ReducedParams(*u.tolist()), data)
-        size_gap = 0.0
-        p2_gap = 0.0
-    else:
-        params = ModelParams.from_array(u)
-        expected_na = ratio * params.n_b
-        size_gap = abs(params.n_a - expected_na) / expected_na
-        expected_p2a = multiplier * params.p2b
-        denom = max(params.p2a, expected_p2a)
-        p2_gap = abs(params.p2a - expected_p2a) / denom if denom > 0.0 else 0.0
-
-    active = set()
-    theta = params.as_tuple()
-    bounds6 = (
-        (na_lo, na_hi), (nb_lo_own, nb_hi_own),
-        (0.0, 1.0), (0.0, 1.0), (0.0, 1.0), (0.0, 1.0),
-    )
-    for name, value_i, (b_lo, b_hi) in zip(PARAM_NAMES, theta, bounds6):
-        tol_i = _ACTIVITY_TOL * (b_hi - b_lo)
-        if value_i - b_lo <= tol_i or b_hi - value_i <= tol_i:
-            active.add(name)
-
-    return FitResult(
-        params=params,
-        log_likelihood=value,
-        converged=converged,
-        iterations=iterations,
-        active_constraints=frozenset(active),
-        n_hat_total=params.total,
-        mode=options.mode,
-        options=options,
-        size_ratio_gap=size_gap,
-        p2_identity_gap=p2_gap,
-        per_start_diagnostics=tuple(diagnostics),
-    )
+    (outcome,) = fit_many([data], options)
+    if isinstance(outcome, DualdepError):
+        raise outcome
+    return outcome

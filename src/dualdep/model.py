@@ -185,10 +185,18 @@ def expand(reduced: ReducedParams, data: SurveyData) -> ModelParams:
     )
 
 
-# --- internal evaluation on plain floats ------------------------------------
+# --- array kernels -------------------------------------------------------------
 #
-# The optimizer calls these thousands of times per fit; they take the theta
-# tuple and a flat counts tuple and avoid any container construction.
+# The solver evaluates every start of every table in a batch at once. The
+# kernels take theta as six arrays (N_A, N_B, alpha, p1, p2A, p2B) and counts
+# as eight (x11A, x10A, x01A, x0A, x11B, x10B, x01B, x0B) with one entry per
+# row, and use elementwise arithmetic only, so a row's result never depends
+# on the other rows of the batch. They do not check that every term is
+# evaluable: _check does that for the public wrappers, and the solver's
+# trimmed box keeps every term evaluable.
+
+_TERMS = ("p11A", "p10A", "p01A", "p00A", "p11B", "p10B", "p01B", "p00B")
+
 
 def _counts(data: SurveyData) -> tuple[float, ...]:
     a, b = data.stratum_a, data.stratum_b
@@ -198,151 +206,169 @@ def _counts(data: SurveyData) -> tuple[float, ...]:
     )
 
 
-def _cells_checked(theta, counts):
-    """Cell probabilities for both strata, raising where a zero cell meets a
-    nonzero count (the likelihood would need log 0)."""
+def _cells(theta, counts):
+    """Unobserved sizes N - x0 and the eight cell probabilities, each
+    paired with its count coefficient, in _TERMS order."""
     n_a, n_b, alpha, p1, p2a, p2b = theta
     x11a, x10a, x01a, x0a, x11b, x10b, x01b, x0b = counts
     m_a, m_b = n_a - x0a, n_b - x0b
     one = 1.0 - alpha
     q1 = 1.0 - p1
-    cells = (
-        ("p11A", one * p1 * p2a, x11a),
-        ("p10A", p1 * (alpha + one * (1.0 - p2a)), x10a),
-        ("p01A", q1 * (alpha + one * p2a), x01a),
-        ("p00A", one * q1 * (1.0 - p2a), m_a),
-        ("p11B", one * p1 * p2b, x11b),
-        ("p10B", p1 * (alpha + one * (1.0 - p2b)), x10b),
-        ("p01B", q1 * (alpha + one * p2b), x01b),
-        ("p00B", one * q1 * (1.0 - p2b), m_b),
+    return m_a, m_b, (
+        (one * p1 * p2a, x11a),
+        (p1 * (alpha + one * (1.0 - p2a)), x10a),
+        (q1 * (alpha + one * p2a), x01a),
+        (one * q1 * (1.0 - p2a), m_a),
+        (one * p1 * p2b, x11b),
+        (p1 * (alpha + one * (1.0 - p2b)), x10b),
+        (q1 * (alpha + one * p2b), x01b),
+        (one * q1 * (1.0 - p2b), m_b),
     )
-    if m_a < 0.0:
-        raise EvaluationError("N_A - x0A", f"N_A = {n_a} is below the observed total {x0a}")
-    if m_b < 0.0:
-        raise EvaluationError("N_B - x0B", f"N_B = {n_b} is below the observed total {x0b}")
-    for name, value, coeff in cells:
-        if coeff != 0.0 and value <= 0.0:
-            raise EvaluationError(name, f"probability {value} with count coefficient {coeff}")
-    return m_a, m_b, [c[1] for c in cells]
 
 
-def _stirling(n: float, m: float) -> float:
-    """n log n - n - (m log m - m) with the 0 log 0 = 0 convention on m."""
-    out = n * math.log(n) - n + m
-    if m > 0.0:
-        out -= m * math.log(m)
-    return out
+def _check(theta, counts) -> None:
+    """Raise EvaluationError naming the first term of a one-row point that
+    needs log 0 or the log of a negative number: N below the observed total,
+    or a zero cell against a nonzero count."""
+    m_a, m_b, cells = _cells(theta, counts)
+    if m_a[0] < 0.0:
+        raise EvaluationError("N_A - x0A", f"N_A = {theta[0][0]} is below the observed total {counts[3][0]}")
+    if m_b[0] < 0.0:
+        raise EvaluationError("N_B - x0B", f"N_B = {theta[1][0]} is below the observed total {counts[7][0]}")
+    for term, (value, coeff) in zip(_TERMS, cells):
+        if coeff[0] != 0.0 and value[0] <= 0.0:
+            raise EvaluationError(term, f"probability {value[0]} with count coefficient {coeff[0]}")
 
 
-def _ll(theta, counts) -> float:
-    x11a, x10a, x01a, _, x11b, x10b, x01b, _ = counts
-    m_a, m_b, cells = _cells_checked(theta, counts)
-    p11a, p10a, p01a, p00a, p11b, p10b, p01b, p00b = cells
-    out = _stirling(theta[0], m_a) + _stirling(theta[1], m_b)
-    for coeff, cell in (
-        (x11a, p11a), (x10a, p10a), (x01a, p01a), (m_a, p00a),
-        (x11b, p11b), (x10b, p10b), (x01b, p01b), (m_b, p00b),
-    ):
-        if coeff != 0.0:
-            out += coeff * math.log(cell)
-    return out
+def _xlogy(x, y):
+    """x log y with a zero count contributing zero whatever y is."""
+    return np.where(x == 0.0, 0.0, x * np.log(y))
 
 
-def _frac(num: float, den: float) -> float:
+def _frac(num, den):
     """num / den with a zero numerator winning over a zero denominator."""
-    if num == 0.0:
-        return 0.0
-    return num / den
+    return np.where(num == 0.0, 0.0, num / den)
 
 
-def _size_component(n: float, m: float, p00: float) -> float:
-    # d/dN of the Stirling pair plus the p00 exponent; diverges at N = x0.
-    if m == 0.0:
-        return math.inf if p00 > 0.0 else math.nan
-    return math.log(n) - math.log(m) + math.log(p00)
+def _ll(theta, counts):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        n_a, n_b = theta[0], theta[1]
+        m_a, m_b, cells = _cells(theta, counts)
+        # Stirling's n log n - n for N!, minus the same for (N - x0)!
+        out = n_a * np.log(n_a) - n_a + m_a - _xlogy(m_a, m_a)
+        out = out + (n_b * np.log(n_b) - n_b + m_b - _xlogy(m_b, m_b))
+        for value, coeff in cells:
+            out = out + _xlogy(coeff, value)
+    return out
 
 
-def _grad(theta, counts) -> list[float]:
-    n_a, n_b, alpha, p1, p2a, p2b = theta
-    x11a, x10a, x01a, _, x11b, x10b, x01b, _ = counts
-    m_a, m_b, cells = _cells_checked(theta, counts)
-    p00a, p00b = cells[3], cells[7]
-    one = 1.0 - alpha
-    qa10 = alpha + one * (1.0 - p2a)
-    qb10 = alpha + one * (1.0 - p2b)
-    qa01 = alpha + one * p2a
-    qb01 = alpha + one * p2b
-    g_na = _size_component(n_a, m_a, p00a)
-    g_nb = _size_component(n_b, m_b, p00b)
-    g_alpha = (
-        -_frac(x11a + x11b + m_a + m_b, one)
-        + _frac(x10a * p2a, qa10)
-        + _frac(x10b * p2b, qb10)
-        + _frac(x01a * (1.0 - p2a), qa01)
-        + _frac(x01b * (1.0 - p2b), qb01)
-    )
-    g_p1 = _frac(x11a + x11b + x10a + x10b, p1) - _frac(x01a + x01b + m_a + m_b, 1.0 - p1)
-    g_p2a = (
-        _frac(x11a, p2a)
-        - _frac(x10a * one, qa10)
-        + _frac(x01a * one, qa01)
-        - _frac(m_a, 1.0 - p2a)
-    )
-    g_p2b = (
-        _frac(x11b, p2b)
-        - _frac(x10b * one, qb10)
-        + _frac(x01b * one, qb01)
-        - _frac(m_b, 1.0 - p2b)
-    )
+def _size_component(n, m, p00):
+    # d/dN of the Stirling pair plus the p00 exponent; diverges at N = x0
+    return np.where(m == 0.0, np.where(p00 > 0.0, np.inf, np.nan),
+                    np.log(n) - np.log(m) + np.log(p00))
+
+
+def _grad(theta, counts) -> list:
+    with np.errstate(divide="ignore", invalid="ignore"):
+        n_a, n_b, alpha, p1, p2a, p2b = theta
+        x11a, x10a, x01a, _, x11b, x10b, x01b, _ = counts
+        m_a, m_b = n_a - counts[3], n_b - counts[7]
+        one = 1.0 - alpha
+        q1 = 1.0 - p1
+        qa10 = alpha + one * (1.0 - p2a)
+        qb10 = alpha + one * (1.0 - p2b)
+        qa01 = alpha + one * p2a
+        qb01 = alpha + one * p2b
+        g_na = _size_component(n_a, m_a, one * q1 * (1.0 - p2a))
+        g_nb = _size_component(n_b, m_b, one * q1 * (1.0 - p2b))
+        g_alpha = (
+            -_frac(x11a + x11b + m_a + m_b, one)
+            + _frac(x10a * p2a, qa10)
+            + _frac(x10b * p2b, qb10)
+            + _frac(x01a * (1.0 - p2a), qa01)
+            + _frac(x01b * (1.0 - p2b), qb01)
+        )
+        g_p1 = _frac(x11a + x11b + x10a + x10b, p1) - _frac(x01a + x01b + m_a + m_b, q1)
+        g_p2a = (
+            _frac(x11a, p2a)
+            - _frac(x10a * one, qa10)
+            + _frac(x01a * one, qa01)
+            - _frac(m_a, 1.0 - p2a)
+        )
+        g_p2b = (
+            _frac(x11b, p2b)
+            - _frac(x10b * one, qb10)
+            + _frac(x01b * one, qb01)
+            - _frac(m_b, 1.0 - p2b)
+        )
     return [g_na, g_nb, g_alpha, g_p1, g_p2a, g_p2b]
 
 
-def _hess(theta, counts) -> np.ndarray:
-    n_a, n_b, alpha, p1, p2a, p2b = theta
-    x11a, x10a, x01a, _, x11b, x10b, x01b, _ = counts
-    m_a, m_b, _ = _cells_checked(theta, counts)
-    one = 1.0 - alpha
-    qa10 = alpha + one * (1.0 - p2a)
-    qb10 = alpha + one * (1.0 - p2b)
-    qa01 = alpha + one * p2a
-    qb01 = alpha + one * p2b
-    h = np.zeros((6, 6))
-    h[0, 0] = (1.0 / n_a - 1.0 / m_a) if m_a > 0.0 else -math.inf
-    h[1, 1] = (1.0 / n_b - 1.0 / m_b) if m_b > 0.0 else -math.inf
-    h[0, 2] = h[2, 0] = -1.0 / one if one > 0.0 else -math.inf
-    h[1, 2] = h[2, 1] = h[0, 2]
-    h[0, 3] = h[3, 0] = -1.0 / (1.0 - p1) if p1 < 1.0 else -math.inf
-    h[1, 3] = h[3, 1] = h[0, 3]
-    h[0, 4] = h[4, 0] = -1.0 / (1.0 - p2a) if p2a < 1.0 else -math.inf
-    h[1, 5] = h[5, 1] = -1.0 / (1.0 - p2b) if p2b < 1.0 else -math.inf
-    h[2, 2] = (
-        -_frac(x11a + x11b + m_a + m_b, one * one)
-        - _frac(x10a * p2a * p2a, qa10 * qa10)
-        - _frac(x10b * p2b * p2b, qb10 * qb10)
-        - _frac(x01a * (1.0 - p2a) ** 2, qa01 * qa01)
-        - _frac(x01b * (1.0 - p2b) ** 2, qb01 * qb01)
-    )
-    h[2, 4] = h[4, 2] = _frac(x10a, qa10 * qa10) - _frac(x01a, qa01 * qa01)
-    h[2, 5] = h[5, 2] = _frac(x10b, qb10 * qb10) - _frac(x01b, qb01 * qb01)
-    h[3, 3] = -_frac(x11a + x11b + x10a + x10b, p1 * p1) - _frac(
-        x01a + x01b + m_a + m_b, (1.0 - p1) ** 2
-    )
-    h[4, 4] = (
-        -_frac(x11a, p2a * p2a)
-        - _frac(x10a * one * one, qa10 * qa10)
-        - _frac(x01a * one * one, qa01 * qa01)
-        - _frac(m_a, (1.0 - p2a) ** 2)
-    )
-    h[5, 5] = (
-        -_frac(x11b, p2b * p2b)
-        - _frac(x10b * one * one, qb10 * qb10)
-        - _frac(x01b * one * one, qb01 * qb01)
-        - _frac(m_b, (1.0 - p2b) ** 2)
-    )
-    return h
+def _reciprocal_or(value, limit):
+    """-1 / value where value > 0, else ``limit``."""
+    return np.where(value > 0.0, -1.0 / value, limit)
+
+
+def _hess(theta, counts) -> dict:
+    """Entries (i, j), i <= j, of the 6x6 Hessian that can be nonzero; every
+    other entry is zero."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        n_a, n_b, alpha, p1, p2a, p2b = theta
+        x11a, x10a, x01a, _, x11b, x10b, x01b, _ = counts
+        m_a, m_b = n_a - counts[3], n_b - counts[7]
+        one = 1.0 - alpha
+        qa10 = alpha + one * (1.0 - p2a)
+        qb10 = alpha + one * (1.0 - p2b)
+        qa01 = alpha + one * p2a
+        qb01 = alpha + one * p2b
+        h_alpha = _reciprocal_or(one, -np.inf)
+        h_p1 = _reciprocal_or(1.0 - p1, -np.inf)
+        return {
+            (0, 0): np.where(m_a > 0.0, 1.0 / n_a - 1.0 / m_a, -np.inf),
+            (1, 1): np.where(m_b > 0.0, 1.0 / n_b - 1.0 / m_b, -np.inf),
+            (0, 2): h_alpha,
+            (1, 2): h_alpha,
+            (0, 3): h_p1,
+            (1, 3): h_p1,
+            (0, 4): _reciprocal_or(1.0 - p2a, -np.inf),
+            (1, 5): _reciprocal_or(1.0 - p2b, -np.inf),
+            (2, 2): (
+                -_frac(x11a + x11b + m_a + m_b, one * one)
+                - _frac(x10a * p2a * p2a, qa10 * qa10)
+                - _frac(x10b * p2b * p2b, qb10 * qb10)
+                - _frac(x01a * (1.0 - p2a) ** 2, qa01 * qa01)
+                - _frac(x01b * (1.0 - p2b) ** 2, qb01 * qb01)
+            ),
+            (2, 4): _frac(x10a, qa10 * qa10) - _frac(x01a, qa01 * qa01),
+            (2, 5): _frac(x10b, qb10 * qb10) - _frac(x01b, qb01 * qb01),
+            (3, 3): -_frac(x11a + x11b + x10a + x10b, p1 * p1) - _frac(
+                x01a + x01b + m_a + m_b, (1.0 - p1) ** 2
+            ),
+            (4, 4): (
+                -_frac(x11a, p2a * p2a)
+                - _frac(x10a * one * one, qa10 * qa10)
+                - _frac(x01a * one * one, qa01 * qa01)
+                - _frac(m_a, (1.0 - p2a) ** 2)
+            ),
+            (5, 5): (
+                -_frac(x11b, p2b * p2b)
+                - _frac(x10b * one * one, qb10 * qb10)
+                - _frac(x01b * one * one, qb01 * qb01)
+                - _frac(m_b, (1.0 - p2b) ** 2)
+            ),
+        }
 
 
 # --- public wrappers ---------------------------------------------------------
+
+def _one_row(params: ModelParams, data: SurveyData):
+    """theta and counts of one parameter point as one-row kernel arguments,
+    checked to be evaluable."""
+    theta = [np.array([value]) for value in params.as_tuple()]
+    counts = [np.array([value]) for value in _counts(data)]
+    _check(theta, counts)
+    return theta, counts
+
 
 def log_likelihood(params: ModelParams, data: SurveyData) -> float:
     """Stirling-approximated capture log-likelihood.
@@ -354,7 +380,7 @@ def log_likelihood(params: ModelParams, data: SurveyData) -> float:
     (alpha = 0, N_s = x0s) evaluable; a zero cell against a nonzero count
     raises EvaluationError naming the term.
     """
-    return _ll(params.as_tuple(), _counts(data))
+    return float(_ll(*_one_row(params, data))[0])
 
 
 def gradient(params: ModelParams, data: SurveyData) -> np.ndarray:
@@ -364,7 +390,7 @@ def gradient(params: ModelParams, data: SurveyData) -> np.ndarray:
     points whose derivative diverges (N_s = x0s) the affected component is
     returned as +/-inf rather than raising.
     """
-    return np.array(_grad(params.as_tuple(), _counts(data)))
+    return np.array([g[0] for g in _grad(*_one_row(params, data))])
 
 
 def hessian(params: ModelParams, data: SurveyData) -> np.ndarray:
@@ -374,4 +400,7 @@ def hessian(params: ModelParams, data: SurveyData) -> np.ndarray:
     never interact, p1 never meets a p2, and each p2 touches only its own
     stratum's size and alpha.
     """
-    return _hess(params.as_tuple(), _counts(data))
+    h = np.zeros((6, 6))
+    for (i, j), value in _hess(*_one_row(params, data)).items():
+        h[i, j] = h[j, i] = value[0]
+    return h

@@ -6,11 +6,12 @@ p2A=0.05, p2B=0.15) and summarizes bias, CV, and interval coverage of the
 naive and model-based estimators. Study 2 sweeps a grid that violates the
 shared-p1 identification assumption and tracks bias/RMSE of the size
 estimates. Every replicate of every study goes through one worker,
-``_replicate``: draw a two-stratum table on a counter-based random stream
-keyed by the replicate (study 2: by grid index and replicate), fit it, and
-return the survey with the fit or the reason it failed. The studies are
-reductions over those records, so summaries are independent of worker
-count.
+``_replicates``, which takes a block of replicates: it draws each two-stratum
+table on a counter-based random stream keyed by the replicate (study 2: by
+grid index and replicate), fits the block's draws in one batch (and the
+full-mode fallbacks in a second one), and returns per replicate the survey
+with the fit or the reason it failed. The studies are reductions over those
+records, so summaries are independent of worker count and block size.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import mle, model
-from ._parallel import run_indexed
+from ._parallel import blocks, run_indexed
 from .exceptions import DualdepError, FitError, InfeasibleConstraintsError, ValidationError
 from .inference import confidence_interval, normal_quantile, se_from_hessian
 from .mle import DEFAULT_SEED, FitOptions
@@ -278,19 +279,31 @@ def _draw_survey(config: GeneratorConfig, rng: np.random.Generator) -> tuple[Sur
     )
 
 
+def _fit_draws(surveys: list[SurveyData], options: FitOptions) -> list:
+    """Fit simulated draws in one batch; refit in full mode, as a second
+    batch, the draws whose reduced constraint box is empty (possible only
+    when the generating process violates the shared-p1 assumption).
+    Returns (FitResult or package error, fallback) per draw."""
+    outcomes = mle.fit_many(surveys, options)
+    fallback = [isinstance(o, InfeasibleConstraintsError) and options.mode != "full"
+                for o in outcomes]
+    if any(fallback):
+        refits = iter(mle.fit_many([s for s, f in zip(surveys, fallback) if f],
+                                   replace(options, mode="full")))
+        outcomes = [next(refits) if f else o for o, f in zip(outcomes, fallback)]
+    return list(zip(outcomes, fallback))
+
+
 def _fit_generated(survey: SurveyData, options: FitOptions):
-    """Fit a simulated draw; fall back to the full parameterization when the
-    draw makes the reduced constraint box empty (possible only when the
-    generating process violates the shared-p1 assumption)."""
-    try:
-        return mle.fit(survey, options), False
-    except InfeasibleConstraintsError:
-        if options.mode == "full":
-            raise
-        return mle.fit(survey, replace(options, mode="full")), True
+    """``_fit_draws`` for one draw, raising the package error instead of
+    returning it."""
+    ((outcome, fallback),) = _fit_draws([survey], options)
+    if isinstance(outcome, DualdepError):
+        raise outcome
+    return outcome, fallback
 
 
-# --- one replicate -------------------------------------------------------------
+# --- replicates ------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
 class _Replicate:
@@ -304,18 +317,35 @@ class _Replicate:
     reason: str = ""
 
 
-def _replicate(task) -> _Replicate:
-    """Draw one survey on random stream ``key`` and fit it. ``fallback`` is
-    True whenever the fit came from the full-mode refit, converged or not."""
-    key, config, options = task
-    survey, redraws = _draw_survey(config, _rng(config.seed, key))
-    try:
-        fit, fallback = _fit_generated(survey, options)
-    except DualdepError as exc:
-        return _Replicate(survey, None, redraws, False, str(exc))
-    if not fit.converged:
-        return _Replicate(survey, None, redraws, fallback, "fit did not converge")
-    return _Replicate(survey, fit, redraws, fallback)
+def _replicates(task) -> list[_Replicate]:
+    """Draw one survey per random stream key and fit the draws as one batch.
+    ``fallback`` is True whenever a fit came from the full-mode refit,
+    converged or not."""
+    keys, config, options = task
+    draws = [_draw_survey(config, _rng(config.seed, key)) for key in keys]
+    records = []
+    for (survey, redraws), (outcome, fallback) in zip(
+        draws, _fit_draws([survey for survey, _ in draws], options)
+    ):
+        if isinstance(outcome, DualdepError):
+            records.append(_Replicate(survey, None, redraws, False, str(outcome)))
+        elif not outcome.converged:
+            records.append(_Replicate(survey, None, redraws, fallback, "fit did not converge"))
+        else:
+            records.append(_Replicate(survey, outcome, redraws, fallback))
+    return records
+
+
+def _run_replicates(groups, options: FitOptions, threads: int) -> list[_Replicate]:
+    """``_replicates`` over (config, stream keys) groups in blocks of
+    ``_parallel.BLOCK_SIZE`` keys, spread over ``threads`` processes;
+    records come back in group and key order."""
+    tasks = [
+        ([keys[i] for i in block], config, options)
+        for config, keys in groups
+        for block in blocks(len(keys))
+    ]
+    return [record for part in run_indexed(_replicates, tasks, threads) for record in part]
 
 
 # --- study 1 -------------------------------------------------------------------
@@ -330,8 +360,7 @@ def run_study1(
     model-based summaries and counted in ``fit_failures``."""
     config = config or study1_config()
     options = options or FitOptions()
-    tasks = [(index, config, options) for index in range(config.replicates)]
-    outcomes = run_indexed(_replicate, tasks, threads)
+    outcomes = _run_replicates([(config, range(config.replicates))], options, threads)
 
     fitted = [o.fit.params for o in outcomes if o.fit is not None]
     if not fitted:
@@ -404,8 +433,7 @@ def run_coverage(
     z = normal_quantile(level)
     config = config or study1_config()
     options = options or FitOptions()
-    tasks = [(index, config, options) for index in range(config.replicates)]
-    outcomes = run_indexed(_replicate, tasks, threads)
+    outcomes = _run_replicates([(config, range(config.replicates))], options, threads)
 
     truth = {"N_A": float(config.n_a), "N_B": float(config.n_b)}
     tallies = {
@@ -487,13 +515,12 @@ def run_study2(
     if not grid:
         raise ValidationError("grid must contain at least one value")
     options = options or FitOptions()
-    configs = [_scenario_config(scenario, value, replicates, seed) for value in grid]
-    tasks = [
-        ((gi << 32) | rep, config, options)
-        for gi, config in enumerate(configs)
-        for rep in range(replicates)
+    groups = [
+        (_scenario_config(scenario, value, replicates, seed),
+         [(gi << 32) | rep for rep in range(replicates)])
+        for gi, value in enumerate(grid)
     ]
-    outcomes = run_indexed(_replicate, tasks, threads)
+    outcomes = _run_replicates(groups, options, threads)
 
     truths = {"N_A": 50_000.0, "N_B": 20_000.0, "N_total": 70_000.0}
     nan = float("nan")

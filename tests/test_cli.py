@@ -244,6 +244,19 @@ def test_bad_grid_is_usage_error(tmp_path, capsys):
     assert "grid" in capsys.readouterr().err
 
 
+def test_estimate_level_outside_unit_interval_fails_before_bootstrap(q1_csv, capsys, monkeypatch):
+    from dualdep import inference
+
+    def no_draw(*args):
+        raise AssertionError("the level must be checked before any bootstrap draw")
+
+    monkeypatch.setattr(inference, "draw_replicate_tables", no_draw)
+    code = main(["estimate", "--input", str(q1_csv), "--se", "bootstrap", "--level", "1.5",
+                 "--B", "200"])
+    assert code == 2
+    assert "level must be in (0, 1)" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("level", ["1.5", "0"])
 def test_coverage_level_outside_unit_interval_is_usage_error(tmp_path, capsys, monkeypatch, level):
     from dualdep import simulate
@@ -308,3 +321,28 @@ def test_simulate_reports_thread_invariant(tmp_path, argv):
         tables.append((tmp_path / f"t{threads}.summary.csv").read_text(encoding="utf-8"))
     assert reports[0] == reports[1]
     assert tables[0] == tables[1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["estimate", "--se", "bootstrap", "--B", "5", "--seed", "3"],
+        ["simulate", "study2", "--scenario", "1", "--grid", "0.01:0.15:0.14",
+         "--replicates", "3", "--seed", "3"],
+    ],
+    ids=["estimate", "study2"],
+)
+def test_reports_identical_across_block_size_and_threads(tmp_path, q1_csv, monkeypatch, argv):
+    # one block in this process against blocks of two over two workers
+    from dualdep import _parallel
+
+    if argv[0] == "estimate":
+        argv = argv[:1] + ["--input", str(q1_csv)] + argv[1:]
+    texts = []
+    for threads, block in (("1", _parallel.BLOCK_SIZE), ("2", 2)):
+        monkeypatch.setattr(_parallel, "BLOCK_SIZE", block)
+        stem = tmp_path / f"t{threads}"
+        assert main(argv + ["--threads", threads, "--output", str(stem)]) == 0
+        texts.append((json.dumps(read_report(stem)["results"]),
+                      (tmp_path / f"t{threads}.summary.csv").read_bytes()))
+    assert texts[0] == texts[1]

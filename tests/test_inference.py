@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dualdep.exceptions import InformationMatrixError, ValidationError
+from dualdep import _parallel, mle
+from dualdep.exceptions import EvaluationError, InformationMatrixError, ValidationError
 from dualdep.inference import (
     BootstrapResult,
     bootstrap,
@@ -99,6 +101,66 @@ def test_bootstrap_thread_invariance(q1_fit):
     parallel = bootstrap(data, result, n_replicates=6, seed=5, threads=2)
     for name in serial.estimates:
         assert np.array_equal(serial.estimates[name], parallel.estimates[name])
+
+
+def test_bootstrap_block_size_and_thread_invariance(q1_fit, monkeypatch):
+    # one block in this process against three blocks of two over two workers
+    data, result = q1_fit
+    whole = bootstrap(data, result, n_replicates=6, seed=5, threads=1)
+    monkeypatch.setattr(_parallel, "BLOCK_SIZE", 2)
+    split = bootstrap(data, result, n_replicates=6, seed=5, threads=2)
+    for name in whole.estimates:
+        assert np.array_equal(whole.estimates[name], split.estimates[name])
+
+
+@settings(max_examples=8, deadline=None)
+@given(quarter=st.sampled_from(["Q1", "Q2", "Q3", "Q4"]), seed=st.integers(0, 2**63))
+def test_bootstrap_prefix_does_not_depend_on_B(quarter, seed):
+    from conftest import make_survey
+
+    data = make_survey(quarter)
+    result = fit(data)
+    short = bootstrap(data, result, n_replicates=10, seed=seed)
+    long = bootstrap(data, result, n_replicates=40, seed=seed)
+    assert short.n_failed == long.n_failed == 0
+    for name in short.estimates:
+        assert np.array_equal(short.estimates[name], long.estimates[name][:10])
+
+
+def test_bootstrap_retries_a_package_error_and_reports_its_reason(q1_fit, monkeypatch):
+    data, result = q1_fit
+    real = mle.fit_many
+    calls = []
+
+    def first_table_fails(surveys, options):
+        calls.append(len(surveys))
+        outcomes = real(surveys, options)
+        outcomes[0] = EvaluationError("p11A", "probability 0.0 with count coefficient 3.0")
+        return outcomes
+
+    monkeypatch.setattr(mle, "fit_many", first_table_fails)
+    monkeypatch.setattr(_parallel, "BLOCK_SIZE", 30)  # one block: replicate 0 comes first
+    boot = bootstrap(data, result, n_replicates=30, seed=4)
+    # replicate 0 fails every attempt and is counted with its reason; the
+    # other 29 are untouched by its failures
+    assert calls == [30] + [1] * 10
+    assert boot.failures == ((0, "cannot evaluate log-likelihood term 'p11A': "
+                                 "probability 0.0 with count coefficient 3.0"),)
+    monkeypatch.setattr(mle, "fit_many", real)
+    clean = bootstrap(data, result, n_replicates=30, seed=4)
+    for name in boot.estimates:
+        assert np.array_equal(boot.estimates[name], clean.estimates[name][1:])
+
+
+def test_bootstrap_propagates_programming_errors(q1_fit, monkeypatch):
+    data, result = q1_fit
+
+    def broken(surveys, options):
+        raise TypeError("bug in the fitting code")
+
+    monkeypatch.setattr(mle, "fit_many", broken)
+    with pytest.raises(TypeError, match="bug in the fitting code"):
+        bootstrap(data, result, n_replicates=3, seed=4)
 
 
 def test_bootstrap_requires_positive_B(q1_fit):

@@ -3,10 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dualdep import mle
-from dualdep.exceptions import FitError, InfeasibleConstraintsError, NonConvergenceError
-from dualdep.mle import FitOptions, fit, starting_points
+from dualdep.exceptions import (
+    DualdepError, FitError, InfeasibleConstraintsError, NonConvergenceError,
+)
+from dualdep.mle import FitOptions, fit, fit_many, starting_points
 from dualdep.model import gradient, log_likelihood, size_ratio, p2a_ratio
 from dualdep.simulate import GeneratorConfig, _draw_survey, _fit_generated, _rng, _scenario_config
 from dualdep.tables import CellCounts, SurveyData, naive_estimate
@@ -98,24 +101,19 @@ def test_refit_from_optimum_is_stable(q1):
     assert refit.log_likelihood >= log_likelihood(start, q1)
     from dualdep import model
 
-    counts = model._counts(q1)
+    counts = np.array(model._counts(q1))[:, None]
     ratio = size_ratio(q1)
     mult = p2a_ratio(q1)
-    u0 = np.array([result.params.n_b, result.params.alpha, result.params.p1, result.params.p2b])
-    jac = np.zeros((6, 4))
-    jac[0, 0] = ratio
-    jac[1, 0] = 1.0
-    jac[2, 1] = 1.0
-    jac[3, 2] = 1.0
-    jac[4, 3] = mult
-    jac[5, 3] = 1.0
+    u0 = np.array([[result.params.n_b, result.params.alpha, result.params.p1, result.params.p2b]]).T
+    maps = np.array([[ratio, mult]]).T
     nb_lo, nb_hi = mle._reduced_nb_box(q1)
     lo_t, hi_t = mle._trimmed_bounds(
         np.array([nb_lo, 0.0, 0.0, 0.0]), np.array([nb_hi, 1.0, 1.0, min(1.0, 1.0 / mult)]),
         size_idx=(0,),
     )
-    expand_u = lambda u: (ratio * u[0], u[0], u[1], u[2], mult * u[3], u[3])
-    _, value, _, _, _ = mle._solve_start(u0, counts, jac, expand_u, lo_t, hi_t, 500, 1e-8)
+    _, (value,), _, _, _ = mle._solve_start(
+        u0, [0], counts, maps, lo_t[:, None], hi_t[:, None], 500, 1e-8
+    )
     assert abs(value - result.log_likelihood) < 1e-8
 
 
@@ -298,3 +296,53 @@ def test_fit_converges_where_curvature_outruns_float_spacing():
     assert all(d.converged for d in result.per_start_diagnostics)
     assert result.active_constraints == {"N_B", "p2B"}
     assert held_at_bounds(result, data) >= 1
+
+
+def fingerprint(outcome):
+    """Every number of a fit outcome by its repr, which tells apart any two
+    different floats (NaN included), or the error's type, text and starts."""
+    if isinstance(outcome, Exception):
+        starts = getattr(outcome, "diagnostics", ())
+        return repr((type(outcome).__name__, str(outcome), starts))
+    return repr((
+        outcome.params.as_tuple(), outcome.log_likelihood, outcome.converged, outcome.iterations,
+        sorted(outcome.active_constraints), outcome.n_hat_total, outcome.mode,
+        outcome.size_ratio_gap, outcome.p2_identity_gap, outcome.per_start_diagnostics,
+    ))
+
+
+def fit_alone(data, options):
+    try:
+        return fit(data, options)
+    except DualdepError as exc:
+        return exc
+
+
+stratum_counts = st.builds(
+    CellCounts, st.integers(0, 400), st.integers(1, 6000), st.integers(0, 6000)
+)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    tables=st.lists(st.builds(SurveyData, stratum_counts, stratum_counts), min_size=1, max_size=5),
+    mode=st.sampled_from(["reduced", "full"]),
+)
+def test_fit_many_matches_fitting_each_table_alone(tables, mode):
+    # batch size 1 against the whole batch: a table's fit, its per-start
+    # diagnostics and its error do not depend on the other tables
+    options = FitOptions(mode=mode)
+    batch = fit_many(tables, options)
+    assert len(batch) == len(tables)
+    for data, outcome in zip(tables, batch):
+        assert fingerprint(outcome) == fingerprint(fit_alone(data, options))
+
+
+def test_fit_many_keeps_going_past_bad_tables(q1):
+    bad = SurveyData(CellCounts(0, 10, 10), CellCounts(5, 5, 5))
+    infeasible = SurveyData(CellCounts(5, 9000, 50), CellCounts(50, 100, 5000))
+    first, overlap, box, last = fit_many([q1, bad, infeasible, q1])
+    assert isinstance(overlap, FitError) and "x11 = 0" in str(overlap)
+    assert isinstance(box, InfeasibleConstraintsError)
+    assert fingerprint(first) == fingerprint(last) == fingerprint(fit(q1))
+    assert fit_many([]) == []
