@@ -21,7 +21,8 @@ from .model import ModelParams, PARAM_NAMES, ReducedParams
 from .tables import SurveyData, naive_estimate
 
 __all__ = [
-    "DEFAULT_SEED", "FitOptions", "StartDiagnostics", "FitResult", "starting_points", "fit", "fit_many",
+    "DEFAULT_SEED", "FitOptions", "StartDiagnostics", "FitResult", "starting_points", "fit",
+    "fit_many",
 ]
 
 DEFAULT_SEED = 20180331
@@ -312,7 +313,7 @@ class _Tables:
     def __init__(self, counts, maps, lo, hi):
         self.counts, self.maps, self.lo, self.hi = counts, maps, lo, hi
 
-    def model(self, table):
+    def data(self, table):
         """(counts, maps) at each start's table."""
         return self.counts[:, table], None if self.maps is None else self.maps[:, table]
 
@@ -331,7 +332,7 @@ def _direction(run, tables):
     grad = np.where(free, run["grad"], 0.0)
     # blocked coordinates get an identity row and column and a zero
     # gradient entry, so their step is zero
-    hess = _hessian(u, *tables.model(run["table"]))
+    hess = _hessian(u, *tables.data(run["table"]))
     np.copyto(hess, np.eye(size), where=~(free.T[:, :, None] & free.T[:, None, :]))
     step, singular = _newton_step(hess, grad.T)
     step = step.T
@@ -378,7 +379,7 @@ def _solve_start(u0, table, counts, maps, lo_t, hi_t, max_iter, tol):
     table = np.asarray(table)
     run = {"row": np.arange(n_rows), "table": table, "u": np.clip(u0, *tables.box(table)),
            "it": np.zeros(n_rows, dtype=int)}
-    run["grad"] = _gradient(run["u"], *tables.model(table))
+    run["grad"] = _gradient(run["u"], *tables.data(table))
     run["free"], run["pg"] = _projected_gradient(run["u"], run["grad"], *tables.box(table))
 
     def stop(run, done, message):
@@ -406,7 +407,7 @@ def _solve_start(u0, table, counts, maps, lo_t, hi_t, max_iter, tol):
         run = stop(run, ~run.pop("accepted"), "no acceptable step")
         del run["step"]
 
-    counts, maps = tables.model(table)
+    counts, maps = tables.data(table)
     return out_u, model._ll(_expand(out_u, maps), counts), out_pg, out_it, messages
 
 
@@ -425,7 +426,7 @@ def _line_search(run, tables):
     while True:
         s = searching
         u_s, table_s = u[:, s], run["table"][s]
-        counts_s, maps_s = tables.model(table_s)
+        counts_s, maps_s = tables.data(table_s)
         lo_s, hi_s = tables.box(table_s)
         trial = np.clip(u_s + scale[s] * step[:, s], lo_s, hi_s)
         grad_t = _gradient(trial, counts_s, maps_s)
@@ -497,7 +498,7 @@ def _problem(data: SurveyData, options: FitOptions) -> _Problem:
                                      np.array([na_hi, nb_hi_own, 1.0, 1.0, 1.0, 1.0]),
                                      size_idx=(0, 1))
         maps = None
-    bounds6 = ((na_lo, na_hi), (nb_lo_own, nb_hi_own), (0.0, 1.0), (0.0, 1.0), (0.0, 1.0), (0.0, 1.0))
+    bounds6 = ((na_lo, na_hi), (nb_lo_own, nb_hi_own)) + ((0.0, 1.0),) * 4
     return _Problem(data, model._counts(data), lo_t, hi_t, maps, bounds6,
                     starting_points(data, options))
 

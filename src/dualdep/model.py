@@ -231,10 +231,10 @@ def _check(theta, counts) -> None:
     needs log 0 or the log of a negative number: N below the observed total,
     or a zero cell against a nonzero count."""
     m_a, m_b, cells = _cells(theta, counts)
-    if m_a[0] < 0.0:
-        raise EvaluationError("N_A - x0A", f"N_A = {theta[0][0]} is below the observed total {counts[3][0]}")
-    if m_b[0] < 0.0:
-        raise EvaluationError("N_B - x0B", f"N_B = {theta[1][0]} is below the observed total {counts[7][0]}")
+    for term, m, n, x0 in (("N_A - x0A", m_a, theta[0], counts[3]),
+                           ("N_B - x0B", m_b, theta[1], counts[7])):
+        if m[0] < 0.0:
+            raise EvaluationError(term, f"{term[:3]} = {n[0]} is below the observed total {x0[0]}")
     for term, (value, coeff) in zip(_TERMS, cells):
         if coeff[0] != 0.0 and value[0] <= 0.0:
             raise EvaluationError(term, f"probability {value[0]} with count coefficient {coeff[0]}")
@@ -304,9 +304,9 @@ def _grad(theta, counts) -> list:
     return [g_na, g_nb, g_alpha, g_p1, g_p2a, g_p2b]
 
 
-def _reciprocal_or(value, limit):
-    """-1 / value where value > 0, else ``limit``."""
-    return np.where(value > 0.0, -1.0 / value, limit)
+def _neg_reciprocal(value):
+    """-1 / value, diverging to -inf where value reaches 0."""
+    return np.where(value > 0.0, -1.0 / value, -np.inf)
 
 
 def _hess(theta, counts) -> dict:
@@ -321,8 +321,8 @@ def _hess(theta, counts) -> dict:
         qb10 = alpha + one * (1.0 - p2b)
         qa01 = alpha + one * p2a
         qb01 = alpha + one * p2b
-        h_alpha = _reciprocal_or(one, -np.inf)
-        h_p1 = _reciprocal_or(1.0 - p1, -np.inf)
+        h_alpha = _neg_reciprocal(one)
+        h_p1 = _neg_reciprocal(1.0 - p1)
         return {
             (0, 0): np.where(m_a > 0.0, 1.0 / n_a - 1.0 / m_a, -np.inf),
             (1, 1): np.where(m_b > 0.0, 1.0 / n_b - 1.0 / m_b, -np.inf),
@@ -330,8 +330,8 @@ def _hess(theta, counts) -> dict:
             (1, 2): h_alpha,
             (0, 3): h_p1,
             (1, 3): h_p1,
-            (0, 4): _reciprocal_or(1.0 - p2a, -np.inf),
-            (1, 5): _reciprocal_or(1.0 - p2b, -np.inf),
+            (0, 4): _neg_reciprocal(1.0 - p2a),
+            (1, 5): _neg_reciprocal(1.0 - p2b),
             (2, 2): (
                 -_frac(x11a + x11b + m_a + m_b, one * one)
                 - _frac(x10a * p2a * p2a, qa10 * qa10)
