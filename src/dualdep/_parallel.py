@@ -15,11 +15,11 @@ from concurrent.futures import ProcessPoolExecutor
 
 # Replicates per block. A block of bootstrap refits is one batched solve of
 # BLOCK_SIZE x n_starts rows. Larger blocks spread numpy's per-call overhead
-# over more rows but hold more arrays at once: on the four published
-# quarters, 100 refits took about 65 ms in blocks of 100 and 90 ms in blocks
-# of 25, while a process running hundreds of bootstraps peaked about 3 MB
-# above the one-start-at-a-time solver with blocks of 100 and 1.3 MB with
-# blocks of 25.
+# over more rows but hold more memory: on the published quarters (2-core
+# x86_64 VM), 100 refits took about 60 ms in blocks of 100 and 110 ms in
+# blocks of 25, and a process running hundreds of bootstraps peaked about
+# 2 MB above the one-start-at-a-time solver with blocks of 100 and 1 MB
+# with blocks of 25.
 BLOCK_SIZE = 25
 
 

@@ -210,12 +210,11 @@ def _trimmed_bounds(lo: np.ndarray, hi: np.ndarray, size_idx: tuple[int, ...],
 
 
 # The solver works on batches. Arrays of shape (P, K) hold one start per
-# column (P = 4 solver coordinates in reduced mode, 6 in full mode), and each
-# start belongs to a table whose constants (counts, box, and in reduced mode
-# the size ratio and p2A multiplier as ``maps``) sit in arrays with one
-# column per table; ``maps`` is None in full mode. Every operation acts on
-# each column alone, so a start's result does not depend on which other
-# starts share its batch.
+# column (P = 4 solver coordinates in reduced mode, 6 in full mode), next to
+# the constants of the start's table: counts (8, K), box, and in reduced mode
+# the size ratio and p2A multiplier as ``maps`` (2, K); ``maps`` is None in
+# full mode. Every operation acts on each column alone, so a start's result
+# does not depend on which other starts share its batch.
 
 def _expand(u, maps):
     """theta (six rows) from solver coordinates."""
@@ -307,36 +306,23 @@ def _ascent_step(hess, grad):
     return step
 
 
-class _Tables:
-    """The per-table constants of a batch, read at the tables of given starts."""
-
-    def __init__(self, counts, maps, lo, hi):
-        self.counts, self.maps, self.lo, self.hi = counts, maps, lo, hi
-
-    def data(self, table):
-        """(counts, maps) at each start's table."""
-        return self.counts[:, table], None if self.maps is None else self.maps[:, table]
-
-    def box(self, table):
-        """(lo, hi) at each start's table."""
-        return self.lo[:, table], self.hi[:, table]
-
-
-def _direction(run, tables):
+def _direction(run):
     """The step of each running start: Newton on the free coordinates (zero
-    on the blocked ones), flipped to ascent where it would descend. Returns
-    (step, singular, broken): the steps, shape (P, K); which Newton systems
-    were singular; and which other steps are not finite."""
-    u, free = run["u"], run["free"]
+    on the blocked ones), flipped to ascent where it would descend; stopped
+    starts get a zero step. Returns (step, singular, broken): the steps,
+    shape (P, K); which Newton systems were singular; and which other steps
+    are not finite."""
+    u, live = run["u"], run["live"]
     size = u.shape[0]
+    free = run["free"] & live
     grad = np.where(free, run["grad"], 0.0)
     # blocked coordinates get an identity row and column and a zero
     # gradient entry, so their step is zero
-    hess = _hessian(u, *tables.data(run["table"]))
+    hess = _hessian(u, run["counts"], run["maps"])
     np.copyto(hess, np.eye(size), where=~(free.T[:, :, None] & free.T[:, None, :]))
     step, singular = _newton_step(hess, grad.T)
     step = step.T
-    descend = ~((grad * step).sum(axis=0) > 0.0) & ~singular
+    descend = live & ~((grad * step).sum(axis=0) > 0.0) & ~singular
     if descend.any():
         step[:, descend] = _ascent_step(hess[descend], grad.T[descend]).T
     step = np.where(free, step, 0.0)
@@ -363,102 +349,72 @@ def _solve_start(u0, table, counts, maps, lo_t, hi_t, max_iter, tol):
     changes fall below floating-point granularity, so an ascent test alone
     stalls short of tight gradient tolerances. At most ``max_iter`` steps are
     taken. The starts iterate together: one Hessian evaluation and one
-    stacked solve serve every start still running, and a start leaves the
-    batch when it converges or stops.
+    stacked solve serve every start. A start that converges or stops keeps
+    its column, masked out of every later step, so the arrays keep one size
+    for the whole solve and the memory allocator reuses its blocks.
 
     Returns (u, log_likelihood, projected_gradient_norm, iterations,
     messages), one column of u and one entry of the others per start.
     """
-    tables = _Tables(counts, maps, lo_t, hi_t)
-    size, n_rows = u0.shape
-    out_u = np.empty((size, n_rows))
-    out_pg = np.empty(n_rows)
-    out_it = np.zeros(n_rows, dtype=int)
-    messages = [""] * n_rows
-    # the state of the running starts, one column each
     table = np.asarray(table)
-    run = {"row": np.arange(n_rows), "table": table, "u": np.clip(u0, *tables.box(table)),
-           "it": np.zeros(n_rows, dtype=int)}
-    run["grad"] = _gradient(run["u"], *tables.data(table))
-    run["free"], run["pg"] = _projected_gradient(run["u"], run["grad"], *tables.box(table))
+    run = {"live": np.ones(table.size, dtype=bool), "it": np.zeros(table.size, dtype=int),
+           "counts": counts[:, table], "maps": None if maps is None else maps[:, table],
+           "lo": lo_t[:, table], "hi": hi_t[:, table]}
+    run["u"] = np.clip(u0, run["lo"], run["hi"])
+    run["grad"] = _gradient(run["u"], run["counts"], run["maps"])
+    run["free"], run["pg"] = _projected_gradient(run["u"], run["grad"], run["lo"], run["hi"])
+    messages = [""] * table.size
 
-    def stop(run, done, message):
-        if not done.any():
-            return run
-        rows = run["row"][done]
-        out_u[:, rows] = run["u"][:, done]
-        out_pg[rows] = run["pg"][done]
-        out_it[rows] = run["it"][done]
-        for row in rows.tolist():
+    def stop(done, message):
+        done = done & run["live"]
+        for row in np.flatnonzero(done).tolist():
             messages[row] = message
-        return {key: value[..., ~done] for key, value in run.items()}
+        run["live"] &= ~done
 
-    while run["row"].size:
-        run = stop(run, run["pg"] < tol, "converged")
-        run = stop(run, run["it"] >= max_iter, "iteration cap reached")
-        if not run["row"].size:
-            break
-        run["step"], singular, broken = _direction(run, tables)
-        run = stop(run, singular, "singular Newton system")
-        run = stop(run, broken[~singular], "non-finite Newton step")
-        if not run["row"].size:
-            break
-        run = _line_search(run, tables)
-        run = stop(run, ~run.pop("accepted"), "no acceptable step")
-        del run["step"]
-
-    counts, maps = tables.data(table)
-    return out_u, model._ll(_expand(out_u, maps), counts), out_pg, out_it, messages
-
-
-def _line_search(run, tables):
-    """Backtrack each start's step from full length, halving it until the
-    projected gradient shrinks or the log-likelihood rises. Accepted starts
-    move and count an iteration; ``accepted`` marks them. A start's state is
-    updated in place once it is accepted: later rounds read only the
-    columns of starts still searching."""
-    u, grad, free, pg, step = run["u"], run["grad"], run["free"], run["pg"], run["step"]
-    n = u.shape[1]
-    accepted = np.zeros(n, dtype=bool)
-    scale = np.ones(n)
-    value0 = np.full(n, np.nan)  # log-likelihood at u, evaluated when first needed
-    searching = slice(None)  # every start, without copying, in the first round
     while True:
-        s = searching
-        u_s, table_s = u[:, s], run["table"][s]
-        counts_s, maps_s = tables.data(table_s)
-        lo_s, hi_s = tables.box(table_s)
-        trial = np.clip(u_s + scale[s] * step[:, s], lo_s, hi_s)
-        grad_t = _gradient(trial, counts_s, maps_s)
-        free_t, pg_t = _projected_gradient(trial, grad_t, lo_s, hi_s)
-        ok = pg_t < pg[s]
-        if not ok.all():
-            test = ~ok
-            value0_s = value0[s]
-            missing = test & np.isnan(value0_s)
-            if missing.any():
-                value0_s[missing] = model._ll(
-                    _expand(u_s[:, missing], None if maps_s is None else maps_s[:, missing]),
-                    counts_s[:, missing])
-                value0[s] = value0_s
-            ok[test] = model._ll(
-                _expand(trial[:, test], None if maps_s is None else maps_s[:, test]),
-                counts_s[:, test]) > value0_s[test]
-        rows = np.arange(n)[s]
-        took = rows[ok]
-        u[:, took] = trial[:, ok]
-        grad[:, took] = grad_t[:, ok]
-        free[:, took] = free_t[:, ok]
-        pg[took] = pg_t[ok]
-        accepted[took] = True
-        rest = rows[~ok]
-        scale[rest] *= 0.5
-        searching = rest[scale[rest] > 1e-14]
-        if not searching.size:
+        stop(run["pg"] < tol, "converged")
+        stop(run["it"] >= max_iter, "iteration cap reached")
+        if not run["live"].any():
             break
-    run["it"] = run["it"] + accepted
-    run["accepted"] = accepted
-    return run
+        step, singular, broken = _direction(run)
+        stop(singular, "singular Newton system")
+        stop(broken, "non-finite Newton step")
+        np.copyto(step, 0.0, where=~run["live"])
+        stop(~_line_search(run, step), "no acceptable step")
+
+    u = run["u"]
+    return u, model._ll(_expand(u, run["maps"]), run["counts"]), run["pg"], run["it"], messages
+
+
+def _line_search(run, step):
+    """Backtrack each running start's step from full length, halving it
+    until the projected gradient shrinks or the log-likelihood rises.
+    Accepted starts move, in place, and count an iteration. Returns which
+    starts accepted a step."""
+    u, grad, free, pg = run["u"], run["grad"], run["free"], run["pg"]
+    lo, hi, counts, maps = run["lo"], run["hi"], run["counts"], run["maps"]
+    searching = run["live"].copy()
+    accepted = np.zeros_like(searching)
+    scale = np.ones(u.shape[1])
+    value0 = np.full(u.shape[1], np.nan)  # log-likelihood at u, evaluated when first needed
+    while searching.any():
+        trial = np.clip(u + scale * step, lo, hi)
+        grad_t = _gradient(trial, counts, maps)
+        free_t, pg_t = _projected_gradient(trial, grad_t, lo, hi)
+        ok = searching & (pg_t < pg)
+        test = searching & ~ok
+        if test.any():
+            if (test & np.isnan(value0)).any():
+                np.copyto(value0, model._ll(_expand(u, maps), counts), where=np.isnan(value0))
+            ok |= test & (model._ll(_expand(trial, maps), counts) > value0)
+        for state, new in ((u, trial), (grad, grad_t), (free, free_t), (pg, pg_t)):
+            np.copyto(state, new, where=ok)
+        accepted |= ok
+        searching &= ~ok
+        scale = np.where(searching, 0.5 * scale, scale)
+        searching &= scale > 1e-14
+    run["it"] += accepted
+    return accepted
 
 
 # --- fitting -------------------------------------------------------------------

@@ -312,9 +312,13 @@ def test_simulate_report_is_strict_json_when_every_interval_fails(tmp_path, monk
     ],
     ids=["study1", "coverage", "study2"],
 )
-def test_simulate_reports_thread_invariant(tmp_path, argv):
+def test_simulate_reports_thread_invariant(tmp_path, monkeypatch, argv):
+    # one block in this process against blocks of two over two workers
+    from dualdep import _parallel
+
     reports, tables = [], []
-    for threads in ("1", "2"):
+    for threads, block in (("1", _parallel.BLOCK_SIZE), ("2", 2)):
+        monkeypatch.setattr(_parallel, "BLOCK_SIZE", block)
         stem = tmp_path / f"t{threads}"
         assert main(argv + ["--threads", threads, "--output", str(stem)]) == 0
         reports.append(read_report(stem)["results"])
@@ -323,21 +327,10 @@ def test_simulate_reports_thread_invariant(tmp_path, argv):
     assert tables[0] == tables[1]
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["estimate", "--se", "bootstrap", "--B", "5", "--seed", "3"],
-        ["simulate", "study2", "--scenario", "1", "--grid", "0.01:0.15:0.14",
-         "--replicates", "3", "--seed", "3"],
-    ],
-    ids=["estimate", "study2"],
-)
-def test_reports_identical_across_block_size_and_threads(tmp_path, q1_csv, monkeypatch, argv):
-    # one block in this process against blocks of two over two workers
+def test_estimate_report_identical_across_block_size_and_threads(tmp_path, q1_csv, monkeypatch):
     from dualdep import _parallel
 
-    if argv[0] == "estimate":
-        argv = argv[:1] + ["--input", str(q1_csv)] + argv[1:]
+    argv = ["estimate", "--input", str(q1_csv), "--se", "bootstrap", "--B", "5", "--seed", "3"]
     texts = []
     for threads, block in (("1", _parallel.BLOCK_SIZE), ("2", 2)):
         monkeypatch.setattr(_parallel, "BLOCK_SIZE", block)
