@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -558,9 +559,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser(default_threads: int) -> argparse.ArgumentParser:
+    """``build_parser()`` while DUALDEP_THREADS gives ``default_threads``.
+    A parser is a web of reference cycles, so a new one per ``main`` call
+    leaves garbage that only the cyclic collector frees."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser(_default_threads()).parse_args(argv)
     try:
         return args.func(args)
     except ValidationError as exc:

@@ -6,6 +6,8 @@ Newton method on the analytic Hessian until the projected gradient is below
 the tolerance (1e-8 by default), and keeps the best local maximum.
 Population sizes are box-constrained between the observed totals and the
 per-stratum naive estimates; probabilities live in the unit interval.
+``fit_many`` climbs from every start of many tables in one batched solve,
+and ``fit`` is one table through it.
 """
 
 from __future__ import annotations
@@ -543,7 +545,9 @@ def fit_many(tables, options: FitOptions | None = None) -> list:
         try:
             problems.append((index, _problem(data, options)))
         except DualdepError as exc:
-            outcomes[index] = exc
+            # without its traceback the error holds no frame, and so no
+            # reference cycle through this list, alive
+            outcomes[index] = exc.with_traceback(None)
     if not problems:
         return outcomes
 
