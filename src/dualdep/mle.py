@@ -535,7 +535,7 @@ def fit_many(tables, options: FitOptions | None = None) -> list:
     fitting it raised (a missing overlap, an empty reduced box, no start
     reaching the tolerance), so one bad table never ends the others. A
     table's result is bit-identical whatever other tables share the batch.
-    The batch holds n_starts rows per table; callers with many tables pass
+    The batch holds n_starts columns per table; callers with many tables pass
     them in blocks.
     """
     options = options or FitOptions()

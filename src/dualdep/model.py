@@ -190,8 +190,8 @@ def expand(reduced: ReducedParams, data: SurveyData) -> ModelParams:
 # The solver evaluates every start of every table in a batch at once. The
 # kernels take theta as six arrays (N_A, N_B, alpha, p1, p2A, p2B) and counts
 # as eight (x11A, x10A, x01A, x0A, x11B, x10B, x01B, x0B) with one entry per
-# row, and use elementwise arithmetic only, so a row's result never depends
-# on the other rows of the batch. They do not check that every term is
+# point, and use elementwise arithmetic only, so a point's result never
+# depends on the other points of the batch. They do not check that every term is
 # evaluable: _check does that for the public wrappers, and the solver's
 # trimmed box keeps every term evaluable.
 
@@ -227,7 +227,7 @@ def _cells(theta, counts):
 
 
 def _check(theta, counts) -> None:
-    """Raise EvaluationError naming the first term of a one-row point that
+    """Raise EvaluationError naming the first term of a one-point batch that
     needs log 0 or the log of a negative number: N below the observed total,
     or a zero cell against a nonzero count."""
     m_a, m_b, cells = _cells(theta, counts)
@@ -361,8 +361,8 @@ def _hess(theta, counts) -> dict:
 
 # --- public wrappers ---------------------------------------------------------
 
-def _one_row(params: ModelParams, data: SurveyData):
-    """theta and counts of one parameter point as one-row kernel arguments,
+def _one_point(params: ModelParams, data: SurveyData):
+    """theta and counts of one parameter point as one-point kernel arguments,
     checked to be evaluable."""
     theta = [np.array([value]) for value in params.as_tuple()]
     counts = [np.array([value]) for value in _counts(data)]
@@ -380,7 +380,7 @@ def log_likelihood(params: ModelParams, data: SurveyData) -> float:
     (alpha = 0, N_s = x0s) evaluable; a zero cell against a nonzero count
     raises EvaluationError naming the term.
     """
-    return float(_ll(*_one_row(params, data))[0])
+    return float(_ll(*_one_point(params, data))[0])
 
 
 def gradient(params: ModelParams, data: SurveyData) -> np.ndarray:
@@ -390,7 +390,7 @@ def gradient(params: ModelParams, data: SurveyData) -> np.ndarray:
     points whose derivative diverges (N_s = x0s) the affected component is
     returned as +/-inf rather than raising.
     """
-    return np.array([g[0] for g in _grad(*_one_row(params, data))])
+    return np.array([g[0] for g in _grad(*_one_point(params, data))])
 
 
 def hessian(params: ModelParams, data: SurveyData) -> np.ndarray:
@@ -401,6 +401,6 @@ def hessian(params: ModelParams, data: SurveyData) -> np.ndarray:
     stratum's size and alpha.
     """
     h = np.zeros((6, 6))
-    for (i, j), value in _hess(*_one_row(params, data)).items():
+    for (i, j), value in _hess(*_one_point(params, data)).items():
         h[i, j] = h[j, i] = value[0]
     return h
