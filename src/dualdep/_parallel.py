@@ -3,15 +3,17 @@
 Callers split their replicates into fixed-size blocks (``blocks``) and hand
 one task per block to ``run_indexed``; a worker fits a whole block in one
 batch, and the data shared by a block's replicates is pickled once per
-block. Every replicate derives its random stream from its own index and its
-fit does not depend on the other replicates of its block, so results are
-identical whatever the worker count or completion order; ``run_indexed``
-returns them in submission order.
+block. Every replicate derives its random stream (``stream``) from its own
+index and its fit does not depend on the other replicates of its block, so
+results are identical whatever the worker count or completion order;
+``run_indexed`` returns them in submission order.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
+
+import numpy as np
 
 # Replicates per block. A block of bootstrap refits is one batched solve of
 # BLOCK_SIZE x n_starts rows. Larger blocks spread numpy's per-call overhead
@@ -21,6 +23,21 @@ from concurrent.futures import ProcessPoolExecutor
 # 2 MB above the one-start-at-a-time solver with blocks of 100 and 1 MB
 # with blocks of 25.
 BLOCK_SIZE = 25
+
+
+def stream(seed: int, key: int) -> np.random.Generator:
+    """The random stream numbered ``key`` under ``seed``: a counter-based
+    Philox generator (Salmon et al. 2011) keyed by both numbers modulo
+    2**64, so any stream is reached directly by its key, in any order and
+    in any process. Every random stream of the package is built here. Its
+    purposes share one key space:
+
+    - bootstrap replicate k: key k;
+    - study-1 and coverage replicate k: key k;
+    - study-2 replicate ``rep`` at grid point ``grid``: key ``(grid << 32) | rep``;
+    - the seeded starting points beyond the fixed grid of 12: key 0.
+    """
+    return np.random.Generator(np.random.Philox(key=[int(seed) % 2**64, int(key) % 2**64]))
 
 
 def blocks(count: int) -> list[range]:

@@ -38,14 +38,6 @@ def _default_threads() -> int:
         return 1
 
 
-def _num(value):
-    """Floats for JSON; non-finite becomes null."""
-    if value is None:
-        return None
-    value = float(value)
-    return value if math.isfinite(value) else None
-
-
 def _fmt_size(value) -> str:
     if value is None or not math.isfinite(value):
         return "undefined"
@@ -70,18 +62,15 @@ def _finite(value):
 
 
 def _record_rows(records, csv_header) -> list[list]:
-    """CSV rows taken from result records by header name: floats through
-    ``_num``, everything else as it is."""
-    return [
-        [_num(r[key]) if isinstance(r[key], float) else r[key] for key in csv_header]
-        for r in records
-    ]
+    """CSV rows taken from result records by header name."""
+    return [[r[key] for key in csv_header] for r in records]
 
 
 def _write_outputs(args, command: str, inputs: list[str], seed, results: dict,
                    csv_header, csv_rows) -> tuple[Path, Path]:
     """Write ``<stem>.report.json`` and ``<stem>.summary.csv`` for a command and
-    print where they went. Non-finite floats in ``results`` become null."""
+    print where they went. Non-finite floats in ``results`` become null in
+    the report and in ``csv_rows`` empty cells."""
     manifest = _manifest(args, command, inputs, seed)
     report = {"command": command, "results": _finite(results), "manifest": manifest}
     digest_view = dict(report)
@@ -103,7 +92,7 @@ def _write_outputs(args, command: str, inputs: list[str], seed, results: dict,
     with csv_path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(csv_header)
-        writer.writerows(csv_rows)
+        writer.writerows(_finite(csv_rows))
     print(f"wrote {json_path} and {csv_path}")
     return json_path, csv_path
 
@@ -175,15 +164,15 @@ def cmd_diagnose(args) -> int:
                 "x11": counts.x11,
                 "x10": counts.x10,
                 "x01": counts.x01,
-                "c_hat": _num(diag.c_hat[idx]),
-                "p_hat": _num(diag.p_hat[idx]),
-                "naive": _num(diag.naive_per_stratum[idx]),
+                "c_hat": diag.c_hat[idx],
+                "p_hat": diag.p_hat[idx],
+                "naive": diag.naive_per_stratum[idx],
             }
             for idx, (label, counts) in enumerate(data.strata)
         ],
-        "naive_pooled": _num(diag.naive_pooled),
+        "naive_pooled": diag.naive_pooled,
         "flags": list(diag.flags),
-        "bias_approximation": _num(bias_value),
+        "bias_approximation": bias_value,
     }
     rows = [
         (s["label"], s["c_hat"], s["p_hat"], s["naive"]) for s in results["strata"]
@@ -275,53 +264,37 @@ def cmd_estimate(args) -> int:
 
     results = {
         "naive": {
-            "per_stratum": [_num(v) for v in diag.naive_per_stratum],
-            "pooled": _num(diag.naive_pooled),
-            "c_hat": [_num(v) for v in diag.c_hat],
+            "per_stratum": diag.naive_per_stratum,
+            "pooled": diag.naive_pooled,
+            "c_hat": diag.c_hat,
         },
         "fit": {
             "mode": fit.mode,
             "converged": fit.converged,
-            "log_likelihood": _num(fit.log_likelihood),
+            "log_likelihood": fit.log_likelihood,
             "iterations": fit.iterations,
             "active_constraints": sorted(fit.active_constraints),
-            "params": {name: _num(points[name]) for name in points},
-            "size_ratio_gap": _num(fit.size_ratio_gap),
-            "p2_identity_gap": _num(fit.p2_identity_gap),
+            "params": points,
+            "size_ratio_gap": fit.size_ratio_gap,
+            "p2_identity_gap": fit.p2_identity_gap,
         },
         "uncertainty": {
             "methods": list(unc.methods),
             "level": unc.level,
-            "se_hessian": {k: _num(v) for k, v in unc.se_hessian.items()}
-            if unc.se_hessian is not None
-            else None,
+            "se_hessian": unc.se_hessian,
             "hessian_note": unc.hessian_note,
-            "se_bootstrap": {k: _num(v) for k, v in unc.se_bootstrap.items()}
-            if unc.se_bootstrap is not None
-            else None,
-            "bootstrap_mean": {k: _num(v) for k, v in boot_mean.items()} or None,
-            "ci": {
-                method: {
-                    name: [_num(interval[0]), _num(interval[1])] if interval else None
-                    for name, interval in per.items()
-                }
-                for method, per in unc.ci.items()
-            },
+            "se_bootstrap": unc.se_bootstrap,
+            "bootstrap_mean": boot_mean or None,
+            "ci": unc.ci,
             "B": unc.n_replicates,
             "n_failed_replicates": unc.n_failed_replicates,
         },
     }
-    rows = []
-    for name in SIZE_QUANTITIES + PARAM_QUANTITIES:
-        rows.append(
-            (
-                name,
-                _num(points[name]),
-                _num(unc.se_hessian.get(name)) if unc.se_hessian else None,
-                _num(unc.se_bootstrap.get(name)) if unc.se_bootstrap else None,
-                _num(boot_mean.get(name)) if boot_mean else None,
-            )
-        )
+    rows = [
+        (name, points[name], (unc.se_hessian or {}).get(name), (unc.se_bootstrap or {}).get(name),
+         boot_mean.get(name))
+        for name in SIZE_QUANTITIES + PARAM_QUANTITIES
+    ]
     _write_outputs(
         args, "estimate", [str(args.input)], args.seed, results,
         ("quantity", "point", "se_hessian", "se_bootstrap", "bootstrap_mean"), rows,

@@ -5,8 +5,9 @@ class DualdepError(Exception):
     """Base class for all package-specific errors."""
 
 
-class ValidationError(DualdepError):
-    """Input data violates a structural requirement (bad count, missing stratum, ...)."""
+class ValidationError(DualdepError, ValueError):
+    """Input data or an option violates a requirement (a bad count, a missing
+    stratum, ...); also a ValueError, as Python's own argument checks are."""
 
 
 class EvaluationError(DualdepError):

@@ -173,8 +173,7 @@ def _bootstrap_block(task):
     _MAX_ATTEMPTS attempts. Returns (index, estimates or None, reason of the
     last failure) per replicate."""
     indices, seed, data, fit, options = task
-    rngs = {index: np.random.Generator(np.random.Philox(key=[seed % 2**64, index]))
-            for index in indices}
+    rngs = {index: _parallel.stream(seed, index) for index in indices}
     values, reasons = {}, {}
     pending = list(indices)
     for _ in range(_MAX_ATTEMPTS):

@@ -18,7 +18,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import model
-from .exceptions import DualdepError, FitError, InfeasibleConstraintsError, NonConvergenceError
+from ._parallel import stream
+from .exceptions import (
+    DualdepError, FitError, InfeasibleConstraintsError, NonConvergenceError, ValidationError,
+)
 from .model import ModelParams, PARAM_NAMES, ReducedParams
 from .tables import SurveyData, naive_estimate
 
@@ -47,15 +50,15 @@ class FitOptions:
 
     def __post_init__(self):
         if self.mode not in ("reduced", "full"):
-            raise ValueError(f"mode must be 'reduced' or 'full', got {self.mode!r}")
+            raise ValidationError(f"mode must be 'reduced' or 'full', got {self.mode!r}")
         if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+            raise ValidationError("max_iterations must be >= 1")
         if not self.gradient_tolerance > 0.0:
-            raise ValueError("gradient_tolerance must be positive")
+            raise ValidationError("gradient_tolerance must be positive")
         if self.n_starts < 1:
-            raise ValueError("n_starts must be >= 1")
+            raise ValidationError("n_starts must be >= 1")
         if not 0 <= int(self.seed) < 2**64:
-            raise ValueError("seed must fit in 64 unsigned bits")
+            raise ValidationError("seed must fit in 64 unsigned bits")
 
 
 @dataclass(frozen=True)
@@ -107,10 +110,10 @@ def _stratum_boxes(data: SurveyData) -> tuple[tuple[float, float], tuple[float, 
     return out[0], out[1]
 
 
-def _reduced_nb_box(data: SurveyData) -> tuple[float, float]:
-    """Box for N_B with the N_A box mapped through the size ratio."""
-    (lo_a, hi_a), (lo_b, hi_b) = _stratum_boxes(data)
-    ratio = model.size_ratio(data)
+def _reduced_nb_box(boxes, ratio: float) -> tuple[float, float]:
+    """Box for N_B with the N_A box of the per-stratum ``boxes`` mapped
+    through the size ratio."""
+    (lo_a, hi_a), (lo_b, hi_b) = boxes
     lo = max(lo_b, lo_a / ratio)
     hi = min(hi_b, hi_a / ratio)
     # division then re-multiplication can overshoot by an ulp; walk the
@@ -126,6 +129,19 @@ def _reduced_nb_box(data: SurveyData) -> tuple[float, float]:
             "the shared-p1 identification is infeasible for this data"
         )
     return lo, hi
+
+
+def _setup(data: SurveyData, mode: str):
+    """The constants of one table's problem: the per-stratum size boxes, the
+    size ratio and p2A multiplier, the N_B box and the upper bound of p2B.
+    In reduced mode N_B's box is mapped through the size ratio and p2B's
+    bound keeps p2A = multiplier * p2B at most 1."""
+    boxes = _stratum_boxes(data)
+    ratio, multiplier = model.size_ratio(data), model.p2a_ratio(data)
+    if mode == "full":
+        return boxes, ratio, multiplier, boxes[1], 1.0
+    p2b_hi = min(1.0, 1.0 / multiplier) if multiplier > 0.0 else 1.0
+    return boxes, ratio, multiplier, _reduced_nb_box(boxes, ratio), p2b_hi
 
 
 def _margin_clip(value: float, lo: float, hi: float, margin: float) -> float:
@@ -147,23 +163,18 @@ def starting_points(data: SurveyData, options: FitOptions | None = None) -> list
     interior draws.
     """
     options = options or FitOptions()
-    ratio = model.size_ratio(data)
+    return _starts(data, options, _setup(data, options.mode))
+
+
+def _starts(data: SurveyData, options: FitOptions, setup) -> list[ModelParams]:
+    """``starting_points`` from the table's ``_setup``."""
+    ((na_lo, na_hi), _), ratio, multiplier, (nb_lo, nb_hi), p2b_hi = setup
     pooled = data.pooled()
     x0_pool = float(pooled.total)
     naive_pool = naive_estimate(pooled)
     lo_anchor = 1.2 * x0_pool
     hi_anchor = 0.8 * naive_pool
     anchors = ((lo_anchor + hi_anchor) / 2.0, lo_anchor, hi_anchor)
-
-    if options.mode == "reduced":
-        nb_lo, nb_hi = _reduced_nb_box(data)
-        multiplier = model.p2a_ratio(data)
-        p2b_hi = min(1.0, 1.0 / multiplier) if multiplier > 0.0 else 1.0
-    else:
-        (na_lo, na_hi), (nb_lo, nb_hi) = _stratum_boxes(data)
-        multiplier = model.p2a_ratio(data)
-        p2b_hi = 1.0
-
     x2b = float(data.stratum_b.n_list2)
 
     def point(n_b: float, alpha: float, p1: float, p2b: float) -> ModelParams:
@@ -184,7 +195,7 @@ def starting_points(data: SurveyData, options: FitOptions | None = None) -> list
             if len(points) == options.n_starts:
                 return points
 
-    rng = np.random.Generator(np.random.Philox(key=[int(options.seed) % 2**64, 0]))
+    rng = stream(options.seed, 0)
     while len(points) < options.n_starts:
         n_b = nb_lo + (nb_hi - nb_lo) * (_START_MARGIN + (1 - 2 * _START_MARGIN) * rng.random())
         alpha = _START_MARGIN + (1 - 2 * _START_MARGIN) * rng.random()
@@ -429,8 +440,8 @@ class _Problem:
     counts: tuple[float, ...]
     lo_t: np.ndarray
     hi_t: np.ndarray
-    maps: tuple[float, float] | None
-    bounds6: tuple[tuple[float, float], ...]
+    ratios: tuple[float, float]  # size ratio, p2A multiplier
+    boxes: tuple[tuple[float, float], tuple[float, float]]  # per-stratum size boxes
     starts: list[ModelParams]
 
 
@@ -440,25 +451,20 @@ _REDUCED_COORDS = [1, 2, 3, 5]  # N_B, alpha, p1, p2B
 def _problem(data: SurveyData, options: FitOptions) -> _Problem:
     """The box and the starts of one table; raises the package error that
     makes the table unfittable."""
-    (na_lo, na_hi), (nb_lo_own, nb_hi_own) = _stratum_boxes(data)
-    ratio = model.size_ratio(data)
-    multiplier = model.p2a_ratio(data)
+    setup = _setup(data, options.mode)
+    boxes, ratio, multiplier, (nb_lo, nb_hi), p2b_hi = setup
+    (na_lo, na_hi), _ = boxes
     if options.mode == "reduced":
-        nb_lo, nb_hi = _reduced_nb_box(data)
-        p2b_hi = min(1.0, 1.0 / multiplier) if multiplier > 0.0 else 1.0
         lo_t, hi_t = _trimmed_bounds(np.array([nb_lo, 0.0, 0.0, 0.0]),
                                      np.array([nb_hi, 1.0, 1.0, p2b_hi]), size_idx=(0,))
-        maps = (ratio, multiplier)
     else:
-        if not na_lo < na_hi or not nb_lo_own < nb_hi_own:
+        if not na_lo < na_hi or not nb_lo < nb_hi:
             raise FitError("a stratum size box is degenerate (x10 * x01 = 0)")
-        lo_t, hi_t = _trimmed_bounds(np.array([na_lo, nb_lo_own, 0.0, 0.0, 0.0, 0.0]),
-                                     np.array([na_hi, nb_hi_own, 1.0, 1.0, 1.0, 1.0]),
+        lo_t, hi_t = _trimmed_bounds(np.array([na_lo, nb_lo, 0.0, 0.0, 0.0, 0.0]),
+                                     np.array([na_hi, nb_hi, 1.0, 1.0, 1.0, 1.0]),
                                      size_idx=(0, 1))
-        maps = None
-    bounds6 = ((na_lo, na_hi), (nb_lo_own, nb_hi_own)) + ((0.0, 1.0),) * 4
-    return _Problem(data, model._counts(data), lo_t, hi_t, maps, bounds6,
-                    starting_points(data, options))
+    return _Problem(data, model._counts(data), lo_t, hi_t, (ratio, multiplier), boxes,
+                    _starts(data, options, setup))
 
 
 def _result(problem: _Problem, u, values, pg_norms, iterations, messages, options):
@@ -467,10 +473,11 @@ def _result(problem: _Problem, u, values, pg_norms, iterations, messages, option
     data = problem.data
     diagnostics: list[StartDiagnostics] = []
     best = None  # (ll, total, start index, pg, iterations, converged)
-    if problem.maps is None:
+    ratio, multiplier = problem.ratios
+    if options.mode == "full":
         totals = (u[0] + u[1]).tolist()
     else:
-        totals = (problem.maps[0] * u[0] + u[0]).tolist()
+        totals = (ratio * u[0] + u[0]).tolist()
     for k, (start, value, pg_norm, n_iter, message, total) in enumerate(zip(
         problem.starts, values, pg_norms, iterations, messages, totals
     )):
@@ -494,12 +501,11 @@ def _result(problem: _Problem, u, values, pg_norms, iterations, messages, option
 
     value, _, k, pg_norm, n_iter, converged = best
     u_k = u[:, k].tolist()
-    if problem.maps is not None:
+    if options.mode == "reduced":
         params = model.expand(ReducedParams(*u_k), data)
         size_gap = 0.0
         p2_gap = 0.0
     else:
-        ratio, multiplier = model.size_ratio(data), model.p2a_ratio(data)
         params = ModelParams.from_array(u_k)
         expected_na = ratio * params.n_b
         size_gap = abs(params.n_a - expected_na) / expected_na
@@ -508,7 +514,8 @@ def _result(problem: _Problem, u, values, pg_norms, iterations, messages, option
         p2_gap = abs(params.p2a - expected_p2a) / denom if denom > 0.0 else 0.0
 
     active = set()
-    for name, value_i, (b_lo, b_hi) in zip(PARAM_NAMES, params.as_tuple(), problem.bounds6):
+    bounds = problem.boxes + ((0.0, 1.0),) * 4
+    for name, value_i, (b_lo, b_hi) in zip(PARAM_NAMES, params.as_tuple(), bounds):
         tol_i = _ACTIVITY_TOL * (b_hi - b_lo)
         if value_i - b_lo <= tol_i or b_hi - value_i <= tol_i:
             active.add(name)
@@ -560,7 +567,7 @@ def fit_many(tables, options: FitOptions | None = None) -> list:
     table = np.repeat(np.arange(len(problems)), [len(p.starts) for _, p in problems])
     u, values, pg_norms, iterations, messages = _solve_start(
         u0, table, columns([p.counts for _, p in problems]),
-        None if options.mode == "full" else columns([p.maps for _, p in problems]),
+        None if options.mode == "full" else columns([p.ratios for _, p in problems]),
         columns([p.lo_t for _, p in problems]), columns([p.hi_t for _, p in problems]),
         options.max_iterations, options.gradient_tolerance,
     )

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import mle, model
-from ._parallel import blocks, run_indexed
+from ._parallel import blocks, run_indexed, stream
 from .exceptions import DualdepError, FitError, InfeasibleConstraintsError, ValidationError
 from .inference import confidence_interval, normal_quantile, se_from_hessian
 from .mle import DEFAULT_SEED, FitOptions
@@ -252,10 +252,6 @@ def draw_counts(
     return CellCounts(int(table[0]), int(table[1]), int(table[2])), int(table[3])
 
 
-def _rng(seed: int, stream: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=[int(seed) % 2**64, int(stream) % 2**64]))
-
-
 def _draw_survey(config: GeneratorConfig, rng: np.random.Generator) -> tuple[SurveyData, int]:
     """Draw both strata, redrawing while either stratum has x11 = 0 (neither
     estimator is defined there)."""
@@ -322,7 +318,7 @@ def _replicates(task) -> list[_Replicate]:
     ``fallback`` is True whenever a fit came from the full-mode refit,
     converged or not."""
     keys, config, options = task
-    draws = [_draw_survey(config, _rng(config.seed, key)) for key in keys]
+    draws = [_draw_survey(config, stream(config.seed, key)) for key in keys]
     records = []
     for (survey, redraws), (outcome, fallback) in zip(
         draws, _fit_draws([survey for survey, _ in draws], options)

@@ -251,7 +251,7 @@ def validate(strata: Sequence[Mapping[str, object]]) -> SurveyData:
                 raise ValidationError(
                     f"stratum {label!r}: field {field} is not an integer: {raw!r}"
                 ) from None
-            if isinstance(raw, float) and raw != value:
+            if isinstance(raw, bool) or (isinstance(raw, float) and raw != value):
                 raise ValidationError(
                     f"stratum {label!r}: field {field} is not an integer: {raw!r}"
                 )

@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from dualdep._parallel import stream
 from dualdep.inference import bootstrap, confidence_interval, se_from_hessian
 from dualdep.mle import FitOptions, fit
 from dualdep.model import cell_probabilities
@@ -21,7 +22,6 @@ from dualdep.simulate import (
     run_study2,
     study1_config,
     _draw_survey,
-    _rng,
 )
 from dualdep.tables import c_hat, naive_estimate, naive_pooled
 
@@ -240,7 +240,7 @@ def test_criterion_6_property_suites(tiny):
     )
     box_ok = True
     for index in range(100):
-        survey, _ = _draw_survey(config, _rng(62, index))
+        survey, _ = _draw_survey(config, stream(62, index))
         params = fit(survey).params
         for counts, n in ((survey.stratum_a, params.n_a), (survey.stratum_b, params.n_b)):
             box_ok = box_ok and counts.total <= n <= naive_estimate(counts)
@@ -273,7 +273,7 @@ def test_criterion_6_property_suites(tiny):
     probs = cell_probabilities(alpha, p1, p2).as_tuple()
     exact = exact_conditional_naive_mean(n, probs)
     draws = []
-    rng_mc = _rng(65, 0)
+    rng_mc = stream(65, 0)
     while len(draws) < 30_000:
         counts, _ = draw_counts(n, alpha, p1, p2, "negative", rng_mc)
         if counts.x11 >= 1:

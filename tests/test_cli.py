@@ -70,6 +70,45 @@ def test_estimate_bootstrap_needs_positive_B(q1_csv, capsys):
     assert "B must be >= 1 for bootstrap" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--starts", "0", "n_starts must be >= 1"),
+    ("--max-iterations", "0", "max_iterations must be >= 1"),
+    ("--gradient-tolerance", "0", "gradient_tolerance must be positive"),
+    ("--seed", "-1", "seed must fit in 64 unsigned bits"),
+])
+def test_estimate_bad_fit_option_is_usage_error(q1_csv, capsys, flag, value, message):
+    code = main(["estimate", "--input", str(q1_csv), "--se", "hessian", flag, value])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("table, argv, undefined", [
+    # stratum A has x11 = 0, so its naive estimate and p_hat do not exist
+    ("A,0,50,40\nB,30,60,70\n", ["diagnose"], {("A", "p_hat"), ("A", "naive")}),
+    # N_B and p2B sit on their bounds, so their information SEs do not exist
+    ("A,201,4162,4390\nB,406,2574,3265\n", ["estimate", "--se", "hessian"],
+     {("N_B", "se_hessian"), ("N_total", "se_hessian"), ("p2B", "se_hessian")}),
+])
+def test_non_finite_values_are_null_in_json_and_empty_in_csv(tmp_path, table, argv, undefined):
+    path = tmp_path / "t.csv"
+    path.write_text("stratum,x11,x10,x01\n" + table, encoding="utf-8")
+    assert main(argv + ["--input", str(path)]) == 0
+    results = read_report(tmp_path / "t")["results"]
+    if argv[0] == "diagnose":
+        reported = {(s["label"], field): s[field]
+                    for s in results["strata"] for field in ("c_hat", "p_hat", "naive")}
+    else:
+        reported = {(name, "se_hessian"): se
+                    for name, se in results["uncertainty"]["se_hessian"].items()}
+    with (tmp_path / "t.summary.csv").open() as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        cells = {(row[0], field): cell for row in reader for field, cell in zip(header[1:], row[1:])}
+    assert {key for key, value in reported.items() if value is None} == undefined
+    assert {key for key in reported if cells[key] == ""} == undefined
+
+
 def test_estimate_small_run(q1_csv, capsys):
     code = main(
         ["estimate", "--input", str(q1_csv), "--mode", "reduced", "--se", "both",

@@ -16,7 +16,7 @@ from dualdep.inference import (
 )
 from dualdep.mle import FitOptions, FitResult, fit
 from dualdep.model import ModelParams
-from dualdep.simulate import GeneratorConfig, _draw_survey, _rng
+from dualdep.simulate import GeneratorConfig, _draw_survey
 from dualdep.tables import CellCounts, SurveyData
 
 from oracles import fd_hessian
@@ -79,7 +79,7 @@ def test_hessian_se_simulated_sanity():
         n_a=50_000, n_b=20_000, alpha=0.05, p1_a=0.15, p1_b=0.15,
         p2_a=0.05, p2_b=0.15, replicates=1, seed=3,
     )
-    survey, _ = _draw_survey(config, _rng(3, 0))
+    survey, _ = _draw_survey(config, _parallel.stream(3, 0))
     result = fit(survey)
     ses = se_from_hessian(result, survey)
     assert all(math.isfinite(v) and v > 0 for v in ses.se.values())

@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dualdep import mle
+from dualdep._parallel import stream
 from dualdep.exceptions import (
     DualdepError, FitError, InfeasibleConstraintsError, NonConvergenceError,
 )
 from dualdep.mle import FitOptions, fit, fit_many, starting_points
 from dualdep.model import gradient, log_likelihood, size_ratio, p2a_ratio
-from dualdep.simulate import GeneratorConfig, _draw_survey, _fit_generated, _rng, _scenario_config
+from dualdep.simulate import GeneratorConfig, _draw_survey, _fit_generated, _scenario_config
 from dualdep.tables import CellCounts, SurveyData, naive_estimate
 
 from conftest import make_survey
@@ -24,8 +25,9 @@ def in_box(params, data, slack=0.0):
     return all(0.0 <= v <= 1.0 for v in (params.alpha, params.p1, params.p2a, params.p2b))
 
 
-def test_starting_points_twelve_distinct_interior(q1):
-    points = starting_points(q1, FitOptions(n_starts=12))
+@pytest.mark.parametrize("mode", ["reduced", "full"])
+def test_starting_points_twelve_distinct_interior(q1, mode):
+    points = starting_points(q1, FitOptions(mode=mode, n_starts=12))
     assert len(points) == 12
     assert len({p.as_tuple() for p in points}) == 12
     for p in points:
@@ -52,10 +54,11 @@ def test_starting_points_symmetric_data():
         assert point.n_a == point.n_b
 
 
-def test_starting_points_seeded_extension(q1):
-    a = starting_points(q1, FitOptions(n_starts=15, seed=42))
-    b = starting_points(q1, FitOptions(n_starts=15, seed=42))
-    c = starting_points(q1, FitOptions(n_starts=15, seed=43))
+@pytest.mark.parametrize("mode", ["reduced", "full"])
+def test_starting_points_seeded_extension(q1, mode):
+    a = starting_points(q1, FitOptions(mode=mode, n_starts=15, seed=42))
+    b = starting_points(q1, FitOptions(mode=mode, n_starts=15, seed=42))
+    c = starting_points(q1, FitOptions(mode=mode, n_starts=15, seed=43))
     assert [p.as_tuple() for p in a] == [p.as_tuple() for p in b]
     assert [p.as_tuple() for p in a][12:] != [p.as_tuple() for p in c][12:]
     for p in a:
@@ -106,7 +109,7 @@ def test_refit_from_optimum_is_stable(q1):
     mult = p2a_ratio(q1)
     u0 = np.array([[result.params.n_b, result.params.alpha, result.params.p1, result.params.p2b]]).T
     maps = np.array([[ratio, mult]]).T
-    nb_lo, nb_hi = mle._reduced_nb_box(q1)
+    nb_lo, nb_hi = mle._reduced_nb_box(mle._stratum_boxes(q1), ratio)
     lo_t, hi_t = mle._trimmed_bounds(
         np.array([nb_lo, 0.0, 0.0, 0.0]), np.array([nb_hi, 1.0, 1.0, min(1.0, 1.0 / mult)]),
         size_idx=(0,),
@@ -156,7 +159,7 @@ def test_fit_box_respected_on_simulated_draws():
         p2_a=0.05, p2_b=0.15, replicates=1, seed=7,
     )
     for index in range(15):
-        survey, _ = _draw_survey(config, _rng(7, index))
+        survey, _ = _draw_survey(config, stream(7, index))
         result = fit(survey)
         assert in_box(result.params, survey, slack=1e-9)
         assert result.converged
@@ -167,8 +170,8 @@ def test_reduced_box_maps_exactly_inside_stratum_boxes():
     # endpoints must re-multiply into the per-stratum boxes without an
     # ulp of overshoot
     data = SurveyData(CellCounts(10, 10, 80), CellCounts(10, 10, 90))
-    lo, hi = mle._reduced_nb_box(data)
     ratio = size_ratio(data)
+    lo, hi = mle._reduced_nb_box(mle._stratum_boxes(data), ratio)
     assert data.stratum_b.total <= lo < hi <= naive_estimate(data.stratum_b)
     assert data.stratum_a.total <= ratio * lo
     assert ratio * hi <= naive_estimate(data.stratum_a)
@@ -226,7 +229,7 @@ def held_at_bounds(result, data):
         jac[[0, 1, 2, 3, 4, 5], [0, 0, 1, 2, 3, 3]] = (size_ratio(data), 1, 1, 1, mult, 1)
         grad = jac.T @ grad
         coords = np.array([params.n_b, params.alpha, params.p1, params.p2b])
-        nb_lo, nb_hi = mle._reduced_nb_box(data)
+        nb_lo, nb_hi = mle._reduced_nb_box(mle._stratum_boxes(data), size_ratio(data))
         lo = np.array([nb_lo, 0.0, 0.0, 0.0])
         hi = np.array([nb_hi, 1.0, 1.0, min(1.0, 1.0 / mult)])
     else:
@@ -250,7 +253,7 @@ def test_fit_first_order_optimal_on_bounds():
     )
     held = 0
     for index in range(10):
-        survey, _ = _draw_survey(config, _rng(2, index))
+        survey, _ = _draw_survey(config, stream(2, index))
         result = fit(survey)
         assert result.converged
         held += held_at_bounds(result, survey)
@@ -261,7 +264,7 @@ def test_fit_first_order_optimal_on_bounds():
     config = _scenario_config(1, 0.01, replicates=4, seed=20180331)
     held = 0
     for rep in range(4):
-        survey, _ = _draw_survey(config, _rng(config.seed, rep))
+        survey, _ = _draw_survey(config, stream(config.seed, rep))
         result, fallback = _fit_generated(survey, FitOptions())
         assert fallback and result.mode == "full" and result.converged
         held += held_at_bounds(result, survey)

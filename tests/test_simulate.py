@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from dualdep._parallel import stream
 from dualdep.exceptions import ValidationError
 from dualdep.model import cell_probabilities
 from dualdep.simulate import (
@@ -14,7 +15,6 @@ from dualdep.simulate import (
     run_study2,
     scenario_grid,
     study1_config,
-    _rng,
 )
 
 from oracles import exact_conditional_naive_mean
@@ -30,21 +30,21 @@ def small_config(**overrides):
 
 
 def test_full_negative_dependence_forbids_joint_states():
-    rng = _rng(1, 0)
+    rng = stream(1, 0)
     for _ in range(30):
         counts, x00 = draw_counts(1000, 1.0, 0.3, 0.6, "negative", rng)
         assert counts.x11 == 0 and x00 == 0
 
 
 def test_full_positive_dependence_forces_agreement():
-    rng = _rng(2, 0)
+    rng = stream(2, 0)
     for _ in range(30):
         counts, x00 = draw_counts(1000, 1.0, 0.3, 0.6, "positive", rng)
         assert counts.x10 == 0 and counts.x01 == 0
 
 
 def test_independent_draw_matches_product_cell():
-    rng = _rng(3, 0)
+    rng = stream(3, 0)
     n = 1_000_000
     counts, _ = draw_counts(n, 0.7, 0.3, 0.2, "independent", rng)
     sd = math.sqrt(0.06 * 0.94 / n)
@@ -52,7 +52,7 @@ def test_independent_draw_matches_product_cell():
 
 
 def test_multinomial_totals_exact():
-    rng = _rng(4, 0)
+    rng = stream(4, 0)
     for _ in range(50):
         counts, x00 = draw_counts(777, 0.1, 0.3, 0.4, "negative", rng)
         assert counts.total + x00 == 777
@@ -62,7 +62,7 @@ def test_cell_frequencies_match_probabilities():
     # one multinomial of 2e5 draws, each cell within 4 Monte-Carlo SDs
     n = 200_000
     alpha, p1, p2 = 0.07, 0.22, 0.4
-    rng = _rng(5, 0)
+    rng = stream(5, 0)
     counts, x00 = draw_counts(n, alpha, p1, p2, "negative", rng)
     observed = (counts.x11, counts.x10, counts.x01, x00)
     expected = cell_probabilities(alpha, p1, p2).as_tuple()
@@ -140,7 +140,7 @@ def test_brute_force_conditional_naive_oracle():
     n, alpha, p1, p2 = 12, 0.1, 0.4, 0.3
     probs = cell_probabilities(alpha, p1, p2).as_tuple()
     exact = exact_conditional_naive_mean(n, probs)
-    rng = _rng(6, 0)
+    rng = stream(6, 0)
     draws = []
     while len(draws) < 40_000:
         counts, _ = draw_counts(n, alpha, p1, p2, "negative", rng)

@@ -60,8 +60,9 @@ def test_validate_zero_total_and_missing_field():
         validate([{"x11": 0, "x10": 0, "x01": 0}, {"x11": 1, "x10": 1, "x01": 1}])
     with pytest.raises(ValidationError, match="missing field x01"):
         validate([{"x11": 1, "x10": 1}, {"x11": 1, "x10": 1, "x01": 1}])
-    with pytest.raises(ValidationError, match="not an integer"):
-        validate([{"x11": 1.5, "x10": 1, "x01": 1}, {"x11": 1, "x10": 1, "x01": 1}])
+    for bad in (1.5, True):
+        with pytest.raises(ValidationError, match="field x11 is not an integer"):
+            validate([{"x11": bad, "x10": 1, "x01": 1}, {"x11": 1, "x10": 1, "x01": 1}])
 
 
 def test_cell_counts_invariants():
