@@ -247,7 +247,7 @@ def validate(strata: Sequence[Mapping[str, object]]) -> SurveyData:
             raw = record[field]
             try:
                 value = int(raw)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):  # OverflowError: infinity
                 raise ValidationError(
                     f"stratum {label!r}: field {field} is not an integer: {raw!r}"
                 ) from None

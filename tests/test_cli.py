@@ -42,6 +42,20 @@ def test_diagnose_text_and_files(q1_csv, capsys):
     assert len(rows) == 4  # header, two strata, pooled
 
 
+@pytest.mark.parametrize("literal, shown", [("Infinity", "inf"), ("-Infinity", "-inf"),
+                                             ("NaN", "nan")])
+def test_diagnose_non_finite_json_count_is_usage_error(tmp_path, capsys, literal, shown):
+    # Python's json module reads these literals as floats; int() of an
+    # infinite float raises OverflowError rather than ValueError
+    path = tmp_path / "t.json"
+    path.write_text('{"strata": [{"label": "A", "x11": %s, "x10": 8900, "x01": 3641}, '
+                    '{"label": "B", "x11": 534, "x10": 2584, "x01": 3780}]}' % literal,
+                    encoding="utf-8")
+    assert main(["diagnose", "--input", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: stratum 'A': field x11 is not an integer: {shown}\n"
+
+
 def test_diagnose_three_strata_is_error(tmp_path, capsys):
     path = tmp_path / "bad.csv"
     path.write_text(Q1_CSV + "Extra,1,2,3\n", encoding="utf-8")

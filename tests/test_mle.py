@@ -5,17 +5,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dualdep import mle
+from dualdep import mle, model
 from dualdep._parallel import stream
 from dualdep.exceptions import (
     DualdepError, FitError, InfeasibleConstraintsError, NonConvergenceError,
 )
 from dualdep.mle import FitOptions, fit, fit_many, starting_points
-from dualdep.model import gradient, log_likelihood, size_ratio, p2a_ratio
-from dualdep.simulate import GeneratorConfig, _draw_survey, _fit_generated, _scenario_config
+from dualdep.model import (
+    ModelParams, ReducedParams, expand, gradient, hessian, log_likelihood, size_ratio, p2a_ratio,
+)
+from dualdep.simulate import (
+    GeneratorConfig, _draw_survey, _fit_generated, _scenario_config, study1_config,
+)
 from dualdep.tables import CellCounts, SurveyData, naive_estimate
 
 from conftest import make_survey
+from oracles import random_interior_params
 
 
 def in_box(params, data, slack=0.0):
@@ -102,20 +107,18 @@ def test_refit_from_optimum_is_stable(q1):
     refit = fit(q1, FitOptions(n_starts=1))
     start = starting_points(q1, FitOptions(n_starts=1))[0]
     assert refit.log_likelihood >= log_likelihood(start, q1)
-    from dualdep import model
-
     counts = np.array(model._counts(q1))[:, None]
     ratio = size_ratio(q1)
     mult = p2a_ratio(q1)
     u0 = np.array([[result.params.n_b, result.params.alpha, result.params.p1, result.params.p2b]]).T
-    maps = np.array([[ratio, mult]]).T
+    scale = np.array([[ratio, 1.0, 1.0, 1.0, mult, 1.0]]).T
     nb_lo, nb_hi = mle._reduced_nb_box(mle._stratum_boxes(q1), ratio)
     lo_t, hi_t = mle._trimmed_bounds(
         np.array([nb_lo, 0.0, 0.0, 0.0]), np.array([nb_hi, 1.0, 1.0, min(1.0, 1.0 / mult)]),
         size_idx=(0,),
     )
     _, (value,), _, _, _ = mle._solve_start(
-        u0, [0], counts, maps, lo_t[:, None], hi_t[:, None], 500, 1e-8
+        u0, [0], counts, scale, (0, 0, 1, 2, 3, 3), lo_t[:, None], hi_t[:, None], 500, 1e-8
     )
     assert abs(value - result.log_likelihood) < 1e-8
 
@@ -349,3 +352,96 @@ def test_fit_many_keeps_going_past_bad_tables(q1):
     assert isinstance(box, InfeasibleConstraintsError)
     assert fingerprint(first) == fingerprint(last) == fingerprint(fit(q1))
     assert fit_many([]) == []
+
+
+def solver_derivatives(data, mode, u):
+    """``mle._gradient`` and ``mle._hessian`` of ``data`` at the solver points
+    that are the columns of ``u``."""
+    k = u.shape[1]
+    counts = np.repeat(np.array(model._counts(data))[:, None], k, axis=1)
+    scale = np.repeat(np.array(mle._problem(data, FitOptions(mode=mode)).scale)[:, None], k, axis=1)
+    scale = mle._scale_rows(scale)
+    _, sel = mle._COORDINATES[mode]
+    return mle._gradient(u, counts, scale, sel), mle._hessian(u, counts, scale, sel)
+
+
+def reduced_interior_points(rng, data, k):
+    """k random points (N_B, alpha, p1, p2B) inside the reduced box, as columns."""
+    nb_lo, nb_hi = mle._reduced_nb_box(mle._stratum_boxes(data), size_ratio(data))
+    p2b_hi = min(1.0, 1.0 / p2a_ratio(data))
+    return np.array([
+        nb_lo + (nb_hi - nb_lo) * rng.uniform(0.1, 0.9, k), rng.uniform(0.02, 0.6, k),
+        rng.uniform(0.05, 0.9, k), p2b_hi * rng.uniform(0.05, 0.9, k),
+    ])
+
+
+def reduced_log_likelihood(u, data):
+    return log_likelihood(expand(ReducedParams(*u), data), data)
+
+
+@pytest.mark.parametrize("name", ["Q1", "Q2", "Q3", "Q4", "tiny"])
+def test_reduced_solver_derivatives_match_central_differences(name, tiny):
+    # the chain rule through N_A = ratio N_B and p2A = multiplier p2B: the
+    # gradient against central differences of the reduced log-likelihood,
+    # then the Hessian against central differences of that checked gradient
+    # (second differences of a log-likelihood of order 1e5 lose too many
+    # digits to cancellation)
+    data = tiny if name == "tiny" else make_survey(name)
+    u = reduced_interior_points(np.random.default_rng(17), data, 6)
+    grad, hess = solver_derivatives(data, "reduced", u)
+    steps = 1e-5 * np.abs(u)
+    for i in range(4):
+        up, down = u.copy(), u.copy()
+        up[i] += steps[i]
+        down[i] -= steps[i]
+        numeric = np.array([
+            reduced_log_likelihood(up[:, k], data) - reduced_log_likelihood(down[:, k], data)
+            for k in range(u.shape[1])
+        ]) / (2.0 * steps[i])
+        assert np.max(np.abs(grad[i] - numeric) / (np.abs(grad[i]) + 1.0)) < 1e-5
+        numeric = (solver_derivatives(data, "reduced", up)[0]
+                   - solver_derivatives(data, "reduced", down)[0]) / (2.0 * steps[i])
+        assert np.max(np.abs(hess[:, :, i] - numeric.T) / (np.abs(hess[:, :, i]) + 1.0)) < 1e-6
+    assert np.array_equal(hess, np.swapaxes(hess, 1, 2))
+
+
+@pytest.mark.parametrize("name", ["Q1", "Q2", "Q3", "Q4", "tiny"])
+def test_full_solver_derivatives_are_the_model_derivatives(name, tiny):
+    data = tiny if name == "tiny" else make_survey(name)
+    rng = np.random.default_rng(23)
+    points = [random_interior_params(rng, data) for _ in range(6)]
+    grad, hess = solver_derivatives(data, "full", np.array([p.as_tuple() for p in points]).T)
+    for k, params in enumerate(points):
+        assert np.array_equal(grad[:, k], gradient(params, data))
+        assert np.array_equal(hess[k], hessian(params, data))
+
+
+def swap_params(params):
+    n_a, n_b, alpha, p1, p2a, p2b = params.as_tuple()
+    return ModelParams(n_b, n_a, alpha, p1, p2b, p2a)
+
+
+SWAP_NAMES = {"N_A": "N_B", "N_B": "N_A", "p2A": "p2B", "p2B": "p2A"}
+
+
+@pytest.mark.parametrize("mode", ["reduced", "full"])
+def test_fit_is_stratum_swap_symmetric(mode):
+    # exchanging the strata exchanges the fitted sizes and list-2 rates; the
+    # solver maps N_A and p2A onto stratum B's coordinates, so it treats the
+    # two strata differently and only the fitted point is symmetric
+    config = study1_config(seed=5)
+    tables = [make_survey(q) for q in ("Q1", "Q2", "Q3", "Q4")] + [
+        _draw_survey(config, stream(config.seed, rep))[0] for rep in range(30)
+    ]
+    # the corner table's maximum sits on the N_B and p2B bounds
+    tables.append(SurveyData(CellCounts(201, 4162, 4390), CellCounts(406, 2574, 3265)))
+    options = FitOptions(mode=mode)
+    fits = fit_many(tables, options)
+    swapped = fit_many([data.swapped() for data in tables], options)
+    for data, result, other in zip(tables, fits, swapped):
+        assert result.converged and other.converged, data
+        expected = swap_params(result.params).as_tuple()
+        assert other.params.as_tuple() == pytest.approx(expected, rel=1e-9, abs=0.0), data
+        assert other.active_constraints == {
+            SWAP_NAMES.get(name, name) for name in result.active_constraints
+        }, data
