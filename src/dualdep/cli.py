@@ -314,6 +314,8 @@ def _parse_grid(text: str) -> tuple[float, ...]:
         start, stop, step = (Decimal(p) for p in parts)
     except InvalidOperation:
         raise ValidationError(f"grid values are not numbers: {text!r}") from None
+    if not all(value.is_finite() for value in (start, stop, step)):
+        raise ValidationError(f"grid values must be finite: {text!r}")
     if step <= 0:
         raise ValidationError("grid step must be positive")
     quotient = (stop - start) / step

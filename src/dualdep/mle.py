@@ -7,13 +7,17 @@ the tolerance (1e-8 by default), and keeps the best local maximum.
 Population sizes are box-constrained between the observed totals and the
 per-stratum naive estimates; probabilities live in the unit interval.
 ``fit_many`` climbs from every start of many tables in one batched solve,
-and ``fit`` is one table through it.
+and ``fit`` is one table through it. Both modes run that solver on a linear
+map from solver coordinates to the six parameters; its chain rule is one
+multiply and one fixed segment sum on the model's gradient and Hessian.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -239,47 +243,62 @@ _COORDINATES = {
 }
 
 
-def _scale_rows(scale) -> dict:
-    """The rows of ``scale`` (6, K) that are not all exactly one, by parameter.
-    The map skips the others, as multiplying by one changes nothing, so the
-    full-mode map costs no arithmetic: without the skip, full-mode fits ran
-    about 10% slower (2-core x86_64 VM)."""
-    return {i: row for i, row in enumerate(scale) if (row != 1.0).any()}
+class _Chain(NamedTuple):
+    """The chain rule through theta[i] = scale[i] * u[sel[i]] as segment sums
+    (``model._segments``). The gradient in u sums the scaled partials of each
+    coordinate's parameters. Entry (c, d), c <= d, of the Hessian in u sums
+    scale[i] scale[j] H[i, j] over the parameter pairs with sel[i] = c and
+    sel[j] = d, each read from its upper-triangle entry of ``model._hess``,
+    so an off-diagonal entry whose parameters share a coordinate counts
+    twice, once for its mirror."""
+
+    sel: np.ndarray
+    grad_params: np.ndarray  # the parameter of each gradient term
+    grad_layout: tuple
+    grad_order: np.ndarray  # the summed row of each coordinate
+    entries: np.ndarray  # the model entry and the parameters of each Hessian term
+    rows: np.ndarray
+    cols: np.ndarray
+    layout: tuple
+    square: np.ndarray  # the summed row of each entry of the P x P Hessian
+
+
+@functools.cache
+def _chain(sel: tuple[int, ...]) -> _Chain:
+    """The ``_Chain`` of one ``sel``."""
+    size = sel[-1] + 1
+    (grad_params,), grad_layout = model._segments([(c, i) for i, c in enumerate(sel)])
+    (entries, rows, cols), layout = model._segments([
+        (sel[i] * size + sel[j], model._PAIRS.index((min(i, j), max(i, j))), i, j)
+        for i in range(6) for j in range(6) if sel[i] <= sel[j]
+    ])
+    square = [layout[0].index(min(c, d) * size + max(c, d))
+              for c in range(size) for d in range(size)]
+    return _Chain(np.array(sel), grad_params, grad_layout, np.argsort(grad_layout[0]),
+                  entries, rows, cols, layout, np.array(square))
 
 
 def _expand(u, scale, sel):
-    """theta (six rows) from solver coordinates, ``scale`` as ``_scale_rows``."""
-    return [scale[i] * u[c] if i in scale else u[c] for i, c in enumerate(sel)]
+    """theta (6, K) from solver coordinates."""
+    return scale * u[_chain(tuple(sel)).sel]
 
 
 def _gradient(u, counts, scale, sel) -> np.ndarray:
-    """Log-likelihood gradient in solver coordinates, shape (P, K): each
-    partial derivative, times its parameter's scale, added into the row of
-    its coordinate."""
-    rows = {}
-    for i, g in enumerate(model._grad(_expand(u, scale, sel), counts)):
-        if i in scale:
-            g = scale[i] * g
-        rows[sel[i]] = rows[sel[i]] + g if sel[i] in rows else g
-    return np.array(list(rows.values()))
+    """Log-likelihood gradient in solver coordinates, shape (P, K)."""
+    chain = _chain(tuple(sel))
+    terms = (scale * model._grad(_expand(u, scale, sel), counts))[chain.grad_params]
+    return model._segment_sum(terms, chain.grad_layout)[chain.grad_order]
 
 
 def _hessian(u, counts, scale, sel) -> np.ndarray:
-    """Log-likelihood Hessian in solver coordinates, shape (K, P, P): each
-    entry that ``model._hess`` gives, times the scales of its two parameters,
-    added into the entry of their coordinates."""
-    entries = {}
-    for (i, j), h in model._hess(_expand(u, scale, sel), counts).items():
-        if i in scale or j in scale:
-            h = scale.get(i, 1.0) * scale.get(j, 1.0) * h
-        key = sel[i], sel[j]
-        entries[key] = entries[key] + h if key in entries else h
-    size, cols = u.shape
-    out = np.zeros((cols, size, size))
-    for (i, j), value in entries.items():
-        out[:, i, j] = value
-        out[:, j, i] = value
-    return out
+    """Log-likelihood Hessian in solver coordinates, shape (K, P, P): the
+    upper triangle summed once through ``_Chain`` and mirrored."""
+    chain = _chain(tuple(sel))
+    hess = model._hess(_expand(u, scale, sel), counts)
+    terms = hess[chain.entries] * scale[chain.rows] * scale[chain.cols]
+    upper = model._segment_sum(terms, chain.layout)
+    size = u.shape[0]
+    return upper[chain.square].reshape(size, size, -1).transpose(2, 0, 1)
 
 
 def _projected_gradient(u, grad, lo, hi):
@@ -380,7 +399,7 @@ def _solve_start(u0, table, counts, scale, sel, lo_t, hi_t, max_iter, tol):
     """
     table = np.asarray(table)
     run = {"live": np.ones(table.size, dtype=bool), "it": np.zeros(table.size, dtype=int),
-           "counts": counts[:, table], "scale": _scale_rows(scale[:, table]), "sel": sel,
+           "counts": counts[:, table], "scale": scale[:, table], "sel": sel,
            "lo": lo_t[:, table], "hi": hi_t[:, table]}
     run["u"] = np.clip(u0, run["lo"], run["hi"])
     run["grad"] = _gradient(run["u"], run["counts"], run["scale"], sel)
@@ -481,7 +500,7 @@ def _result(problem: _Problem, u, values, pg_norms, iterations, messages, option
     diagnostics: list[StartDiagnostics] = []
     best = None  # (ll, total, start index, pg, iterations, converged)
     _, sel = _COORDINATES[options.mode]
-    theta = np.array(_expand(u, dict(enumerate(problem.scale)), sel))
+    theta = _expand(u, np.array(problem.scale)[:, None], sel)
     totals = (theta[0] + theta[1]).tolist()
     for k, (start, value, pg_norm, n_iter, message, total) in enumerate(zip(
         problem.starts, values, pg_norms, iterations, messages, totals

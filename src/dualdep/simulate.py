@@ -98,7 +98,14 @@ def study1_config(replicates: int = 500, seed: int = DEFAULT_SEED) -> GeneratorC
 def scenario_grid(start: float = 0.01, stop: float = 0.35, step: float = 0.01) -> tuple[float, ...]:
     """Inclusive capture-probability grid, default 0.01, 0.02, ..., 0.35."""
     n = int(round((stop - start) / step)) + 1
-    values = tuple(round(start + k * step, 12) for k in range(n))
+    return _checked_grid(round(start + k * step, 12) for k in range(n))
+
+
+def _checked_grid(values) -> tuple[float, ...]:
+    """The grid as a tuple, checked to be non-empty and strictly inside (0, 1)."""
+    values = tuple(values)
+    if not values:
+        raise ValidationError("grid must contain at least one value")
     if any(not 0.0 < v < 1.0 for v in values):
         raise ValidationError("grid values must lie strictly inside (0, 1)")
     return values
@@ -507,9 +514,7 @@ def run_study2(
     probabilities. Draws for which the reduced constraint box is empty are
     refit in full mode and counted in ``reduced_fallbacks``.
     """
-    grid = tuple(grid) if grid is not None else scenario_grid()
-    if not grid:
-        raise ValidationError("grid must contain at least one value")
+    grid = _checked_grid(grid) if grid is not None else scenario_grid()
     options = options or FitOptions()
     groups = [
         (_scenario_config(scenario, value, replicates, seed),

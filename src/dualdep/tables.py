@@ -10,6 +10,7 @@ dependence diagnostic, and the CSV/JSON readers shared with the CLI.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -225,20 +226,25 @@ def diagnostics(
     )
 
 
+_MAX_COUNT = 2**53  # the estimators compute in floats
+
+
 def validate(strata: Sequence[Mapping[str, object]]) -> SurveyData:
     """Build a SurveyData from raw per-stratum records.
 
     Each record needs integer fields x11, x10, x01 and may carry a label.
     Exactly two records are required. Strata with x11 = 0 are accepted and
-    surface through ``SurveyData.flags``; structural problems (negative or
-    missing counts, zero observed total) raise ValidationError naming the
-    offending field.
+    surface through ``SurveyData.flags``; structural problems (a record that
+    is not a mapping, negative, missing or over 2**53 counts, zero observed
+    total) raise ValidationError naming the offending field.
     """
     if len(strata) != 2:
         raise ValidationError(f"exactly two strata required, got {len(strata)}")
     parsed = []
     for pos, record in enumerate(strata):
         default_label = "A" if pos == 0 else "B"
+        if not isinstance(record, Mapping):
+            raise ValidationError(f"stratum {default_label!r}: expected an object, got {record!r}")
         label = str(record.get("label", default_label))
         cells = {}
         for field in ("x11", "x10", "x01"):
@@ -257,6 +263,8 @@ def validate(strata: Sequence[Mapping[str, object]]) -> SurveyData:
                 )
             if value < 0:
                 raise ValidationError(f"stratum {label!r}: negative count {field} = {value}")
+            if value > _MAX_COUNT:
+                raise ValidationError(f"stratum {label!r}: count {field} exceeds 2**53")
             cells[field] = value
         if cells["x11"] + cells["x10"] + cells["x01"] < 1:
             raise ValidationError(f"stratum {label!r}: zero observed total")
@@ -267,11 +275,22 @@ def validate(strata: Sequence[Mapping[str, object]]) -> SurveyData:
 CSV_HEADER = ("stratum", "x11", "x10", "x01")
 
 
+def _read_text(path: Path) -> str:
+    """The file's UTF-8 text, newlines untranslated; a file that cannot be
+    read or is not UTF-8 is a ValidationError."""
+    try:
+        return path.read_bytes().decode("utf-8")
+    except OSError as exc:
+        raise ValidationError(f"{path}: cannot read: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+
+
 def read_survey_csv(path: str | Path) -> SurveyData:
     """Read a two-row survey CSV with header ``stratum,x11,x10,x01``."""
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    reader = csv.reader(io.StringIO(_read_text(path), newline=""))
+    try:
         try:
             header = next(reader)
         except StopIteration:
@@ -296,15 +315,18 @@ def read_survey_csv(path: str | Path) -> SurveyData:
                         f"{path}:{lineno}: field {field} is not an integer: {text!r}"
                     ) from None
             records.append(rec)
+    except csv.Error as exc:  # a field over the csv module's size limit
+        raise ValidationError(f"{path}: malformed CSV: {exc}") from None
     return validate(records)
 
 
 def read_survey_json(path: str | Path) -> SurveyData:
     """Read a survey JSON object ``{"strata": [{...}, {...}]}``."""
     path = Path(path)
+    text = _read_text(path)
     try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+        payload = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # ValueError: JSONDecodeError, huge integers
         raise ValidationError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(payload, dict) or "strata" not in payload:
         raise ValidationError(f"{path}: expected an object with a 'strata' array")

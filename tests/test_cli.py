@@ -1,11 +1,16 @@
+import contextlib
+import copy
 import csv
+import io
 import json
 import os
+import string
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dualdep.cli import _parse_grid, main
 from dualdep.exceptions import ValidationError
@@ -61,6 +66,103 @@ def test_diagnose_three_strata_is_error(tmp_path, capsys):
     path.write_text(Q1_CSV + "Extra,1,2,3\n", encoding="utf-8")
     assert main(["diagnose", "--input", str(path)]) == 2
     assert "exactly two strata" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, content, message", [
+    ("missing.csv", None, "cannot read"),
+    ("latin1.csv", "stratum,x11,x10,x01\nA\xe9,100,8900,3641\nB,534,2584,3780\n".encode("latin-1"),
+     "not UTF-8"),
+    ("latin1.json", '{"strata": [{"label": "\xe9"}]}'.encode("latin-1"), "not UTF-8"),
+    ("numbers.json", b'{"strata": [1, 2]}', "expected an object"),
+    ("huge.json", b'{"strata": [{"x11": 1%s, "x10": 1, "x01": 1}, {"x11": 1, "x10": 1, "x01": 1}]}'
+     % (b"0" * 400), "exceeds 2**53"),
+])
+def test_unreadable_or_malformed_input_is_usage_error(tmp_path, capsys, name, content, message):
+    path = tmp_path / name
+    if content is not None:
+        path.write_bytes(content)
+    assert main(["diagnose", "--input", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+
+VALID_STRATA = [{"label": "A", "x11": 100, "x10": 8900, "x01": 3641},
+                {"label": "B", "x11": 534, "x10": 2584, "x01": 3780}]
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+# values that are not a count: int() fails on them, or they are negative,
+# fractional, booleans or beyond 2**53
+not_a_count = st.one_of(
+    st.none(), st.booleans(), st.text(string.ascii_letters + " .", max_size=4),
+    st.integers(max_value=-1), st.integers(min_value=2**53 + 1),
+    st.floats().filter(lambda x: not (x.is_integer() and 0 <= x <= 2**53)),
+    st.lists(st.integers(0, 9), max_size=2), st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+)
+not_utf8 = st.binary(max_size=20).map(lambda b: b + b"\xff")
+
+
+@st.composite
+def malformed_json(draw):
+    strata = copy.deepcopy(VALID_STRATA)
+    payload = {"strata": strata}
+    kind = draw(st.sampled_from(["payload", "strata", "record", "count", "missing", "empty",
+                                 "number", "truncated"]))
+    stratum, field = draw(st.integers(0, 1)), draw(st.sampled_from(["x11", "x10", "x01"]))
+    if kind == "payload":
+        payload = draw(json_values.filter(lambda v: not isinstance(v, dict) or "strata" not in v))
+    elif kind == "strata":
+        payload = {"strata": draw(json_values.filter(lambda v: not (isinstance(v, list) and len(v) == 2)))}
+    elif kind == "record":
+        strata[stratum] = draw(json_values.filter(lambda v: not isinstance(v, dict)))
+    elif kind == "count":
+        strata[stratum][field] = draw(not_a_count)
+    elif kind == "missing":
+        del strata[stratum][field]
+    elif kind == "empty":
+        strata[stratum].update(x11=0, x10=0, x01=0)
+    elif kind == "number":
+        payload["strata"] = (strata * 2)[:draw(st.sampled_from([0, 1, 3, 4]))]
+    text = json.dumps(payload)
+    if kind == "truncated":  # no proper prefix of a JSON object is JSON
+        text = text[:draw(st.integers(0, len(text) - 1))]
+    return text.encode("utf-8")
+
+
+@st.composite
+def malformed_csv(draw):
+    rows = [["stratum", "x11", "x10", "x01"], ["A", "100", "8900", "3641"], ["B", "534", "2584", "3780"]]
+    kind = draw(st.sampled_from(["header", "count", "fields", "rows"]))
+    row, column = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    letters = st.text(string.ascii_letters + " ", max_size=6)
+    if kind == "header":
+        rows[0] = draw(st.lists(letters, max_size=5).filter(
+            lambda h: [c.strip().lower() for c in h] != rows[0]))
+    elif kind == "count":
+        rows[row][column] = draw(st.one_of(letters, st.integers(max_value=-1).map(str),
+                                           st.floats(0.1, 0.9).map(str)))
+    elif kind == "fields":
+        rows[row] = draw(st.lists(letters | st.integers(0, 9).map(str), min_size=1, max_size=6).filter(
+            lambda r: len(r) != 4 and any(c.strip() for c in r)))
+    else:
+        rows = rows[:1] + (rows[1:] * 2)[:draw(st.sampled_from([0, 1, 3, 4]))]
+    return "\n".join(",".join(r) for r in rows).encode("utf-8")
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.one_of(st.tuples(st.just("input.json"), malformed_json() | not_utf8),
+                      st.tuples(st.just("input.csv"), malformed_csv() | not_utf8)))
+def test_malformed_input_is_one_line_usage_error(tmp_path_factory, data):
+    name, content = data
+    path = tmp_path_factory.mktemp("fuzz") / name
+    path.write_bytes(content)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["diagnose", "--input", str(path)])
+    assert code == 2
+    assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
 def test_diagnose_bias_approximation(q1_csv, capsys):
@@ -295,6 +397,19 @@ def test_bad_grid_is_usage_error(tmp_path, capsys):
                  "--replicates", "2", "--output", str(tmp_path / "x")])
     assert code == 2
     assert "grid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid, message", [
+    ("0.01:0.35:nan", "finite"), ("0.01:0.35:inf", "finite"), ("nan:0.35:0.01", "finite"),
+    ("0:0.35:0.35", "strictly inside (0, 1)"), ("0.5:1:0.5", "strictly inside (0, 1)"),
+    ("nan", "strictly inside (0, 1)"),
+])
+def test_grid_outside_unit_interval_or_not_finite_is_usage_error(tmp_path, capsys, grid, message):
+    code = main(["simulate", "study2", "--scenario", "1", "--grid", grid,
+                 "--replicates", "2", "--output", str(tmp_path / "x")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
 
 
 def test_estimate_level_outside_unit_interval_fails_before_bootstrap(q1_csv, capsys, monkeypatch):

@@ -360,7 +360,6 @@ def solver_derivatives(data, mode, u):
     k = u.shape[1]
     counts = np.repeat(np.array(model._counts(data))[:, None], k, axis=1)
     scale = np.repeat(np.array(mle._problem(data, FitOptions(mode=mode)).scale)[:, None], k, axis=1)
-    scale = mle._scale_rows(scale)
     _, sel = mle._COORDINATES[mode]
     return mle._gradient(u, counts, scale, sel), mle._hessian(u, counts, scale, sel)
 

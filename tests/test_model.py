@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from dualdep import model
 from dualdep.exceptions import EvaluationError, ValidationError
 from dualdep.model import (
     ModelParams,
@@ -210,10 +212,21 @@ def test_hessian_exactly_symmetric(tiny):
 
 
 def test_hessian_sizes_never_interact(tiny):
+    # no cell couples the two sizes, alpha and p1, p1 and a p2, the two p2s,
+    # or a size and the other stratum's p2: those entries are exactly zero,
+    # in the interior and at evaluable boundaries (alpha = 0, N = x0)
+    uncoupled = [(0, 1), (2, 3), (3, 4), (3, 5), (4, 5), (0, 5), (1, 4)]
     rng = np.random.default_rng(8)
-    for _ in range(20):
-        h = hessian(random_interior_params(rng, tiny), tiny)
-        assert h[0, 1] == 0.0 and h[1, 0] == 0.0
+    datasets = [tiny] + [random_survey(rng) for _ in range(4)]
+    for data in datasets:
+        points = [random_interior_params(rng, data) for _ in range(20)]
+        x0a, x0b = data.stratum_a.total, data.stratum_b.total
+        points += [ModelParams(x0a, 2 * x0b, 0.0, 0.3, 0.2, 0.4),
+                   ModelParams(2 * x0a, x0b, 0.1, 0.3, 0.2, 0.4)]
+        for params in points:
+            h = hessian(params, data)
+            for i, j in uncoupled:
+                assert h[i, j] == 0.0 and h[j, i] == 0.0
 
 
 def test_hessian_size_diagonal_closed_form(tiny):
@@ -235,3 +248,38 @@ def test_model_params_validation():
 
 def test_size_ratio(q1):
     assert size_ratio(q1) == 9000 / 3118
+
+
+probability = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+column = st.tuples(
+    st.lists(st.integers(0, 10**6), min_size=6, max_size=6),
+    st.floats(0.5, 4.0), st.floats(0.5, 4.0), st.sampled_from([None, "A", "B"]),
+    probability, probability, probability, probability,
+)
+
+
+def kernel_arguments(columns):
+    """theta (6, K) and counts (8, K) of the drawn columns; a size is the
+    observed total times its factor, or exactly the total when the column
+    says so."""
+    theta, counts = [], []
+    for cells, fa, fb, at_total, *probs in columns:
+        x0a, x0b = sum(cells[:3]) + 1, sum(cells[3:]) + 1
+        counts.append([cells[0], cells[1], cells[2] + 1, x0a, cells[3], cells[4], cells[5] + 1, x0b])
+        theta.append([x0a * (1.0 if at_total == "A" else fa), x0b * (1.0 if at_total == "B" else fb),
+                      *probs])
+    return np.array(theta, dtype=float).T.copy(), np.array(counts, dtype=float).T.copy()
+
+
+@settings(max_examples=60, deadline=None)
+@given(columns=st.lists(column, min_size=2, max_size=12))
+def test_kernels_give_a_column_the_same_bits_alone_as_in_a_batch(columns):
+    # a column's log-likelihood, gradient and Hessian entries do not depend
+    # on the other columns of the batch, wherever it is (boundaries and
+    # non-evaluable points included)
+    theta, counts = kernel_arguments(columns)
+    for kernel in (model._ll, model._grad, model._hess):
+        batch = kernel(theta, counts)
+        for k in range(theta.shape[1]):
+            alone = kernel(theta[:, k:k + 1].copy(), counts[:, k:k + 1].copy())
+            assert alone.tobytes() == batch[..., k:k + 1].copy().tobytes()
