@@ -165,6 +165,26 @@ def draw_replicate_tables(
     return table_a, table_b
 
 
+def _drawn_survey(table_a, table_b, label_a: str = "A", label_b: str = "B") -> SurveyData | None:
+    """The survey of two drawn stratum tables (x11, x10, x01, unobserved), or
+    None when either stratum has x11 = 0, where no estimator is defined.
+    With x11 >= 1 in both strata the counts are always a valid survey."""
+    if table_a[0] < 1 or table_b[0] < 1:
+        return None
+    return SurveyData(CellCounts(*map(int, table_a[:3])), CellCounts(*map(int, table_b[:3])),
+                      label_a, label_b)
+
+
+def _fit_outcome(outcome) -> tuple[FitResult | None, str]:
+    """A ``mle.fit_many`` outcome as (fit, "") or, for a package error or a
+    fit that did not converge, (None, the reason)."""
+    if isinstance(outcome, DualdepError):
+        return None, str(outcome)
+    if not outcome.converged:
+        return None, "fit did not converge"
+    return outcome, ""
+
+
 def _bootstrap_block(task):
     """Run one block of replicates. Every replicate draws its first attempt
     from its own Philox stream (keyed by seed and replicate index) and the
@@ -181,32 +201,20 @@ def _bootstrap_block(task):
             break
         drawn, surveys = [], []
         for index in pending:
-            table_a, table_b = draw_replicate_tables(data, fit, rngs[index])
-            if table_a[0] < 1 or table_b[0] < 1:
+            survey = _drawn_survey(*draw_replicate_tables(data, fit, rngs[index]),
+                                   data.label_a, data.label_b)
+            if survey is None:
                 reasons[index] = "drawn x11 was zero"
-                continue
-            try:
-                surveys.append(SurveyData(
-                    CellCounts(int(table_a[0]), int(table_a[1]), int(table_a[2])),
-                    CellCounts(int(table_b[0]), int(table_b[1]), int(table_b[2])),
-                    data.label_a,
-                    data.label_b,
-                ))
-            except DualdepError as exc:
-                reasons[index] = str(exc)
-                continue
-            drawn.append(index)
-        for index, refit in zip(drawn, mle.fit_many(surveys, options)):
-            if isinstance(refit, DualdepError):
-                reasons[index] = str(refit)
-            elif not refit.converged:
-                reasons[index] = "refit did not converge"
             else:
+                drawn.append(index)
+                surveys.append(survey)
+        for index, outcome in zip(drawn, mle.fit_many(surveys, options)):
+            refit, reasons[index] = _fit_outcome(outcome)
+            if refit is not None:
                 p = refit.params
                 values[index] = (p.n_a, p.n_b, p.total, p.alpha, p.p1, p.p2a, p.p2b)
         pending = [index for index in pending if index not in values]
-    return [(index, values.get(index), "" if index in values else reasons[index])
-            for index in indices]
+    return [(index, values.get(index), reasons[index]) for index in indices]
 
 
 def bootstrap(
@@ -371,9 +379,12 @@ def uncertainty_report(
     )
 
 
-def _size_intervals(centers, x0, se, level):
+def _size_intervals(centers, x0, se, level) -> dict[str, tuple[float, float] | None]:
+    """The multiplicative interval of each size named in ``x0``, or None where
+    it is undefined: the SE is missing or not finite, or the center does not
+    exceed the observed total."""
     out: dict[str, tuple[float, float] | None] = {}
-    for name in ("N_A", "N_B", "N_total"):
+    for name in x0:
         sigma = se.get(name, float("nan"))
         if not math.isfinite(sigma) or centers[name] <= x0[name]:
             out[name] = None

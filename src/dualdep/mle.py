@@ -402,6 +402,7 @@ def _solve_start(u0, table, counts, scale, sel, lo_t, hi_t, max_iter, tol):
            "counts": counts[:, table], "scale": scale[:, table], "sel": sel,
            "lo": lo_t[:, table], "hi": hi_t[:, table]}
     run["u"] = np.clip(u0, run["lo"], run["hi"])
+    run["ll"] = model._ll(_expand(run["u"], run["scale"], sel), run["counts"])
     run["grad"] = _gradient(run["u"], run["counts"], run["scale"], sel)
     run["free"], run["pg"] = _projected_gradient(run["u"], run["grad"], run["lo"], run["hi"])
     messages = [""] * table.size
@@ -423,9 +424,7 @@ def _solve_start(u0, table, counts, scale, sel, lo_t, hi_t, max_iter, tol):
         np.copyto(step, 0.0, where=~run["live"])
         stop(~_line_search(run, step), "no acceptable step")
 
-    u = run["u"]
-    theta = _expand(u, run["scale"], sel)
-    return u, model._ll(theta, run["counts"]), run["pg"], run["it"], messages
+    return run["u"], run["ll"], run["pg"], run["it"], messages
 
 
 def _line_search(run, step):
@@ -433,24 +432,18 @@ def _line_search(run, step):
     until the projected gradient shrinks or the log-likelihood rises.
     Accepted starts move, in place, and count an iteration. Returns which
     starts accepted a step."""
-    u, grad, free, pg = run["u"], run["grad"], run["free"], run["pg"]
+    u, ll, grad, free, pg = run["u"], run["ll"], run["grad"], run["free"], run["pg"]
     lo, hi, counts, scale, sel = run["lo"], run["hi"], run["counts"], run["scale"], run["sel"]
     searching = run["live"].copy()
     accepted = np.zeros_like(searching)
     length = np.ones(u.shape[1])
-    value0 = np.full(u.shape[1], np.nan)  # log-likelihood at u, evaluated when first needed
     while searching.any():
         trial = np.clip(u + length * step, lo, hi)
+        ll_t = model._ll(_expand(trial, scale, sel), counts)
         grad_t = _gradient(trial, counts, scale, sel)
         free_t, pg_t = _projected_gradient(trial, grad_t, lo, hi)
-        ok = searching & (pg_t < pg)
-        test = searching & ~ok
-        if test.any():
-            if (test & np.isnan(value0)).any():
-                np.copyto(value0, model._ll(_expand(u, scale, sel), counts),
-                          where=np.isnan(value0))
-            ok |= test & (model._ll(_expand(trial, scale, sel), counts) > value0)
-        for state, new in ((u, trial), (grad, grad_t), (free, free_t), (pg, pg_t)):
+        ok = searching & ((pg_t < pg) | (ll_t > ll))
+        for state, new in ((u, trial), (ll, ll_t), (grad, grad_t), (free, free_t), (pg, pg_t)):
             np.copyto(state, new, where=ok)
         accepted |= ok
         searching &= ~ok

@@ -24,7 +24,9 @@ import numpy as np
 from . import mle, model
 from ._parallel import blocks, run_indexed, stream
 from .exceptions import DualdepError, FitError, InfeasibleConstraintsError, ValidationError
-from .inference import confidence_interval, normal_quantile, se_from_hessian
+from .inference import (
+    _drawn_survey, _fit_outcome, _size_intervals, normal_quantile, se_from_hessian,
+)
 from .mle import DEFAULT_SEED, FitOptions
 from .tables import CellCounts, SurveyData, naive_estimate
 
@@ -97,6 +99,10 @@ def study1_config(replicates: int = 500, seed: int = DEFAULT_SEED) -> GeneratorC
 
 def scenario_grid(start: float = 0.01, stop: float = 0.35, step: float = 0.01) -> tuple[float, ...]:
     """Inclusive capture-probability grid, default 0.01, 0.02, ..., 0.35."""
+    if not all(math.isfinite(value) for value in (start, stop, step)):
+        raise ValidationError(f"grid values must be finite: '{start}:{stop}:{step}'")
+    if step <= 0:
+        raise ValidationError("grid step must be positive")
     n = int(round((stop - start) / step)) + 1
     return _checked_grid(round(start + k * step, 12) for k in range(n))
 
@@ -261,22 +267,15 @@ def draw_counts(
 
 def _draw_survey(config: GeneratorConfig, rng: np.random.Generator) -> tuple[SurveyData, int]:
     """Draw both strata, redrawing while either stratum has x11 = 0 (neither
-    estimator is defined there)."""
+    estimator is defined there); returns the survey and the redraw count."""
     probs_a = _cell_array(config.dependence, config.alpha, config.p1_a, config.p2_a)
     probs_b = _cell_array(config.dependence, config.alpha, config.p1_b, config.p2_b)
-    redraws = 0
-    for _ in range(_MAX_REDRAWS):
+    for redraws in range(_MAX_REDRAWS):
         table_a = rng.multinomial(config.n_a, probs_a)
         table_b = rng.multinomial(config.n_b, probs_b)
-        if table_a[0] >= 1 and table_b[0] >= 1:
-            return (
-                SurveyData(
-                    CellCounts(int(table_a[0]), int(table_a[1]), int(table_a[2])),
-                    CellCounts(int(table_b[0]), int(table_b[1]), int(table_b[2])),
-                ),
-                redraws,
-            )
-        redraws += 1
+        survey = _drawn_survey(table_a, table_b)
+        if survey is not None:
+            return survey, redraws
     raise ValidationError(
         f"could not draw a table with x11 >= 1 in both strata after {_MAX_REDRAWS} tries"
     )
@@ -286,7 +285,9 @@ def _fit_draws(surveys: list[SurveyData], options: FitOptions) -> list:
     """Fit simulated draws in one batch; refit in full mode, as a second
     batch, the draws whose reduced constraint box is empty (possible only
     when the generating process violates the shared-p1 assumption).
-    Returns (FitResult or package error, fallback) per draw."""
+    Returns (FitResult or package error, fallback) per draw; ``fallback``
+    is True whenever the outcome is a fit from the full-mode refit,
+    converged or not."""
     outcomes = mle.fit_many(surveys, options)
     fallback = [isinstance(o, InfeasibleConstraintsError) and options.mode != "full"
                 for o in outcomes]
@@ -294,7 +295,7 @@ def _fit_draws(surveys: list[SurveyData], options: FitOptions) -> list:
         refits = iter(mle.fit_many([s for s, f in zip(surveys, fallback) if f],
                                    replace(options, mode="full")))
         outcomes = [next(refits) if f else o for o, f in zip(outcomes, fallback)]
-    return list(zip(outcomes, fallback))
+    return [(o, f and not isinstance(o, DualdepError)) for o, f in zip(outcomes, fallback)]
 
 
 def _fit_generated(survey: SurveyData, options: FitOptions):
@@ -315,28 +316,20 @@ class _Replicate:
 
     survey: SurveyData
     fit: mle.FitResult | None
+    reason: str
     redraws: int
     fallback: bool
-    reason: str = ""
 
 
 def _replicates(task) -> list[_Replicate]:
-    """Draw one survey per random stream key and fit the draws as one batch.
-    ``fallback`` is True whenever a fit came from the full-mode refit,
-    converged or not."""
+    """Draw one survey per random stream key and fit the draws as one batch."""
     keys, config, options = task
     draws = [_draw_survey(config, stream(config.seed, key)) for key in keys]
-    records = []
-    for (survey, redraws), (outcome, fallback) in zip(
-        draws, _fit_draws([survey for survey, _ in draws], options)
-    ):
-        if isinstance(outcome, DualdepError):
-            records.append(_Replicate(survey, None, redraws, False, str(outcome)))
-        elif not outcome.converged:
-            records.append(_Replicate(survey, None, redraws, fallback, "fit did not converge"))
-        else:
-            records.append(_Replicate(survey, outcome, redraws, fallback))
-    return records
+    return [
+        _Replicate(survey, *_fit_outcome(outcome), redraws, fallback)
+        for (survey, redraws), (outcome, fallback)
+        in zip(draws, _fit_draws([survey for survey, _ in draws], options))
+    ]
 
 
 def _run_replicates(groups, options: FitOptions, threads: int) -> list[_Replicate]:
@@ -411,17 +404,13 @@ def _coverage_intervals(outcome: _Replicate, z: float, level: float):
     except DualdepError:
         return None
     params, survey = outcome.fit.params, outcome.survey
-    intervals = {}
-    for name, n_hat, x0 in (
-        ("N_A", params.n_a, survey.stratum_a.total),
-        ("N_B", params.n_b, survey.stratum_b.total),
-    ):
-        sigma = se[name]
-        if not math.isfinite(sigma) or n_hat <= x0:
-            return None
-        standard = (n_hat - z * sigma, n_hat + z * sigma)
-        intervals[name] = (standard, confidence_interval(n_hat, x0, sigma**2, level))
-    return intervals
+    centers = {"N_A": params.n_a, "N_B": params.n_b}
+    x0 = {"N_A": float(survey.stratum_a.total), "N_B": float(survey.stratum_b.total)}
+    lognormal = _size_intervals(centers, x0, se, level)
+    if None in lognormal.values():
+        return None
+    return {name: ((n_hat - z * se[name], n_hat + z * se[name]), lognormal[name])
+            for name, n_hat in centers.items()}
 
 
 def run_coverage(
@@ -439,43 +428,31 @@ def run_coverage(
     outcomes = _run_replicates([(config, range(config.replicates))], options, threads)
 
     truth = {"N_A": float(config.n_a), "N_B": float(config.n_b)}
-    tallies = {
-        (name, method): {"lo": 0.0, "hi": 0.0, "hit": 0, "n": 0}
-        for name in ("N_A", "N_B")
-        for method in ("standard", "lognormal")
-    }
-    failures = 0
-    for outcome in outcomes:
-        intervals = _coverage_intervals(outcome, z, level)
-        if intervals is None:
-            failures += 1
-            continue
-        for name, (standard, lognormal) in intervals.items():
-            for method, (lo, hi) in (("standard", standard), ("lognormal", lognormal)):
-                cell = tallies[(name, method)]
-                cell["lo"] += lo
-                cell["hi"] += hi
-                cell["hit"] += int(lo <= truth[name] <= hi)
-                cell["n"] += 1
+    intervals = [i for i in (_coverage_intervals(o, z, level) for o in outcomes) if i is not None]
+    n = len(intervals)
+
+    def mean(values) -> float:
+        # summed in replicate order, so the means do not depend on blocks or workers
+        return sum(values) / n if n else float("nan")
+
     rows = []
-    for (name, method), cell in tallies.items():
-        n = cell["n"]
-        rows.append(
-            CoverageRow(
+    for name in ("N_A", "N_B"):
+        for col, method in enumerate(("standard", "lognormal")):
+            bounds = [i[name][col] for i in intervals]
+            rows.append(CoverageRow(
                 quantity=name,
                 method=method,
-                mean_lower=cell["lo"] / n if n else float("nan"),
-                mean_upper=cell["hi"] / n if n else float("nan"),
-                coverage=cell["hit"] / n if n else float("nan"),
+                mean_lower=mean(lo for lo, _ in bounds),
+                mean_upper=mean(hi for _, hi in bounds),
+                coverage=mean(lo <= truth[name] <= hi for lo, hi in bounds),
                 n_used=n,
-            )
-        )
+            ))
     return CoverageResult(
         config=config,
         level=level,
         rows=tuple(rows),
         redraws=sum(o.redraws for o in outcomes),
-        failures=failures,
+        failures=len(outcomes) - n,
         reduced_fallbacks=sum(o.fallback for o in outcomes),
     )
 

@@ -251,13 +251,11 @@ def validate(strata: Sequence[Mapping[str, object]]) -> SurveyData:
             if field not in record:
                 raise ValidationError(f"stratum {label!r}: missing field {field}")
             raw = record[field]
-            try:
-                value = int(raw)
+            try:  # int() would also read True, "1_00" and " 8900 " as counts
+                value = None if isinstance(raw, (bool, str)) else int(raw)
             except (TypeError, ValueError, OverflowError):  # OverflowError: infinity
-                raise ValidationError(
-                    f"stratum {label!r}: field {field} is not an integer: {raw!r}"
-                ) from None
-            if isinstance(raw, bool) or (isinstance(raw, float) and raw != value):
+                value = None
+            if value is None or (isinstance(raw, float) and raw != value):
                 raise ValidationError(
                     f"stratum {label!r}: field {field} is not an integer: {raw!r}"
                 )

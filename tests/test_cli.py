@@ -61,6 +61,16 @@ def test_diagnose_non_finite_json_count_is_usage_error(tmp_path, capsys, literal
     assert err == f"error: stratum 'A': field x11 is not an integer: {shown}\n"
 
 
+def test_diagnose_string_json_count_is_usage_error(tmp_path, capsys):
+    # int() reads "1_00" as 100 and strips the blanks of " 8900 "; a JSON
+    # count must be a number
+    path = tmp_path / "t.json"
+    path.write_text('{"strata": [{"label": "A", "x11": "1_00", "x10": " 8900 ", "x01": 3641}, '
+                    '{"label": "B", "x11": 534, "x10": 2584, "x01": 3780}]}', encoding="utf-8")
+    assert main(["diagnose", "--input", str(path)]) == 2
+    assert capsys.readouterr().err == "error: stratum 'A': field x11 is not an integer: '1_00'\n"
+
+
 def test_diagnose_three_strata_is_error(tmp_path, capsys):
     path = tmp_path / "bad.csv"
     path.write_text(Q1_CSV + "Extra,1,2,3\n", encoding="utf-8")
@@ -93,10 +103,10 @@ json_values = st.recursive(
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
     max_leaves=6,
 )
-# values that are not a count: int() fails on them, or they are negative,
-# fractional, booleans or beyond 2**53
+# values that are not a count: int() fails on them, or they are strings,
+# negative, fractional, booleans or beyond 2**53
 not_a_count = st.one_of(
-    st.none(), st.booleans(), st.text(string.ascii_letters + " .", max_size=4),
+    st.none(), st.booleans(), st.text(max_size=4),
     st.integers(max_value=-1), st.integers(min_value=2**53 + 1),
     st.floats().filter(lambda x: not (x.is_integer() and 0 <= x <= 2**53)),
     st.lists(st.integers(0, 9), max_size=2), st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dualdep import _parallel, mle
-from dualdep.exceptions import EvaluationError, InformationMatrixError, ValidationError
+from dualdep import _parallel, inference, mle
+from dualdep.exceptions import (
+    BootstrapError, DualdepError, EvaluationError, InformationMatrixError, ValidationError,
+)
 from dualdep.inference import (
     BootstrapResult,
     bootstrap,
@@ -161,6 +163,42 @@ def test_bootstrap_propagates_programming_errors(q1_fit, monkeypatch):
     monkeypatch.setattr(mle, "fit_many", broken)
     with pytest.raises(TypeError, match="bug in the fitting code"):
         bootstrap(data, result, n_replicates=3, seed=4)
+
+
+def test_bootstrap_zero_x11_draw_costs_an_attempt_on_the_replicates_stream(tiny):
+    # each replicate draws from its own stream for up to 11 attempts; a draw
+    # with x11 = 0 in a stratum uses up an attempt, a refit error another,
+    # and the next attempt continues the same stream
+    result = fit(tiny)
+    indices = list(range(50))
+    expected, zeros, draws = [], 0, 0
+    for index in indices:
+        rng = _parallel.stream(1, index)
+        values, reason = None, ""
+        for _ in range(11):
+            table_a, table_b = draw_replicate_tables(tiny, result, rng)
+            draws += 1
+            if table_a[0] < 1 or table_b[0] < 1:
+                zeros += 1
+                reason = "drawn x11 was zero"
+                continue
+            survey = SurveyData(CellCounts(*map(int, table_a[:3])),
+                                CellCounts(*map(int, table_b[:3])))
+            (refit,) = mle.fit_many([survey], result.options)
+            if isinstance(refit, DualdepError):
+                reason = str(refit)
+                continue
+            assert refit.converged  # every refit that runs on this table converges
+            p = refit.params
+            values, reason = (p.n_a, p.n_b, p.total, p.alpha, p.p1, p.p2a, p.p2b), ""
+            break
+        expected.append((index, values, reason))
+    assert (zeros, draws) == (72, 167)
+    got = inference._bootstrap_block((indices, 1, tiny, result, result.options))
+    assert got == expected
+    assert [row[2] for row in got if row[1] is None][-1] == "drawn x11 was zero"
+    with pytest.raises(BootstrapError, match="3 of 50 bootstrap replicates failed"):
+        bootstrap(tiny, result, n_replicates=50, seed=1)
 
 
 def test_bootstrap_requires_positive_B(q1_fit):

@@ -83,9 +83,13 @@ def test_fit_reference_quarter(q1):
     assert result.n_hat_total == result.params.n_a + result.params.n_b
 
 
-def test_fit_log_likelihood_matches_reevaluation(q1):
-    result = fit(q1)
-    assert result.log_likelihood == log_likelihood(result.params, q1)
+@pytest.mark.parametrize("mode", ["reduced", "full"])
+@pytest.mark.parametrize("quarter", ["Q1", "Q2", "Q3", "Q4"])
+def test_fit_log_likelihood_matches_reevaluation(quarter, mode):
+    # the log-likelihood the solver carries is the one of the fitted point, exactly
+    data = make_survey(quarter)
+    result = fit(data, FitOptions(mode=mode))
+    assert result.log_likelihood == log_likelihood(result.params, data)
 
 
 def test_fit_requires_overlap():

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from dualdep import simulate
 from dualdep._parallel import stream
 from dualdep.exceptions import ValidationError
+from dualdep.mle import FitOptions
 from dualdep.model import cell_probabilities
 from dualdep.simulate import (
     GeneratorConfig,
@@ -16,6 +18,7 @@ from dualdep.simulate import (
     scenario_grid,
     study1_config,
 )
+from dualdep.tables import SurveyData
 
 from oracles import exact_conditional_naive_mean
 
@@ -151,6 +154,31 @@ def test_brute_force_conditional_naive_oracle():
     assert abs(draws.mean() - exact) < 4 * mc_se
 
 
+def test_study_zero_x11_draw_is_redrawn_on_its_stream_and_never_a_failure():
+    # a replicate redraws both strata on its own stream until each has
+    # x11 >= 1; the redraws are counted, never as failed fits
+    config = GeneratorConfig(n_a=40, n_b=30, alpha=0.05, p1_a=0.2, p1_b=0.2, p2_a=0.2,
+                             p2_b=0.2, replicates=40, seed=1)
+    expected = []
+    for key in range(config.replicates):
+        rng = stream(config.seed, key)
+        redraws = 0
+        while True:
+            counts_a, _ = draw_counts(config.n_a, config.alpha, config.p1_a, config.p2_a,
+                                      config.dependence, rng)
+            counts_b, _ = draw_counts(config.n_b, config.alpha, config.p1_b, config.p2_b,
+                                      config.dependence, rng)
+            if counts_a.x11 >= 1 and counts_b.x11 >= 1:
+                break
+            redraws += 1
+        expected.append((SurveyData(counts_a, counts_b), redraws))
+    records = simulate._run_replicates([(config, range(config.replicates))], FitOptions(), 1)
+    assert [(r.survey, r.redraws) for r in records] == expected
+    assert all(r.fit is not None and r.reason == "" for r in records)
+    result = run_study1(config)
+    assert (result.redraws, result.fit_failures, result.reduced_fallbacks) == (36, 0, 4)
+
+
 def test_scenario_grid():
     grid = scenario_grid()
     assert len(grid) == 35
@@ -158,6 +186,10 @@ def test_scenario_grid():
     assert grid[6] == pytest.approx(0.07, abs=1e-12)
     with pytest.raises(ValidationError):
         scenario_grid(start=0.0, stop=0.3, step=0.1)
+    with pytest.raises(ValidationError, match="grid step must be positive"):
+        scenario_grid(0.1, 0.2, 0)
+    with pytest.raises(ValidationError, match="grid values must be finite"):
+        scenario_grid(0.1, 0.2, float("nan"))
 
 
 def test_study2_structure_and_determinism():

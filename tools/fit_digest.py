@@ -9,7 +9,7 @@ the file does not depend on the set's iteration order). A fit that raises is
 written as its error's type, text and per-start diagnostics.
 
     PYTHONPATH=src python tools/fit_digest.py --output fits.json
-    python tools/fit_digest.py --compare before.json after.json
+    PYTHONPATH=src python tools/fit_digest.py --compare before.json after.json
 
 ``--compare`` prints each differing field and, per field, the worst relative
 change over the corpus; it exits 1 if any field differs. Point PYTHONPATH at
@@ -140,8 +140,9 @@ def _relative(a, b) -> float:
 
 def compare(before: dict, after: dict, out=sys.stdout) -> int:
     """Print each differing field and the worst relative change per field
-    (start indices pooled); return the number of differences, a fit present
-    on one side only counting as one."""
+    (start indices pooled); return the number of differences, a record (a
+    fit, or a command of ``report_digest``) present on one side only
+    counting as one."""
     differences = 0
     worst: dict[str, float] = {}
     for key in sorted(set(before) | set(after)):
@@ -158,7 +159,7 @@ def compare(before: dict, after: dict, out=sys.stdout) -> int:
                 differences += 1
                 worst[field] = max(worst[field], _relative(a, b))
                 print(f"{key} {path}: {a} -> {b}", file=out)
-    print(f"{differences} differences over {len(set(before) | set(after))} fits", file=out)
+    print(f"{differences} differences over {len(set(before) | set(after))} records", file=out)
     print("worst relative change per field:", file=out)
     for field in sorted(worst):
         print(f"  {field}: {worst[field]:.3g}", file=out)

@@ -1,0 +1,130 @@
+"""Run a fixed set of seeded CLI commands and write what each one produced.
+
+The commands are ``estimate`` on Q1 (reduced and full mode), on Q4 with 15
+starts and on a table whose maximum sits on the N_B and p2B bounds; the
+study-1, coverage and study-2 simulations; and two edge commands: a
+bootstrap on a tiny table that fails too many replicates (exit 1) and a
+small custom study with many zero-x11 redraws and full-mode fallbacks. For
+each command the digest holds its exit code, stdout and stderr, the report's
+``results`` (floats as ``float.hex``, so equal files mean bit-identical
+results) and the summary CSV. The work directory is written as ``<work>``,
+so digests made in different directories compare equal; the report's
+manifest (timestamp, options, output paths) is left out.
+
+    PYTHONPATH=src python tools/report_digest.py --output reports.json
+    PYTHONPATH=src python tools/report_digest.py --compare before.json after.json
+
+``--compare`` uses ``fit_digest.compare`` and exits 1 if any field differs.
+Point PYTHONPATH at another checkout's ``src`` to digest that tree.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+from fit_digest import QUARTERS, compare
+
+from dualdep.cli import main as cli_main
+
+TABLES = {
+    "q1": QUARTERS["Q1"],
+    "q4": QUARTERS["Q4"],
+    "corner": ((201, 4162, 4390), (406, 2574, 3265)),
+    "tiny": ((2, 3, 4), (1, 2, 3)),
+}
+SIM = ("--replicates", "40", "--seed", "1")
+COMMANDS = {
+    "estimate-q1": ("estimate", "--input", "q1.csv", "--B", "50", "--seed", "1"),
+    "estimate-q1-full": ("estimate", "--input", "q1.csv", "--B", "50", "--seed", "1",
+                         "--mode", "full"),
+    "estimate-q4-starts15": ("estimate", "--input", "q4.csv", "--B", "50", "--seed", "2",
+                             "--starts", "15"),
+    "estimate-corner-hessian": ("estimate", "--input", "corner.csv", "--se", "hessian"),
+    "estimate-tiny-bootstrap": ("estimate", "--input", "tiny.csv", "--se", "bootstrap",
+                                "--B", "50", "--seed", "1"),
+    "study1": ("simulate", "study1", *SIM),
+    "coverage": ("simulate", "coverage", *SIM),
+    "study2": ("simulate", "study2", "--scenario", "1", "--grid", "0.01:0.35:0.17",
+               "--replicates", "10", "--seed", "1"),
+    "custom-small": ("simulate", "custom", "--NA", "40", "--NB", "30", "--alpha", "0.05",
+                     "--p1A", "0.2", "--p2A", "0.2", *SIM),
+}
+
+
+def _hex_floats(value):
+    """``value`` with every float, however deeply nested, as ``float.hex``."""
+    if isinstance(value, dict):
+        return {key: _hex_floats(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_hex_floats(item) for item in value]
+    if isinstance(value, float):
+        return value.hex()
+    return value
+
+
+def _write_tables(work: Path) -> None:
+    for name, (a, b) in TABLES.items():
+        rows = ["stratum,x11,x10,x01", "A," + ",".join(map(str, a)), "B," + ",".join(map(str, b))]
+        (work / f"{name}.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+
+
+def run(name: str, command: tuple[str, ...], work: Path) -> dict:
+    """One command's exit code, output streams, report results and CSV."""
+    stem = work / name
+    argv = [str(work / arg) if arg.endswith(".csv") else arg for arg in command]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli_main([*argv, "--output", str(stem)])
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    report = stem.with_name(stem.name + ".report.json")
+    summary = stem.with_name(stem.name + ".summary.csv")
+
+    def lines(text: str) -> list[str]:
+        return text.replace(str(work), "<work>").splitlines()
+
+    return {
+        "exit": code,
+        "stdout": lines(out.getvalue()),
+        "stderr": lines(err.getvalue()),
+        "results": (_hex_floats(json.loads(report.read_text(encoding="utf-8"))["results"])
+                    if report.exists() else None),
+        "csv": lines(summary.read_text(encoding="utf-8")) if summary.exists() else None,
+    }
+
+
+def digest() -> dict[str, dict]:
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        _write_tables(work)
+        return {name: run(name, command, work) for name, command in COMMANDS.items()}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    action = parser.add_mutually_exclusive_group(required=True)
+    action.add_argument("--output", help="write the command digest to this file")
+    action.add_argument("--compare", nargs=2, metavar=("BEFORE", "AFTER"),
+                        help="compare two digest files")
+    args = parser.parse_args(argv)
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            json.dump(digest(), fh, indent=1, sort_keys=True)
+            fh.write("\n")
+        return 0
+    loaded = []
+    for path in args.compare:
+        with open(path, encoding="utf-8") as fh:
+            loaded.append(json.load(fh))
+    return 1 if compare(*loaded) else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
