@@ -199,6 +199,11 @@ def cmd_estimate(args) -> int:
     )
     try:
         fit = mle.fit(data, options)
+        if not fit.converged:  # the best local maximum is a start that stalled
+            raise NonConvergenceError(
+                f"the best start did not reach gradient tolerance {options.gradient_tolerance}",
+                fit.per_start_diagnostics,
+            )
     except NonConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         for diag in exc.diagnostics:
@@ -401,14 +406,7 @@ def cmd_simulate_coverage(args) -> int:
             f"{_fmt_size(row.mean_upper):>12}{row.coverage:>10.4f}{row.n_used:>6}"
         )
     print(f"failures={result.failures} redraws={result.redraws}")
-    results = {
-        "config": asdict(config),
-        "level": result.level,
-        "rows": [asdict(row) for row in result.rows],
-        "failures": result.failures,
-        "redraws": result.redraws,
-        "reduced_fallbacks": result.reduced_fallbacks,
-    }
+    results = asdict(result)
     header = ("quantity", "method", "mean_lower", "mean_upper", "coverage", "n_used")
     _write_outputs(
         args, "coverage", [], args.seed, results, header, _record_rows(results["rows"], header)
@@ -441,14 +439,7 @@ def cmd_simulate_study2(args) -> int:
         f"replicates/point={result.replicates} fit_failures={result.fit_failures} "
         f"reduced_fallbacks={result.reduced_fallbacks}"
     )
-    results = {
-        "scenario": result.scenario,
-        "grid": list(result.grid),
-        "replicates": result.replicates,
-        "rows": [asdict(row) for row in result.rows],
-        "fit_failures": result.fit_failures,
-        "reduced_fallbacks": result.reduced_fallbacks,
-    }
+    results = asdict(result)
     header = ("grid_value", "estimator", "quantity", "truth", "n_used", "mean", "bias",
               "relative_bias_pct", "rmse")
     _write_outputs(

@@ -102,6 +102,18 @@ class FitResult:
 
 # --- constraint boxes --------------------------------------------------------
 
+# Per mode, the map theta[i] = scale[i] * u[sel[i]] from solver coordinates u
+# to the six parameters: the parameter of each coordinate (indices into
+# PARAM_NAMES), ``sel``, and the parameters tied to another's coordinate,
+# whose scale is a data ratio (the others have scale 1). In reduced mode N_A
+# follows N_B and p2A follows p2B. ``sel`` never decreases, so the
+# derivatives meet the coordinates in order.
+_COORDINATES = {
+    "reduced": ((1, 2, 3, 5), (0, 0, 1, 2, 3, 3), (0, 4)),
+    "full": ((0, 1, 2, 3, 4, 5), (0, 1, 2, 3, 4, 5), ()),
+}
+
+
 def _stratum_boxes(data: SurveyData) -> tuple[tuple[float, float], tuple[float, float]]:
     """Per-stratum size boxes [observed total, naive estimate]."""
     out = []
@@ -114,38 +126,40 @@ def _stratum_boxes(data: SurveyData) -> tuple[tuple[float, float], tuple[float, 
     return out[0], out[1]
 
 
-def _reduced_nb_box(boxes, ratio: float) -> tuple[float, float]:
-    """Box for N_B with the N_A box of the per-stratum ``boxes`` mapped
-    through the size ratio."""
-    (lo_a, hi_a), (lo_b, hi_b) = boxes
-    lo = max(lo_b, lo_a / ratio)
-    hi = min(hi_b, hi_a / ratio)
-    # division then re-multiplication can overshoot by an ulp; walk the
-    # endpoints until every in-box N_B maps inside the N_A box exactly
-    while hi > lo and (ratio * hi > hi_a or hi > hi_b):
-        hi = math.nextafter(hi, 0.0)
-    while lo < hi and (ratio * lo < lo_a or lo < lo_b):
-        lo = math.nextafter(lo, math.inf)
-    if not lo < hi:
-        raise InfeasibleConstraintsError(
-            "size constraints admit no stratum-B value: "
-            f"max({lo_b:.1f}, {lo_a / ratio:.1f}) >= min({hi_b:.1f}, {hi_a / ratio:.1f}); "
-            "the shared-p1 identification is infeasible for this data"
-        )
-    return lo, hi
-
-
 def _setup(data: SurveyData, mode: str):
-    """The constants of one table's problem: the per-stratum size boxes, the
-    size ratio and p2A multiplier, the N_B box and the upper bound of p2B.
-    In reduced mode N_B's box is mapped through the size ratio and p2B's
-    bound keeps p2A = multiplier * p2B at most 1."""
-    boxes = _stratum_boxes(data)
+    """The constants of one table's problem: the six parameters' boxes, the
+    size ratio and p2A multiplier, the ``scale`` of the mode's map and the
+    box (lo, hi) of each solver coordinate. A coordinate's box is the
+    intersection of its parameters' boxes, each divided by the parameter's
+    scale. Raises InfeasibleConstraintsError when a coordinate's box leaves
+    no room for a start: every value at least the start margin inside it
+    must map strictly inside each of its parameters' boxes."""
+    coords, sel, tied = _COORDINATES[mode]
+    box = (*_stratum_boxes(data), (0.0, 1.0), (0.0, 1.0), (0.0, 1.0), (0.0, 1.0))
     ratio, multiplier = model.size_ratio(data), model.p2a_ratio(data)
-    if mode == "full":
-        return boxes, ratio, multiplier, boxes[1], 1.0
-    p2b_hi = min(1.0, 1.0 / multiplier) if multiplier > 0.0 else 1.0
-    return boxes, ratio, multiplier, _reduced_nb_box(boxes, ratio), p2b_hi
+    ties = (ratio, 1.0, 1.0, 1.0, multiplier, 1.0)
+    scale = [1.0] * 6
+    lo, hi = [box[i][0] for i in coords], [box[i][1] for i in coords]
+    for i in tied:
+        c, s, (b_lo, b_hi) = sel[i], ties[i], box[i]
+        scale[i] = s
+        lo[c], hi[c] = max(lo[c], b_lo / s), min(hi[c], b_hi / s)
+        # division then re-multiplication can overshoot by an ulp; walk the
+        # endpoints until every in-box coordinate maps inside the box exactly
+        while hi[c] > lo[c] and s * hi[c] > b_hi:
+            hi[c] = math.nextafter(hi[c], 0.0)
+        while lo[c] < hi[c] and s * lo[c] < b_lo:
+            lo[c] = math.nextafter(lo[c], math.inf)
+    for (b_lo, b_hi), s, c in zip(box, scale, sel):
+        pad = _START_MARGIN * (hi[c] - lo[c])
+        if not (lo[c] < hi[c] and b_lo < s * (lo[c] + pad) and s * (hi[c] - pad) < b_hi):
+            names = [PARAM_NAMES[i] for i, d in enumerate(sel) if d == c]
+            raise InfeasibleConstraintsError(
+                f"no {PARAM_NAMES[coords[c]]} value keeps {' and '.join(names)} strictly inside "
+                f"{'their boxes' if len(names) > 1 else 'its box'}: "
+                f"[{lo[c]:.6g}, {hi[c]:.6g}] has no interior"
+            )
+    return box, (ratio, multiplier), tuple(scale), lo, hi
 
 
 def _margin_clip(value: float, lo: float, hi: float, margin: float) -> float:
@@ -162,9 +176,12 @@ def starting_points(data: SurveyData, options: FitOptions | None = None) -> list
     observed total and 0.8x the pooled naive estimate) with the alpha grid
     (0.05, 0.10, 0.02, 0.20); p1 is the pooled list-1 rate under each size
     hypothesis and p2B the stratum-B list-2 rate under its implied share.
-    All points sit strictly inside the constraint box with a 1e-4 margin.
-    Requests beyond the 12 grid points are filled with seeded uniform
-    interior draws.
+    The data ratios tie N_A and p2A to each point, and every solver
+    coordinate of the mode is clipped into its box with a 1e-4 margin, so
+    all points sit strictly inside the six-parameter box. Requests beyond
+    the 12 grid points are filled with seeded uniform interior draws.
+    Raises FitError when the table has no such box (x11 = 0, or a
+    coordinate box with no interior, as when x10 * x01 = 0 in a stratum).
     """
     options = options or FitOptions()
     return _starts(data, options, _setup(data, options.mode))
@@ -172,7 +189,8 @@ def starting_points(data: SurveyData, options: FitOptions | None = None) -> list
 
 def _starts(data: SurveyData, options: FitOptions, setup) -> list[ModelParams]:
     """``starting_points`` from the table's ``_setup``."""
-    ((na_lo, na_hi), _), ratio, multiplier, (nb_lo, nb_hi), p2b_hi = setup
+    _, (ratio, multiplier), scale, lo, hi = setup
+    coords, sel, _ = _COORDINATES[options.mode]
     pooled = data.pooled()
     x0_pool = float(pooled.total)
     naive_pool = naive_estimate(pooled)
@@ -180,67 +198,61 @@ def _starts(data: SurveyData, options: FitOptions, setup) -> list[ModelParams]:
     hi_anchor = 0.8 * naive_pool
     anchors = ((lo_anchor + hi_anchor) / 2.0, lo_anchor, hi_anchor)
     x2b = float(data.stratum_b.n_list2)
+    n_b_at = sel[1]  # N_B's coordinate
 
-    def point(n_b: float, alpha: float, p1: float, p2b: float) -> ModelParams:
-        # model.expand, with the data ratios computed once
-        n_a, p2a = ratio * n_b, min(multiplier * p2b, 1.0)
-        if options.mode == "full":
-            n_a = _margin_clip(n_a, na_lo, na_hi, _START_MARGIN)
-            p2a = _margin_clip(p2a, 0.0, 1.0, _START_MARGIN)
-        return ModelParams(n_a, n_b, alpha, p1, p2a, p2b)
+    def tie(n_b: float, p1: float, p2b: float) -> list[float]:
+        """The six parameters of a grid point, with its data ratios, each
+        solver coordinate clipped into its box; alpha (index 2) is the
+        caller's to set."""
+        theta = (ratio * n_b, n_b, 0.5, p1, multiplier * p2b, p2b)
+        u = [_margin_clip(theta[i], lo[c], hi[c], _START_MARGIN) for c, i in enumerate(coords)]
+        return [s * u[c] for s, c in zip(scale, sel)]
 
     points: list[ModelParams] = []
     for total in anchors:
-        n_b = _margin_clip(total / (1.0 + ratio), nb_lo, nb_hi, _START_MARGIN)
-        p1 = _margin_clip(pooled.n_list1 / total, 0.0, 1.0, _START_MARGIN)
-        p2b = _margin_clip(x2b / n_b, 0.0, p2b_hi, _START_MARGIN)
+        n_b = _margin_clip(total / (1.0 + ratio), lo[n_b_at], hi[n_b_at], _START_MARGIN)
+        theta = tie(n_b, pooled.n_list1 / total, x2b / n_b)
         for alpha in _ALPHA_GRID:
-            points.append(point(n_b, alpha, p1, p2b))
+            theta[2] = alpha
+            points.append(ModelParams(*theta))
             if len(points) == options.n_starts:
                 return points
 
     rng = stream(options.seed, 0)
     while len(points) < options.n_starts:
-        n_b = nb_lo + (nb_hi - nb_lo) * (_START_MARGIN + (1 - 2 * _START_MARGIN) * rng.random())
-        alpha = _START_MARGIN + (1 - 2 * _START_MARGIN) * rng.random()
-        p1 = _START_MARGIN + (1 - 2 * _START_MARGIN) * rng.random()
-        p2b = p2b_hi * (_START_MARGIN + (1 - 2 * _START_MARGIN) * rng.random())
-        points.append(point(n_b, alpha, p1, p2b))
+        n_b, alpha, p1, p2b = (
+            lo[c] + (hi[c] - lo[c]) * (_START_MARGIN + (1 - 2 * _START_MARGIN) * rng.random())
+            for c in (n_b_at, sel[2], sel[3], sel[5])
+        )
+        theta = tie(n_b, p1, p2b)
+        theta[2] = alpha
+        points.append(ModelParams(*theta))
     return points
 
 
 # --- solver ------------------------------------------------------------------
 
-def _trimmed_bounds(lo: np.ndarray, hi: np.ndarray, size_idx: tuple[int, ...],
-                    prob_trim: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+def _trimmed_bounds(lo, hi, coords) -> tuple[list[float], list[float]]:
     """Pull the optimizer strictly off boundaries where the objective or its
     gradient diverges (zero cell probabilities, N at the observed total)."""
-    lo_t, hi_t = lo.copy(), hi.copy()
-    for i in range(lo.size):
-        width = hi[i] - lo[i]
-        if i in size_idx:
-            lo_t[i] = max(lo[i] + 1e-9 * width, lo[i] * (1.0 + 1e-12))
+    lo_t, hi_t = [], []
+    for c_lo, c_hi, i in zip(lo, hi, coords):
+        if i in (0, 1):  # a size
+            lo_t.append(max(c_lo + 1e-9 * (c_hi - c_lo), c_lo * (1.0 + 1e-12)))
+            hi_t.append(c_hi)
         else:
-            lo_t[i] = max(lo[i], prob_trim) if lo[i] == 0.0 else lo[i]
-            hi_t[i] = hi[i] * (1.0 - prob_trim)
+            lo_t.append(max(c_lo, 1e-10))
+            hi_t.append(c_hi * (1.0 - 1e-10))
     return lo_t, hi_t
 
 
 # The solver works on batches. Arrays of shape (P, K) hold one start per
 # column in solver coordinates u (P = 4 in reduced mode, 6 in full mode),
 # next to the constants of the start's table: counts (8, K), box, and the
-# ``scale`` (6, K) of the linear map from u to the six parameters,
-# theta[i] = scale[i] * u[sel[i]], whose ``sel`` is one per mode. Every
-# operation acts on each column alone, so a start's result does not depend
-# on which other starts share its batch.
-
-# Per mode, the solver coordinates (indices into PARAM_NAMES) and ``sel``;
-# in reduced mode N_A follows N_B and p2A follows p2B. ``sel`` never
-# decreases, so the derivatives meet the coordinates in order.
-_COORDINATES = {
-    "reduced": ((1, 2, 3, 5), (0, 0, 1, 2, 3, 3)),
-    "full": ((0, 1, 2, 3, 4, 5), (0, 1, 2, 3, 4, 5)),
-}
+# ``scale`` (6, K) of the mode's map from u to the six parameters,
+# theta[i] = scale[i] * u[sel[i]] (``_COORDINATES``). Every operation acts
+# on each column alone, so a start's result does not depend on which other
+# starts share its batch.
 
 
 class _Chain(NamedTuple):
@@ -332,17 +344,18 @@ def _ascent_step(hess, grad):
     """Newton steps with the curvature signs flipped to concave, taken in
     coordinates scaled to unit Hessian diagonal (sizes and probabilities
     differ by orders of magnitude); NaN where the scaled system is not
-    finite. ``hess`` is scaled in place, so callers pass a copy."""
+    finite, and not finite where it is singular. ``hess`` is scaled in
+    place, so callers pass a copy."""
     with np.errstate(divide="ignore", invalid="ignore"):
         d = np.sqrt(np.abs(np.diagonal(hess, axis1=1, axis2=2)))
         hess /= d[:, :, None] * d[:, None, :]
         gd = grad / d
-    step = np.full(grad.shape, np.nan)
-    ok = np.isfinite(hess).all(axis=(1, 2)) & np.isfinite(gd).all(axis=1)
-    if ok.any():
-        lam, vec = np.linalg.eigh(hess if ok.all() else hess[ok])
-        y = np.matmul(np.swapaxes(vec, 1, 2), gd[ok][..., None])[..., 0] / np.abs(lam)
-        step[ok] = np.matmul(vec, y[..., None])[..., 0] / d[ok]
+        step = np.full(grad.shape, np.nan)
+        ok = np.isfinite(hess).all(axis=(1, 2)) & np.isfinite(gd).all(axis=1)
+        if ok.any():
+            lam, vec = np.linalg.eigh(hess if ok.all() else hess[ok])
+            y = np.matmul(np.swapaxes(vec, 1, 2), gd[ok][..., None])[..., 0] / np.abs(lam)
+            step[ok] = np.matmul(vec, y[..., None])[..., 0] / d[ok]
     return step
 
 
@@ -459,32 +472,23 @@ def _line_search(run, step):
 class _Problem:
     """One table's constrained problem in solver coordinates."""
 
-    data: SurveyData
     counts: tuple[float, ...]
-    lo_t: np.ndarray
-    hi_t: np.ndarray
+    lo_t: list[float]
+    hi_t: list[float]
     scale: tuple[float, ...]  # theta[i] = scale[i] * u[sel[i]]
     ratios: tuple[float, float]  # size ratio, p2A multiplier
-    boxes: tuple[tuple[float, float], tuple[float, float]]  # per-stratum size boxes
+    box: tuple[tuple[float, float], ...]  # the six parameters' boxes
     starts: list[ModelParams]
 
 
 def _problem(data: SurveyData, options: FitOptions) -> _Problem:
-    """The box and the starts of one table; raises the package error that
-    makes the table unfittable."""
+    """The trimmed box and the starts of one table; raises the package error
+    that makes the table unfittable."""
     setup = _setup(data, options.mode)
-    boxes, ratio, multiplier, nb_box, p2b_hi = setup
-    if options.mode == "full" and not all(lo < hi for lo, hi in boxes):
-        raise FitError("a stratum size box is degenerate (x10 * x01 = 0)")
-    coords, _ = _COORDINATES[options.mode]
-    # N_B's box and p2B's bound are the reduced ones in reduced mode, where
-    # the tied N_A and p2A are not solver coordinates but take their ratios
-    lo, hi = np.array([boxes[0], nb_box, (0.0, 1.0), (0.0, 1.0), (0.0, 1.0), (0.0, p2b_hi)]).T
-    lo_t, hi_t = _trimmed_bounds(lo, hi, size_idx=(0, 1))
-    ties = (ratio, 1.0, 1.0, 1.0, multiplier, 1.0)
-    scale = tuple(1.0 if i in coords else tie for i, tie in enumerate(ties))
-    return _Problem(data, model._counts(data), lo_t[list(coords)], hi_t[list(coords)], scale,
-                    (ratio, multiplier), boxes, _starts(data, options, setup))
+    box, ratios, scale, lo, hi = setup
+    lo_t, hi_t = _trimmed_bounds(lo, hi, _COORDINATES[options.mode][0])
+    return _Problem(model._counts(data), lo_t, hi_t, scale, ratios, box,
+                    _starts(data, options, setup))
 
 
 def _result(problem: _Problem, u, values, pg_norms, iterations, messages, options):
@@ -492,8 +496,7 @@ def _result(problem: _Problem, u, values, pg_norms, iterations, messages, option
     NonConvergenceError when no start converged."""
     diagnostics: list[StartDiagnostics] = []
     best = None  # (ll, total, start index, pg, iterations, converged)
-    _, sel = _COORDINATES[options.mode]
-    theta = _expand(u, np.array(problem.scale)[:, None], sel)
+    theta = _expand(u, np.array(problem.scale)[:, None], _COORDINATES[options.mode][1])
     totals = (theta[0] + theta[1]).tolist()
     for k, (start, value, pg_norm, n_iter, message, total) in enumerate(zip(
         problem.starts, values, pg_norms, iterations, messages, totals
@@ -527,8 +530,7 @@ def _result(problem: _Problem, u, values, pg_norms, iterations, messages, option
     p2_gap = abs(params.p2a - expected_p2a) / denom if denom > 0.0 else 0.0
 
     active = set()
-    bounds = problem.boxes + ((0.0, 1.0),) * 4
-    for name, value_i, (b_lo, b_hi) in zip(PARAM_NAMES, params.as_tuple(), bounds):
+    for name, value_i, (b_lo, b_hi) in zip(PARAM_NAMES, params.as_tuple(), problem.box):
         tol_i = _ACTIVITY_TOL * (b_hi - b_lo)
         if value_i - b_lo <= tol_i or b_hi - value_i <= tol_i:
             active.add(name)
@@ -571,7 +573,7 @@ def fit_many(tables, options: FitOptions | None = None) -> list:
     if not problems:
         return outcomes
 
-    coords, sel = _COORDINATES[options.mode]
+    coords, sel, _ = _COORDINATES[options.mode]
 
     def columns(per_table):
         return np.array(per_table, dtype=float).T

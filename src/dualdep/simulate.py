@@ -298,15 +298,6 @@ def _fit_draws(surveys: list[SurveyData], options: FitOptions) -> list:
     return [(o, f and not isinstance(o, DualdepError)) for o, f in zip(outcomes, fallback)]
 
 
-def _fit_generated(survey: SurveyData, options: FitOptions):
-    """``_fit_draws`` for one draw, raising the package error instead of
-    returning it."""
-    ((outcome, fallback),) = _fit_draws([survey], options)
-    if isinstance(outcome, DualdepError):
-        raise outcome
-    return outcome, fallback
-
-
 # --- replicates ------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)

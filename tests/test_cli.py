@@ -369,6 +369,20 @@ def test_estimate_iteration_cap_exit_code(q1_csv, capsys):
     assert err.count("iteration cap reached") == 12
 
 
+def test_estimate_unconverged_best_start_exit_code(tmp_path, capsys):
+    # with counts near 1e9 the log-likelihood (about 3.1e10) has float
+    # spacing above the tie tolerance, so a stalled start wins the fit
+    path = tmp_path / "large.csv"
+    path.write_text("stratum,x11,x10,x01\nA,10000000,800000000,300000000\n"
+                    "B,50000000,200000000,300000000\n", encoding="utf-8")
+    code = main(["estimate", "--input", str(path), "--se", "hessian"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "gradient tolerance" in err
+    assert err.count("  start ll=") == 12  # per-start diagnostics are printed
+    assert not path.with_name("large.report.json").exists()
+
+
 def test_cli_import_leaves_scipy_unloaded():
     # scipy is not a dependency; importing it would cost most of the start-up time
     import dualdep

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dualdep import mle, model
 from dualdep._parallel import stream
@@ -15,7 +15,7 @@ from dualdep.model import (
     ModelParams, ReducedParams, expand, gradient, hessian, log_likelihood, size_ratio, p2a_ratio,
 )
 from dualdep.simulate import (
-    GeneratorConfig, _draw_survey, _fit_generated, _scenario_config, study1_config,
+    GeneratorConfig, _draw_survey, _fit_draws, _scenario_config, study1_config,
 )
 from dualdep.tables import CellCounts, SurveyData, naive_estimate
 
@@ -116,13 +116,11 @@ def test_refit_from_optimum_is_stable(q1):
     mult = p2a_ratio(q1)
     u0 = np.array([[result.params.n_b, result.params.alpha, result.params.p1, result.params.p2b]]).T
     scale = np.array([[ratio, 1.0, 1.0, 1.0, mult, 1.0]]).T
-    nb_lo, nb_hi = mle._reduced_nb_box(mle._stratum_boxes(q1), ratio)
-    lo_t, hi_t = mle._trimmed_bounds(
-        np.array([nb_lo, 0.0, 0.0, 0.0]), np.array([nb_hi, 1.0, 1.0, min(1.0, 1.0 / mult)]),
-        size_idx=(0,),
-    )
+    _, _, _, lo, hi = mle._setup(q1, "reduced")
+    lo_t, hi_t = mle._trimmed_bounds(lo, hi, mle._COORDINATES["reduced"][0])
     _, (value,), _, _, _ = mle._solve_start(
-        u0, [0], counts, scale, (0, 0, 1, 2, 3, 3), lo_t[:, None], hi_t[:, None], 500, 1e-8
+        u0, [0], counts, scale, (0, 0, 1, 2, 3, 3), np.array([lo_t]).T, np.array([hi_t]).T,
+        500, 1e-8,
     )
     assert abs(value - result.log_likelihood) < 1e-8
 
@@ -178,7 +176,7 @@ def test_reduced_box_maps_exactly_inside_stratum_boxes():
     # ulp of overshoot
     data = SurveyData(CellCounts(10, 10, 80), CellCounts(10, 10, 90))
     ratio = size_ratio(data)
-    lo, hi = mle._reduced_nb_box(mle._stratum_boxes(data), ratio)
+    _, _, _, (lo, *_), (hi, *_) = mle._setup(data, "reduced")
     assert data.stratum_b.total <= lo < hi <= naive_estimate(data.stratum_b)
     assert data.stratum_a.total <= ratio * lo
     assert ratio * hi <= naive_estimate(data.stratum_a)
@@ -191,6 +189,65 @@ def test_fit_infeasible_reduced_box_raises():
         fit(data)
     full = fit(data, FitOptions(mode="full"))
     assert full.converged
+
+
+@pytest.mark.parametrize("mode", ["reduced", "full"])
+@pytest.mark.parametrize("stratum", ["A", "B"])
+def test_degenerate_size_box_raises_before_any_start(mode, stratum):
+    # x10 * x01 = 0 makes the naive estimate the observed total: the size
+    # box is one point, with no interior to start in
+    degenerate, other = CellCounts(10, 0, 40), CellCounts(30, 60, 70)
+    data = SurveyData(degenerate, other) if stratum == "A" else SurveyData(other, degenerate)
+    options = FitOptions(mode=mode)
+    with pytest.raises(InfeasibleConstraintsError):
+        starting_points(data, options)
+    with pytest.raises(InfeasibleConstraintsError):
+        fit(data, options)
+
+
+def strictly_inside(params, data):
+    for counts, n in ((data.stratum_a, params.n_a), (data.stratum_b, params.n_b)):
+        if not counts.total < n < naive_estimate(counts):
+            return False
+    return all(0.0 < v < 1.0 for v in (params.alpha, params.p1, params.p2a, params.p2b))
+
+
+edge_count = st.one_of(st.just(0), st.integers(0, 10**4), st.integers(0, 10**9))
+edge_stratum = st.builds(CellCounts, st.one_of(st.just(1), st.integers(1, 10**9)),
+                         edge_count, edge_count)
+INFEASIBLE_REDUCED = SurveyData(CellCounts(5, 9000, 50), CellCounts(50, 100, 5000))
+LARGE_COUNTS = SurveyData(CellCounts(10_000_000, 800_000_000, 300_000_000),
+                          CellCounts(50_000_000, 200_000_000, 300_000_000))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.builds(SurveyData, edge_stratum, edge_stratum),
+       mode=st.sampled_from(["reduced", "full"]))
+@example(data=SurveyData(CellCounts(10, 0, 40), CellCounts(30, 60, 70)), mode="full")
+@example(data=SurveyData(CellCounts(30, 60, 70), CellCounts(10, 40, 0)), mode="full")
+@example(data=SurveyData(CellCounts(1, 300, 200), CellCounts(1, 5, 7)), mode="reduced")
+# stratum B's box is 2e-7 wide at 5e6: its start margin rounds onto the bounds
+@example(data=SurveyData(CellCounts(100, 8900, 3641), CellCounts(5_000_000, 1, 1)), mode="full")
+@example(data=INFEASIBLE_REDUCED, mode="reduced")
+@example(data=INFEASIBLE_REDUCED, mode="full")
+@example(data=LARGE_COUNTS, mode="reduced")
+@example(data=LARGE_COUNTS, mode="full")
+def test_edge_tables_start_and_fit_inside_the_box(data, mode):
+    # a table either has no fit, for a package reason, or its starts sit
+    # strictly inside the six-parameter box and its fit inside it
+    options = FitOptions(mode=mode)
+    try:
+        starts = starting_points(data, options)
+    except FitError:
+        starts = None
+    else:
+        assert all(strictly_inside(p, data) for p in starts), starts
+    (outcome,) = fit_many([data], options)
+    if isinstance(outcome, DualdepError):
+        assert isinstance(outcome, FitError), outcome
+    else:
+        assert starts is not None
+        assert in_box(outcome.params, data), outcome.params
 
 
 def test_fit_quarters_all_converge():
@@ -229,20 +286,16 @@ def held_at_bounds(result, data):
     """
     params = result.params
     grad = gradient(params, data)
-    (na_lo, na_hi), (nb_lo, nb_hi) = mle._stratum_boxes(data)
+    _, _, _, lo, hi = mle._setup(data, result.mode)
+    lo, hi = np.array(lo), np.array(hi)
     if result.mode == "reduced":
         mult = p2a_ratio(data)
         jac = np.zeros((6, 4))
         jac[[0, 1, 2, 3, 4, 5], [0, 0, 1, 2, 3, 3]] = (size_ratio(data), 1, 1, 1, mult, 1)
         grad = jac.T @ grad
         coords = np.array([params.n_b, params.alpha, params.p1, params.p2b])
-        nb_lo, nb_hi = mle._reduced_nb_box(mle._stratum_boxes(data), size_ratio(data))
-        lo = np.array([nb_lo, 0.0, 0.0, 0.0])
-        hi = np.array([nb_hi, 1.0, 1.0, min(1.0, 1.0 / mult)])
     else:
         coords = params.as_array()
-        lo = np.array([na_lo, nb_lo, 0.0, 0.0, 0.0, 0.0])
-        hi = np.array([na_hi, nb_hi, 1.0, 1.0, 1.0, 1.0])
     # the fit's activity tolerance (1e-6 of the width), with room for the
     # solver keeping a hair inside the box
     band = 2e-6 * (hi - lo)
@@ -272,7 +325,7 @@ def test_fit_first_order_optimal_on_bounds():
     held = 0
     for rep in range(4):
         survey, _ = _draw_survey(config, stream(config.seed, rep))
-        result, fallback = _fit_generated(survey, FitOptions())
+        ((result, fallback),) = _fit_draws([survey], FitOptions())
         assert fallback and result.mode == "full" and result.converged
         held += held_at_bounds(result, survey)
     assert held >= 4
@@ -364,14 +417,13 @@ def solver_derivatives(data, mode, u):
     k = u.shape[1]
     counts = np.repeat(np.array(model._counts(data))[:, None], k, axis=1)
     scale = np.repeat(np.array(mle._problem(data, FitOptions(mode=mode)).scale)[:, None], k, axis=1)
-    _, sel = mle._COORDINATES[mode]
+    _, sel, _ = mle._COORDINATES[mode]
     return mle._gradient(u, counts, scale, sel), mle._hessian(u, counts, scale, sel)
 
 
 def reduced_interior_points(rng, data, k):
     """k random points (N_B, alpha, p1, p2B) inside the reduced box, as columns."""
-    nb_lo, nb_hi = mle._reduced_nb_box(mle._stratum_boxes(data), size_ratio(data))
-    p2b_hi = min(1.0, 1.0 / p2a_ratio(data))
+    _, _, _, (nb_lo, _, _, _), (nb_hi, _, _, p2b_hi) = mle._setup(data, "reduced")
     return np.array([
         nb_lo + (nb_hi - nb_lo) * rng.uniform(0.1, 0.9, k), rng.uniform(0.02, 0.6, k),
         rng.uniform(0.05, 0.9, k), p2b_hi * rng.uniform(0.05, 0.9, k),

@@ -1,8 +1,8 @@
 """Fit a fixed seeded corpus and write every field of every fit, exactly.
 
-The corpus is the four published quarters, five edge tables, 40 study-1 draws
-and 60 study-2 scenario-1 draws (20 each at p1B = 0.01, 0.15 and 0.35), each
-fitted in reduced and full mode with 1, 12 and 15 starts: 109 tables, 654
+The corpus is the four published quarters, seven edge tables, 40 study-1
+draws and 60 study-2 scenario-1 draws (20 each at p1B = 0.01, 0.15 and 0.35),
+each fitted in reduced and full mode with 1, 12 and 15 starts: 111 tables, 666
 fits. Each fit is written as JSON with floats as ``float.hex`` (so two files
 are equal exactly when the fits are bit-identical) and active sets sorted (so
 the file does not depend on the set's iteration order). A fit that raises is
@@ -40,7 +40,11 @@ QUARTERS = {
 EDGES = {
     "corner": ((201, 4162, 4390), (406, 2574, 3265)),  # maximum on the N_B and p2B bounds
     "degenerate-box": ((10, 0, 40), (30, 60, 70)),  # x10 * x01 = 0 in stratum A
+    "degenerate-box-b": ((30, 60, 70), (10, 40, 0)),  # x10 * x01 = 0 in stratum B
     "infeasible-reduced": ((5, 9000, 50), (50, 100, 5000)),  # empty mapped N_B box
+    # log-likelihood about 3.1e10: its rounding noise outweighs the tie tolerance
+    "large-counts": ((10_000_000, 800_000_000, 300_000_000),
+                     (50_000_000, 200_000_000, 300_000_000)),
     "tiny": ((2, 3, 4), (1, 2, 3)),
     "x11A-zero": ((0, 10, 10), (5, 5, 5)),
 }

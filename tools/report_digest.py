@@ -2,9 +2,11 @@
 
 The commands are ``estimate`` on Q1 (reduced and full mode), on Q4 with 15
 starts and on a table whose maximum sits on the N_B and p2B bounds; the
-study-1, coverage and study-2 simulations; and two edge commands: a
-bootstrap on a tiny table that fails too many replicates (exit 1) and a
-small custom study with many zero-x11 redraws and full-mode fallbacks. For
+study-1, coverage and study-2 simulations; and three edge commands: a
+bootstrap on a tiny table that fails too many replicates (exit 1), a
+small custom study with many zero-x11 redraws and full-mode fallbacks, and
+standard errors on a table with counts near 1e9 whose best start did not
+converge (exit 1). For
 each command the digest holds its exit code, stdout and stderr, the report's
 ``results`` (floats as ``float.hex``, so equal files mean bit-identical
 results) and the summary CSV. The work directory is written as ``<work>``,
@@ -28,15 +30,16 @@ import sys
 import tempfile
 from pathlib import Path
 
-from fit_digest import QUARTERS, compare
+from fit_digest import EDGES, QUARTERS, compare
 
 from dualdep.cli import main as cli_main
 
 TABLES = {
     "q1": QUARTERS["Q1"],
     "q4": QUARTERS["Q4"],
-    "corner": ((201, 4162, 4390), (406, 2574, 3265)),
-    "tiny": ((2, 3, 4), (1, 2, 3)),
+    "corner": EDGES["corner"],
+    "tiny": EDGES["tiny"],
+    "large": EDGES["large-counts"],
 }
 SIM = ("--replicates", "40", "--seed", "1")
 COMMANDS = {
@@ -46,6 +49,7 @@ COMMANDS = {
     "estimate-q4-starts15": ("estimate", "--input", "q4.csv", "--B", "50", "--seed", "2",
                              "--starts", "15"),
     "estimate-corner-hessian": ("estimate", "--input", "corner.csv", "--se", "hessian"),
+    "estimate-large-hessian": ("estimate", "--input", "large.csv", "--se", "hessian"),
     "estimate-tiny-bootstrap": ("estimate", "--input", "tiny.csv", "--se", "bootstrap",
                                 "--B", "50", "--seed", "1"),
     "study1": ("simulate", "study1", *SIM),
