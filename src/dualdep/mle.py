@@ -39,7 +39,17 @@ DEFAULT_SEED = 20180331
 _ALPHA_GRID = (0.05, 0.10, 0.02, 0.20)  # midpoint-ish value first
 _START_MARGIN = 1e-4
 _ACTIVITY_TOL = 1e-6
+# Two starts' log-likelihoods tie within 1e-9 or 16 ulps of the larger
+# magnitude, whichever is wider: the rounding noise of the likelihood's sum
+# grows with its size (about 4e-6 per ulp at counts near 1e9).
 _TIE_TOL = 1e-9
+_TIE_ULPS = 16
+
+
+def _tie_band(a: float, b: float) -> float:
+    """The gap within which log-likelihoods ``a`` and ``b`` tie."""
+    size = max(abs(a), abs(b))
+    return max(_TIE_TOL, _TIE_ULPS * math.ulp(size)) if math.isfinite(size) else _TIE_TOL
 
 
 @dataclass(frozen=True)
@@ -252,7 +262,7 @@ def _trimmed_bounds(lo, hi, coords) -> tuple[list[float], list[float]]:
 # ``scale`` (6, K) of the mode's map from u to the six parameters,
 # theta[i] = scale[i] * u[sel[i]] (``_COORDINATES``). Every operation acts
 # on each column alone, so a start's result does not depend on which other
-# starts share its batch.
+# starts share its batch, and a start that stops can leave the arrays.
 
 
 class _Chain(NamedTuple):
@@ -360,14 +370,12 @@ def _ascent_step(hess, grad):
 
 
 def _direction(run):
-    """The step of each running start: Newton on the free coordinates (zero
-    on the blocked ones), flipped to ascent where it would descend; stopped
-    starts get a zero step. Returns (step, singular, broken): the steps,
-    shape (P, K); which Newton systems were singular; and which other steps
-    are not finite."""
-    u, live = run["u"], run["live"]
+    """The step of each start: Newton on the free coordinates (zero on the
+    blocked ones), flipped to ascent where it would descend. Returns (step,
+    singular, broken): the steps, shape (P, K); which Newton systems were
+    singular; and which other steps are not finite."""
+    u, free = run["u"], run["free"]
     size = u.shape[0]
-    free = run["free"] & live
     grad = np.where(free, run["grad"], 0.0)
     # blocked coordinates get an identity row and column and a zero
     # gradient entry, so their step is zero
@@ -375,7 +383,7 @@ def _direction(run):
     np.copyto(hess, np.eye(size), where=~(free.T[:, :, None] & free.T[:, None, :]))
     step, singular = _newton_step(hess, grad.T)
     step = step.T
-    descend = live & ~((grad * step).sum(axis=0) > 0.0) & ~singular
+    descend = ~((grad * step).sum(axis=0) > 0.0) & ~singular
     if descend.any():
         step[:, descend] = _ascent_step(hess[descend], grad.T[descend]).T
     step = np.where(free, step, 0.0)
@@ -386,6 +394,13 @@ def _direction(run):
     if tiny.any():
         step = np.where(tiny, np.nextafter(u, np.copysign(np.inf, step)) - u, step)
     return step, singular, broken
+
+
+# The per-start entries of the solver state: the columns a start that stops
+# takes with it. ``start`` is the column's index in the solve's input.
+_COLUMNS = ("start", "u", "ll", "grad", "free", "pg", "it", "counts", "scale", "lo", "hi")
+# The state a start leaves behind: the solve's outputs.
+_FINAL = ("u", "ll", "pg", "it")
 
 
 def _solve_start(u0, table, counts, scale, sel, lo_t, hi_t, max_iter, tol):
@@ -403,65 +418,108 @@ def _solve_start(u0, table, counts, scale, sel, lo_t, hi_t, max_iter, tol):
     changes fall below floating-point granularity, so an ascent test alone
     stalls short of tight gradient tolerances. At most ``max_iter`` steps are
     taken. The starts iterate together: one Hessian evaluation and one
-    stacked solve serve every start. A start that converges or stops keeps
-    its column, masked out of every later step, so the arrays keep one size
-    for the whole solve and the memory allocator reuses its blocks.
+    stacked solve serve every start still moving. A start that converges or
+    stops writes its final state to the outputs and leaves the working
+    arrays, so every later evaluation covers the moving starts only.
 
     Returns (u, log_likelihood, projected_gradient_norm, iterations,
     messages), one column of u and one entry of the others per start.
     """
     table = np.asarray(table)
-    run = {"live": np.ones(table.size, dtype=bool), "it": np.zeros(table.size, dtype=int),
+    run = {"start": np.arange(table.size), "it": np.zeros(table.size, dtype=int),
            "counts": counts[:, table], "scale": scale[:, table], "sel": sel,
            "lo": lo_t[:, table], "hi": hi_t[:, table]}
     run["u"] = np.clip(u0, run["lo"], run["hi"])
-    run["ll"] = model._ll(_expand(run["u"], run["scale"], sel), run["counts"])
-    run["grad"] = _gradient(run["u"], run["counts"], run["scale"], sel)
-    run["free"], run["pg"] = _projected_gradient(run["u"], run["grad"], run["lo"], run["hi"])
+    run["ll"], run["grad"], run["free"], run["pg"] = _evaluate(
+        run["u"], run["counts"], run["scale"], sel, run["lo"], run["hi"])
+    final = {name: run[name].copy() for name in _FINAL}
     messages = [""] * table.size
 
-    def stop(done, message):
-        done = done & run["live"]
-        for row in np.flatnonzero(done).tolist():
-            messages[row] = message
-        run["live"] &= ~done
+    def stop(*reasons):
+        """Stop the starts that a (mask, message) pair names, the first pair
+        naming a start giving its message: write their final state and drop
+        their columns. Returns which columns stay."""
+        done = np.logical_or.reduce([mask for mask, _ in reasons])
+        if not done.any():
+            return ~done
+        for mask, message in reversed(reasons):
+            for row in run["start"][mask].tolist():
+                messages[row] = message
+        rows = run["start"][done]
+        for name in _FINAL:
+            final[name][..., rows] = run[name][..., done]
+        for name in _COLUMNS:
+            run[name] = run[name][..., ~done]
+        return ~done
 
+    accepted = np.ones(table.size, dtype=bool)
     while True:
-        stop(run["pg"] < tol, "converged")
-        stop(run["it"] >= max_iter, "iteration cap reached")
-        if not run["live"].any():
+        stop((run["pg"] < tol, "converged"), (run["it"] >= max_iter, "iteration cap reached"),
+             (~accepted, "no acceptable step"))
+        if not run["start"].size:
             break
         step, singular, broken = _direction(run)
-        stop(singular, "singular Newton system")
-        stop(broken, "non-finite Newton step")
-        np.copyto(step, 0.0, where=~run["live"])
-        stop(~_line_search(run, step), "no acceptable step")
+        kept = stop((singular, "singular Newton system"), (broken, "non-finite Newton step"))
+        accepted = _line_search(run, step[:, kept], table.size)
 
-    return run["u"], run["ll"], run["pg"], run["it"], messages
+    return final["u"], final["ll"], final["pg"], final["it"], messages
 
 
-def _line_search(run, step):
-    """Backtrack each running start's step from full length, halving it
-    until the projected gradient shrinks or the log-likelihood rises.
-    Accepted starts move, in place, and count an iteration. Returns which
-    starts accepted a step."""
-    u, ll, grad, free, pg = run["u"], run["ll"], run["grad"], run["free"], run["pg"]
-    lo, hi, counts, scale, sel = run["lo"], run["hi"], run["counts"], run["scale"], run["sel"]
-    searching = run["live"].copy()
-    accepted = np.zeros_like(searching)
-    length = np.ones(u.shape[1])
-    while searching.any():
-        trial = np.clip(u + length * step, lo, hi)
-        ll_t = model._ll(_expand(trial, scale, sel), counts)
-        grad_t = _gradient(trial, counts, scale, sel)
-        free_t, pg_t = _projected_gradient(trial, grad_t, lo, hi)
-        ok = searching & ((pg_t < pg) | (ll_t > ll))
-        for state, new in ((u, trial), (ll, ll_t), (grad, grad_t), (free, free_t), (pg, pg_t)):
-            np.copyto(state, new, where=ok)
-        accepted |= ok
-        searching &= ~ok
-        length = np.where(searching, 0.5 * length, length)
-        searching &= length > 1e-14
+# The step lengths a line search tries, in order: repeated halving from 1
+# down to 2**-46, the shortest length above 1e-14.
+_LENGTHS = np.ldexp(1.0, -np.arange(47))
+
+
+def _evaluate(u, counts, scale, sel, lo, hi):
+    """The log-likelihood, gradient, free coordinates and projected gradient
+    at solver points u."""
+    ll = model._ll(_expand(u, scale, sel), counts)
+    grad = _gradient(u, counts, scale, sel)
+    return (ll, grad, *_projected_gradient(u, grad, lo, hi))
+
+
+# The state an accepted step moves.
+_MOVED = ("u", "ll", "grad", "free", "pg")
+
+
+def _trial(run, points, cols):
+    """The ``_MOVED`` state at ``points`` clipped into the box, point j
+    belonging to the start in column ``cols[j]``, and which points pass: the
+    projected gradient shrinks or the log-likelihood rises."""
+    lo, hi, counts, scale = (run[name][:, cols] for name in ("lo", "hi", "counts", "scale"))
+    u = np.clip(points, lo, hi)
+    ll, grad, free, pg = _evaluate(u, counts, scale, run["sel"], lo, hi)
+    return (u, ll, grad, free, pg), (pg < run["pg"][cols]) | (ll > run["ll"][cols])
+
+
+def _line_search(run, step, width):
+    """Backtrack each start's step from full length, halving it until the
+    projected gradient shrinks or the log-likelihood rises. Accepted starts
+    move, in place, and count an iteration. Returns which starts accepted a
+    step.
+
+    A start takes the first length of ``_LENGTHS`` that passes, as halving
+    one length at a time would. The full-length trial of every start is one
+    evaluation. After it, each evaluation tries, for every start still
+    searching, its next lengths at once, one column per length, as many as
+    keep the evaluation within ``width`` columns."""
+    u = run["u"]
+    new, accepted = _trial(run, u + step, slice(None))
+    for name, value in zip(_MOVED, new):
+        np.copyto(run[name], value, where=accepted)
+    searching, k = np.flatnonzero(~accepted), 1
+    while searching.size and k < _LENGTHS.size:
+        per = min(width // searching.size, _LENGTHS.size - k)
+        points = u[:, searching, None] + _LENGTHS[k:k + per] * step[:, searching, None]
+        new, ok = _trial(run, points.reshape(len(u), -1), np.repeat(searching, per))
+        ok = ok.reshape(-1, per)
+        found = ok.any(axis=1)
+        first = np.flatnonzero(found) * per + ok.argmax(axis=1)[found]
+        moved = searching[found]
+        for name, value in zip(_MOVED, new):
+            run[name][..., moved] = value[..., first]
+        accepted[moved] = True
+        searching, k = searching[~found], k + per
     run["it"] += accepted
     return accepted
 
@@ -508,8 +566,9 @@ def _result(problem: _Problem, u, values, pg_norms, iterations, messages, option
         ))
         # ties: a converged candidate beats a stalled duplicate of the same
         # maximum; among equals, the smaller total wins
-        if best is None or value > best[0] + _TIE_TOL or (
-            abs(value - best[0]) <= _TIE_TOL and (converged, -total) > (best[5], -best[1])
+        band = _TIE_TOL if best is None else _tie_band(value, best[0])
+        if best is None or value > best[0] + band or (
+            abs(value - best[0]) <= band and (converged, -total) > (best[5], -best[1])
         ):
             best = (value, total, k, pg_norm, n_iter, converged)
 
@@ -550,6 +609,20 @@ def _result(problem: _Problem, u, values, pg_norms, iterations, messages, option
     )
 
 
+def _batch(problems: list[_Problem], options: FitOptions) -> tuple:
+    """The arguments of ``_solve_start`` for every start of ``problems``."""
+    coords, sel, _ = _COORDINATES[options.mode]
+
+    def columns(per_table):
+        return np.array(per_table, dtype=float).T
+
+    u0 = np.array([s.as_tuple() for p in problems for s in p.starts]).T[list(coords)]
+    table = np.repeat(np.arange(len(problems)), [len(p.starts) for p in problems])
+    return (u0, table, columns([p.counts for p in problems]), columns([p.scale for p in problems]),
+            sel, columns([p.lo_t for p in problems]), columns([p.hi_t for p in problems]),
+            options.max_iterations, options.gradient_tolerance)
+
+
 def fit_many(tables, options: FitOptions | None = None) -> list:
     """Fit many tables with one batched solve over every start of every table.
 
@@ -573,19 +646,8 @@ def fit_many(tables, options: FitOptions | None = None) -> list:
     if not problems:
         return outcomes
 
-    coords, sel, _ = _COORDINATES[options.mode]
-
-    def columns(per_table):
-        return np.array(per_table, dtype=float).T
-
-    u0 = np.array([s.as_tuple() for _, p in problems for s in p.starts]).T[list(coords)]
-    table = np.repeat(np.arange(len(problems)), [len(p.starts) for _, p in problems])
     u, values, pg_norms, iterations, messages = _solve_start(
-        u0, table, columns([p.counts for _, p in problems]),
-        columns([p.scale for _, p in problems]), sel,
-        columns([p.lo_t for _, p in problems]), columns([p.hi_t for _, p in problems]),
-        options.max_iterations, options.gradient_tolerance,
-    )
+        *_batch([p for _, p in problems], options))
     values, pg_norms, iterations = values.tolist(), pg_norms.tolist(), iterations.tolist()
     end = 0
     for index, problem in problems:
@@ -601,8 +663,9 @@ def fit(data: SurveyData, options: FitOptions | None = None) -> FitResult:
     In reduced mode (the default) N_A and p2A are eliminated through the
     data ratios and the four free coordinates are optimized inside the
     mapped box; in full mode all six parameters move independently. The
-    best local maximum wins; exact log-likelihood ties (within 1e-9) break
-    toward the smaller N_A + N_B. Raises NonConvergenceError only if no
+    best local maximum wins; log-likelihood ties (within 1e-9, or 16 ulps of
+    the log-likelihood where that is wider) go to a converged start, then
+    to the smaller N_A + N_B. Raises NonConvergenceError only if no
     start reaches the gradient tolerance. One table through ``fit_many``.
     """
     (outcome,) = fit_many([data], options)

@@ -1,6 +1,7 @@
 """Independent oracles used by the tests: finite differences against the
-analytic derivatives, and exhaustive multinomial enumeration against the
-simulator. These never call the code paths they check."""
+analytic derivatives, exhaustive multinomial enumeration against the
+simulator, and a reference projected-Newton solve against the batched one.
+These never call the code paths they check."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ import math
 
 import numpy as np
 
+from dualdep import mle, model
 from dualdep.model import ModelParams, log_likelihood, gradient
 from dualdep.tables import CellCounts, SurveyData
 
@@ -86,3 +88,89 @@ def exact_conditional_naive_mean(n: int, probs: tuple[float, float, float, float
                 acc += pmf * (x11 + x10) * (x11 + x01) / x11
                 mass += pmf
     return acc / mass
+
+
+# --- reference solver --------------------------------------------------------
+# The projected-Newton solve as one fixed-width batch that halves every
+# searching start's step length one evaluation at a time: every start keeps
+# its column, masked once it stops. ``mle._solve_start`` must return the same
+# bits. Only the solve's building blocks (the derivatives, the Newton and
+# ascent steps and the projected gradient) come from ``mle``.
+
+def _reference_direction(run):
+    """The step of each running start; stopped starts get a zero step.
+    Returns (step, singular, broken)."""
+    u, live = run["u"], run["live"]
+    size = u.shape[0]
+    free = run["free"] & live
+    grad = np.where(free, run["grad"], 0.0)
+    hess = mle._hessian(u, run["counts"], run["scale"], run["sel"])
+    np.copyto(hess, np.eye(size), where=~(free.T[:, :, None] & free.T[:, None, :]))
+    step, singular = mle._newton_step(hess, grad.T)
+    step = step.T
+    descend = live & ~((grad * step).sum(axis=0) > 0.0) & ~singular
+    if descend.any():
+        step[:, descend] = mle._ascent_step(hess[descend], grad.T[descend]).T
+    step = np.where(free, step, 0.0)
+    broken = ~np.isfinite(step).all(axis=0) & ~singular
+    tiny = (step != 0.0) & (u + step == u)
+    if tiny.any():
+        step = np.where(tiny, np.nextafter(u, np.copysign(np.inf, step)) - u, step)
+    return step, singular, broken
+
+
+def reference_solve(u0, table, counts, scale, sel, lo_t, hi_t, max_iter, tol):
+    """``mle._solve_start``'s result, the reference way."""
+    table = np.asarray(table)
+    run = {"live": np.ones(table.size, dtype=bool), "it": np.zeros(table.size, dtype=int),
+           "counts": counts[:, table], "scale": scale[:, table], "sel": sel,
+           "lo": lo_t[:, table], "hi": hi_t[:, table]}
+    run["u"] = np.clip(u0, run["lo"], run["hi"])
+    run["ll"] = model._ll(mle._expand(run["u"], run["scale"], sel), run["counts"])
+    run["grad"] = mle._gradient(run["u"], run["counts"], run["scale"], sel)
+    run["free"], run["pg"] = mle._projected_gradient(run["u"], run["grad"], run["lo"], run["hi"])
+    messages = [""] * table.size
+
+    def stop(done, message):
+        done = done & run["live"]
+        for row in np.flatnonzero(done).tolist():
+            messages[row] = message
+        run["live"] &= ~done
+
+    while True:
+        stop(run["pg"] < tol, "converged")
+        stop(run["it"] >= max_iter, "iteration cap reached")
+        if not run["live"].any():
+            break
+        step, singular, broken = _reference_direction(run)
+        stop(singular, "singular Newton system")
+        stop(broken, "non-finite Newton step")
+        np.copyto(step, 0.0, where=~run["live"])
+        stop(~_reference_line_search(run, step), "no acceptable step")
+
+    return run["u"], run["ll"], run["pg"], run["it"], messages
+
+
+def _reference_line_search(run, step):
+    """Halve each running start's step from full length until the projected
+    gradient shrinks or the log-likelihood rises, or the length falls to
+    1e-14. Returns which starts accepted a step."""
+    u, ll, grad, free, pg = run["u"], run["ll"], run["grad"], run["free"], run["pg"]
+    lo, hi, counts, scale, sel = run["lo"], run["hi"], run["counts"], run["scale"], run["sel"]
+    searching = run["live"].copy()
+    accepted = np.zeros_like(searching)
+    length = np.ones(u.shape[1])
+    while searching.any():
+        trial = np.clip(u + length * step, lo, hi)
+        ll_t = model._ll(mle._expand(trial, scale, sel), counts)
+        grad_t = mle._gradient(trial, counts, scale, sel)
+        free_t, pg_t = mle._projected_gradient(trial, grad_t, lo, hi)
+        ok = searching & ((pg_t < pg) | (ll_t > ll))
+        for state, new in ((u, trial), (ll, ll_t), (grad, grad_t), (free, free_t), (pg, pg_t)):
+            np.copyto(state, new, where=ok)
+        accepted |= ok
+        searching &= ~ok
+        length = np.where(searching, 0.5 * length, length)
+        searching &= length > 1e-14
+    run["it"] += accepted
+    return accepted

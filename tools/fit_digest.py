@@ -1,9 +1,10 @@
 """Fit a fixed seeded corpus and write every field of every fit, exactly.
 
 The corpus is the four published quarters, seven edge tables, 40 study-1
-draws and 60 study-2 scenario-1 draws (20 each at p1B = 0.01, 0.15 and 0.35),
-each fitted in reduced and full mode with 1, 12 and 15 starts: 111 tables, 666
-fits. Each fit is written as JSON with floats as ``float.hex`` (so two files
+draws, 60 study-2 scenario-1 draws (20 each at p1B = 0.01, 0.15 and 0.35) and
+eight study-2 scenario-2 draws at p1A = 0.05 whose starts reach different
+maxima, each fitted in reduced and full mode with 1, 12 and 15 starts: 119
+tables, 714 fits. Each fit is written as JSON with floats as ``float.hex`` (so two files
 are equal exactly when the fits are bit-identical) and active sets sorted (so
 the file does not depend on the set's iteration order). A fit that raises is
 written as its error's type, text and per-start diagnostics.
@@ -42,13 +43,18 @@ EDGES = {
     "degenerate-box": ((10, 0, 40), (30, 60, 70)),  # x10 * x01 = 0 in stratum A
     "degenerate-box-b": ((30, 60, 70), (10, 40, 0)),  # x10 * x01 = 0 in stratum B
     "infeasible-reduced": ((5, 9000, 50), (50, 100, 5000)),  # empty mapped N_B box
-    # log-likelihood about 3.1e10: its rounding noise outweighs the tie tolerance
+    # log-likelihood about 3.1e10, floats 3.8e-6 apart: the one converged
+    # reduced-mode start ties stalled ones, and no full-mode start reaches the
+    # absolute gradient tolerance
     "large-counts": ((10_000_000, 800_000_000, 300_000_000),
                      (50_000_000, 200_000_000, 300_000_000)),
     "tiny": ((2, 3, 4), (1, 2, 3)),
     "x11A-zero": ((0, 10, 10), (5, 5, 5)),
 }
 STUDY2_VALUES = (0.01, 0.15, 0.35)
+# scenario 2 at p1A = 0.05, seed 11: only the four 1.2 x0-anchor starts reach
+# the full-mode maximum, on the N_B and p2B bounds
+MULTI_MAXIMUM_REPLICATES = (1, 2, 3, 4, 5, 6, 8, 9)
 MODES = ("reduced", "full")
 STARTS = (1, 12, 15)
 
@@ -65,6 +71,9 @@ def corpus() -> list[tuple[str, SurveyData]]:
         for rep in range(20):
             tables.append((f"study2/{value}/{rep}",
                            _draw_survey(config, stream(config.seed, rep))[0]))
+    config = _scenario_config(2, 0.05, replicates=10, seed=11)
+    for rep in MULTI_MAXIMUM_REPLICATES:
+        tables.append((f"study2-multi/{rep}", _draw_survey(config, stream(config.seed, rep))[0]))
     return tables
 
 

@@ -5,9 +5,9 @@ starts and on a table whose maximum sits on the N_B and p2B bounds; the
 study-1, coverage and study-2 simulations; and three edge commands: a
 bootstrap on a tiny table that fails too many replicates (exit 1), a
 small custom study with many zero-x11 redraws and full-mode fallbacks, and
-standard errors on a table with counts near 1e9 whose best start did not
-converge (exit 1). For
-each command the digest holds its exit code, stdout and stderr, the report's
+standard errors on a table with counts near 1e9, whose one converged start
+ties stalled ones within the log-likelihood's rounding noise. For each
+command the digest holds its exit code, stdout and stderr, the report's
 ``results`` (floats as ``float.hex``, so equal files mean bit-identical
 results) and the summary CSV. The work directory is written as ``<work>``,
 so digests made in different directories compare equal; the report's
