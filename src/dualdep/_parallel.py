@@ -16,12 +16,13 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 # Replicates per block. A block of bootstrap refits is one batched solve of
-# BLOCK_SIZE x n_starts rows. Larger blocks spread numpy's per-call overhead
-# over more rows but hold more memory: on the published quarters (2-core
-# x86_64 VM), 100 refits took about 60 ms in blocks of 100 and 110 ms in
-# blocks of 25, and a process running hundreds of bootstraps peaked about
-# 2 MB above the one-start-at-a-time solver with blocks of 100 and 1 MB
-# with blocks of 25.
+# BLOCK_SIZE x n_starts columns. Larger blocks spread numpy's per-call
+# overhead over more columns but hold more memory. On the published quarters
+# (2-core x86_64 VM, reduced mode, CPU time, median of 20 to 32 bootstraps of
+# 100 refits), 100 refits took about 930 ms in blocks of 1 and 65 to 95 ms in
+# blocks of 25 or of 100, the two within the host's noise. A process peaked
+# about 1.5 MB higher with blocks of 25 than with blocks of 1, and about 3 MB
+# higher again with blocks of 100.
 BLOCK_SIZE = 25
 
 

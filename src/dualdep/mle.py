@@ -37,6 +37,9 @@ __all__ = [
 DEFAULT_SEED = 20180331
 
 _ALPHA_GRID = (0.05, 0.10, 0.02, 0.20)  # midpoint-ish value first
+# grid point j crosses size anchor j // 4 with alpha j % 4
+_GRID_ANCHOR = np.repeat(np.arange(3), len(_ALPHA_GRID))
+_GRID_ALPHA = np.tile(_ALPHA_GRID, 3)
 _START_MARGIN = 1e-4
 _ACTIVITY_TOL = 1e-6
 # Two starts' log-likelihoods tie within 1e-9 or 16 ulps of the larger
@@ -69,6 +72,8 @@ class FitOptions:
             raise ValidationError("max_iterations must be >= 1")
         if not self.gradient_tolerance > 0.0:
             raise ValidationError("gradient_tolerance must be positive")
+        if not math.isfinite(self.gradient_tolerance):
+            raise ValidationError("gradient_tolerance must be finite")
         if self.n_starts < 1:
             raise ValidationError("n_starts must be >= 1")
         if not 0 <= int(self.seed) < 2**64:
@@ -172,11 +177,6 @@ def _setup(data: SurveyData, mode: str):
     return box, (ratio, multiplier), tuple(scale), lo, hi
 
 
-def _margin_clip(value: float, lo: float, hi: float, margin: float) -> float:
-    pad = margin * (hi - lo)
-    return min(max(value, lo + pad), hi - pad)
-
-
 # --- starting points ----------------------------------------------------------
 
 def starting_points(data: SurveyData, options: FitOptions | None = None) -> list[ModelParams]:
@@ -194,66 +194,49 @@ def starting_points(data: SurveyData, options: FitOptions | None = None) -> list
     coordinate box with no interior, as when x10 * x01 = 0 in a stratum).
     """
     options = options or FitOptions()
-    return _starts(data, options, _setup(data, options.mode))
+    starts = _starts(data, options, _setup(data, options.mode))
+    return [ModelParams(*start) for start in starts.T.tolist()]
 
 
-def _starts(data: SurveyData, options: FitOptions, setup) -> list[ModelParams]:
-    """``starting_points`` from the table's ``_setup``."""
+def _starts(data: SurveyData, options: FitOptions, setup) -> np.ndarray:
+    """``starting_points`` from the table's ``_setup``: the six parameters
+    of each start, one start per column of a (6, n_starts) array."""
     _, (ratio, multiplier), scale, lo, hi = setup
     coords, sel, _ = _COORDINATES[options.mode]
+    lo, hi = np.array((lo, hi))[..., None]  # (P, 1)
+    pad = _START_MARGIN * (hi - lo)
+    inner_lo, inner_hi = lo + pad, hi - pad  # each coordinate's box less the margin
     pooled = data.pooled()
-    x0_pool = float(pooled.total)
-    naive_pool = naive_estimate(pooled)
-    lo_anchor = 1.2 * x0_pool
-    hi_anchor = 0.8 * naive_pool
-    anchors = ((lo_anchor + hi_anchor) / 2.0, lo_anchor, hi_anchor)
-    x2b = float(data.stratum_b.n_list2)
-    n_b_at = sel[1]  # N_B's coordinate
-
-    def tie(n_b: float, p1: float, p2b: float) -> list[float]:
-        """The six parameters of a grid point, with its data ratios, each
-        solver coordinate clipped into its box; alpha (index 2) is the
-        caller's to set."""
-        theta = (ratio * n_b, n_b, 0.5, p1, multiplier * p2b, p2b)
-        u = [_margin_clip(theta[i], lo[c], hi[c], _START_MARGIN) for c, i in enumerate(coords)]
-        return [s * u[c] for s, c in zip(scale, sel)]
-
-    points: list[ModelParams] = []
-    for total in anchors:
-        n_b = _margin_clip(total / (1.0 + ratio), lo[n_b_at], hi[n_b_at], _START_MARGIN)
-        theta = tie(n_b, pooled.n_list1 / total, x2b / n_b)
-        for alpha in _ALPHA_GRID:
-            theta[2] = alpha
-            points.append(ModelParams(*theta))
-            if len(points) == options.n_starts:
-                return points
-
-    rng = stream(options.seed, 0)
-    while len(points) < options.n_starts:
-        n_b, alpha, p1, p2b = (
-            lo[c] + (hi[c] - lo[c]) * (_START_MARGIN + (1 - 2 * _START_MARGIN) * rng.random())
-            for c in (n_b_at, sel[2], sel[3], sel[5])
-        )
-        theta = tie(n_b, p1, p2b)
-        theta[2] = alpha
-        points.append(ModelParams(*theta))
-    return points
+    lo_anchor = 1.2 * float(pooled.total)
+    hi_anchor = 0.8 * naive_estimate(pooled)
+    grid = min(options.n_starts, _GRID_ALPHA.size)
+    total = np.array(((lo_anchor + hi_anchor) / 2.0, lo_anchor, hi_anchor))[_GRID_ANCHOR[:grid]]
+    n_b = np.minimum(np.maximum(total / (1.0 + ratio), inner_lo[sel[1]]), inner_hi[sel[1]])
+    alpha, p1 = _GRID_ALPHA[:grid], pooled.n_list1 / total
+    p2b = float(data.stratum_b.n_list2) / n_b
+    if options.n_starts > grid:
+        # per start, in order, a uniform draw for each of N_B, alpha, p1, p2B
+        at = [sel[1], sel[2], sel[3], sel[5]]
+        draws = stream(options.seed, 0).random((options.n_starts - grid, 4)).T
+        draws = lo[at] + (hi[at] - lo[at]) * (_START_MARGIN + (1 - 2 * _START_MARGIN) * draws)
+        n_b, alpha, p1, p2b = (np.concatenate(pair) for pair in zip((n_b, alpha, p1, p2b), draws))
+    theta = np.array([ratio * n_b, n_b, alpha, p1, multiplier * p2b, p2b])
+    u = np.minimum(np.maximum(theta[list(coords)], inner_lo), inner_hi)
+    theta = _expand(u, np.array(scale)[:, None], sel)
+    theta[2] = alpha  # alpha is taken as drawn or gridded, unclipped
+    return theta
 
 
 # --- solver ------------------------------------------------------------------
 
-def _trimmed_bounds(lo, hi, coords) -> tuple[list[float], list[float]]:
+def _trimmed_bounds(lo, hi, coords) -> tuple[np.ndarray, np.ndarray]:
     """Pull the optimizer strictly off boundaries where the objective or its
-    gradient diverges (zero cell probabilities, N at the observed total)."""
-    lo_t, hi_t = [], []
-    for c_lo, c_hi, i in zip(lo, hi, coords):
-        if i in (0, 1):  # a size
-            lo_t.append(max(c_lo + 1e-9 * (c_hi - c_lo), c_lo * (1.0 + 1e-12)))
-            hi_t.append(c_hi)
-        else:
-            lo_t.append(max(c_lo, 1e-10))
-            hi_t.append(c_hi * (1.0 - 1e-10))
-    return lo_t, hi_t
+    gradient diverges (zero cell probabilities, N at the observed total).
+    ``lo`` and ``hi`` are (P, T) boxes, row c that of coordinate ``coords[c]``."""
+    size = np.isin(coords, (0, 1))[:, None]
+    lo_t = np.where(size, np.maximum(lo + 1e-9 * (hi - lo), lo * (1.0 + 1e-12)),
+                    np.maximum(lo, 1e-10))
+    return lo_t, np.where(size, hi, hi * (1.0 - 1e-10))
 
 
 # The solver works on batches. Arrays of shape (P, K) hold one start per
@@ -526,62 +509,68 @@ def _line_search(run, step, width):
 
 # --- fitting -------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Problem:
-    """One table's constrained problem in solver coordinates."""
+def _solver_inputs(tables, options: FitOptions):
+    """Each table's ``_setup`` and starts, stacked into the arguments of
+    ``_solve_start``, n_starts columns per table in table order. Returns
+    (outcomes, fitted, args): ``outcomes`` holds, at the index of each table
+    with no box, the package error that makes it unfittable (None
+    elsewhere); ``fitted`` the (index, setup, starts) of every other table;
+    ``args`` the arguments, or None if no table has a box."""
+    outcomes: list = [None] * len(tables)
+    fitted, counts = [], []
+    for index, data in enumerate(tables):
+        try:
+            setup = _setup(data, options.mode)
+            fitted.append((index, setup, _starts(data, options, setup)))
+            counts.append(model._counts(data))
+        except DualdepError as exc:
+            # without its traceback the error holds no frame, and so no
+            # reference cycle through this list, alive
+            outcomes[index] = exc.with_traceback(None)
+    if not fitted:
+        return outcomes, fitted, None
+    coords, sel, _ = _COORDINATES[options.mode]
+    scale, lo, hi = (np.array(column, dtype=float).T
+                     for column in zip(*(setup[2:] for _, setup, _ in fitted)))
+    u0 = np.concatenate([starts for _, _, starts in fitted], axis=1)[list(coords)]
+    table = np.repeat(np.arange(len(fitted)), options.n_starts)
+    return outcomes, fitted, (u0, table, np.array(counts).T, scale, sel,
+                              *_trimmed_bounds(lo, hi, coords),
+                              options.max_iterations, options.gradient_tolerance)
 
-    counts: tuple[float, ...]
-    lo_t: list[float]
-    hi_t: list[float]
-    scale: tuple[float, ...]  # theta[i] = scale[i] * u[sel[i]]
-    ratios: tuple[float, float]  # size ratio, p2A multiplier
-    box: tuple[tuple[float, float], ...]  # the six parameters' boxes
-    starts: list[ModelParams]
 
-
-def _problem(data: SurveyData, options: FitOptions) -> _Problem:
-    """The trimmed box and the starts of one table; raises the package error
-    that makes the table unfittable."""
-    setup = _setup(data, options.mode)
-    box, ratios, scale, lo, hi = setup
-    lo_t, hi_t = _trimmed_bounds(lo, hi, _COORDINATES[options.mode][0])
-    return _Problem(model._counts(data), lo_t, hi_t, scale, ratios, box,
-                    _starts(data, options, setup))
-
-
-def _result(problem: _Problem, u, values, pg_norms, iterations, messages, options):
-    """The FitResult of one table from its starts' solver outcomes, or the
-    NonConvergenceError when no start converged."""
-    diagnostics: list[StartDiagnostics] = []
-    best = None  # (ll, total, start index, pg, iterations, converged)
-    theta = _expand(u, np.array(problem.scale)[:, None], _COORDINATES[options.mode][1])
-    totals = (theta[0] + theta[1]).tolist()
-    for k, (start, value, pg_norm, n_iter, message, total) in enumerate(zip(
-        problem.starts, values, pg_norms, iterations, messages, totals
-    )):
-        converged = pg_norm < options.gradient_tolerance
-        diagnostics.append(StartDiagnostics(
-            start=start, log_likelihood=value, projected_gradient=pg_norm,
-            converged=converged, iterations=n_iter, message=message,
-        ))
-        # ties: a converged candidate beats a stalled duplicate of the same
-        # maximum; among equals, the smaller total wins
-        band = _TIE_TOL if best is None else _tie_band(value, best[0])
-        if best is None or value > best[0] + band or (
-            abs(value - best[0]) <= band and (converged, -total) > (best[5], -best[1])
-        ):
-            best = (value, total, k, pg_norm, n_iter, converged)
-
+def _result(setup, starts, theta, values, pg_norms, iterations, messages, options):
+    """The FitResult of one table from its columns: the starts (6, n), the
+    six parameters ``theta`` (6, n) where each start ended and its solver
+    outcomes; or the NonConvergenceError when no start converged."""
+    box, (ratio, multiplier), *_ = setup
+    diagnostics = [
+        StartDiagnostics(start=ModelParams(*start), log_likelihood=value,
+                         projected_gradient=pg_norm, converged=pg_norm < options.gradient_tolerance,
+                         iterations=n_iter, message=message)
+        for start, value, pg_norm, n_iter, message in zip(
+            starts.T.tolist(), values, pg_norms, iterations, messages)
+    ]
     if not any(d.converged for d in diagnostics):
         return NonConvergenceError(
             f"no starting point reached gradient tolerance {options.gradient_tolerance}",
             diagnostics,
         )
 
-    value, _, k, pg_norm, n_iter, converged = best
+    # ties: a converged candidate beats a stalled duplicate of the same
+    # maximum; among equals, the smaller total wins
+    totals = (theta[0] + theta[1]).tolist()
+    k = 0
+    for j, d in enumerate(diagnostics[1:], 1):
+        value, best = d.log_likelihood, diagnostics[k].log_likelihood
+        band = _tie_band(value, best)
+        if value > best + band or (abs(value - best) <= band and (
+            (d.converged, -totals[j]) > (diagnostics[k].converged, -totals[k])
+        )):
+            k = j
+    winner = diagnostics[k]
     params = ModelParams.from_array(theta[:, k])
     # in reduced mode theta is built from the same products, so both gaps are 0
-    ratio, multiplier = problem.ratios
     expected_na = ratio * params.n_b
     size_gap = abs(params.n_a - expected_na) / expected_na
     expected_p2a = multiplier * params.p2b
@@ -589,16 +578,16 @@ def _result(problem: _Problem, u, values, pg_norms, iterations, messages, option
     p2_gap = abs(params.p2a - expected_p2a) / denom if denom > 0.0 else 0.0
 
     active = set()
-    for name, value_i, (b_lo, b_hi) in zip(PARAM_NAMES, params.as_tuple(), problem.box):
+    for name, value_i, (b_lo, b_hi) in zip(PARAM_NAMES, params.as_tuple(), box):
         tol_i = _ACTIVITY_TOL * (b_hi - b_lo)
         if value_i - b_lo <= tol_i or b_hi - value_i <= tol_i:
             active.add(name)
 
     return FitResult(
         params=params,
-        log_likelihood=value,
-        converged=converged,
-        iterations=n_iter,
+        log_likelihood=winner.log_likelihood,
+        converged=winner.converged,
+        iterations=winner.iterations,
         active_constraints=frozenset(active),
         n_hat_total=params.total,
         mode=options.mode,
@@ -607,20 +596,6 @@ def _result(problem: _Problem, u, values, pg_norms, iterations, messages, option
         p2_identity_gap=p2_gap,
         per_start_diagnostics=tuple(diagnostics),
     )
-
-
-def _batch(problems: list[_Problem], options: FitOptions) -> tuple:
-    """The arguments of ``_solve_start`` for every start of ``problems``."""
-    coords, sel, _ = _COORDINATES[options.mode]
-
-    def columns(per_table):
-        return np.array(per_table, dtype=float).T
-
-    u0 = np.array([s.as_tuple() for p in problems for s in p.starts]).T[list(coords)]
-    table = np.repeat(np.arange(len(problems)), [len(p.starts) for p in problems])
-    return (u0, table, columns([p.counts for p in problems]), columns([p.scale for p in problems]),
-            sel, columns([p.lo_t for p in problems]), columns([p.hi_t for p in problems]),
-            options.max_iterations, options.gradient_tolerance)
 
 
 def fit_many(tables, options: FitOptions | None = None) -> list:
@@ -634,26 +609,18 @@ def fit_many(tables, options: FitOptions | None = None) -> list:
     them in blocks.
     """
     options = options or FitOptions()
-    outcomes: list = [None] * len(tables)
-    problems = []
-    for index, data in enumerate(tables):
-        try:
-            problems.append((index, _problem(data, options)))
-        except DualdepError as exc:
-            # without its traceback the error holds no frame, and so no
-            # reference cycle through this list, alive
-            outcomes[index] = exc.with_traceback(None)
-    if not problems:
+    outcomes, fitted, args = _solver_inputs(tables, options)
+    if args is None:
         return outcomes
-
-    u, values, pg_norms, iterations, messages = _solve_start(
-        *_batch([p for _, p in problems], options))
+    u, values, pg_norms, iterations, messages = _solve_start(*args)
     values, pg_norms, iterations = values.tolist(), pg_norms.tolist(), iterations.tolist()
-    end = 0
-    for index, problem in problems:
-        start, end = end, end + len(problem.starts)
-        outcomes[index] = _result(problem, u[:, start:end], values[start:end], pg_norms[start:end],
-                                  iterations[start:end], messages[start:end], options)
+    _, table, _, scale, sel, *_ = args
+    theta = _expand(u, scale[:, table], sel)
+    n = options.n_starts
+    for k, (index, setup, starts) in enumerate(fitted):
+        cols = slice(k * n, (k + 1) * n)
+        outcomes[index] = _result(setup, starts, theta[:, cols], values[cols], pg_norms[cols],
+                                  iterations[cols], messages[cols], options)
     return outcomes
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -163,10 +164,10 @@ def lp_bias_approx(n: float, p1dot: float, p: float, phi: float) -> float:
     """Approximate bias of the naive estimator under a behavioral response effect.
 
     Args:
-        n: population size.
+        n: population size, finite and > 0.
         p1dot: probability of list-1 capture, in (0, 1).
         p: probability of list-2 capture given a list-1 miss, in (0, 1).
-        phi: behavioral response effect, > 0 (1 = independence).
+        phi: behavioral response effect, finite and > 0 (1 = independence).
 
     Returns:
         N(1-p1.)(1-phi)/phi + (1/phi) * (1-p1.)(1-phi*p) / (p1. * phi * p).
@@ -175,8 +176,10 @@ def lp_bias_approx(n: float, p1dot: float, p: float, phi: float) -> float:
         raise ValidationError(f"p1dot must be in (0, 1), got {p1dot}")
     if not 0.0 < p < 1.0:
         raise ValidationError(f"p must be in (0, 1), got {p}")
-    if phi <= 0.0:
-        raise ValidationError(f"phi must be positive, got {phi}")
+    if not 0.0 < phi < math.inf:
+        raise ValidationError(f"phi must be positive and finite, got {phi}")
+    if not 0.0 < n < math.inf:
+        raise ValidationError(f"N must be positive and finite, got {n}")
     lead = n * (1.0 - p1dot) * (1.0 - phi) / phi
     rest = (1.0 / phi) * (1.0 - p1dot) * (1.0 - phi * p) / (p1dot * phi * p)
     return lead + rest
@@ -197,6 +200,8 @@ def diagnostics(
     Strata with x11 = 0 get NaN for the naive estimate and p_hat and are
     listed in ``flags``.
     """
+    if external_sizes is not None and not all(map(math.isfinite, external_sizes)):
+        raise ValidationError(f"external population sizes must be finite, got {external_sizes}")
     nan = float("nan")
     c_vals, p_vals, n_vals = [], [], []
     for idx, (_, counts) in enumerate(data.strata):

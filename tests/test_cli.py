@@ -200,6 +200,7 @@ def test_estimate_bootstrap_needs_positive_B(q1_csv, capsys):
     ("--starts", "0", "n_starts must be >= 1"),
     ("--max-iterations", "0", "max_iterations must be >= 1"),
     ("--gradient-tolerance", "0", "gradient_tolerance must be positive"),
+    ("--gradient-tolerance", "inf", "gradient_tolerance must be finite"),
     ("--seed", "-1", "seed must fit in 64 unsigned bits"),
 ])
 def test_estimate_bad_fit_option_is_usage_error(q1_csv, capsys, flag, value, message):
@@ -207,6 +208,25 @@ def test_estimate_bad_fit_option_is_usage_error(q1_csv, capsys, flag, value, mes
     err = capsys.readouterr().err
     assert code == 2
     assert err == f"error: {message}\n"
+
+
+BIAS = ("--p", "0.02", "--p1dot", "0.17")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--phi", "nan", *BIAS, "--N", "70000"], "phi must be positive and finite, got nan"),
+    (["--phi", "inf", *BIAS, "--N", "70000"], "phi must be positive and finite, got inf"),
+    (["--phi", "0.5", *BIAS, "--N", "inf"], "N must be positive and finite, got inf"),
+    (["--phi", "0.5", *BIAS, "--N", "-5"], "N must be positive and finite, got -5.0"),
+    (["--external-size-a", "nan", "--external-size-b", "20000"],
+     "external population sizes must be finite, got (nan, 20000.0)"),
+])
+def test_diagnose_bad_option_is_usage_error(q1_csv, capsys, argv, message):
+    code = main(["diagnose", "--input", str(q1_csv), *argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"error: {message}\n"
+    assert not q1_csv.with_suffix(".report.json").exists()
 
 
 @pytest.mark.parametrize("table, argv, undefined", [

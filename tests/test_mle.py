@@ -105,6 +105,14 @@ def test_fit_deterministic(q1):
     assert a == b
 
 
+@pytest.mark.parametrize("mode", ["reduced", "full"])
+@pytest.mark.parametrize("n_starts", [1, 12, 15])
+def test_per_start_diagnostics_hold_the_starting_points(q1, mode, n_starts):
+    options = FitOptions(mode=mode, n_starts=n_starts)
+    starts = [d.start for d in fit(q1, options).per_start_diagnostics]
+    assert starts == starting_points(q1, options)
+
+
 def test_refit_from_optimum_is_stable(q1):
     result = fit(q1)
     # refitting with the optimum as the sole start must not move the loglik
@@ -117,10 +125,10 @@ def test_refit_from_optimum_is_stable(q1):
     u0 = np.array([[result.params.n_b, result.params.alpha, result.params.p1, result.params.p2b]]).T
     scale = np.array([[ratio, 1.0, 1.0, 1.0, mult, 1.0]]).T
     _, _, _, lo, hi = mle._setup(q1, "reduced")
-    lo_t, hi_t = mle._trimmed_bounds(lo, hi, mle._COORDINATES["reduced"][0])
+    lo_t, hi_t = mle._trimmed_bounds(np.array([lo]).T, np.array([hi]).T,
+                                     mle._COORDINATES["reduced"][0])
     _, (value,), _, _, _ = mle._solve_start(
-        u0, [0], counts, scale, (0, 0, 1, 2, 3, 3), np.array([lo_t]).T, np.array([hi_t]).T,
-        500, 1e-8,
+        u0, [0], counts, scale, (0, 0, 1, 2, 3, 3), lo_t, hi_t, 500, 1e-8,
     )
     assert abs(value - result.log_likelihood) < 1e-8
 
@@ -448,7 +456,7 @@ def solver_derivatives(data, mode, u):
     that are the columns of ``u``."""
     k = u.shape[1]
     counts = np.repeat(np.array(model._counts(data))[:, None], k, axis=1)
-    scale = np.repeat(np.array(mle._problem(data, FitOptions(mode=mode)).scale)[:, None], k, axis=1)
+    scale = np.repeat(np.array(mle._setup(data, mode)[2])[:, None], k, axis=1)
     _, sel, _ = mle._COORDINATES[mode]
     return mle._gradient(u, counts, scale, sel), mle._hessian(u, counts, scale, sel)
 

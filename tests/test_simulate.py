@@ -18,7 +18,7 @@ from dualdep.simulate import (
     scenario_grid,
     study1_config,
 )
-from dualdep.tables import SurveyData
+from dualdep.tables import SurveyData, naive_estimate
 
 from oracles import exact_conditional_naive_mean
 
@@ -152,6 +152,22 @@ def test_brute_force_conditional_naive_oracle():
     draws = np.array(draws)
     mc_se = draws.std() / math.sqrt(draws.size)
     assert abs(draws.mean() - exact) < 4 * mc_se
+
+
+def test_study_draws_match_brute_force_naive_mean():
+    # the draw path of the studies, one stream per replicate: stratum A's
+    # naive mean against exact enumeration. The strata are independent, so
+    # redrawing both on x11B = 0 leaves stratum A's law conditional on
+    # x11A >= 1 unchanged.
+    n, alpha, p1, p2 = 14, 0.1, 0.4, 0.3
+    config = GeneratorConfig(n_a=n, n_b=n, alpha=alpha, p1_a=p1, p1_b=p1, p2_a=p2, p2_b=p2,
+                             replicates=20_000, seed=65)
+    draws = np.array([
+        naive_estimate(simulate._draw_survey(config, stream(config.seed, rep))[0].stratum_a)
+        for rep in range(config.replicates)
+    ])
+    exact = exact_conditional_naive_mean(n, cell_probabilities(alpha, p1, p2).as_tuple())
+    assert abs(draws.mean() - exact) < 4 * draws.std() / math.sqrt(draws.size)
 
 
 def test_study_zero_x11_draw_is_redrawn_on_its_stream_and_never_a_failure():

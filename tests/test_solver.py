@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from dualdep import mle
 from dualdep._parallel import stream
-from dualdep.exceptions import DualdepError
 from dualdep.mle import FitOptions, fit
 from dualdep.simulate import _draw_survey, _scenario_config
 from dualdep.tables import CellCounts, SurveyData
@@ -23,13 +22,8 @@ LARGE_COUNTS = SurveyData(CellCounts(10_000_000, 800_000_000, 300_000_000),
 def solver_inputs(tables, options):
     """The arguments ``fit_many`` passes to ``mle._solve_start`` for the
     tables that have a box, as a list, or None if none has."""
-    problems = []
-    for data in tables:
-        try:
-            problems.append(mle._problem(data, options))
-        except DualdepError:
-            pass
-    return list(mle._batch(problems, options)) if problems else None
+    _, _, args = mle._solver_inputs(tables, options)
+    return list(args) if args is not None else None
 
 
 def assert_same_solve(args):
