@@ -11,8 +11,6 @@ results are identical whatever the worker count or completion order;
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-
 import numpy as np
 
 # Replicates per block. A block of bootstrap refits is one batched solve of
@@ -49,5 +47,8 @@ def blocks(count: int) -> list[range]:
 def run_indexed(worker, tasks, threads: int) -> list:
     if threads <= 1 or len(tasks) <= 1:
         return [worker(task) for task in tasks]
+    # imported here, so a serial run does not pay for the pool's modules
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=min(threads, len(tasks))) as pool:
         return list(pool.map(worker, tasks))

@@ -5,8 +5,12 @@ The bootstrap is "imputed": each replicate resamples a full multinomial
 table of (rounded) fitted size per stratum, including the estimated
 unobserved cell, then refits the model on the starred observed cells.
 Replicates run in fixed-size blocks whose refits are one batched solve
-(``mle.fit_many``). Stratum variances add for the total because the strata
-are independent.
+(``mle.fit_many``). A replicate is drawn from the fitted model, so each
+refit starts from the fitted parameters alone (a warm start). The starting
+grid is the safety net: it refits every replicate when the fit sits on a
+bound, where the likelihood can have several maxima, and it refits a
+replicate whose warm refit failed or ended on a bound. Stratum variances add
+for the total because the strata are independent.
 """
 
 from __future__ import annotations
@@ -185,14 +189,32 @@ def _fit_outcome(outcome) -> tuple[FitResult | None, str]:
     return outcome, ""
 
 
+def _refit(surveys, options: FitOptions, start):
+    """The ``mle.fit_many`` outcomes of a block's drawn tables, each climbing
+    from ``start`` (the parent fit's parameters), with the tables whose warm
+    refit raised a package error, did not converge or ended on a bound refit
+    from the starting grid in a second batch. With ``start`` None, the grid
+    refits every table in one batch."""
+    outcomes = mle.fit_many(surveys, options, start=start)
+    if start is not None:
+        again = [k for k, outcome in enumerate(outcomes)
+                 if _fit_outcome(outcome)[0] is None or outcome.active_constraints]
+        if again:
+            for k, outcome in zip(again, mle.fit_many([surveys[k] for k in again], options)):
+                outcomes[k] = outcome
+    return outcomes
+
+
 def _bootstrap_block(task):
     """Run one block of replicates. Every replicate draws its first attempt
     from its own Philox stream (keyed by seed and replicate index) and the
-    block's tables are refit in one batch; only the replicates whose attempt
+    block's tables are refit in one batch (``_refit``), warm from the parent
+    fit unless the parent sits on a bound; only the replicates whose attempt
     failed draw again, continuing their own streams, for up to
     _MAX_ATTEMPTS attempts. Returns (index, estimates or None, reason of the
     last failure) per replicate."""
     indices, seed, data, fit, options = task
+    start = None if fit.active_constraints else fit.params
     rngs = {index: _parallel.stream(seed, index) for index in indices}
     values, reasons = {}, {}
     pending = list(indices)
@@ -208,7 +230,7 @@ def _bootstrap_block(task):
             else:
                 drawn.append(index)
                 surveys.append(survey)
-        for index, outcome in zip(drawn, mle.fit_many(surveys, options)):
+        for index, outcome in zip(drawn, _refit(surveys, options, start)):
             refit, reasons[index] = _fit_outcome(outcome)
             if refit is not None:
                 p = refit.params
@@ -228,9 +250,14 @@ def bootstrap(
     """Imputed parametric bootstrap around a converged fit.
 
     Each replicate redraws both strata from the fitted cell rates and
-    refits with the same options as the original fit (overridable). A
-    replicate gets up to ten fresh redraws after a failed attempt (zero
-    x11 draw, a package error from the refit, or non-convergence);
+    refits with the options of the original fit (overridable). A refit
+    climbs from one start, the fitted parameters clipped into the drawn
+    table's box. It climbs from the starting grid of ``options.n_starts``
+    points instead when ``fit`` has an active constraint, and in a second
+    batch when its warm refit raised a package error, did not converge or
+    ended on a bound; that costs no attempt and no draw. A replicate gets
+    up to ten fresh redraws after a failed attempt (zero x11 draw, a
+    package error from the refit, or non-convergence);
     replicates that still fail are logged with the reason of their last
     attempt, and more than 5% failures aborts with BootstrapError.
     Replicates run in blocks of ``_parallel.BLOCK_SIZE``, each refit as one

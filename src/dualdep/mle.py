@@ -201,8 +201,8 @@ def starting_points(data: SurveyData, options: FitOptions | None = None) -> list
 def _starts(data: SurveyData, options: FitOptions, setup) -> np.ndarray:
     """``starting_points`` from the table's ``_setup``: the six parameters
     of each start, one start per column of a (6, n_starts) array."""
-    _, (ratio, multiplier), scale, lo, hi = setup
-    coords, sel, _ = _COORDINATES[options.mode]
+    _, (ratio, multiplier), _, lo, hi = setup
+    sel = _COORDINATES[options.mode][1]
     lo, hi = np.array((lo, hi))[..., None]  # (P, 1)
     pad = _START_MARGIN * (hi - lo)
     inner_lo, inner_hi = lo + pad, hi - pad  # each coordinate's box less the margin
@@ -220,11 +220,22 @@ def _starts(data: SurveyData, options: FitOptions, setup) -> np.ndarray:
         draws = stream(options.seed, 0).random((options.n_starts - grid, 4)).T
         draws = lo[at] + (hi[at] - lo[at]) * (_START_MARGIN + (1 - 2 * _START_MARGIN) * draws)
         n_b, alpha, p1, p2b = (np.concatenate(pair) for pair in zip((n_b, alpha, p1, p2b), draws))
-    theta = np.array([ratio * n_b, n_b, alpha, p1, multiplier * p2b, p2b])
-    u = np.minimum(np.maximum(theta[list(coords)], inner_lo), inner_hi)
-    theta = _expand(u, np.array(scale)[:, None], sel)
+    theta = _clipped(np.array([ratio * n_b, n_b, alpha, p1, multiplier * p2b, p2b]), setup,
+                     options.mode)
     theta[2] = alpha  # alpha is taken as drawn or gridded, unclipped
     return theta
+
+
+def _clipped(theta, setup, mode: str) -> np.ndarray:
+    """The points ``theta`` (6, n) with each solver coordinate of ``mode``
+    clipped into its box less the start margin, the tied parameters following
+    their coordinates through the table's ``_setup``."""
+    _, _, scale, lo, hi = setup
+    coords, sel, _ = _COORDINATES[mode]
+    lo, hi = np.array((lo, hi))[..., None]  # (P, 1)
+    pad = _START_MARGIN * (hi - lo)
+    u = np.minimum(np.maximum(theta[list(coords)], lo + pad), hi - pad)
+    return _expand(u, np.array(scale)[:, None], sel)
 
 
 # --- solver ------------------------------------------------------------------
@@ -509,19 +520,24 @@ def _line_search(run, step, width):
 
 # --- fitting -------------------------------------------------------------------
 
-def _solver_inputs(tables, options: FitOptions):
+def _solver_inputs(tables, options: FitOptions, start=None):
     """Each table's ``_setup`` and starts, stacked into the arguments of
-    ``_solve_start``, n_starts columns per table in table order. Returns
-    (outcomes, fitted, args): ``outcomes`` holds, at the index of each table
-    with no box, the package error that makes it unfittable (None
-    elsewhere); ``fitted`` the (index, setup, starts) of every other table;
-    ``args`` the arguments, or None if no table has a box."""
+    ``_solve_start``, one block of columns per table in table order. The
+    starts are the table's starting grid (``_starts``), or with ``start``
+    given those six parameters clipped into the table's box (``_clipped``),
+    one column per table. Returns (outcomes, fitted, args): ``outcomes``
+    holds, at the index of each table with no box, the package error that
+    makes it unfittable (None elsewhere); ``fitted`` the (index, setup,
+    starts) of every other table; ``args`` the arguments, or None if no table
+    has a box."""
     outcomes: list = [None] * len(tables)
     fitted, counts = [], []
     for index, data in enumerate(tables):
         try:
             setup = _setup(data, options.mode)
-            fitted.append((index, setup, _starts(data, options, setup)))
+            starts = (_starts(data, options, setup) if start is None
+                      else _clipped(start, setup, options.mode))
+            fitted.append((index, setup, starts))
             counts.append(model._counts(data))
         except DualdepError as exc:
             # without its traceback the error holds no frame, and so no
@@ -533,7 +549,7 @@ def _solver_inputs(tables, options: FitOptions):
     scale, lo, hi = (np.array(column, dtype=float).T
                      for column in zip(*(setup[2:] for _, setup, _ in fitted)))
     u0 = np.concatenate([starts for _, _, starts in fitted], axis=1)[list(coords)]
-    table = np.repeat(np.arange(len(fitted)), options.n_starts)
+    table = np.repeat(np.arange(len(fitted)), fitted[0][2].shape[1])
     return outcomes, fitted, (u0, table, np.array(counts).T, scale, sel,
                               *_trimmed_bounds(lo, hi, coords),
                               options.max_iterations, options.gradient_tolerance)
@@ -598,25 +614,29 @@ def _result(setup, starts, theta, values, pg_norms, iterations, messages, option
     )
 
 
-def fit_many(tables, options: FitOptions | None = None) -> list:
+def fit_many(tables, options: FitOptions | None = None, start: ModelParams | None = None) -> list:
     """Fit many tables with one batched solve over every start of every table.
 
     Returns, in table order, each table's FitResult or the package error
     fitting it raised (a missing overlap, an empty reduced box, no start
     reaching the tolerance), so one bad table never ends the others. A
     table's result is bit-identical whatever other tables share the batch.
-    The batch holds n_starts columns per table; callers with many tables pass
-    them in blocks.
+    Each table climbs from its starting grid of ``options.n_starts`` points,
+    or with ``start`` given from that one point, its solver coordinates
+    clipped into the table's box with the grid's margin (a warm start). The
+    batch holds one column per start; callers with many tables pass them in
+    blocks.
     """
     options = options or FitOptions()
-    outcomes, fitted, args = _solver_inputs(tables, options)
+    outcomes, fitted, args = _solver_inputs(
+        tables, options, None if start is None else start.as_array()[:, None])
     if args is None:
         return outcomes
     u, values, pg_norms, iterations, messages = _solve_start(*args)
     values, pg_norms, iterations = values.tolist(), pg_norms.tolist(), iterations.tolist()
     _, table, _, scale, sel, *_ = args
     theta = _expand(u, scale[:, table], sel)
-    n = options.n_starts
+    n = fitted[0][2].shape[1]
     for k, (index, setup, starts) in enumerate(fitted):
         cols = slice(k * n, (k + 1) * n)
         outcomes[index] = _result(setup, starts, theta[:, cols], values[cols], pg_norms[cols],

@@ -2,9 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from dualdep import _parallel, inference, mle
+from dualdep import _parallel, inference, mle, model
 from dualdep.exceptions import (
     BootstrapError, DualdepError, EvaluationError, InformationMatrixError, ValidationError,
 )
@@ -18,7 +18,7 @@ from dualdep.inference import (
 )
 from dualdep.mle import FitOptions, FitResult, fit
 from dualdep.model import ModelParams
-from dualdep.simulate import GeneratorConfig, _draw_survey
+from dualdep.simulate import GeneratorConfig, _draw_survey, _scenario_config
 from dualdep.tables import CellCounts, SurveyData
 
 from oracles import fd_hessian
@@ -134,18 +134,18 @@ def test_bootstrap_retries_a_package_error_and_reports_its_reason(q1_fit, monkey
     real = mle.fit_many
     calls = []
 
-    def first_table_fails(surveys, options):
-        calls.append(len(surveys))
-        outcomes = real(surveys, options)
+    def first_table_fails(surveys, options, start=None):
+        calls.append((len(surveys), start is None))
+        outcomes = real(surveys, options, start=start)
         outcomes[0] = EvaluationError("p11A", "probability 0.0 with count coefficient 3.0")
         return outcomes
 
     monkeypatch.setattr(mle, "fit_many", first_table_fails)
     monkeypatch.setattr(_parallel, "BLOCK_SIZE", 30)  # one block: replicate 0 comes first
     boot = bootstrap(data, result, n_replicates=30, seed=4)
-    # replicate 0 fails every attempt and is counted with its reason; the
-    # other 29 are untouched by its failures
-    assert calls == [30] + [1] * 10
+    # replicate 0 fails every attempt, warm and then from the grid, and is
+    # counted with its reason; the other 29 are untouched by its failures
+    assert calls == [(30, False), (1, True)] + [(1, False), (1, True)] * 10
     assert boot.failures == ((0, "cannot evaluate log-likelihood term 'p11A': "
                                  "probability 0.0 with count coefficient 3.0"),)
     monkeypatch.setattr(mle, "fit_many", real)
@@ -157,8 +157,22 @@ def test_bootstrap_retries_a_package_error_and_reports_its_reason(q1_fit, monkey
 def test_bootstrap_propagates_programming_errors(q1_fit, monkeypatch):
     data, result = q1_fit
 
-    def broken(surveys, options):
+    def broken(surveys, options, start=None):
         raise TypeError("bug in the fitting code")
+
+    monkeypatch.setattr(mle, "fit_many", broken)
+    with pytest.raises(TypeError, match="bug in the fitting code"):
+        bootstrap(data, result, n_replicates=3, seed=4)
+
+
+def test_bootstrap_propagates_programming_errors_of_the_grid_pass(q1_fit, monkeypatch):
+    # every warm refit fails with a package error, so the grid pass runs
+    data, result = q1_fit
+
+    def broken(surveys, options, start=None):
+        if start is None:
+            raise TypeError("bug in the fitting code")
+        return [EvaluationError("p11A", "probability 0.0")] * len(surveys)
 
     monkeypatch.setattr(mle, "fit_many", broken)
     with pytest.raises(TypeError, match="bug in the fitting code"):
@@ -170,6 +184,7 @@ def test_bootstrap_zero_x11_draw_costs_an_attempt_on_the_replicates_stream(tiny)
     # with x11 = 0 in a stratum uses up an attempt, a refit error another,
     # and the next attempt continues the same stream
     result = fit(tiny)
+    assert not result.active_constraints  # so refits start warm from the parent fit
     indices = list(range(50))
     expected, zeros, draws = [], 0, 0
     for index in indices:
@@ -184,7 +199,10 @@ def test_bootstrap_zero_x11_draw_costs_an_attempt_on_the_replicates_stream(tiny)
                 continue
             survey = SurveyData(CellCounts(*map(int, table_a[:3])),
                                 CellCounts(*map(int, table_b[:3])))
-            (refit,) = mle.fit_many([survey], result.options)
+            (refit,) = mle.fit_many([survey], result.options, start=result.params)
+            if (isinstance(refit, DualdepError) or not refit.converged
+                    or refit.active_constraints):
+                (refit,) = mle.fit_many([survey], result.options)  # the grid's second pass
             if isinstance(refit, DualdepError):
                 reason = str(refit)
                 continue
@@ -199,6 +217,121 @@ def test_bootstrap_zero_x11_draw_costs_an_attempt_on_the_replicates_stream(tiny)
     assert [row[2] for row in got if row[1] is None][-1] == "drawn x11 was zero"
     with pytest.raises(BootstrapError, match="3 of 50 bootstrap replicates failed"):
         bootstrap(tiny, result, n_replicates=50, seed=1)
+
+
+def _row(refit):
+    p = refit.params
+    return (p.n_a, p.n_b, p.total, p.alpha, p.p1, p.p2a, p.p2b)
+
+
+def _first_attempts(data, parent, seed, count):
+    """Per replicate 0..count-1 of a one-block bootstrap: its drawn table,
+    the grid refit of that table, and its bootstrap row, for the replicates
+    whose first draw has x11 >= 1 and whose grid refit converged (their
+    bootstrap rows come from the first attempt)."""
+    surveys = {}
+    for index in range(count):
+        survey = inference._drawn_survey(
+            *draw_replicate_tables(data, parent, _parallel.stream(seed, index)))
+        if survey is not None:
+            surveys[index] = survey
+    grid = dict(zip(surveys, mle.fit_many(list(surveys.values()), parent.options)))
+    rows = inference._bootstrap_block((range(count), seed, data, parent, parent.options))
+    return [(surveys[index], grid[index], row) for index, row, _ in rows
+            if index in grid and not isinstance(grid[index], DualdepError)
+            and grid[index].converged]
+
+
+def assert_at_the_grid_maximum(data, parent, seed, count):
+    # a warm refit reaches the grid refit's maximum: no lower log-likelihood
+    # and the same parameters, both within 1e-6
+    compared = _first_attempts(data, parent, seed, count)
+    for survey, grid, row in compared:
+        n_a, n_b, _, alpha, p1, p2a, p2b = row
+        ll = model.log_likelihood(ModelParams(n_a, n_b, alpha, p1, p2a, p2b), survey)
+        assert ll >= grid.log_likelihood - 1e-6, survey
+        assert row == pytest.approx(_row(grid), rel=1e-6, abs=0.0), survey
+    return compared
+
+
+@pytest.mark.parametrize("mode", ["reduced", "full"])
+@pytest.mark.parametrize("quarter", ["Q1", "Q2", "Q3", "Q4"])
+def test_warm_refits_reach_the_grid_maximum_on_the_quarters(quarter, mode):
+    from conftest import make_survey
+
+    data = make_survey(quarter)
+    parent = fit(data, FitOptions(mode=mode))
+    assert not parent.active_constraints  # so every refit starts warm
+    assert len(assert_at_the_grid_maximum(data, parent, 7, 25)) == 25
+
+
+@st.composite
+def drawn_tables(draw):
+    """A table drawn from the model at random interior parameters; about
+    nine in ten such tables fit to an interior maximum."""
+    p1 = draw(st.floats(0.05, 0.4))
+    config = GeneratorConfig(
+        n_a=draw(st.integers(2000, 80000)), n_b=draw(st.integers(1000, 40000)),
+        alpha=draw(st.floats(0.02, 0.2)), p1_a=p1, p1_b=p1,
+        p2_a=draw(st.floats(0.01, 0.3)), p2_b=draw(st.floats(0.01, 0.3)), replicates=1,
+    )
+    return _draw_survey(config, _parallel.stream(draw(st.integers(0, 2**32)), 0))[0]
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=drawn_tables(), mode=st.sampled_from(["reduced", "full"]),
+       seed=st.integers(0, 2**32))
+def test_warm_refits_reach_the_grid_maximum_on_random_tables(data, mode, seed):
+    (parent,) = mle.fit_many([data], FitOptions(mode=mode))
+    assume(not isinstance(parent, DualdepError) and parent.converged
+           and not parent.active_constraints)
+    assert_at_the_grid_maximum(data, parent, seed, 8)
+
+
+def assert_grid_bits(data, parent, seed, count):
+    compared = _first_attempts(data, parent, seed, count)
+    assert len(compared) == count
+    for _, grid, row in compared:
+        assert row == _row(grid)
+    return compared
+
+
+def test_a_parent_on_a_bound_refits_from_the_grid():
+    # the corner table's maximum sits on the N_B and p2B bounds
+    data = SurveyData(CellCounts(201, 4162, 4390), CellCounts(406, 2574, 3265))
+    parent = fit(data)
+    assert {"N_B", "p2B"} <= parent.active_constraints
+    assert_grid_bits(data, parent, 3, 25)
+
+
+def test_a_multi_maximum_parent_refits_from_the_grid():
+    # a study-2 draw whose full-mode maximum, on the N_B and p2B bounds, only
+    # four of the twelve grid starts reach; from the parent alone, a refit
+    # can stop at a lower maximum
+    config = _scenario_config(2, 0.05, replicates=10, seed=11)
+    data, _ = _draw_survey(config, _parallel.stream(config.seed, 1))
+    parent = fit(data, FitOptions(mode="full"))
+    assert {"N_B", "p2B"} <= parent.active_constraints
+    compared = assert_grid_bits(data, parent, 3, 25)
+    warm = mle.fit_many([survey for survey, _, _ in compared], parent.options,
+                        start=parent.params)
+    assert max(grid.log_likelihood - alone.log_likelihood
+               for (_, grid, _), alone in zip(compared, warm)) > 1.0
+
+
+def test_a_warm_refit_on_a_bound_takes_the_grid_refit():
+    # the parent is interior, but the warm refit of replicate 4 ends on the
+    # N_B bound, at other bits than the grid refit
+    data = SurveyData(CellCounts(200, 35, 3807), CellCounts(105, 3326, 2527))
+    parent = fit(data, FitOptions(mode="full"))
+    assert not parent.active_constraints
+    survey = inference._drawn_survey(*draw_replicate_tables(data, parent, _parallel.stream(5, 4)))
+    (warm,) = mle.fit_many([survey], parent.options, start=parent.params)
+    assert warm.converged and warm.active_constraints == {"N_B"}
+    (grid,) = mle.fit_many([survey], parent.options)
+    assert _row(warm) != _row(grid)
+    ((index, row, reason),) = inference._bootstrap_block(([4], 5, data, parent, parent.options))
+    assert (index, row, reason) == (4, _row(grid), "")
 
 
 def test_bootstrap_requires_positive_B(q1_fit):

@@ -1,12 +1,20 @@
 """Run a fixed set of seeded CLI commands and write what each one produced.
 
 The commands are ``estimate`` on Q1 (reduced and full mode), on Q4 with 15
-starts and on a table whose maximum sits on the N_B and p2B bounds; the
-study-1, coverage and study-2 simulations; and three edge commands: a
-bootstrap on a tiny table that fails too many replicates (exit 1), a
-small custom study with many zero-x11 redraws and full-mode fallbacks, and
-standard errors on a table with counts near 1e9, whose one converged start
-ties stalled ones within the log-likelihood's rounding noise. For each
+starts and on a table whose maximum sits on the N_B and p2B bounds (standard
+errors and a bootstrap); the study-1, coverage and study-2 simulations; and
+three edge commands: a bootstrap on a tiny table that fails too many
+replicates (exit 1), a small custom study with many zero-x11 redraws and
+full-mode fallbacks, and standard errors on a table with counts near 1e9,
+whose one converged start ties stalled ones within the log-likelihood's
+rounding noise.
+
+Refits take two paths. The bootstraps of ``estimate-q1``,
+``estimate-q1-full``, ``estimate-q4-starts15`` and
+``estimate-tiny-bootstrap`` start warm from their interior parent fit, with
+the starting grid only for the refits that fail or end on a bound there;
+``estimate-corner-bootstrap``, whose parent sits on bounds, and every
+``simulate`` command fit from the starting grid alone. For each
 command the digest holds its exit code, stdout and stderr, the report's
 ``results`` (floats as ``float.hex``, so equal files mean bit-identical
 results) and the summary CSV. The work directory is written as ``<work>``,
@@ -49,6 +57,8 @@ COMMANDS = {
     "estimate-q4-starts15": ("estimate", "--input", "q4.csv", "--B", "50", "--seed", "2",
                              "--starts", "15"),
     "estimate-corner-hessian": ("estimate", "--input", "corner.csv", "--se", "hessian"),
+    "estimate-corner-bootstrap": ("estimate", "--input", "corner.csv", "--se", "bootstrap",
+                                  "--B", "50", "--seed", "1"),
     "estimate-large-hessian": ("estimate", "--input", "large.csv", "--se", "hessian"),
     "estimate-tiny-bootstrap": ("estimate", "--input", "tiny.csv", "--se", "bootstrap",
                                 "--B", "50", "--seed", "1"),
