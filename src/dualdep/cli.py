@@ -21,14 +21,10 @@ import os
 import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
-from decimal import Decimal, InvalidOperation
 from pathlib import Path
 
 from . import __version__, inference, mle, simulate, tables
 from .exceptions import DualdepError, NonConvergenceError, ValidationError
-
-SIZE_QUANTITIES = ("N_A", "N_B", "N_total")
-PARAM_QUANTITIES = ("alpha", "p1", "p2A", "p2B")
 
 
 def _default_threads() -> int:
@@ -48,6 +44,11 @@ def _fmt_prob(value) -> str:
     if value is None or not math.isfinite(value):
         return "undefined"
     return f"{value:.4f}"
+
+
+def _fmt_quantity(name: str, value) -> str:
+    """``value`` as a size if ``name`` is one (N_...), else as a probability."""
+    return _fmt_size(value) if name.startswith("N") else _fmt_prob(value)
 
 
 def _finite(value):
@@ -199,11 +200,6 @@ def cmd_estimate(args) -> int:
     )
     try:
         fit = mle.fit(data, options)
-        if not fit.converged:  # the best local maximum is a start that stalled
-            raise NonConvergenceError(
-                f"the best start did not reach gradient tolerance {options.gradient_tolerance}",
-                fit.per_start_diagnostics,
-            )
     except NonConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         for diag in exc.diagnostics:
@@ -221,15 +217,7 @@ def cmd_estimate(args) -> int:
     )
     diag = tables.diagnostics(data)
 
-    points = {
-        "N_A": fit.params.n_a,
-        "N_B": fit.params.n_b,
-        "N_total": fit.params.total,
-        "alpha": fit.params.alpha,
-        "p1": fit.params.p1,
-        "p2A": fit.params.p2a,
-        "p2B": fit.params.p2b,
-    }
+    points = dict(zip(inference.QUANTITIES, inference.quantities(fit.params)))
     boot_mean = unc.bootstrap_result.mean if unc.bootstrap_result is not None else {}
 
     print(f"Constrained MLE ({fit.mode} mode) for {args.input}")
@@ -247,18 +235,17 @@ def cmd_estimate(args) -> int:
     if unc.se_bootstrap is not None:
         header += f"{'se(boot)':>12}{'boot mean':>12}"
     print(header)
-    for name in SIZE_QUANTITIES + PARAM_QUANTITIES:
-        fmt = _fmt_size if name in SIZE_QUANTITIES else _fmt_prob
-        line = f"{name:<10}{fmt(points[name]):>12}"
+    for name, point in points.items():
+        fmt = functools.partial(_fmt_quantity, name)
+        line = f"{name:<10}{fmt(point):>12}"
         if unc.se_hessian is not None:
             line += f"{fmt(unc.se_hessian.get(name)):>12}"
         if unc.se_bootstrap is not None:
             line += f"{fmt(unc.se_bootstrap.get(name)):>12}{fmt(boot_mean.get(name)):>12}"
         print(line)
-    for method in unc.ci:
+    for method, intervals in unc.ci.items():
         parts = []
-        for name in SIZE_QUANTITIES:
-            interval = unc.ci[method][name]
+        for name, interval in intervals.items():
             if interval is None:
                 parts.append(f"{name}: undefined")
             else:
@@ -296,9 +283,9 @@ def cmd_estimate(args) -> int:
         },
     }
     rows = [
-        (name, points[name], (unc.se_hessian or {}).get(name), (unc.se_bootstrap or {}).get(name),
+        (name, point, (unc.se_hessian or {}).get(name), (unc.se_bootstrap or {}).get(name),
          boot_mean.get(name))
-        for name in SIZE_QUANTITIES + PARAM_QUANTITIES
+        for name, point in points.items()
     ]
     _write_outputs(
         args, "estimate", [str(args.input)], args.seed, results,
@@ -310,24 +297,17 @@ def cmd_estimate(args) -> int:
 # --- simulate ------------------------------------------------------------------
 
 def _parse_grid(text: str) -> tuple[float, ...]:
+    """``--grid``: start:stop:step through ``simulate.scenario_grid``, or one
+    value, which ``run_study2`` checks."""
     parts = text.split(":")
+    if len(parts) == 3:
+        return simulate.scenario_grid(*parts)
+    if len(parts) != 1:
+        raise ValidationError(f"grid must be start:stop:step, got {text!r}")
     try:
-        if len(parts) == 1:
-            return (float(Decimal(parts[0])),)
-        if len(parts) != 3:
-            raise ValidationError(f"grid must be start:stop:step, got {text!r}")
-        start, stop, step = (Decimal(p) for p in parts)
-    except InvalidOperation:
+        return (float(text),)
+    except ValueError:
         raise ValidationError(f"grid values are not numbers: {text!r}") from None
-    if not all(value.is_finite() for value in (start, stop, step)):
-        raise ValidationError(f"grid values must be finite: {text!r}")
-    if step <= 0:
-        raise ValidationError("grid step must be positive")
-    quotient = (stop - start) / step
-    n = int(quotient.to_integral_value(rounding="ROUND_HALF_EVEN"))
-    if n < 0 or abs(quotient - n) > Decimal("1e-9"):
-        raise ValidationError(f"grid step does not divide the range: {text!r}")
-    return tuple(float(start + k * step) for k in range(n + 1))
 
 
 def _print_study1(result, near_zero_marks: bool = False) -> None:
@@ -339,10 +319,9 @@ def _print_study1(result, near_zero_marks: bool = False) -> None:
         mark = ""
         if near_zero_marks and abs(s.relative_bias_pct) < 1.0:
             mark = "  ~0 bias"
-        mean = _fmt_size(s.mean) if s.quantity.startswith("N") else _fmt_prob(s.mean)
-        truth = _fmt_size(s.truth) if s.quantity.startswith("N") else _fmt_prob(s.truth)
         print(
-            f"{estimator:<10}{s.quantity:<9}{truth:>12}{mean:>14}"
+            f"{estimator:<10}{s.quantity:<9}{_fmt_quantity(s.quantity, s.truth):>12}"
+            f"{_fmt_quantity(s.quantity, s.mean):>14}"
             f"{s.relative_bias_pct:>11.4f}{s.cv_pct:>9.4f}{s.rmse:>12.4g}{mark}"
         )
     print(
@@ -352,8 +331,7 @@ def _print_study1(result, near_zero_marks: bool = False) -> None:
 
 
 def _study1_like(args, command: str, config) -> int:
-    options = mle.FitOptions(seed=args.seed)
-    result = simulate.run_study1(config, options, threads=args.threads)
+    result = simulate.run_study1(config, threads=args.threads)
     print(f"Simulation summary ({command})")
     _print_study1(result, near_zero_marks=(command == "custom"))
     results = {
@@ -395,9 +373,7 @@ def cmd_simulate_custom(args) -> int:
 
 def cmd_simulate_coverage(args) -> int:
     config = simulate.study1_config(replicates=args.replicates, seed=args.seed)
-    result = simulate.run_coverage(
-        config, mle.FitOptions(seed=args.seed), level=args.level, threads=args.threads
-    )
+    result = simulate.run_coverage(config, level=args.level, threads=args.threads)
     print(f"Interval coverage at level {args.level}")
     print(f"{'quantity':<9}{'method':<11}{'mean lower':>12}{'mean upper':>12}{'coverage':>10}{'n':>6}")
     for row in result.rows:
@@ -421,7 +397,6 @@ def cmd_simulate_study2(args) -> int:
         grid=grid,
         replicates=args.replicates,
         seed=args.seed,
-        options=mle.FitOptions(seed=args.seed),
         threads=args.threads,
     )
     print(f"Assumption-violation sweep, scenario {args.scenario}")

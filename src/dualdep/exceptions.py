@@ -33,7 +33,8 @@ class InfeasibleConstraintsError(FitError):
 
 
 class NonConvergenceError(FitError):
-    """No starting point produced a converged fit.
+    """The best starting point did not reach the gradient tolerance: no start
+    did, or one that stalled sits above every start that converged.
 
     Carries the per-start diagnostics so the caller can inspect what happened.
     """

@@ -29,11 +29,12 @@ from .exceptions import (
     ValidationError,
 )
 from .mle import DEFAULT_SEED, FitOptions, FitResult
-from .model import PARAM_NAMES
+from .model import ModelParams, PARAM_NAMES
 from .tables import CellCounts, SurveyData
 
 __all__ = [
     "QUANTITIES",
+    "quantities",
     "HessianSE",
     "BootstrapResult",
     "UncertaintyReport",
@@ -45,6 +46,13 @@ __all__ = [
 ]
 
 QUANTITIES = ("N_A", "N_B", "N_total", "alpha", "p1", "p2A", "p2B")
+
+
+def quantities(params: ModelParams) -> tuple[float, ...]:
+    """The value of each of ``QUANTITIES`` at ``params``, in that order."""
+    return (params.n_a, params.n_b, params.total, params.alpha, params.p1, params.p2a,
+            params.p2b)
+
 
 _MAX_ATTEMPTS = 11  # first try plus ten retries with fresh draws
 _FAILURE_CAP = 0.05
@@ -180,25 +188,23 @@ def _drawn_survey(table_a, table_b, label_a: str = "A", label_b: str = "B") -> S
 
 
 def _fit_outcome(outcome) -> tuple[FitResult | None, str]:
-    """A ``mle.fit_many`` outcome as (fit, "") or, for a package error or a
-    fit that did not converge, (None, the reason)."""
+    """A ``mle.fit_many`` outcome as (fit, "") or, for a package error, (None,
+    its text)."""
     if isinstance(outcome, DualdepError):
         return None, str(outcome)
-    if not outcome.converged:
-        return None, "fit did not converge"
     return outcome, ""
 
 
 def _refit(surveys, options: FitOptions, start):
     """The ``mle.fit_many`` outcomes of a block's drawn tables, each climbing
     from ``start`` (the parent fit's parameters), with the tables whose warm
-    refit raised a package error, did not converge or ended on a bound refit
-    from the starting grid in a second batch. With ``start`` None, the grid
-    refits every table in one batch."""
+    refit raised a package error or ended on a bound refit from the starting
+    grid in a second batch. With ``start`` None, the grid refits every table
+    in one batch."""
     outcomes = mle.fit_many(surveys, options, start=start)
     if start is not None:
         again = [k for k, outcome in enumerate(outcomes)
-                 if _fit_outcome(outcome)[0] is None or outcome.active_constraints]
+                 if isinstance(outcome, DualdepError) or outcome.active_constraints]
         if again:
             for k, outcome in zip(again, mle.fit_many([surveys[k] for k in again], options)):
                 outcomes[k] = outcome
@@ -208,12 +214,13 @@ def _refit(surveys, options: FitOptions, start):
 def _bootstrap_block(task):
     """Run one block of replicates. Every replicate draws its first attempt
     from its own Philox stream (keyed by seed and replicate index) and the
-    block's tables are refit in one batch (``_refit``), warm from the parent
-    fit unless the parent sits on a bound; only the replicates whose attempt
-    failed draw again, continuing their own streams, for up to
-    _MAX_ATTEMPTS attempts. Returns (index, estimates or None, reason of the
-    last failure) per replicate."""
-    indices, seed, data, fit, options = task
+    block's tables are refit in one batch (``_refit``) with the parent fit's
+    options, warm from the parent fit unless the parent sits on a bound;
+    only the replicates whose attempt failed draw again, continuing their
+    own streams, for up to _MAX_ATTEMPTS attempts. Returns (index, the
+    ``QUANTITIES`` of the refit or None, reason of the last failure) per
+    replicate."""
+    indices, seed, data, fit = task
     start = None if fit.active_constraints else fit.params
     rngs = {index: _parallel.stream(seed, index) for index in indices}
     values, reasons = {}, {}
@@ -230,11 +237,10 @@ def _bootstrap_block(task):
             else:
                 drawn.append(index)
                 surveys.append(survey)
-        for index, outcome in zip(drawn, _refit(surveys, options, start)):
+        for index, outcome in zip(drawn, _refit(surveys, fit.options, start)):
             refit, reasons[index] = _fit_outcome(outcome)
             if refit is not None:
-                p = refit.params
-                values[index] = (p.n_a, p.n_b, p.total, p.alpha, p.p1, p.p2a, p.p2b)
+                values[index] = quantities(refit.params)
         pending = [index for index in pending if index not in values]
     return [(index, values.get(index), reasons[index]) for index in indices]
 
@@ -245,20 +251,19 @@ def bootstrap(
     n_replicates: int = 500,
     seed: int = DEFAULT_SEED,
     threads: int = 1,
-    options: FitOptions | None = None,
 ) -> BootstrapResult:
     """Imputed parametric bootstrap around a converged fit.
 
     Each replicate redraws both strata from the fitted cell rates and
-    refits with the options of the original fit (overridable). A refit
+    refits with the options of the original fit, ``fit.options``. A refit
     climbs from one start, the fitted parameters clipped into the drawn
-    table's box. It climbs from the starting grid of ``options.n_starts``
+    table's box. It climbs from the starting grid of ``fit.options.n_starts``
     points instead when ``fit`` has an active constraint, and in a second
-    batch when its warm refit raised a package error, did not converge or
-    ended on a bound; that costs no attempt and no draw. A replicate gets
-    up to ten fresh redraws after a failed attempt (zero x11 draw, a
-    package error from the refit, or non-convergence);
-    replicates that still fail are logged with the reason of their last
+    batch when its warm refit raised a package error (non-convergence
+    among them) or ended on a bound; that costs no attempt and no draw. A
+    replicate gets up to ten fresh redraws after a failed attempt (zero x11
+    draw, or a package error from the refit); replicates that still fail
+    are logged with the reason of their last
     attempt, and more than 5% failures aborts with BootstrapError.
     Replicates run in blocks of ``_parallel.BLOCK_SIZE``, each refit as one
     batch, and the blocks are spread over ``threads`` processes. Replicate
@@ -270,8 +275,7 @@ def bootstrap(
         raise ValidationError("B must be >= 1 for bootstrap")
     if not fit.converged:
         raise ValidationError("fit did not converge; bootstrap needs a converged fit")
-    options = options or fit.options
-    tasks = [(block, int(seed), data, fit, options) for block in _parallel.blocks(n_replicates)]
+    tasks = [(block, int(seed), data, fit) for block in _parallel.blocks(n_replicates)]
     outcomes = [row for part in _parallel.run_indexed(_bootstrap_block, tasks, threads)
                 for row in part]
 

@@ -96,8 +96,10 @@ class StartDiagnostics:
 class FitResult:
     """A fitted model with convergence metadata.
 
-    ``active_constraints`` lists parameters sitting on a box bound in
-    natural coordinates. ``size_ratio_gap`` and ``p2_identity_gap`` report
+    ``fit`` and ``fit_many`` return only fits whose best start reached the
+    gradient tolerance, so their ``converged`` is always True; reports still
+    carry it. ``active_constraints`` lists parameters sitting on a box bound
+    in natural coordinates. ``size_ratio_gap`` and ``p2_identity_gap`` report
     the relative violation of the two reduction identities; both are
     exactly zero in reduced mode.
     """
@@ -558,7 +560,8 @@ def _solver_inputs(tables, options: FitOptions, start=None):
 def _result(setup, starts, theta, values, pg_norms, iterations, messages, options):
     """The FitResult of one table from its columns: the starts (6, n), the
     six parameters ``theta`` (6, n) where each start ended and its solver
-    outcomes; or the NonConvergenceError when no start converged."""
+    outcomes; or the NonConvergenceError when the best start did not
+    converge, whether or not another start did."""
     box, (ratio, multiplier), *_ = setup
     diagnostics = [
         StartDiagnostics(start=ModelParams(*start), log_likelihood=value,
@@ -567,11 +570,6 @@ def _result(setup, starts, theta, values, pg_norms, iterations, messages, option
         for start, value, pg_norm, n_iter, message in zip(
             starts.T.tolist(), values, pg_norms, iterations, messages)
     ]
-    if not any(d.converged for d in diagnostics):
-        return NonConvergenceError(
-            f"no starting point reached gradient tolerance {options.gradient_tolerance}",
-            diagnostics,
-        )
 
     # ties: a converged candidate beats a stalled duplicate of the same
     # maximum; among equals, the smaller total wins
@@ -585,6 +583,11 @@ def _result(setup, starts, theta, values, pg_norms, iterations, messages, option
         )):
             k = j
     winner = diagnostics[k]
+    if not winner.converged:
+        stalled = ("the best start did not reach" if any(d.converged for d in diagnostics)
+                   else "no starting point reached")
+        return NonConvergenceError(
+            f"{stalled} gradient tolerance {options.gradient_tolerance}", diagnostics)
     params = ModelParams.from_array(theta[:, k])
     # in reduced mode theta is built from the same products, so both gaps are 0
     expected_na = ratio * params.n_b
@@ -602,7 +605,7 @@ def _result(setup, starts, theta, values, pg_norms, iterations, messages, option
     return FitResult(
         params=params,
         log_likelihood=winner.log_likelihood,
-        converged=winner.converged,
+        converged=True,
         iterations=winner.iterations,
         active_constraints=frozenset(active),
         n_hat_total=params.total,
@@ -617,15 +620,15 @@ def _result(setup, starts, theta, values, pg_norms, iterations, messages, option
 def fit_many(tables, options: FitOptions | None = None, start: ModelParams | None = None) -> list:
     """Fit many tables with one batched solve over every start of every table.
 
-    Returns, in table order, each table's FitResult or the package error
-    fitting it raised (a missing overlap, an empty reduced box, no start
-    reaching the tolerance), so one bad table never ends the others. A
-    table's result is bit-identical whatever other tables share the batch.
-    Each table climbs from its starting grid of ``options.n_starts`` points,
-    or with ``start`` given from that one point, its solver coordinates
-    clipped into the table's box with the grid's margin (a warm start). The
-    batch holds one column per start; callers with many tables pass them in
-    blocks.
+    Returns, in table order, each table's converged FitResult or the
+    package error fitting it raised (a missing overlap, an empty reduced
+    box, a best start short of the tolerance), so one bad table never ends
+    the others. A table's result is bit-identical whatever other tables
+    share the batch. Each table climbs from its starting grid of
+    ``options.n_starts`` points, or with ``start`` given from that one
+    point, its solver coordinates clipped into the table's box with the
+    grid's margin (a warm start). The batch holds one column per start;
+    callers with many tables pass them in blocks.
     """
     options = options or FitOptions()
     outcomes, fitted, args = _solver_inputs(
@@ -652,8 +655,9 @@ def fit(data: SurveyData, options: FitOptions | None = None) -> FitResult:
     mapped box; in full mode all six parameters move independently. The
     best local maximum wins; log-likelihood ties (within 1e-9, or 16 ulps of
     the log-likelihood where that is wider) go to a converged start, then
-    to the smaller N_A + N_B. Raises NonConvergenceError only if no
-    start reaches the gradient tolerance. One table through ``fit_many``.
+    to the smaller N_A + N_B. Raises NonConvergenceError when that best
+    start did not reach the gradient tolerance, whether or not another start
+    did. One table through ``fit_many``.
     """
     (outcome,) = fit_many([data], options)
     if isinstance(outcome, DualdepError):

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from decimal import ROUND_HALF_EVEN, Decimal, InvalidOperation
 
 import numpy as np
 
@@ -97,14 +98,27 @@ def study1_config(replicates: int = 500, seed: int = DEFAULT_SEED) -> GeneratorC
     )
 
 
-def scenario_grid(start: float = 0.01, stop: float = 0.35, step: float = 0.01) -> tuple[float, ...]:
-    """Inclusive capture-probability grid, default 0.01, 0.02, ..., 0.35."""
-    if not all(math.isfinite(value) for value in (start, stop, step)):
-        raise ValidationError(f"grid values must be finite: '{start}:{stop}:{step}'")
+def scenario_grid(start: float | str = 0.01, stop: float | str = 0.35,
+                  step: float | str = 0.01) -> tuple[float, ...]:
+    """Inclusive capture-probability grid start, start + step, ..., stop,
+    default 0.01, 0.02, ..., 0.35, from numbers or decimal text read as the
+    exact decimals they print as. Raises ValidationError unless the step is
+    positive and divides stop - start (within 1e-9 steps) and every value
+    is finite and strictly inside (0, 1)."""
+    text = f"'{start}:{stop}:{step}'"
+    try:
+        start, stop, step = (Decimal(str(value)) for value in (start, stop, step))
+    except InvalidOperation:
+        raise ValidationError(f"grid values are not numbers: {text}") from None
+    if not all(value.is_finite() for value in (start, stop, step)):
+        raise ValidationError(f"grid values must be finite: {text}")
     if step <= 0:
         raise ValidationError("grid step must be positive")
-    n = int(round((stop - start) / step)) + 1
-    return _checked_grid(round(start + k * step, 12) for k in range(n))
+    quotient = (stop - start) / step
+    n = int(quotient.to_integral_value(rounding=ROUND_HALF_EVEN))
+    if n < 0 or abs(quotient - n) > Decimal("1e-9"):
+        raise ValidationError(f"grid step does not divide the range: {text}")
+    return _checked_grid(float(start + k * step) for k in range(n + 1))
 
 
 def _checked_grid(values) -> tuple[float, ...]:
@@ -286,8 +300,7 @@ def _fit_draws(surveys: list[SurveyData], options: FitOptions) -> list:
     batch, the draws whose reduced constraint box is empty (possible only
     when the generating process violates the shared-p1 assumption).
     Returns (FitResult or package error, fallback) per draw; ``fallback``
-    is True whenever the outcome is a fit from the full-mode refit,
-    converged or not."""
+    is True whenever the outcome is a fit from the full-mode refit."""
     outcomes = mle.fit_many(surveys, options)
     fallback = [isinstance(o, InfeasibleConstraintsError) and options.mode != "full"
                 for o in outcomes]
@@ -303,7 +316,8 @@ def _fit_draws(surveys: list[SurveyData], options: FitOptions) -> list:
 @dataclass(frozen=True, eq=False)
 class _Replicate:
     """One drawn and fitted replicate. ``fit`` is None when the fit raised a
-    package error or did not converge, and ``reason`` says which."""
+    package error (NonConvergenceError when its best start stalled), and
+    ``reason`` is that error's text."""
 
     survey: SurveyData
     fit: mle.FitResult | None
@@ -323,10 +337,12 @@ def _replicates(task) -> list[_Replicate]:
     ]
 
 
-def _run_replicates(groups, options: FitOptions, threads: int) -> list[_Replicate]:
-    """``_replicates`` over (config, stream keys) groups in blocks of
-    ``_parallel.BLOCK_SIZE`` keys, spread over ``threads`` processes;
-    records come back in group and key order."""
+def _run_replicates(groups, options: FitOptions | None, threads: int) -> list[_Replicate]:
+    """``_replicates`` with ``options`` (default ``FitOptions()``) over
+    (config, stream keys) groups in blocks of ``_parallel.BLOCK_SIZE`` keys,
+    spread over ``threads`` processes; records come back in group and key
+    order."""
+    options = options or FitOptions()
     tasks = [
         ([keys[i] for i in block], config, options)
         for config, keys in groups
@@ -346,7 +362,6 @@ def run_study1(
     generating model. Replicates whose fit fails are excluded from the
     model-based summaries and counted in ``fit_failures``."""
     config = config or study1_config()
-    options = options or FitOptions()
     outcomes = _run_replicates([(config, range(config.replicates))], options, threads)
 
     fitted = [o.fit.params for o in outcomes if o.fit is not None]
@@ -355,7 +370,7 @@ def run_study1(
             f"every one of the {config.replicates} replicate fits failed; "
             "the configuration is outside the estimator's working range"
         )
-    fitted_m = np.array([(p.n_a, p.n_b, p.alpha, p.p1, p.p2a, p.p2b) for p in fitted], dtype=float)
+    fitted_m = np.array([p.as_tuple() for p in fitted], dtype=float)
     proposed_truths = (
         ("N_A", float(config.n_a)),
         ("N_B", float(config.n_b)),
@@ -415,7 +430,6 @@ def run_coverage(
     observed information."""
     z = normal_quantile(level)
     config = config or study1_config()
-    options = options or FitOptions()
     outcomes = _run_replicates([(config, range(config.replicates))], options, threads)
 
     truth = {"N_A": float(config.n_a), "N_B": float(config.n_b)}
@@ -483,7 +497,6 @@ def run_study2(
     refit in full mode and counted in ``reduced_fallbacks``.
     """
     grid = _checked_grid(grid) if grid is not None else scenario_grid()
-    options = options or FitOptions()
     groups = [
         (_scenario_config(scenario, value, replicates, seed),
          [(gi << 32) | rep for rep in range(replicates)])

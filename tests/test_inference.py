@@ -21,6 +21,7 @@ from dualdep.model import ModelParams
 from dualdep.simulate import GeneratorConfig, _draw_survey, _scenario_config
 from dualdep.tables import CellCounts, SurveyData
 
+from conftest import drawn_tables
 from oracles import fd_hessian
 
 
@@ -212,7 +213,7 @@ def test_bootstrap_zero_x11_draw_costs_an_attempt_on_the_replicates_stream(tiny)
             break
         expected.append((index, values, reason))
     assert (zeros, draws) == (72, 167)
-    got = inference._bootstrap_block((indices, 1, tiny, result, result.options))
+    got = inference._bootstrap_block((indices, 1, tiny, result))
     assert got == expected
     assert [row[2] for row in got if row[1] is None][-1] == "drawn x11 was zero"
     with pytest.raises(BootstrapError, match="3 of 50 bootstrap replicates failed"):
@@ -236,7 +237,7 @@ def _first_attempts(data, parent, seed, count):
         if survey is not None:
             surveys[index] = survey
     grid = dict(zip(surveys, mle.fit_many(list(surveys.values()), parent.options)))
-    rows = inference._bootstrap_block((range(count), seed, data, parent, parent.options))
+    rows = inference._bootstrap_block((range(count), seed, data, parent))
     return [(surveys[index], grid[index], row) for index, row, _ in rows
             if index in grid and not isinstance(grid[index], DualdepError)
             and grid[index].converged]
@@ -263,19 +264,6 @@ def test_warm_refits_reach_the_grid_maximum_on_the_quarters(quarter, mode):
     parent = fit(data, FitOptions(mode=mode))
     assert not parent.active_constraints  # so every refit starts warm
     assert len(assert_at_the_grid_maximum(data, parent, 7, 25)) == 25
-
-
-@st.composite
-def drawn_tables(draw):
-    """A table drawn from the model at random interior parameters; about
-    nine in ten such tables fit to an interior maximum."""
-    p1 = draw(st.floats(0.05, 0.4))
-    config = GeneratorConfig(
-        n_a=draw(st.integers(2000, 80000)), n_b=draw(st.integers(1000, 40000)),
-        alpha=draw(st.floats(0.02, 0.2)), p1_a=p1, p1_b=p1,
-        p2_a=draw(st.floats(0.01, 0.3)), p2_b=draw(st.floats(0.01, 0.3)), replicates=1,
-    )
-    return _draw_survey(config, _parallel.stream(draw(st.integers(0, 2**32)), 0))[0]
 
 
 @settings(max_examples=25, deadline=None)
@@ -330,7 +318,7 @@ def test_a_warm_refit_on_a_bound_takes_the_grid_refit():
     assert warm.converged and warm.active_constraints == {"N_B"}
     (grid,) = mle.fit_many([survey], parent.options)
     assert _row(warm) != _row(grid)
-    ((index, row, reason),) = inference._bootstrap_block(([4], 5, data, parent, parent.options))
+    ((index, row, reason),) = inference._bootstrap_block(([4], 5, data, parent))
     assert (index, row, reason) == (4, _row(grid), "")
 
 

@@ -208,6 +208,18 @@ def test_scenario_grid():
         scenario_grid(0.1, 0.2, float("nan"))
 
 
+def test_scenario_grid_step_must_divide_the_range():
+    # 0.01 + 18 * 0.02 = 0.37 would overshoot the stop
+    with pytest.raises(ValidationError, match="grid step does not divide the range"):
+        scenario_grid(0.01, 0.36, 0.02)
+
+
+def test_scenario_grid_is_the_cli_grid_bit_for_bit():
+    from dualdep.cli import _parse_grid
+
+    assert [v.hex() for v in scenario_grid()] == [v.hex() for v in _parse_grid("0.01:0.35:0.01")]
+
+
 def test_study2_structure_and_determinism():
     result = run_study2(scenario=1, grid=(0.15,), replicates=10, seed=21)
     again = run_study2(scenario=1, grid=(0.15,), replicates=10, seed=21, threads=2)

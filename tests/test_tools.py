@@ -55,3 +55,11 @@ def test_report_digest_runs_a_command(tmp_path):
     assert "active constraints: N_B, p2B" in out["stdout"]
     assert set(out["results"]) == {"fit", "naive", "uncertainty"}
     assert out["csv"][0] == "quantity,point,se_hessian,se_bootstrap,bootstrap_mean"
+
+
+def test_main_writes_and_compares_the_digest_it_is_given(tmp_path):
+    before, after = tmp_path / "before.json", tmp_path / "after.json"
+    assert fit_digest.main(lambda: {"r": {"x": 1}}, __doc__, ["--output", str(before)]) == 0
+    assert fit_digest.main(lambda: {"r": {"x": 2}}, __doc__, ["--output", str(after)]) == 0
+    assert fit_digest.main(None, __doc__, ["--compare", str(before), str(before)]) == 0
+    assert fit_digest.main(None, __doc__, ["--compare", str(before), str(after)]) == 1

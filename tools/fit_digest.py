@@ -179,16 +179,19 @@ def compare(before: dict, after: dict, out=sys.stdout) -> int:
     return differences
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+def main(make_digest, doc: str, argv=None) -> int:
+    """The command line of a digest tool described by the module docstring
+    ``doc``: ``--output FILE`` writes ``make_digest()`` to FILE, and
+    ``--compare BEFORE AFTER`` exits 1 if two digest files differ."""
+    parser = argparse.ArgumentParser(description=doc.split("\n")[0])
     action = parser.add_mutually_exclusive_group(required=True)
-    action.add_argument("--output", help="write the corpus digest to this file")
+    action.add_argument("--output", help="write the digest to this file")
     action.add_argument("--compare", nargs=2, metavar=("BEFORE", "AFTER"),
                         help="compare two digest files")
     args = parser.parse_args(argv)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(digest(), fh, indent=1, sort_keys=True)
+            json.dump(make_digest(), fh, indent=1, sort_keys=True)
             fh.write("\n")
         return 0
     loaded = []
@@ -199,4 +202,4 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(digest, __doc__))

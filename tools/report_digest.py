@@ -24,13 +24,13 @@ manifest (timestamp, options, output paths) is left out.
     PYTHONPATH=src python tools/report_digest.py --output reports.json
     PYTHONPATH=src python tools/report_digest.py --compare before.json after.json
 
-``--compare`` uses ``fit_digest.compare`` and exits 1 if any field differs.
+The command line is ``fit_digest.main``: ``--compare`` uses ``fit_digest.compare`` and
+exits 1 if any field differs.
 Point PYTHONPATH at another checkout's ``src`` to digest that tree.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import io
 import json
@@ -38,7 +38,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from fit_digest import EDGES, QUARTERS, compare
+from fit_digest import EDGES, QUARTERS, main
 
 from dualdep.cli import main as cli_main
 
@@ -121,24 +121,5 @@ def digest() -> dict[str, dict]:
         return {name: run(name, command, work) for name, command in COMMANDS.items()}
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    action = parser.add_mutually_exclusive_group(required=True)
-    action.add_argument("--output", help="write the command digest to this file")
-    action.add_argument("--compare", nargs=2, metavar=("BEFORE", "AFTER"),
-                        help="compare two digest files")
-    args = parser.parse_args(argv)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(digest(), fh, indent=1, sort_keys=True)
-            fh.write("\n")
-        return 0
-    loaded = []
-    for path in args.compare:
-        with open(path, encoding="utf-8") as fh:
-            loaded.append(json.load(fh))
-    return 1 if compare(*loaded) else 0
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(digest, __doc__))
