@@ -4,13 +4,15 @@ and the log-normal-style confidence interval for population sizes.
 The bootstrap is "imputed": each replicate resamples a full multinomial
 table of (rounded) fitted size per stratum, including the estimated
 unobserved cell, then refits the model on the starred observed cells.
-Replicates run in fixed-size blocks whose refits are one batched solve
-(``mle.fit_many``). A replicate is drawn from the fitted model, so each
-refit starts from the fitted parameters alone (a warm start). The starting
-grid is the safety net: it refits every replicate when the fit sits on a
-bound, where the likelihood can have several maxima, and it refits a
-replicate whose warm refit failed or ended on a bound. Stratum variances add
-for the total because the strata are independent.
+Replicates run in blocks whose refits are one batched solve
+(``mle.fit_many``), each block within a budget of solver columns
+(``_parallel.blocks``). A replicate is drawn from the fitted model, so each
+refit starts from the fitted parameters alone (a warm start, one column).
+The starting grid is the safety net: it refits every replicate when the fit
+sits on a bound, where the likelihood can have several maxima, and it
+refits a replicate whose warm refit failed or ended on a bound, in batches
+within the same budget. Stratum variances add for the total because the
+strata are independent.
 """
 
 from __future__ import annotations
@@ -195,18 +197,26 @@ def _fit_outcome(outcome) -> tuple[FitResult | None, str]:
     return outcome, ""
 
 
+def _warm_start(fit: FitResult) -> ModelParams | None:
+    """The start of every warm refit around ``fit``: its parameters, or None
+    (refit from the starting grid) when it sits on a bound."""
+    return None if fit.active_constraints else fit.params
+
+
 def _refit(surveys, options: FitOptions, start):
     """The ``mle.fit_many`` outcomes of a block's drawn tables, each climbing
     from ``start`` (the parent fit's parameters), with the tables whose warm
     refit raised a package error or ended on a bound refit from the starting
-    grid in a second batch. With ``start`` None, the grid refits every table
-    in one batch."""
+    grid, in batches of at most ``_parallel.BLOCK_COLUMNS`` solver columns
+    (``_parallel.blocks``). With ``start`` None, the grid refits every table in one batch (the
+    block is already sized for the grid)."""
     outcomes = mle.fit_many(surveys, options, start=start)
     if start is not None:
         again = [k for k, outcome in enumerate(outcomes)
                  if isinstance(outcome, DualdepError) or outcome.active_constraints]
-        if again:
-            for k, outcome in zip(again, mle.fit_many([surveys[k] for k in again], options)):
+        for block in _parallel.blocks(len(again), options.n_starts):
+            chunk = [again[i] for i in block]
+            for k, outcome in zip(chunk, mle.fit_many([surveys[k] for k in chunk], options)):
                 outcomes[k] = outcome
     return outcomes
 
@@ -221,7 +231,7 @@ def _bootstrap_block(task):
     ``QUANTITIES`` of the refit or None, reason of the last failure) per
     replicate."""
     indices, seed, data, fit = task
-    start = None if fit.active_constraints else fit.params
+    start = _warm_start(fit)
     rngs = {index: _parallel.stream(seed, index) for index in indices}
     values, reasons = {}, {}
     pending = list(indices)
@@ -265,8 +275,11 @@ def bootstrap(
     draw, or a package error from the refit); replicates that still fail
     are logged with the reason of their last
     attempt, and more than 5% failures aborts with BootstrapError.
-    Replicates run in blocks of ``_parallel.BLOCK_SIZE``, each refit as one
-    batch, and the blocks are spread over ``threads`` processes. Replicate
+    Replicates run in blocks of at most ``_parallel.BLOCK_COLUMNS`` solver
+    columns (one per warm refit, ``fit.options.n_starts`` per grid refit),
+    each block's refits as one batch, and the blocks are spread over
+    ``threads`` processes (replicates that fit in one block run in this
+    process). Replicate
     streams are keyed by (seed, replicate index) and a refit does not depend
     on its batch, so results depend neither on ``threads`` nor on the block
     size.
@@ -275,7 +288,9 @@ def bootstrap(
         raise ValidationError("B must be >= 1 for bootstrap")
     if not fit.converged:
         raise ValidationError("fit did not converge; bootstrap needs a converged fit")
-    tasks = [(block, int(seed), data, fit) for block in _parallel.blocks(n_replicates)]
+    width = 1 if _warm_start(fit) is not None else fit.options.n_starts
+    tasks = [(block, int(seed), data, fit)
+             for block in _parallel.blocks(n_replicates, width, threads)]
     outcomes = [row for part in _parallel.run_indexed(_bootstrap_block, tasks, threads)
                 for row in part]
 

@@ -203,7 +203,7 @@ def starting_points(data: SurveyData, options: FitOptions | None = None) -> list
 def _starts(data: SurveyData, options: FitOptions, setup) -> np.ndarray:
     """``starting_points`` from the table's ``_setup``: the six parameters
     of each start, one start per column of a (6, n_starts) array."""
-    _, (ratio, multiplier), _, lo, hi = setup
+    _, (ratio, multiplier), scale, lo, hi = setup
     sel = _COORDINATES[options.mode][1]
     lo, hi = np.array((lo, hi))[..., None]  # (P, 1)
     pad = _START_MARGIN * (hi - lo)
@@ -222,22 +222,22 @@ def _starts(data: SurveyData, options: FitOptions, setup) -> np.ndarray:
         draws = stream(options.seed, 0).random((options.n_starts - grid, 4)).T
         draws = lo[at] + (hi[at] - lo[at]) * (_START_MARGIN + (1 - 2 * _START_MARGIN) * draws)
         n_b, alpha, p1, p2b = (np.concatenate(pair) for pair in zip((n_b, alpha, p1, p2b), draws))
-    theta = _clipped(np.array([ratio * n_b, n_b, alpha, p1, multiplier * p2b, p2b]), setup,
-                     options.mode)
+    theta = _clipped(np.array([ratio * n_b, n_b, alpha, p1, multiplier * p2b, p2b]),
+                     np.array(scale)[:, None], lo, hi, options.mode)
     theta[2] = alpha  # alpha is taken as drawn or gridded, unclipped
     return theta
 
 
-def _clipped(theta, setup, mode: str) -> np.ndarray:
+def _clipped(theta, scale, lo, hi, mode: str) -> np.ndarray:
     """The points ``theta`` (6, n) with each solver coordinate of ``mode``
-    clipped into its box less the start margin, the tied parameters following
-    their coordinates through the table's ``_setup``."""
-    _, _, scale, lo, hi = setup
+    clipped into its box ``lo``, ``hi`` (P, n) less the start margin, the
+    tied parameters following their coordinates through ``scale`` (6, n).
+    The shapes broadcast: one table's (P, 1) box clips each of its starts,
+    and a stack of T tables' boxes clips one point (6, 1) into each."""
     coords, sel, _ = _COORDINATES[mode]
-    lo, hi = np.array((lo, hi))[..., None]  # (P, 1)
     pad = _START_MARGIN * (hi - lo)
     u = np.minimum(np.maximum(theta[list(coords)], lo + pad), hi - pad)
-    return _expand(u, np.array(scale)[:, None], sel)
+    return _expand(u, scale, sel)
 
 
 # --- solver ------------------------------------------------------------------
@@ -526,19 +526,18 @@ def _solver_inputs(tables, options: FitOptions, start=None):
     """Each table's ``_setup`` and starts, stacked into the arguments of
     ``_solve_start``, one block of columns per table in table order. The
     starts are the table's starting grid (``_starts``), or with ``start``
-    given those six parameters clipped into the table's box (``_clipped``),
-    one column per table. Returns (outcomes, fitted, args): ``outcomes``
-    holds, at the index of each table with no box, the package error that
-    makes it unfittable (None elsewhere); ``fitted`` the (index, setup,
-    starts) of every other table; ``args`` the arguments, or None if no table
-    has a box."""
+    (6, 1) given those six parameters clipped into each table's box
+    (``_clipped``, once over the stacked boxes), one column per table.
+    Returns (outcomes, fitted, args): ``outcomes`` holds, at the index of
+    each table with no box, the package error that makes it unfittable
+    (None elsewhere); ``fitted`` the (index, setup, starts) of every other
+    table; ``args`` the arguments, or None if no table has a box."""
     outcomes: list = [None] * len(tables)
     fitted, counts = [], []
     for index, data in enumerate(tables):
         try:
             setup = _setup(data, options.mode)
-            starts = (_starts(data, options, setup) if start is None
-                      else _clipped(start, setup, options.mode))
+            starts = _starts(data, options, setup) if start is None else None
             fitted.append((index, setup, starts))
             counts.append(model._counts(data))
         except DualdepError as exc:
@@ -550,7 +549,13 @@ def _solver_inputs(tables, options: FitOptions, start=None):
     coords, sel, _ = _COORDINATES[options.mode]
     scale, lo, hi = (np.array(column, dtype=float).T
                      for column in zip(*(setup[2:] for _, setup, _ in fitted)))
-    u0 = np.concatenate([starts for _, _, starts in fitted], axis=1)[list(coords)]
+    if start is None:
+        theta0 = np.concatenate([starts for _, _, starts in fitted], axis=1)
+    else:
+        theta0 = _clipped(start, scale, lo, hi, options.mode)
+        fitted = [(index, setup, theta0[:, k:k + 1])
+                  for k, (index, setup, _) in enumerate(fitted)]
+    u0 = theta0[list(coords)]
     table = np.repeat(np.arange(len(fitted)), fitted[0][2].shape[1])
     return outcomes, fitted, (u0, table, np.array(counts).T, scale, sel,
                               *_trimmed_bounds(lo, hi, coords),

@@ -339,14 +339,15 @@ def _replicates(task) -> list[_Replicate]:
 
 def _run_replicates(groups, options: FitOptions | None, threads: int) -> list[_Replicate]:
     """``_replicates`` with ``options`` (default ``FitOptions()``) over
-    (config, stream keys) groups in blocks of ``_parallel.BLOCK_SIZE`` keys,
-    spread over ``threads`` processes; records come back in group and key
-    order."""
+    (config, stream keys) groups, each group in blocks of at most
+    ``_parallel.BLOCK_COLUMNS`` solver columns (25 keys at the 12-start
+    grid), spread over ``threads`` processes; records come back in group and
+    key order."""
     options = options or FitOptions()
     tasks = [
         ([keys[i] for i in block], config, options)
         for config, keys in groups
-        for block in blocks(len(keys))
+        for block in blocks(len(keys), options.n_starts)
     ]
     return [record for part in run_indexed(_replicates, tasks, threads) for record in part]
 

@@ -531,8 +531,9 @@ def test_simulate_reports_thread_invariant(tmp_path, monkeypatch, argv):
     from dualdep import _parallel
 
     reports, tables = [], []
-    for threads, block in (("1", _parallel.BLOCK_SIZE), ("2", 2)):
-        monkeypatch.setattr(_parallel, "BLOCK_SIZE", block)
+    # blocks of two 12-start fits
+    for threads, block in (("1", _parallel.BLOCK_COLUMNS), ("2", 2 * 12)):
+        monkeypatch.setattr(_parallel, "BLOCK_COLUMNS", block)
         stem = tmp_path / f"t{threads}"
         assert main(argv + ["--threads", threads, "--output", str(stem)]) == 0
         reports.append(read_report(stem)["results"])
@@ -546,8 +547,9 @@ def test_estimate_report_identical_across_block_size_and_threads(tmp_path, q1_cs
 
     argv = ["estimate", "--input", str(q1_csv), "--se", "bootstrap", "--B", "5", "--seed", "3"]
     texts = []
-    for threads, block in (("1", _parallel.BLOCK_SIZE), ("2", 2)):
-        monkeypatch.setattr(_parallel, "BLOCK_SIZE", block)
+    # blocks of two warm refits
+    for threads, block in (("1", _parallel.BLOCK_COLUMNS), ("2", 2)):
+        monkeypatch.setattr(_parallel, "BLOCK_COLUMNS", block)
         stem = tmp_path / f"t{threads}"
         assert main(argv + ["--threads", threads, "--output", str(stem)]) == 0
         texts.append((json.dumps(read_report(stem)["results"]),

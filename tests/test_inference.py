@@ -107,11 +107,56 @@ def test_bootstrap_thread_invariance(q1_fit):
 
 
 def test_bootstrap_block_size_and_thread_invariance(q1_fit, monkeypatch):
-    # one block in this process against three blocks of two over two workers
+    # one block in this process against three blocks of two warm refits over
+    # two workers
     data, result = q1_fit
     whole = bootstrap(data, result, n_replicates=6, seed=5, threads=1)
-    monkeypatch.setattr(_parallel, "BLOCK_SIZE", 2)
+    monkeypatch.setattr(_parallel, "BLOCK_COLUMNS", 2)
     split = bootstrap(data, result, n_replicates=6, seed=5, threads=2)
+    for name in whole.estimates:
+        assert np.array_equal(whole.estimates[name], split.estimates[name])
+
+
+def columns_per_call(monkeypatch):
+    """Spy on ``mle.fit_many``: the list it returns gains, per call, the
+    solver columns of that call and whether it was a warm pass."""
+    real, calls = mle.fit_many, []
+
+    def spy(surveys, options, start=None):
+        calls.append((len(surveys) * (1 if start is not None else options.n_starts),
+                      start is not None))
+        return real(surveys, options, start=start)
+
+    monkeypatch.setattr(mle, "fit_many", spy)
+    return calls
+
+
+def test_a_warm_bootstrap_split_into_blocks_gives_the_bits_of_one_block(q1_fit, monkeypatch):
+    data, result = q1_fit
+    whole = bootstrap(data, result, n_replicates=40, seed=5)
+    calls = columns_per_call(monkeypatch)
+    monkeypatch.setattr(_parallel, "BLOCK_COLUMNS", 7)
+    split = bootstrap(data, result, n_replicates=40, seed=5)
+    assert sorted(width for width, warm in calls if warm) == [6, 6, 7, 7, 7, 7]
+    for name in whole.estimates:
+        assert np.array_equal(whole.estimates[name], split.estimates[name])
+
+
+@pytest.mark.parametrize("table", [
+    ((201, 4162, 4390), (406, 2574, 3265)),  # corner: the parent sits on the N_B and p2B bounds
+    ((2, 3, 4), (1, 2, 3)),  # tiny: many warm refits end on a bound and refit from the grid
+], ids=["corner", "tiny"])
+def test_no_refit_batch_exceeds_the_column_budget(table, monkeypatch):
+    data = SurveyData(CellCounts(*table[0]), CellCounts(*table[1]))
+    parent = fit(data)
+    whole = bootstrap(data, parent, n_replicates=100, seed=1)
+    calls = columns_per_call(monkeypatch)
+    monkeypatch.setattr(_parallel, "BLOCK_COLUMNS", 60)
+    split = bootstrap(data, parent, n_replicates=100, seed=1)
+    assert max(width for width, _ in calls) <= 60
+    # grid batches of several tables: a budget of 60 holds five 12-start fits
+    assert max(width for width, warm in calls if not warm) == 60
+    assert whole.failures == split.failures
     for name in whole.estimates:
         assert np.array_equal(whole.estimates[name], split.estimates[name])
 
@@ -142,7 +187,7 @@ def test_bootstrap_retries_a_package_error_and_reports_its_reason(q1_fit, monkey
         return outcomes
 
     monkeypatch.setattr(mle, "fit_many", first_table_fails)
-    monkeypatch.setattr(_parallel, "BLOCK_SIZE", 30)  # one block: replicate 0 comes first
+    monkeypatch.setattr(_parallel, "BLOCK_COLUMNS", 30)  # one block: replicate 0 comes first
     boot = bootstrap(data, result, n_replicates=30, seed=4)
     # replicate 0 fails every attempt, warm and then from the grid, and is
     # counted with its reason; the other 29 are untouched by its failures

@@ -1,15 +1,17 @@
 """Run a fixed set of seeded CLI commands and write what each one produced.
 
-The commands are ``estimate`` on Q1 (reduced and full mode), on Q4 with 15
-starts and on a table whose maximum sits on the N_B and p2B bounds (standard
-errors and a bootstrap); the study-1, coverage and study-2 simulations; and
+The commands are ``estimate`` on Q1 (reduced and full mode; a bootstrap of
+400 replicates, which spans two blocks, and its twin on two worker
+processes, whose results and CSV must equal the serial run's), on Q4
+with 15 starts and on a table whose maximum sits on the N_B and p2B bounds
+(standard errors and a bootstrap); the study-1, coverage and study-2 simulations; and
 three edge commands: a bootstrap on a tiny table that fails too many
 replicates (exit 1), a small custom study with many zero-x11 redraws and
 full-mode fallbacks, and standard errors on a table with counts near 1e9,
 whose one converged start ties stalled ones within the log-likelihood's
 rounding noise.
 
-Refits take two paths. The bootstraps of ``estimate-q1``,
+Refits take two paths. The bootstraps of ``estimate-q1`` and its twins,
 ``estimate-q1-full``, ``estimate-q4-starts15`` and
 ``estimate-tiny-bootstrap`` start warm from their interior parent fit, with
 the starting grid only for the refits that fail or end on a bound there;
@@ -25,7 +27,8 @@ manifest (timestamp, options, output paths) is left out.
     PYTHONPATH=src python tools/report_digest.py --compare before.json after.json
 
 The command line is ``fit_digest.main``: ``--compare`` uses ``fit_digest.compare`` and
-exits 1 if any field differs.
+exits 1 if any field differs. Digesting exits 1 if the two-process twin's
+results differ from the serial run's.
 Point PYTHONPATH at another checkout's ``src`` to digest that tree.
 """
 
@@ -52,6 +55,9 @@ TABLES = {
 SIM = ("--replicates", "40", "--seed", "1")
 COMMANDS = {
     "estimate-q1": ("estimate", "--input", "q1.csv", "--B", "50", "--seed", "1"),
+    "estimate-q1-b400": ("estimate", "--input", "q1.csv", "--B", "400", "--seed", "1"),
+    "estimate-q1-b400-threads2": ("estimate", "--input", "q1.csv", "--B", "400", "--seed", "1",
+                                  "--threads", "2"),
     "estimate-q1-full": ("estimate", "--input", "q1.csv", "--B", "50", "--seed", "1",
                          "--mode", "full"),
     "estimate-q4-starts15": ("estimate", "--input", "q4.csv", "--B", "50", "--seed", "2",
@@ -118,7 +124,11 @@ def digest() -> dict[str, dict]:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         _write_tables(work)
-        return {name: run(name, command, work) for name, command in COMMANDS.items()}
+        out = {name: run(name, command, work) for name, command in COMMANDS.items()}
+    serial, twin = out["estimate-q1-b400"], out["estimate-q1-b400-threads2"]
+    if (serial["results"], serial["csv"]) != (twin["results"], twin["csv"]):
+        sys.exit("estimate-q1-b400-threads2: results differ from the serial estimate-q1-b400")
+    return out
 
 
 if __name__ == "__main__":
