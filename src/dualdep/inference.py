@@ -247,6 +247,8 @@ def _bootstrap_block(task):
             else:
                 drawn.append(index)
                 surveys.append(survey)
+        if not surveys:  # every pending replicate drew x11 = 0: nothing to refit
+            continue
         for index, outcome in zip(drawn, _refit(surveys, fit.options, start)):
             refit, reasons[index] = _fit_outcome(outcome)
             if refit is not None:

@@ -301,21 +301,23 @@ def _expand(u, scale, sel):
     return scale * u[_chain(tuple(sel)).sel]
 
 
-def _gradient(u, counts, scale, sel) -> np.ndarray:
-    """Log-likelihood gradient in solver coordinates, shape (P, K)."""
+def _gradient(values, weights, scale, sel) -> np.ndarray:
+    """Log-likelihood gradient in solver coordinates, shape (P, K), from the
+    factor table (``model._values``) of the points."""
     chain = _chain(tuple(sel))
-    terms = (scale * model._grad(_expand(u, scale, sel), counts))[chain.grad_params]
+    terms = (scale * model._grad(values, weights))[chain.grad_params]
     return model._segment_sum(terms, chain.grad_layout)[chain.grad_order]
 
 
-def _hessian(u, counts, scale, sel) -> np.ndarray:
-    """Log-likelihood Hessian in solver coordinates, shape (K, P, P): the
-    upper triangle summed once through ``_Chain`` and mirrored."""
+def _hessian(values, weights, scale, sel) -> np.ndarray:
+    """Log-likelihood Hessian in solver coordinates, shape (K, P, P), from
+    the factor table of the points: the upper triangle summed once through
+    ``_Chain`` and mirrored."""
     chain = _chain(tuple(sel))
-    hess = model._hess(_expand(u, scale, sel), counts)
+    hess = model._hess(values, weights)
     terms = hess[chain.entries] * scale[chain.rows] * scale[chain.cols]
     upper = model._segment_sum(terms, chain.layout)
-    size = u.shape[0]
+    size = sel[-1] + 1
     return upper[chain.square].reshape(size, size, -1).transpose(2, 0, 1)
 
 
@@ -369,14 +371,16 @@ def _direction(run):
     """The step of each start: Newton on the free coordinates (zero on the
     blocked ones), flipped to ascent where it would descend. Returns (step,
     singular, broken): the steps, shape (P, K); which Newton systems were
-    singular; and which other steps are not finite."""
+    singular; and which other steps are not finite. The Hessian comes from
+    the factor table each start carries."""
     u, free = run["u"], run["free"]
     size = u.shape[0]
     grad = np.where(free, run["grad"], 0.0)
     # blocked coordinates get an identity row and column and a zero
     # gradient entry, so their step is zero
-    hess = _hessian(u, run["counts"], run["scale"], run["sel"])
-    np.copyto(hess, np.eye(size), where=~(free.T[:, :, None] & free.T[:, None, :]))
+    hess = _hessian(run["values"], run["weights"], run["scale"], run["sel"])
+    if not free.all():
+        np.copyto(hess, np.eye(size), where=~(free.T[:, :, None] & free.T[:, None, :]))
     step, singular = _newton_step(hess, grad.T)
     step = step.T
     descend = ~((grad * step).sum(axis=0) > 0.0) & ~singular
@@ -393,10 +397,25 @@ def _direction(run):
 
 
 # The per-start entries of the solver state: the columns a start that stops
-# takes with it. ``start`` is the column's index in the solve's input.
-_COLUMNS = ("start", "u", "ll", "grad", "free", "pg", "it", "counts", "scale", "lo", "hi")
+# takes with it. ``start`` is the column's index in the solve's input;
+# ``values`` and ``weights`` are the factor table at ``u``.
+_COLUMNS = ("start", "u", "ll", "grad", "free", "pg", "values", "weights", "it", "counts",
+            "scale", "lo", "hi")
 # The state a start leaves behind: the solve's outputs.
 _FINAL = ("u", "ll", "pg", "it")
+
+
+def _initial_state(u0, table, counts, scale, sel, lo_t, hi_t):
+    """The solver state of the starts ``u0`` (``_solve_start``'s arguments),
+    each clipped into its box and evaluated, one column per start."""
+    table = np.asarray(table)
+    run = {"start": np.arange(table.size), "it": np.zeros(table.size, dtype=int),
+           "counts": counts[:, table], "scale": scale[:, table], "sel": sel,
+           "lo": lo_t[:, table], "hi": hi_t[:, table]}
+    u = np.clip(u0, run["lo"], run["hi"])
+    state = _evaluate(u, run["counts"], run["scale"], sel, run["lo"], run["hi"])
+    run.update(zip(_MOVED, (u, *state)))
+    return run
 
 
 def _solve_start(u0, table, counts, scale, sel, lo_t, hi_t, max_iter, tol):
@@ -416,20 +435,17 @@ def _solve_start(u0, table, counts, scale, sel, lo_t, hi_t, max_iter, tol):
     taken. The starts iterate together: one Hessian evaluation and one
     stacked solve serve every start still moving. A start that converges or
     stops writes its final state to the outputs and leaves the working
-    arrays, so every later evaluation covers the moving starts only.
+    arrays, so every later evaluation covers the moving starts only. Each
+    point is evaluated once: every start carries the factor table of its
+    point (``_evaluate``), and the Hessian is built from it.
 
     Returns (u, log_likelihood, projected_gradient_norm, iterations,
     messages), one column of u and one entry of the others per start.
     """
-    table = np.asarray(table)
-    run = {"start": np.arange(table.size), "it": np.zeros(table.size, dtype=int),
-           "counts": counts[:, table], "scale": scale[:, table], "sel": sel,
-           "lo": lo_t[:, table], "hi": hi_t[:, table]}
-    run["u"] = np.clip(u0, run["lo"], run["hi"])
-    run["ll"], run["grad"], run["free"], run["pg"] = _evaluate(
-        run["u"], run["counts"], run["scale"], sel, run["lo"], run["hi"])
+    run = _initial_state(u0, table, counts, scale, sel, lo_t, hi_t)
+    width = run["start"].size
     final = {name: run[name].copy() for name in _FINAL}
-    messages = [""] * table.size
+    messages = [""] * width
 
     def stop(*reasons):
         """Stop the starts that a (mask, message) pair names, the first pair
@@ -448,7 +464,7 @@ def _solve_start(u0, table, counts, scale, sel, lo_t, hi_t, max_iter, tol):
             run[name] = run[name][..., ~done]
         return ~done
 
-    accepted = np.ones(table.size, dtype=bool)
+    accepted = np.ones(width, dtype=bool)
     while True:
         stop((run["pg"] < tol, "converged"), (run["it"] >= max_iter, "iteration cap reached"),
              (~accepted, "no acceptable step"))
@@ -456,7 +472,7 @@ def _solve_start(u0, table, counts, scale, sel, lo_t, hi_t, max_iter, tol):
             break
         step, singular, broken = _direction(run)
         kept = stop((singular, "singular Newton system"), (broken, "non-finite Newton step"))
-        accepted = _line_search(run, step[:, kept], table.size)
+        accepted = _line_search(run, step[:, kept], width)
 
     return final["u"], final["ll"], final["pg"], final["it"], messages
 
@@ -467,15 +483,18 @@ _LENGTHS = np.ldexp(1.0, -np.arange(47))
 
 
 def _evaluate(u, counts, scale, sel, lo, hi):
-    """The log-likelihood, gradient, free coordinates and projected gradient
-    at solver points u."""
-    ll = model._ll(_expand(u, scale, sel), counts)
-    grad = _gradient(u, counts, scale, sel)
-    return (ll, grad, *_projected_gradient(u, grad, lo, hi))
+    """The log-likelihood, gradient, free coordinates, projected gradient
+    and factor table (values, weights) at solver points u: the ``_MOVED``
+    state but u. The table is built once per point, here, and
+    ``_direction`` builds the Hessian from it once the point is accepted."""
+    values, weights = model._values(_expand(u, scale, sel), counts)
+    ll = model._ll(values, weights, counts)
+    grad = _gradient(values, weights, scale, sel)
+    return (ll, grad, *_projected_gradient(u, grad, lo, hi), values, weights)
 
 
 # The state an accepted step moves.
-_MOVED = ("u", "ll", "grad", "free", "pg")
+_MOVED = ("u", "ll", "grad", "free", "pg", "values", "weights")
 
 
 def _trial(run, points, cols):
@@ -484,15 +503,16 @@ def _trial(run, points, cols):
     projected gradient shrinks or the log-likelihood rises."""
     lo, hi, counts, scale = (run[name][:, cols] for name in ("lo", "hi", "counts", "scale"))
     u = np.clip(points, lo, hi)
-    ll, grad, free, pg = _evaluate(u, counts, scale, run["sel"], lo, hi)
-    return (u, ll, grad, free, pg), (pg < run["pg"][cols]) | (ll > run["ll"][cols])
+    ll, grad, free, pg, values, weights = _evaluate(u, counts, scale, run["sel"], lo, hi)
+    passed = (pg < run["pg"][cols]) | (ll > run["ll"][cols])
+    return (u, ll, grad, free, pg, values, weights), passed
 
 
 def _line_search(run, step, width):
     """Backtrack each start's step from full length, halving it until the
     projected gradient shrinks or the log-likelihood rises. Accepted starts
-    move, in place, and count an iteration. Returns which starts accepted a
-    step.
+    move, with the state of their new point, and count an iteration.
+    Returns which starts accepted a step.
 
     A start takes the first length of ``_LENGTHS`` that passes, as halving
     one length at a time would. The full-length trial of every start is one
@@ -501,8 +521,11 @@ def _line_search(run, step, width):
     keep the evaluation within ``width`` columns."""
     u = run["u"]
     new, accepted = _trial(run, u + step, slice(None))
-    for name, value in zip(_MOVED, new):
-        np.copyto(run[name], value, where=accepted)
+    if accepted.all():
+        run.update(zip(_MOVED, new))
+    else:
+        for name, value in zip(_MOVED, new):
+            np.copyto(run[name], value, where=accepted)
     searching, k = np.flatnonzero(~accepted), 1
     while searching.size and k < _LENGTHS.size:
         per = min(width // searching.size, _LENGTHS.size - k)
@@ -566,10 +589,12 @@ def _result(setup, starts, theta, values, pg_norms, iterations, messages, option
     """The FitResult of one table from its columns: the starts (6, n), the
     six parameters ``theta`` (6, n) where each start ended and its solver
     outcomes; or the NonConvergenceError when the best start did not
-    converge, whether or not another start did."""
+    converge, whether or not another start did. Each start is inside the
+    box by construction, so its ``ModelParams`` skips the checks; only the
+    winner's parameters are checked."""
     box, (ratio, multiplier), *_ = setup
     diagnostics = [
-        StartDiagnostics(start=ModelParams(*start), log_likelihood=value,
+        StartDiagnostics(start=model._unchecked_params(*start), log_likelihood=value,
                          projected_gradient=pg_norm, converged=pg_norm < options.gradient_tolerance,
                          iterations=n_iter, message=message)
         for start, value, pg_norm, n_iter, message in zip(
@@ -593,7 +618,7 @@ def _result(setup, starts, theta, values, pg_norms, iterations, messages, option
                    else "no starting point reached")
         return NonConvergenceError(
             f"{stalled} gradient tolerance {options.gradient_tolerance}", diagnostics)
-    params = ModelParams.from_array(theta[:, k])
+    params = ModelParams(*theta[:, k].tolist())
     # in reduced mode theta is built from the same products, so both gaps are 0
     expected_na = ratio * params.n_b
     size_gap = abs(params.n_a - expected_na) / expected_na

@@ -14,8 +14,10 @@ Identification uses two strata sharing the list-1 capture probability p1:
 the stratum sizes are tied through the list-1 marginals and the two list-2
 probabilities through a method-of-moments ratio, reducing the six-parameter
 problem to four. This module evaluates the (Stirling-approximated) capture
-log-likelihood and its analytic gradient and Hessian, all three from one
-table of the eleven factors whose products are the cells.
+log-likelihood and its analytic gradient and Hessian. All three read one
+table of the eleven factors whose products are the cells, built once per
+point: the public functions build it for one point, and the solver builds
+it once per point of a batch and keeps it with the point.
 """
 
 from __future__ import annotations
@@ -93,6 +95,15 @@ class ModelParams:
     @property
     def total(self) -> float:
         return self.n_a + self.n_b
+
+
+def _unchecked_params(n_a, n_b, alpha, p1, p2a, p2b) -> ModelParams:
+    """A ModelParams of six Python floats known to pass its checks, built
+    without running them: a solver start, which lies inside the parameter
+    box by construction."""
+    params = object.__new__(ModelParams)
+    params.__dict__.update(n_a=n_a, n_b=n_b, alpha=alpha, p1=p1, p2a=p2a, p2b=p2b)
+    return params
 
 
 @dataclass(frozen=True)
@@ -189,15 +200,17 @@ def expand(reduced: ReducedParams, data: SurveyData) -> ModelParams:
 
 # --- array kernels -------------------------------------------------------------
 #
-# The solver evaluates every start of every table in a batch at once. The
-# kernels take theta (6, K), rows in PARAM_NAMES order, and counts (8, K), rows
-# (x11A, x10A, x01A, x0A, x11B, x10B, x01B, x0B), one column per point. They
-# use elementwise arithmetic only, and add rows to rows in a fixed order where
-# they sum (never a numpy reduction, which sums a lone column's contiguous
-# terms pairwise), so a point's result never depends on the other points of
-# the batch. They do not check that every term is evaluable:
-# _check does that for the public wrappers, and the solver's trimmed box keeps
-# every term evaluable.
+# The solver evaluates every start of every table in a batch at once, from
+# theta (6, K), rows in PARAM_NAMES order, and counts (8, K), rows (x11A, x10A,
+# x01A, x0A, x11B, x10B, x01B, x0B), one column per point. _values is the one
+# pass over the points: it builds their factor table (values, weights), and
+# _ll, _grad and _hess read that table, so a caller that needs several of
+# them at a point builds it once. All of them use elementwise arithmetic
+# only, and add rows to rows in a fixed order where they sum (never a numpy
+# reduction, which sums a lone column's contiguous terms pairwise), so a
+# point's result never depends on the other points of the batch. They do not
+# check that every term is evaluable: _check does that for the public
+# wrappers, and the solver's trimmed box keeps every term evaluable.
 #
 # The factor table. Each cell probability is a product of eleven factors
 # phi_f, each affine in one parameter or bilinear in (alpha, p2s); _W[f, c]
@@ -337,8 +350,9 @@ def _counts(data: SurveyData) -> tuple[float, ...]:
 
 
 def _values(theta, counts):
-    """The values array and the weight of each value's log in the
-    log-likelihood (w, 0, N_A, N_B, -(N_A - x0A), -(N_B - x0B))."""
+    """The factor table of the points theta: the values array and the
+    weight of each value's log in the log-likelihood (w, 0, N_A, N_B,
+    -(N_A - x0A), -(N_B - x0B)), the arguments of ``_grad`` and ``_hess``."""
     alpha = theta[2]
     values = np.empty((16, theta.shape[1]))
     values[0:3] = theta[3:6]
@@ -358,15 +372,15 @@ def _values(theta, counts):
     return values, weights
 
 
-def _check(theta, counts) -> None:
-    """Raise EvaluationError naming the first term of a one-point batch that
-    needs log 0 or the log of a negative number: N below the observed total,
-    or a zero cell, the product of its factors, against a nonzero count."""
-    values, _ = _values(theta, counts)
+def _check(values, counts) -> None:
+    """Raise EvaluationError naming the first term of a one-point factor
+    table that needs log 0 or the log of a negative number: N below the
+    observed total, or a zero cell, the product of its factors, against a
+    nonzero count."""
     for s, term in enumerate(("N_A - x0A", "N_B - x0B")):
         if values[_UNOBSERVED[s], 0] < 0.0:
             raise EvaluationError(
-                term, f"{term[:3]} = {theta[s, 0]} is below the observed total "
+                term, f"{term[:3]} = {values[_SIZES[s], 0]} is below the observed total "
                       f"{counts[_P00[s], 0]}")
     cells = counts[:, 0].copy()
     cells[3::4] = values[14:16, 0]
@@ -385,10 +399,9 @@ def _frac(num, den):
     return np.where(num == 0.0, 0.0, num / den)
 
 
-def _ll(theta, counts):
-    """The log-likelihood, shape (K,)."""
+def _ll(values, weights, counts):
+    """The log-likelihood of a factor table, shape (K,)."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        values, weights = _values(theta, counts)
         terms = _xlogy(weights, values)
         # summed pairwise in a fixed tree; the Stirling pairs' linear parts,
         # -N_s + (N_s - x0s), are -x0s
@@ -397,11 +410,10 @@ def _ll(theta, counts):
         return terms[0] - counts[3] - counts[7]
 
 
-def _grad(theta, counts):
-    """The gradient, shape (6, K), rows in PARAM_NAMES order; a size's
-    component diverges to +inf at N = x0."""
+def _grad(values, weights):
+    """The gradient of a factor table, shape (6, K), rows in PARAM_NAMES
+    order; a size's component diverges to +inf at N = x0."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        values, weights = _values(theta, counts)
         z = np.empty((11 + len(values), values.shape[1]))
         z[:11] = _frac(weights[:11], values[:11])
         np.log(values, out=z[11:])
@@ -410,12 +422,11 @@ def _grad(theta, counts):
     return out
 
 
-def _hess(theta, counts):
-    """The Hessian entries _PAIRS, shape (21, K); the entries no factor
-    couples (N_A-N_B, alpha-p1, p1-p2s, a size with the other stratum's p2,
-    p2A-p2B) are exactly 0."""
+def _hess(values, weights):
+    """The Hessian entries _PAIRS of a factor table, shape (21, K); the
+    entries no factor couples (N_A-N_B, alpha-p1, p1-p2s, a size with the
+    other stratum's p2, p2A-p2B) are exactly 0."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        values, weights = _values(theta, counts)
         y = np.empty((22 + len(values), values.shape[1]))
         y[11:22] = _frac(weights[:11], values[:11])
         y[:11] = _frac(y[11:22], values[:11])
@@ -429,12 +440,12 @@ def _hess(theta, counts):
 # --- public wrappers ---------------------------------------------------------
 
 def _one_point(params: ModelParams, data: SurveyData):
-    """theta and counts of one parameter point as one-point kernel arguments,
-    checked to be evaluable."""
-    theta = np.array(params.as_tuple())[:, None]
+    """The factor table (values, weights) of one parameter point and its
+    counts, checked to be evaluable: the arguments of ``_ll``."""
     counts = np.array(_counts(data))[:, None]
-    _check(theta, counts)
-    return theta, counts
+    values, weights = _values(np.array(params.as_tuple())[:, None], counts)
+    _check(values, counts)
+    return values, weights, counts
 
 
 def log_likelihood(params: ModelParams, data: SurveyData) -> float:
@@ -457,7 +468,8 @@ def gradient(params: ModelParams, data: SurveyData) -> np.ndarray:
     points whose derivative diverges (N_s = x0s) the affected component is
     returned as +/-inf rather than raising.
     """
-    return _grad(*_one_point(params, data))[:, 0]
+    values, weights, _ = _one_point(params, data)
+    return _grad(values, weights)[:, 0]
 
 
 def hessian(params: ModelParams, data: SurveyData) -> np.ndarray:
@@ -467,7 +479,8 @@ def hessian(params: ModelParams, data: SurveyData) -> np.ndarray:
     never interact, p1 never meets a p2, the two p2s never meet, and each
     p2 touches only its own stratum's size and alpha.
     """
+    values, weights, _ = _one_point(params, data)
     rows, cols = np.array(_PAIRS).T
     h = np.empty((6, 6))
-    h[rows, cols] = h[cols, rows] = _hess(*_one_point(params, data))[:, 0]
+    h[rows, cols] = h[cols, rows] = _hess(values, weights)[:, 0]
     return h

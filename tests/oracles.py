@@ -104,7 +104,8 @@ def _reference_direction(run):
     size = u.shape[0]
     free = run["free"] & live
     grad = np.where(free, run["grad"], 0.0)
-    hess = mle._hessian(u, run["counts"], run["scale"], run["sel"])
+    values, weights = model._values(mle._expand(u, run["scale"], run["sel"]), run["counts"])
+    hess = mle._hessian(values, weights, run["scale"], run["sel"])
     np.copyto(hess, np.eye(size), where=~(free.T[:, :, None] & free.T[:, None, :]))
     step, singular = mle._newton_step(hess, grad.T)
     step = step.T
@@ -126,8 +127,9 @@ def reference_solve(u0, table, counts, scale, sel, lo_t, hi_t, max_iter, tol):
            "counts": counts[:, table], "scale": scale[:, table], "sel": sel,
            "lo": lo_t[:, table], "hi": hi_t[:, table]}
     run["u"] = np.clip(u0, run["lo"], run["hi"])
-    run["ll"] = model._ll(mle._expand(run["u"], run["scale"], sel), run["counts"])
-    run["grad"] = mle._gradient(run["u"], run["counts"], run["scale"], sel)
+    values, weights = model._values(mle._expand(run["u"], run["scale"], sel), run["counts"])
+    run["ll"] = model._ll(values, weights, run["counts"])
+    run["grad"] = mle._gradient(values, weights, run["scale"], sel)
     run["free"], run["pg"] = mle._projected_gradient(run["u"], run["grad"], run["lo"], run["hi"])
     messages = [""] * table.size
 
@@ -162,8 +164,9 @@ def _reference_line_search(run, step):
     length = np.ones(u.shape[1])
     while searching.any():
         trial = np.clip(u + length * step, lo, hi)
-        ll_t = model._ll(mle._expand(trial, scale, sel), counts)
-        grad_t = mle._gradient(trial, counts, scale, sel)
+        values, weights = model._values(mle._expand(trial, scale, sel), counts)
+        ll_t = model._ll(values, weights, counts)
+        grad_t = mle._gradient(values, weights, scale, sel)
         free_t, pg_t = mle._projected_gradient(trial, grad_t, lo, hi)
         ok = searching & ((pg_t < pg) | (ll_t > ll))
         for state, new in ((u, trial), (ll, ll_t), (grad, grad_t), (free, free_t), (pg, pg_t)):

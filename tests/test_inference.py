@@ -265,6 +265,18 @@ def test_bootstrap_zero_x11_draw_costs_an_attempt_on_the_replicates_stream(tiny)
         bootstrap(tiny, result, n_replicates=50, seed=1)
 
 
+def test_an_attempt_that_draws_no_table_makes_no_refit(tiny, monkeypatch):
+    # in blocks of 50 replicates of the tiny table, some attempt draws x11 =
+    # 0 for every replicate still pending; it refits nothing, so it makes
+    # no fit_many call
+    result = fit(tiny)
+    calls = columns_per_call(monkeypatch)
+    monkeypatch.setattr(_parallel, "BLOCK_COLUMNS", 60)
+    boot = bootstrap(tiny, result, n_replicates=200, seed=1)
+    assert "drawn x11 was zero" in dict(boot.failures).values()
+    assert calls and min(width for width, _ in calls) > 0
+
+
 def _row(refit):
     p = refit.params
     return (p.n_a, p.n_b, p.total, p.alpha, p.p1, p.p2a, p.p2b)

@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from dualdep import mle, model
 from dualdep._parallel import stream
 from dualdep.exceptions import (
-    DualdepError, FitError, InfeasibleConstraintsError, NonConvergenceError,
+    DualdepError, FitError, InfeasibleConstraintsError, NonConvergenceError, ValidationError,
 )
 from dualdep.mle import FitOptions, fit, fit_many, starting_points
 from dualdep.model import (
@@ -510,6 +510,50 @@ def test_fit_many_keeps_going_past_bad_tables(q1):
     assert fit_many([]) == []
 
 
+# the quarters and three edge tables of tools/fit_digest.py: a maximum on the
+# N_B and p2B bounds, small counts, and counts near 1e9 (no full-mode start
+# converges there)
+READOUT_TABLES = [make_survey(q) for q in QUARTER_COUNTS] + [
+    SurveyData(CellCounts(*a), CellCounts(*b)) for a, b in (
+        ((201, 4162, 4390), (406, 2574, 3265)),
+        ((2, 3, 4), (1, 2, 3)),
+        ((10_000_000, 800_000_000, 300_000_000), (50_000_000, 200_000_000, 300_000_000)),
+    )]
+
+
+@pytest.mark.parametrize("mode", ["reduced", "full"])
+def test_every_start_reads_out_as_the_parameters_its_checks_give(mode):
+    # the read-out skips ModelParams' checks for the starts: they would pass
+    # and keep the same floats, for warm, 12-start and 15-start fits alike
+    warm = fit(make_survey("Q1")).params
+    outcomes = (fit_many(READOUT_TABLES, FitOptions(mode=mode), start=warm)
+                + fit_many(READOUT_TABLES, FitOptions(mode=mode))
+                + fit_many(READOUT_TABLES, FitOptions(mode=mode, n_starts=15)))
+    seen = 0
+    for outcome in outcomes:
+        diagnostics = (outcome.diagnostics if isinstance(outcome, NonConvergenceError)
+                       else outcome.per_start_diagnostics)
+        for d in diagnostics:
+            assert d.start == ModelParams(*d.start.as_tuple())
+            assert all(type(value) is float for value in d.start.as_tuple())
+        seen += len(diagnostics)
+    assert seen == len(READOUT_TABLES) * (1 + 12 + 15)
+
+
+@pytest.mark.parametrize("mode", ["reduced", "full"])
+@pytest.mark.parametrize("row, value", [(0, math.inf), (1, math.nan), (2, math.nan),
+                                        (5, -math.inf)])
+def test_a_non_finite_winner_is_still_checked(q1, mode, row, value):
+    options = FitOptions(mode=mode)
+    _, ((_, setup, starts),), _ = mle._solver_inputs([q1], options)
+    theta = starts.copy()
+    theta[row, 0] = value
+    n = starts.shape[1]
+    with pytest.raises(ValidationError):
+        mle._result(setup, starts, theta, [1.0] + [0.0] * (n - 1), [0.0] * n, [1] * n,
+                    ["converged"] * n, options)
+
+
 def solver_derivatives(data, mode, u):
     """``mle._gradient`` and ``mle._hessian`` of ``data`` at the solver points
     that are the columns of ``u``."""
@@ -517,7 +561,8 @@ def solver_derivatives(data, mode, u):
     counts = np.repeat(np.array(model._counts(data))[:, None], k, axis=1)
     scale = np.repeat(np.array(mle._setup(data, mode)[2])[:, None], k, axis=1)
     _, sel, _ = mle._COORDINATES[mode]
-    return mle._gradient(u, counts, scale, sel), mle._hessian(u, counts, scale, sel)
+    values, weights = model._values(mle._expand(u, scale, sel), counts)
+    return mle._gradient(values, weights, scale, sel), mle._hessian(values, weights, scale, sel)
 
 
 def reduced_interior_points(rng, data, k):

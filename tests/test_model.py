@@ -278,8 +278,11 @@ def test_kernels_give_a_column_the_same_bits_alone_as_in_a_batch(columns):
     # on the other columns of the batch, wherever it is (boundaries and
     # non-evaluable points included)
     theta, counts = kernel_arguments(columns)
-    for kernel in (model._ll, model._grad, model._hess):
-        batch = kernel(theta, counts)
+    kernels = (lambda table, counts: model._ll(*table, counts),
+               lambda table, _: model._grad(*table), lambda table, _: model._hess(*table))
+    for kernel in kernels:
+        batch = kernel(model._values(theta, counts), counts)
         for k in range(theta.shape[1]):
-            alone = kernel(theta[:, k:k + 1].copy(), counts[:, k:k + 1].copy())
+            alone_counts = counts[:, k:k + 1].copy()
+            alone = kernel(model._values(theta[:, k:k + 1].copy(), alone_counts), alone_counts)
             assert alone.tobytes() == batch[..., k:k + 1].copy().tobytes()

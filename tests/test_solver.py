@@ -1,12 +1,13 @@
 """The batched solve against the reference solve of ``oracles``: the same
 bits for every start, whichever starts share a batch and however many of
-them have stopped."""
+them have stopped. And the factor table the solver carries with each start
+against a fresh one at the start's point."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from dualdep import mle
+from dualdep import mle, model
 from dualdep._parallel import stream
 from dualdep.mle import FitOptions, fit
 from dualdep.simulate import _draw_survey, _scenario_config
@@ -99,3 +100,38 @@ def test_random_batches_solve_bit_identical_to_reference(tables, mode, n_starts,
     args = solver_inputs(tables, options)
     if args is not None:
         assert_same_solve(args)
+
+
+def assert_fresh_tables(run):
+    """The factor table each column of the solver state ``run`` carries is
+    the bits of a fresh ``model._values`` at that column's point alone."""
+    theta = mle._expand(run["u"], run["scale"], run["sel"])
+    for k in range(theta.shape[1]):
+        values, weights = model._values(theta[:, k:k + 1].copy(), run["counts"][:, k:k + 1].copy())
+        assert run["values"][:, k:k + 1].tobytes() == values.tobytes(), k
+        assert run["weights"][:, k:k + 1].tobytes() == weights.tobytes(), k
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    tables=st.lists(st.builds(SurveyData, stratum_counts, stratum_counts), min_size=1, max_size=4),
+    mode=st.sampled_from(["reduced", "full"]),
+    n_starts=st.integers(1, 15),
+    data=st.data(),
+)
+def test_the_solver_carries_the_factor_table_of_each_point(tables, mode, n_starts, data):
+    # the starts, some coordinates moved onto a bound of the trimmed box:
+    # the table after the first evaluation and after one line search, where
+    # accepted starts took a trial point's table and the others kept theirs
+    args = solver_inputs(tables, FitOptions(mode=mode, n_starts=n_starts))
+    assume(args is not None)
+    u0, table, counts, scale, sel, lo_t, hi_t = args[:7]
+    where = np.array(data.draw(st.lists(st.sampled_from((0, 1, 2)), min_size=u0.size,
+                                        max_size=u0.size))).reshape(u0.shape)
+    u0 = np.select((where == 1, where == 2), (lo_t[:, table], hi_t[:, table]), u0)
+    run = mle._initial_state(u0, table, counts, scale, sel, lo_t, hi_t)
+    assert_fresh_tables(run)
+    step, _, _ = mle._direction(run)
+    accepted = mle._line_search(run, np.where(np.isfinite(step), step, 0.0), table.size)
+    assume(accepted.any())
+    assert_fresh_tables(run)
