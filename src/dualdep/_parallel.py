@@ -1,14 +1,16 @@
-"""Process-based fan-out for blocks of independent replicates.
+"""Process-based fan-out for blocks of independent replicates, and the
+package's random streams.
 
 Callers split their replicates into blocks sized by solver columns
 (``blocks``) and hand one task per block to ``run_indexed``; a worker fits a
 whole block in one batched solve, and the data shared by a block's
-replicates is pickled once per block. Every replicate derives its random
-stream (``stream``) from its own index and its fit does not depend on the
-other replicates of its block, so results are identical whatever the block
-size, worker count or completion order; ``run_indexed`` returns them in
-submission order. Neither function uses more workers than the CPUs the
-process may run on (``cpus``).
+replicates is pickled once per block. Every replicate draws from its own
+random stream, keyed by the full 64-bit seed and the replicate's index
+(``stream``; ``Streams`` reaches many keys in turn through one generator),
+and its fit does not depend on the other replicates of its block, so
+results are identical whatever the block size, worker count or completion
+order; ``run_indexed`` returns them in submission order. Neither function
+uses more workers than the CPUs the process may run on (``cpus``).
 """
 
 from __future__ import annotations
@@ -32,19 +34,46 @@ import numpy as np
 BLOCK_COLUMNS = 300
 
 
+def _key(seed: int, key: int) -> np.ndarray:
+    """The Philox key of stream ``key`` under ``seed``: both numbers modulo
+    2**64, as unsigned 64-bit integers (a Python list of them would go
+    through float64 above 2**63 and lose the low bits)."""
+    return np.array([int(seed) % 2**64, int(key) % 2**64], dtype=np.uint64)
+
+
 def stream(seed: int, key: int) -> np.random.Generator:
     """The random stream numbered ``key`` under ``seed``: a counter-based
     Philox generator (Salmon et al. 2011) keyed by both numbers modulo
     2**64, so any stream is reached directly by its key, in any order and
-    in any process. Every random stream of the package is built here. Its
-    purposes share one key space:
+    in any process. Every random stream of the package is built here or set
+    to its start by ``Streams``. Its purposes share one key space:
 
     - bootstrap replicate k: key k;
     - study-1 and coverage replicate k: key k;
     - study-2 replicate ``rep`` at grid point ``grid``: key ``(grid << 32) | rep``;
     - the seeded starting points beyond the fixed grid of 12: key 0.
     """
-    return np.random.Generator(np.random.Philox(key=[int(seed) % 2**64, int(key) % 2**64]))
+    return np.random.Generator(np.random.Philox(key=_key(seed, key)))
+
+
+class Streams:
+    """The streams of one seed through one reused generator, for callers that
+    draw from many keys in turn: ``at(key)`` sets the generator to the start
+    of ``stream(seed, key)`` (its key, counter 0 and an empty buffer) and
+    returns it, so what it draws next is that stream's draws, bit for bit.
+    Setting the state costs a fraction of building a generator. The
+    generator is shared: once ``at`` moves it to another key, a stream
+    drawn before is reached again only from its start."""
+
+    def __init__(self, seed: int):
+        bits = np.random.Philox(key=_key(seed, 0))
+        self._bits, self._rng, self._state = bits, np.random.Generator(bits), bits.state
+        self._key = self._state["state"]["key"]  # set in place by ``at``
+
+    def at(self, key: int) -> np.random.Generator:
+        self._key[1] = int(key) % 2**64
+        self._bits.state = self._state
+        return self._rng
 
 
 def cpus() -> int:

@@ -5,9 +5,12 @@ The bootstrap is "imputed": each replicate resamples a full multinomial
 table of (rounded) fitted size per stratum, including the estimated
 unobserved cell, then refits the model on the starred observed cells.
 Replicates run in blocks whose refits are one batched solve
-(``mle.fit_many``), each block within a budget of solver columns
-(``_parallel.blocks``). A replicate is drawn from the fitted model, so each
-refit starts from the fitted parameters alone (a warm start, one column).
+(``mle._fits``, read out as arrays with no FitResult per replicate), each
+block within a budget of solver columns (``_parallel.blocks``). A block
+computes the cell rates once and sets one generator to each replicate's
+stream (``_parallel.Streams``). A replicate is drawn from the fitted model,
+so each refit starts from the fitted parameters alone (a warm start, one
+column).
 The starting grid is the safety net: it refits every replicate when the fit
 sits on a bound, where the likelihood can have several maxima, and it
 refits a replicate whose warm refit failed or ended on a bound, in batches
@@ -32,7 +35,7 @@ from .exceptions import (
 )
 from .mle import DEFAULT_SEED, FitOptions, FitResult
 from .model import ModelParams, PARAM_NAMES
-from .tables import CellCounts, SurveyData
+from .tables import CellCounts, SurveyData, _unchecked_survey
 
 __all__ = [
     "QUANTITIES",
@@ -52,8 +55,13 @@ QUANTITIES = ("N_A", "N_B", "N_total", "alpha", "p1", "p2A", "p2B")
 
 def quantities(params: ModelParams) -> tuple[float, ...]:
     """The value of each of ``QUANTITIES`` at ``params``, in that order."""
-    return (params.n_a, params.n_b, params.total, params.alpha, params.p1, params.p2a,
-            params.p2b)
+    return tuple(_quantity_rows(params.as_array()[:, None])[0].tolist())
+
+
+def _quantity_rows(theta: np.ndarray) -> np.ndarray:
+    """``quantities`` of each column of parameters ``theta`` (6, T), one row
+    per column: (T, 7)."""
+    return np.vstack((theta[:2], theta[0] + theta[1], theta[2:])).T
 
 
 _MAX_ATTEMPTS = 11  # first try plus ten retries with fresh draws
@@ -165,28 +173,36 @@ def _replicate_probs(counts: CellCounts, n_hat: float) -> np.ndarray:
     return probs / probs.sum()
 
 
+def _replicate_rates(data: SurveyData, fit: FitResult):
+    """Per stratum, the rounded fitted size and the (x11, x10, x01,
+    unobserved) cell rates that a bootstrap draw takes."""
+    return ((round(fit.params.n_a), _replicate_probs(data.stratum_a, fit.params.n_a)),
+            (round(fit.params.n_b), _replicate_probs(data.stratum_b, fit.params.n_b)))
+
+
+def _tables(rng: np.random.Generator, rates) -> tuple[np.ndarray, np.ndarray]:
+    """One multinomial table per stratum of ``rates`` (``_replicate_rates``)."""
+    (size_a, probs_a), (size_b, probs_b) = rates
+    return rng.multinomial(size_a, probs_a), rng.multinomial(size_b, probs_b)
+
+
 def draw_replicate_tables(
-    data: SurveyData, fit: FitResult, rng: np.random.Generator
+    data: SurveyData, fit: FitResult, rng: np.random.Generator, rates=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """One bootstrap draw per stratum: multinomial tables of the rounded
-    fitted sizes over (x11, x10, x01, unobserved) cell rates."""
-    table_a = rng.multinomial(
-        round(fit.params.n_a), _replicate_probs(data.stratum_a, fit.params.n_a)
-    )
-    table_b = rng.multinomial(
-        round(fit.params.n_b), _replicate_probs(data.stratum_b, fit.params.n_b)
-    )
-    return table_a, table_b
+    fitted sizes over (x11, x10, x01, unobserved) cell rates. A caller that
+    draws many passes the rates, computed once (``_replicate_rates``)."""
+    return _tables(rng, rates if rates is not None else _replicate_rates(data, fit))
 
 
 def _drawn_survey(table_a, table_b, label_a: str = "A", label_b: str = "B") -> SurveyData | None:
     """The survey of two drawn stratum tables (x11, x10, x01, unobserved), or
     None when either stratum has x11 = 0, where no estimator is defined.
-    With x11 >= 1 in both strata the counts are always a valid survey."""
+    With x11 >= 1 in both strata the counts are always a valid survey, so
+    it is built without re-running the checks."""
     if table_a[0] < 1 or table_b[0] < 1:
         return None
-    return SurveyData(CellCounts(*map(int, table_a[:3])), CellCounts(*map(int, table_b[:3])),
-                      label_a, label_b)
+    return _unchecked_survey(table_a[:3].tolist(), table_b[:3].tolist(), label_a, label_b)
 
 
 def _fit_outcome(outcome) -> tuple[FitResult | None, str]:
@@ -197,64 +213,87 @@ def _fit_outcome(outcome) -> tuple[FitResult | None, str]:
     return outcome, ""
 
 
-def _warm_start(fit: FitResult) -> ModelParams | None:
-    """The start of every warm refit around ``fit``: its parameters, or None
-    (refit from the starting grid) when it sits on a bound."""
-    return None if fit.active_constraints else fit.params
+def _warm_start(fit: FitResult) -> np.ndarray | None:
+    """The start of every warm refit around ``fit``: its parameters (6, 1),
+    or None (refit from the starting grid) when it sits on a bound."""
+    return None if fit.active_constraints else fit.params.as_array()[:, None]
 
 
 def _refit(surveys, options: FitOptions, start):
-    """The ``mle.fit_many`` outcomes of a block's drawn tables, each climbing
-    from ``start`` (the parent fit's parameters), with the tables whose warm
-    refit raised a package error or ended on a bound refit from the starting
-    grid, in batches of at most ``_parallel.BLOCK_COLUMNS`` solver columns
-    (``_parallel.blocks``). With ``start`` None, the grid refits every table in one batch (the
-    block is already sized for the grid)."""
-    outcomes = mle.fit_many(surveys, options, start=start)
+    """The fits of a block's drawn tables as (parameters (6, T), errors),
+    read out as arrays (``mle._fits``): each table climbs from ``start``
+    (the parent fit's parameters), and the tables whose warm refit raised a
+    package error or ended on a bound refit from the starting grid, in
+    batches of at most ``_parallel.BLOCK_COLUMNS`` solver columns
+    (``_parallel.blocks``). With ``start`` None, the grid refits every table
+    in one batch (the block is already sized for the grid). ``errors`` holds
+    per table None or its package error; a table's parameters are read only
+    where it has none."""
+    fits = mle._fits(surveys, options, start)
+    theta, errors = fits.theta, fits.errors
     if start is not None:
-        again = [k for k, outcome in enumerate(outcomes)
-                 if isinstance(outcome, DualdepError) or outcome.active_constraints]
+        failed = np.array([error is not None for error in errors])
+        again = np.flatnonzero(failed | fits.active.any(axis=0)).tolist()
         for block in _parallel.blocks(len(again), options.n_starts):
-            chunk = [again[i] for i in block]
-            for k, outcome in zip(chunk, mle.fit_many([surveys[k] for k in chunk], options)):
-                outcomes[k] = outcome
-    return outcomes
+            chunk = again[block.start:block.stop]
+            grid = mle._fits([surveys[k] for k in chunk], options)
+            theta[:, chunk] = grid.theta
+            for k, error in zip(chunk, grid.errors):
+                errors[k] = error
+    return theta, errors
+
+
+def _replicate_stream(streams: _parallel.Streams, index: int, attempt: int, rates):
+    """Replicate ``index``'s stream on the block's generator, where the draw
+    of its ``attempt`` (0 for the first) starts: set to the stream's start,
+    then past the draws of the earlier attempts, replayed with the same
+    ``rates``."""
+    rng = streams.at(index)
+    for _ in range(attempt):
+        _tables(rng, rates)
+    return rng
 
 
 def _bootstrap_block(task):
-    """Run one block of replicates. Every replicate draws its first attempt
-    from its own Philox stream (keyed by seed and replicate index) and the
-    block's tables are refit in one batch (``_refit``) with the parent fit's
-    options, warm from the parent fit unless the parent sits on a bound;
-    only the replicates whose attempt failed draw again, continuing their
-    own streams, for up to _MAX_ATTEMPTS attempts. Returns (index, the
-    ``QUANTITIES`` of the refit or None, reason of the last failure) per
-    replicate."""
+    """Run one block of replicates. The cell rates are computed once, and
+    every replicate draws from its own stream (keyed by seed and replicate
+    index), set up on the block's one generator (``_parallel.Streams``).
+    The block's tables are refit in one batch (``_refit``) with the parent
+    fit's options, warm from the parent fit unless the parent sits on a
+    bound, and read out as arrays, with no FitResult per replicate. Only the
+    replicates whose attempt failed draw again, continuing their own streams
+    (``_replicate_stream``), for up to _MAX_ATTEMPTS attempts. Returns
+    (index, the ``QUANTITIES`` of the refit or None, reason of the last
+    failure) per replicate."""
     indices, seed, data, fit = task
+    rates = _replicate_rates(data, fit)
     start = _warm_start(fit)
-    rngs = {index: _parallel.stream(seed, index) for index in indices}
-    values, reasons = {}, {}
-    pending = list(indices)
-    for _ in range(_MAX_ATTEMPTS):
+    streams = _parallel.Streams(seed)
+    rows, reasons = [None] * len(indices), [""] * len(indices)
+    pending = range(len(indices))
+    for attempt in range(_MAX_ATTEMPTS):
         if not pending:
             break
         drawn, surveys = [], []
-        for index in pending:
-            survey = _drawn_survey(*draw_replicate_tables(data, fit, rngs[index]),
+        for pos in pending:
+            rng = _replicate_stream(streams, indices[pos], attempt, rates)
+            survey = _drawn_survey(*draw_replicate_tables(data, fit, rng, rates),
                                    data.label_a, data.label_b)
             if survey is None:
-                reasons[index] = "drawn x11 was zero"
+                reasons[pos] = "drawn x11 was zero"
             else:
-                drawn.append(index)
+                drawn.append(pos)
                 surveys.append(survey)
         if not surveys:  # every pending replicate drew x11 = 0: nothing to refit
             continue
-        for index, outcome in zip(drawn, _refit(surveys, fit.options, start)):
-            refit, reasons[index] = _fit_outcome(outcome)
-            if refit is not None:
-                values[index] = quantities(refit.params)
-        pending = [index for index in pending if index not in values]
-    return [(index, values.get(index), reasons[index]) for index in indices]
+        theta, errors = _refit(surveys, fit.options, start)
+        for pos, row, error in zip(drawn, _quantity_rows(theta).tolist(), errors):
+            if error is None:
+                rows[pos], reasons[pos] = tuple(row), ""
+            else:
+                reasons[pos] = str(error)
+        pending = [pos for pos in pending if rows[pos] is None]
+    return list(zip(indices, rows, reasons))
 
 
 def bootstrap(
@@ -282,9 +321,9 @@ def bootstrap(
     each block's refits as one batch, and the blocks are spread over
     ``threads`` processes (replicates that fit in one block run in this
     process). Replicate
-    streams are keyed by (seed, replicate index) and a refit does not depend
-    on its batch, so results depend neither on ``threads`` nor on the block
-    size.
+    streams are keyed by (seed, replicate index), the seed modulo 2**64 (a
+    negative seed wraps), and a refit does not depend on its batch, so
+    results depend neither on ``threads`` nor on the block size.
     """
     if n_replicates < 1:
         raise ValidationError("B must be >= 1 for bootstrap")

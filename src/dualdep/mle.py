@@ -585,59 +585,139 @@ def _solver_inputs(tables, options: FitOptions, start=None):
                               options.max_iterations, options.gradient_tolerance)
 
 
-def _result(setup, starts, theta, values, pg_norms, iterations, messages, options):
-    """The FitResult of one table from its columns: the starts (6, n), the
-    six parameters ``theta`` (6, n) where each start ended and its solver
-    outcomes; or the NonConvergenceError when the best start did not
-    converge, whether or not another start did. Each start is inside the
-    box by construction, so its ``ModelParams`` skips the checks; only the
-    winner's parameters are checked."""
-    box, (ratio, multiplier), *_ = setup
-    diagnostics = [
+class _Fits(NamedTuple):
+    """A batch of fits read out as arrays (``_read_out``), table k in column
+    k: the winning start's parameters ``theta`` (6, T), NaN where a table has
+    no fit, and which of them lie in the activity band of a bound
+    (``active``, (6, T)); per table in ``errors``, None or the package error
+    that left it without a fit. ``fitted`` (``_solver_inputs``), ``winners``
+    (each fitted table's winning column) and ``solved`` (the solve's
+    log-likelihoods, projected gradients, iterations and messages, one entry
+    per column) are what ``fit_many`` builds its FitResults from."""
+
+    theta: np.ndarray
+    active: np.ndarray
+    errors: list
+    fitted: list
+    winners: list
+    solved: tuple
+
+
+def _winner(lls, converged, totals) -> int:
+    """The winning start of one table: the best log-likelihood, where ties
+    (``_tie_band``) go to a converged start, then to the smaller total."""
+    k = 0
+    for j in range(1, len(lls)):
+        value, best = lls[j], lls[k]
+        band = _tie_band(value, best)
+        if value > best + band or (abs(value - best) <= band and (
+            (converged[j], -totals[j]) > (converged[k], -totals[k])
+        )):
+            k = j
+    return k
+
+
+def _diagnostics(starts, solved, cols, options) -> list[StartDiagnostics]:
+    """The StartDiagnostics of a table's starts (6, n), in its solver
+    columns ``cols`` of ``solved``. Each start is inside the box by
+    construction, so its ``ModelParams`` skips the checks."""
+    return [
         StartDiagnostics(start=model._unchecked_params(*start), log_likelihood=value,
                          projected_gradient=pg_norm, converged=pg_norm < options.gradient_tolerance,
                          iterations=n_iter, message=message)
         for start, value, pg_norm, n_iter, message in zip(
-            starts.T.tolist(), values, pg_norms, iterations, messages)
+            starts.T.tolist(), *(part[cols] for part in solved))
     ]
 
-    # ties: a converged candidate beats a stalled duplicate of the same
-    # maximum; among equals, the smaller total wins
-    totals = (theta[0] + theta[1]).tolist()
-    k = 0
-    for j, d in enumerate(diagnostics[1:], 1):
-        value, best = d.log_likelihood, diagnostics[k].log_likelihood
-        band = _tie_band(value, best)
-        if value > best + band or (abs(value - best) <= band and (
-            (d.converged, -totals[j]) > (diagnostics[k].converged, -totals[k])
-        )):
-            k = j
-    winner = diagnostics[k]
-    if not winner.converged:
-        stalled = ("the best start did not reach" if any(d.converged for d in diagnostics)
+
+def _read_out(outcomes, fitted, theta, solved, options) -> _Fits:
+    """The ``_Fits`` of a solve: ``outcomes`` and ``fitted`` as
+    ``_solver_inputs`` gives them, and the six parameters ``theta`` (6, K)
+    where each start ended with the solver's ``solved`` outcomes (lists),
+    each table's starts in consecutive columns. A table whose winning start
+    (``_winner``) did not converge gets the NonConvergenceError, whether or
+    not another start did. Only the winners' parameters are checked, as
+    ``ModelParams`` checks them; one that fails raises its
+    ValidationError."""
+    params = np.full((6, len(outcomes)), np.nan)
+    active = np.zeros(params.shape, dtype=bool)
+    if not fitted:
+        return _Fits(params, active, outcomes, fitted, [], solved)
+    lls, pg_norms, *_ = solved
+    n = fitted[0][2].shape[1]
+    if n == 1:
+        winners = list(range(len(fitted)))
+    else:
+        totals = (theta[0] + theta[1]).tolist()
+        converged = [pg_norm < options.gradient_tolerance for pg_norm in pg_norms]
+        winners = [k + _winner(lls[k:k + n], converged[k:k + n], totals[k:k + n])
+                   for k in range(0, len(lls), n)]
+    fit_at, won, boxes = [], [], []
+    for (index, setup, starts), k in zip(fitted, winners):
+        if pg_norms[k] < options.gradient_tolerance:
+            fit_at.append(index)
+            won.append(k)
+            boxes.append(setup[0])
+            continue
+        cols = slice(k - k % n, k - k % n + n)
+        stalled = ("the best start did not reach"
+                   if any(pg_norm < options.gradient_tolerance for pg_norm in pg_norms[cols])
                    else "no starting point reached")
-        return NonConvergenceError(
-            f"{stalled} gradient tolerance {options.gradient_tolerance}", diagnostics)
-    params = ModelParams(*theta[:, k].tolist())
+        outcomes[index] = NonConvergenceError(
+            f"{stalled} gradient tolerance {options.gradient_tolerance}",
+            _diagnostics(starts, solved, cols, options))
+    if not fit_at:
+        return _Fits(params, active, outcomes, fitted, winners, solved)
+    won = theta[:, won]
+    sizes, probs = won[:2], won[2:]
+    bad = ~((np.isfinite(sizes) & (sizes > 0.0)).all(axis=0)
+            & ((probs >= 0.0) & (probs <= 1.0)).all(axis=0))
+    if bad.any():
+        ModelParams(*won[:, np.argmax(bad)].tolist())  # raises its ValidationError
+    lo, hi = np.array(boxes).T  # each (6, len(fit_at))
+    tol = _ACTIVITY_TOL * (hi - lo)
+    params[:, fit_at] = won
+    active[:, fit_at] = (won - lo <= tol) | (hi - won <= tol)
+    return _Fits(params, active, outcomes, fitted, winners, solved)
+
+
+def _fits(tables, options: FitOptions, start=None) -> _Fits:
+    """Fit many tables with one batched solve over every start of every
+    table, read out as arrays (``_read_out``). The starts are each table's
+    starting grid, or with ``start`` (6, 1) given those six parameters
+    clipped into each table's box (``_solver_inputs``)."""
+    outcomes, fitted, args = _solver_inputs(tables, options, start)
+    if args is None:
+        return _read_out(outcomes, fitted, None, None, options)
+    u, values, pg_norms, iterations, messages = _solve_start(*args)
+    _, table, _, scale, sel, *_ = args
+    solved = (values.tolist(), pg_norms.tolist(), iterations.tolist(), messages)
+    return _read_out(outcomes, fitted, _expand(u, scale[:, table], sel), solved, options)
+
+
+def _result(fits: _Fits, position: int, options: FitOptions) -> FitResult:
+    """The FitResult of the fitted table at ``position`` of ``fits.fitted``,
+    which has a fit."""
+    index, (_, (ratio, multiplier), *_), starts = fits.fitted[position]
+    n = starts.shape[1]
+    k = fits.winners[position]
+    diagnostics = _diagnostics(starts, fits.solved, slice(position * n, (position + 1) * n),
+                               options)
+    winner = diagnostics[k - position * n]
+    params = model._unchecked_params(*fits.theta[:, index].tolist())
     # in reduced mode theta is built from the same products, so both gaps are 0
     expected_na = ratio * params.n_b
     size_gap = abs(params.n_a - expected_na) / expected_na
     expected_p2a = multiplier * params.p2b
     denom = max(params.p2a, expected_p2a)
     p2_gap = abs(params.p2a - expected_p2a) / denom if denom > 0.0 else 0.0
-
-    active = set()
-    for name, value_i, (b_lo, b_hi) in zip(PARAM_NAMES, params.as_tuple(), box):
-        tol_i = _ACTIVITY_TOL * (b_hi - b_lo)
-        if value_i - b_lo <= tol_i or b_hi - value_i <= tol_i:
-            active.add(name)
-
     return FitResult(
         params=params,
         log_likelihood=winner.log_likelihood,
         converged=True,
         iterations=winner.iterations,
-        active_constraints=frozenset(active),
+        active_constraints=frozenset(
+            name for name, on in zip(PARAM_NAMES, fits.active[:, index].tolist()) if on),
         n_hat_total=params.total,
         mode=options.mode,
         options=options,
@@ -658,22 +738,16 @@ def fit_many(tables, options: FitOptions | None = None, start: ModelParams | Non
     ``options.n_starts`` points, or with ``start`` given from that one
     point, its solver coordinates clipped into the table's box with the
     grid's margin (a warm start). The batch holds one column per start;
-    callers with many tables pass them in blocks.
+    callers with many tables pass them in blocks. The FitResults are built
+    from the batch's array read-out (``_fits``), which decides each table's
+    winner, convergence and active bounds.
     """
     options = options or FitOptions()
-    outcomes, fitted, args = _solver_inputs(
-        tables, options, None if start is None else start.as_array()[:, None])
-    if args is None:
-        return outcomes
-    u, values, pg_norms, iterations, messages = _solve_start(*args)
-    values, pg_norms, iterations = values.tolist(), pg_norms.tolist(), iterations.tolist()
-    _, table, _, scale, sel, *_ = args
-    theta = _expand(u, scale[:, table], sel)
-    n = fitted[0][2].shape[1]
-    for k, (index, setup, starts) in enumerate(fitted):
-        cols = slice(k * n, (k + 1) * n)
-        outcomes[index] = _result(setup, starts, theta[:, cols], values[cols], pg_norms[cols],
-                                  iterations[cols], messages[cols], options)
+    fits = _fits(tables, options, None if start is None else start.as_array()[:, None])
+    outcomes = list(fits.errors)
+    for position, (index, _, _) in enumerate(fits.fitted):
+        if outcomes[index] is None:
+            outcomes[index] = _result(fits, position, options)
     return outcomes
 
 

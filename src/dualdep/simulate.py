@@ -23,7 +23,7 @@ from decimal import ROUND_HALF_EVEN, Decimal, InvalidOperation
 import numpy as np
 
 from . import mle, model
-from ._parallel import blocks, run_indexed, stream
+from ._parallel import Streams, blocks, run_indexed
 from .exceptions import DualdepError, FitError, InfeasibleConstraintsError, ValidationError
 from .inference import (
     _drawn_survey, _fit_outcome, _size_intervals, normal_quantile, se_from_hessian,
@@ -329,7 +329,8 @@ class _Replicate:
 def _replicates(task) -> list[_Replicate]:
     """Draw one survey per random stream key and fit the draws as one batch."""
     keys, config, options = task
-    draws = [_draw_survey(config, stream(config.seed, key)) for key in keys]
+    streams = Streams(config.seed)
+    draws = [_draw_survey(config, streams.at(key)) for key in keys]
     return [
         _Replicate(survey, *_fit_outcome(outcome), redraws, fallback)
         for (survey, redraws), (outcome, fallback)

@@ -120,6 +120,21 @@ class SurveyData:
         return SurveyData(self.stratum_b, self.stratum_a, self.label_b, self.label_a)
 
 
+def _unchecked_survey(a, b, label_a: str, label_b: str) -> SurveyData:
+    """A SurveyData of two (x11, x10, x01) triples of Python ints known to
+    pass the checks of CellCounts and SurveyData (non-negative, with x11 >= 1
+    in both strata), built without running them: a drawn table."""
+    strata = []
+    for x11, x10, x01 in (a, b):
+        counts = object.__new__(CellCounts)
+        counts.__dict__.update(x11=x11, x10=x10, x01=x01)
+        strata.append(counts)
+    data = object.__new__(SurveyData)
+    data.__dict__.update(stratum_a=strata[0], stratum_b=strata[1], label_a=label_a,
+                         label_b=label_b)
+    return data
+
+
 @dataclass(frozen=True)
 class Diagnostics:
     """Per-stratum dependence diagnostics and naive estimates.

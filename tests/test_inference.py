@@ -118,16 +118,17 @@ def test_bootstrap_block_size_and_thread_invariance(q1_fit, monkeypatch):
 
 
 def columns_per_call(monkeypatch):
-    """Spy on ``mle.fit_many``: the list it returns gains, per call, the
-    solver columns of that call and whether it was a warm pass."""
-    real, calls = mle.fit_many, []
+    """Spy on ``mle._fits``, the bootstrap's refit entry: the list it
+    returns gains, per call, the solver columns of that call and whether it
+    was a warm pass."""
+    real, calls = mle._fits, []
 
     def spy(surveys, options, start=None):
         calls.append((len(surveys) * (1 if start is not None else options.n_starts),
                       start is not None))
         return real(surveys, options, start=start)
 
-    monkeypatch.setattr(mle, "fit_many", spy)
+    monkeypatch.setattr(mle, "_fits", spy)
     return calls
 
 
@@ -177,16 +178,16 @@ def test_bootstrap_prefix_does_not_depend_on_B(quarter, seed):
 
 def test_bootstrap_retries_a_package_error_and_reports_its_reason(q1_fit, monkeypatch):
     data, result = q1_fit
-    real = mle.fit_many
+    real = mle._fits
     calls = []
 
     def first_table_fails(surveys, options, start=None):
         calls.append((len(surveys), start is None))
-        outcomes = real(surveys, options, start=start)
-        outcomes[0] = EvaluationError("p11A", "probability 0.0 with count coefficient 3.0")
-        return outcomes
+        fits = real(surveys, options, start=start)
+        fits.errors[0] = EvaluationError("p11A", "probability 0.0 with count coefficient 3.0")
+        return fits
 
-    monkeypatch.setattr(mle, "fit_many", first_table_fails)
+    monkeypatch.setattr(mle, "_fits", first_table_fails)
     monkeypatch.setattr(_parallel, "BLOCK_COLUMNS", 30)  # one block: replicate 0 comes first
     boot = bootstrap(data, result, n_replicates=30, seed=4)
     # replicate 0 fails every attempt, warm and then from the grid, and is
@@ -194,7 +195,7 @@ def test_bootstrap_retries_a_package_error_and_reports_its_reason(q1_fit, monkey
     assert calls == [(30, False), (1, True)] + [(1, False), (1, True)] * 10
     assert boot.failures == ((0, "cannot evaluate log-likelihood term 'p11A': "
                                  "probability 0.0 with count coefficient 3.0"),)
-    monkeypatch.setattr(mle, "fit_many", real)
+    monkeypatch.setattr(mle, "_fits", real)
     clean = bootstrap(data, result, n_replicates=30, seed=4)
     for name in boot.estimates:
         assert np.array_equal(boot.estimates[name], clean.estimates[name][1:])
@@ -206,7 +207,7 @@ def test_bootstrap_propagates_programming_errors(q1_fit, monkeypatch):
     def broken(surveys, options, start=None):
         raise TypeError("bug in the fitting code")
 
-    monkeypatch.setattr(mle, "fit_many", broken)
+    monkeypatch.setattr(mle, "_fits", broken)
     with pytest.raises(TypeError, match="bug in the fitting code"):
         bootstrap(data, result, n_replicates=3, seed=4)
 
@@ -218,9 +219,11 @@ def test_bootstrap_propagates_programming_errors_of_the_grid_pass(q1_fit, monkey
     def broken(surveys, options, start=None):
         if start is None:
             raise TypeError("bug in the fitting code")
-        return [EvaluationError("p11A", "probability 0.0")] * len(surveys)
+        n = len(surveys)
+        return mle._Fits(np.full((6, n), np.nan), np.zeros((6, n), dtype=bool),
+                         [EvaluationError("p11A", "probability 0.0")] * n, [], [], None)
 
-    monkeypatch.setattr(mle, "fit_many", broken)
+    monkeypatch.setattr(mle, "_fits", broken)
     with pytest.raises(TypeError, match="bug in the fitting code"):
         bootstrap(data, result, n_replicates=3, seed=4)
 
@@ -268,13 +271,90 @@ def test_bootstrap_zero_x11_draw_costs_an_attempt_on_the_replicates_stream(tiny)
 def test_an_attempt_that_draws_no_table_makes_no_refit(tiny, monkeypatch):
     # in blocks of 50 replicates of the tiny table, some attempt draws x11 =
     # 0 for every replicate still pending; it refits nothing, so it makes
-    # no fit_many call
+    # no refit call
     result = fit(tiny)
     calls = columns_per_call(monkeypatch)
     monkeypatch.setattr(_parallel, "BLOCK_COLUMNS", 60)
     boot = bootstrap(tiny, result, n_replicates=200, seed=1)
     assert "drawn x11 was zero" in dict(boot.failures).values()
     assert calls and min(width for width, _ in calls) > 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1),
+       keys=st.lists(st.one_of(st.integers(0, 2**32),
+                               st.builds(lambda grid, rep: (grid << 32) | rep,
+                                         st.integers(0, 40), st.integers(0, 2**32 - 1))),
+                     min_size=2, max_size=4, unique=True),
+       attempt=st.integers(1, 3))
+def test_the_block_stream_draws_what_a_fresh_stream_draws(q1_fit, seed, keys, attempt):
+    # keys include study 2's (grid << 32) | rep; the block's one generator
+    # gives each key the draws of a fresh stream, on a first attempt and on
+    # a later one that continues the key's stream after other keys drew
+    data, parent = q1_fit
+    rates = inference._replicate_rates(data, parent)
+    streams = _parallel.Streams(seed)
+
+    def drawn(rng):
+        return [table.tolist() for table in draw_replicate_tables(data, parent, rng, rates)]
+
+    def fresh(key, attempt):
+        rng = _parallel.stream(seed, key)
+        return [drawn(rng) for _ in range(attempt + 1)][-1]
+
+    for key in keys:
+        assert drawn(inference._replicate_stream(streams, key, 0, rates)) == fresh(key, 0)
+    for key in reversed(keys):
+        assert drawn(inference._replicate_stream(streams, key, attempt, rates)) == fresh(key, attempt)
+
+
+def one_table_at_a_time(indices, seed, data, parent):
+    """The ``_bootstrap_block`` rows of replicates ``indices`` as FitResults
+    give them: each replicate's tables drawn on a fresh stream, attempt by
+    attempt, and refit alone with ``mle.fit_many`` (warm from the parent
+    unless it sits on a bound; from the grid where the warm refit failed or
+    ended on a bound), its row ``inference.quantities`` of the refit."""
+    warm = None if parent.active_constraints else parent.params
+    out = []
+    for index in indices:
+        rng, row, reason = _parallel.stream(seed, index), None, ""
+        for _ in range(11):
+            survey = inference._drawn_survey(*draw_replicate_tables(data, parent, rng))
+            if survey is None:
+                reason = "drawn x11 was zero"
+                continue
+            (refit,) = mle.fit_many([survey], parent.options, start=warm)
+            if warm is not None and (isinstance(refit, DualdepError) or refit.active_constraints):
+                (refit,) = mle.fit_many([survey], parent.options)
+            if isinstance(refit, DualdepError):
+                reason = str(refit)
+                continue
+            row, reason = inference.quantities(refit.params), ""
+            break
+        out.append((index, row, reason))
+    return out
+
+
+@pytest.mark.parametrize("table, count", [
+    *(((q, None), 40) for q in ("Q1", "Q2", "Q3", "Q4")),
+    (((2, 3, 4), (1, 2, 3)), 60),  # tiny: zero-x11 redraws, warm refits that take the grid
+    (((201, 4162, 4390), (406, 2574, 3265)), 25),  # corner: the parent is on bounds
+], ids=["Q1", "Q2", "Q3", "Q4", "tiny", "corner"])
+def test_the_array_read_out_gives_the_rows_of_the_fit_results(table, count):
+    # every bootstrap row, read out of the block's arrays, has the bits of
+    # inference.quantities of fit_many's FitResult for the same drawn table
+    # fitted alone, and the same failures; a row does not depend on which
+    # other tables share its block
+    from conftest import make_survey
+
+    a, b = table
+    data = make_survey(a) if b is None else SurveyData(CellCounts(*a), CellCounts(*b))
+    parent = fit(data)
+    rows = inference._bootstrap_block((range(count), 3, data, parent))
+    assert rows == one_table_at_a_time(range(count), 3, data, parent)
+    assert sum(row is not None for _, row, _ in rows) >= count * 0.8
+    every_third = list(range(count))[1::3]
+    assert inference._bootstrap_block((every_third, 3, data, parent)) == rows[1::3]
 
 
 def _row(refit):

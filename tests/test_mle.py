@@ -549,9 +549,9 @@ def test_a_non_finite_winner_is_still_checked(q1, mode, row, value):
     theta = starts.copy()
     theta[row, 0] = value
     n = starts.shape[1]
+    solved = ([1.0] + [0.0] * (n - 1), [0.0] * n, [1] * n, ["converged"] * n)
     with pytest.raises(ValidationError):
-        mle._result(setup, starts, theta, [1.0] + [0.0] * (n - 1), [0.0] * n, [1] * n,
-                    ["converged"] * n, options)
+        mle._read_out([None], [(0, setup, starts)], theta, solved, options)
 
 
 def solver_derivatives(data, mode, u):

@@ -20,6 +20,24 @@ def test_blocks_cover_every_index_once_in_order_within_the_budget(count, width, 
         assert max(map(len, parts)) - min(map(len, parts)) <= 1  # near-equal
 
 
+def test_seeds_above_2_63_keep_every_bit():
+    # the key used to pass through float64 above 2**63, where neighbouring
+    # seeds round to the same key
+    for key in (0, 1, (3 << 32) | 7):
+        high = [_parallel.stream(seed, key).random(4).tolist()
+                for seed in (2**63 + 5, 2**63 + 6)]
+        assert high[0] != high[1]
+        assert _parallel.stream(2**64 - 1, key).random(4).tolist() != \
+            _parallel.stream(0, key).random(4).tolist()  # and warns not (warnings are errors)
+
+
+def test_a_stream_is_keyed_modulo_2_64():
+    for seed, key in ((-1, 3), (2**64 + 5, -2), (3 * 2**64 - 1, 2**64 + 9)):
+        wrapped = _parallel.stream(seed % 2**64, key % 2**64).random(3).tolist()
+        assert _parallel.stream(seed, key).random(3).tolist() == wrapped
+        assert _parallel.Streams(seed).at(key).random(3).tolist() == wrapped
+
+
 def test_blocks_of_warm_refits_and_of_grid_fits():
     assert _parallel.blocks(0, 1) == []
     assert _parallel.blocks(100, 1) == [range(100)]

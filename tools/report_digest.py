@@ -2,7 +2,8 @@
 
 The commands are ``estimate`` on Q1 (reduced and full mode; a bootstrap of
 400 replicates, which spans two blocks, and its twin on two worker
-processes, whose results and CSV must equal the serial run's), on Q4
+processes, whose results and CSV must equal the serial run's; a bootstrap
+seeded above 2**63, whose stream takes every bit of the seed), on Q4
 with 15 starts and on a table whose maximum sits on the N_B and p2B bounds
 (standard errors and a bootstrap); the study-1, coverage and study-2 simulations; and
 three edge commands: a bootstrap on a tiny table that fails too many
@@ -58,6 +59,8 @@ COMMANDS = {
     "estimate-q1-b400": ("estimate", "--input", "q1.csv", "--B", "400", "--seed", "1"),
     "estimate-q1-b400-threads2": ("estimate", "--input", "q1.csv", "--B", "400", "--seed", "1",
                                   "--threads", "2"),
+    "estimate-q1-seed-high": ("estimate", "--input", "q1.csv", "--B", "50", "--seed",
+                              "9223372036854775813"),
     "estimate-q1-full": ("estimate", "--input", "q1.csv", "--B", "50", "--seed", "1",
                          "--mode", "full"),
     "estimate-q4-starts15": ("estimate", "--input", "q4.csv", "--B", "50", "--seed", "2",
