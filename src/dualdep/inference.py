@@ -4,18 +4,19 @@ and the log-normal-style confidence interval for population sizes.
 The bootstrap is "imputed": each replicate resamples a full multinomial
 table of (rounded) fitted size per stratum, including the estimated
 unobserved cell, then refits the model on the starred observed cells.
-Replicates run in blocks whose refits are one batched solve
-(``mle._fits``, read out as arrays with no FitResult per replicate), each
-block within a budget of solver columns (``_parallel.blocks``). A block
-computes the cell rates once and sets one generator to each replicate's
-stream (``_parallel.Streams``). A replicate is drawn from the fitted model,
-so each refit starts from the fitted parameters alone (a warm start, one
-column).
-The starting grid is the safety net: it refits every replicate when the fit
-sits on a bound, where the likelihood can have several maxima, and it
-refits a replicate whose warm refit failed or ended on a bound, in batches
-within the same budget. Stratum variances add for the total because the
-strata are independent.
+Replicates run in blocks, each within a budget of solver columns
+(``_parallel.blocks``). A block computes the cell rates once and sets one
+generator to each replicate's stream (``_parallel.Streams``). A drawn table
+whose moment point lies strictly inside its box is refit in closed form
+(``mle._moment_point``); the block's other tables are one batched solve
+(``mle._fits``), and both are read out as arrays, with no FitResult per
+replicate. A replicate is drawn from the fitted model, so each solver refit
+starts from the fitted parameters alone (a warm start, one column).
+The starting grid is the safety net: it refits every such replicate when
+the fit sits on a bound, where the likelihood can have several maxima, and
+it refits a replicate whose warm refit failed or ended on a bound, in
+batches within the same budget. Stratum variances add for the total because
+the strata are independent.
 """
 
 from __future__ import annotations
@@ -219,21 +220,39 @@ def _warm_start(fit: FitResult) -> np.ndarray | None:
     return None if fit.active_constraints else fit.params.as_array()[:, None]
 
 
+_UNFIT = (math.nan,) * 6  # the parameters of a table without a fit
+
+
 def _refit(surveys, options: FitOptions, start):
-    """The fits of a block's drawn tables as (parameters (6, T), errors),
-    read out as arrays (``mle._fits``): each table climbs from ``start``
-    (the parent fit's parameters), and the tables whose warm refit raised a
-    package error or ended on a bound refit from the starting grid, in
-    batches of at most ``_parallel.BLOCK_COLUMNS`` solver columns
-    (``_parallel.blocks``). With ``start`` None, the grid refits every table
-    in one batch (the block is already sized for the grid). ``errors`` holds
-    per table None or its package error; a table's parameters are read only
-    where it has none."""
-    fits = mle._fits(surveys, options, start)
-    theta, errors = fits.theta, fits.errors
+    """The fits of a block's drawn tables as (parameters (6, T), errors).
+    A table whose moment point lies strictly inside its box is fitted in
+    closed form (``mle._moment_point``). The others go to the solver, read
+    out as arrays (``mle._fits``): each climbs from ``start`` (the parent
+    fit's parameters), and those whose warm refit raised a package error or
+    ended on a bound refit from the starting grid, in batches of at most
+    ``_parallel.BLOCK_COLUMNS`` solver columns (``_parallel.blocks``). With
+    ``start`` None, the grid refits them all in one batch (the block is
+    already sized for the grid). ``errors`` holds per table None or its
+    package error; a table's parameters are read only where it has none."""
+    rows, declined = [], []
+    for k, survey in enumerate(surveys):
+        try:
+            point = mle._moment_point(survey, mle._setup(survey, options.mode), options.mode)
+        except DualdepError:  # no box: the solver reports the table's error
+            point = None
+        if point is None:
+            declined.append(k)
+        rows.append(point or _UNFIT)
+    theta, errors = np.array(rows).T, [None] * len(surveys)
+    if not declined:
+        return theta, errors
+    fits = mle._fits([surveys[k] for k in declined], options, start)
+    theta[:, declined] = fits.theta
+    for k, error in zip(declined, fits.errors):
+        errors[k] = error
     if start is not None:
-        failed = np.array([error is not None for error in errors])
-        again = np.flatnonzero(failed | fits.active.any(axis=0)).tolist()
+        failed = np.array([error is not None for error in fits.errors])
+        again = [declined[j] for j in np.flatnonzero(failed | fits.active.any(axis=0)).tolist()]
         for block in _parallel.blocks(len(again), options.n_starts):
             chunk = again[block.start:block.stop]
             grid = mle._fits([surveys[k] for k in chunk], options)
@@ -258,9 +277,11 @@ def _bootstrap_block(task):
     """Run one block of replicates. The cell rates are computed once, and
     every replicate draws from its own stream (keyed by seed and replicate
     index), set up on the block's one generator (``_parallel.Streams``).
-    The block's tables are refit in one batch (``_refit``) with the parent
-    fit's options, warm from the parent fit unless the parent sits on a
-    bound, and read out as arrays, with no FitResult per replicate. Only the
+    The block's tables are refit together (``_refit``) with the parent
+    fit's options: in closed form where the certificate accepts them, the
+    others in one batched solve, warm from the parent fit unless the parent
+    sits on a bound. All are read out as arrays, with no FitResult per
+    replicate. Only the
     replicates whose attempt failed draw again, continuing their own streams
     (``_replicate_stream``), for up to _MAX_ATTEMPTS attempts. Returns
     (index, the ``QUANTITIES`` of the refit or None, reason of the last
@@ -306,9 +327,12 @@ def bootstrap(
     """Imputed parametric bootstrap around a converged fit.
 
     Each replicate redraws both strata from the fitted cell rates and
-    refits with the options of the original fit, ``fit.options``. A refit
-    climbs from one start, the fitted parameters clipped into the drawn
-    table's box. It climbs from the starting grid of ``fit.options.n_starts``
+    refits with the options of the original fit, ``fit.options``. Where the
+    drawn table's moment point lies strictly inside its box, off the
+    activity band of every bound, that point is the refit, in closed form
+    (``mle._moment_point``), whatever ``fit`` is. Any other refit climbs
+    from one start, the fitted parameters clipped into the drawn table's
+    box. It climbs from the starting grid of ``fit.options.n_starts``
     points instead when ``fit`` has an active constraint, and in a second
     batch when its warm refit raised a package error (non-convergence
     among them) or ended on a bound; that costs no attempt and no draw. A
@@ -318,7 +342,7 @@ def bootstrap(
     attempt, and more than 5% failures aborts with BootstrapError.
     Replicates run in blocks of at most ``_parallel.BLOCK_COLUMNS`` solver
     columns (one per warm refit, ``fit.options.n_starts`` per grid refit),
-    each block's refits as one batch, and the blocks are spread over
+    each block's solver refits as one batch, and the blocks are spread over
     ``threads`` processes (replicates that fit in one block run in this
     process). Replicate
     streams are keyed by (seed, replicate index), the seed modulo 2**64 (a
@@ -384,7 +408,7 @@ def confidence_interval(
     x0.
     """
     z = normal_quantile(level)
-    if sigma2 < 0.0:
+    if not sigma2 >= 0.0:  # NaN too
         raise ValidationError(f"sigma2 must be non-negative, got {sigma2}")
     if not n_hat > x0:
         raise ValidationError(

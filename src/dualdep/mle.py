@@ -179,6 +179,59 @@ def _setup(data: SurveyData, mode: str):
     return box, (ratio, multiplier), tuple(scale), lo, hi
 
 
+# Whether ``_moment_point`` certifies fits; tests switch it off to pin the
+# solver path on tables it would certify.
+_CERTIFY = True
+
+
+def _moment_point(data: SurveyData, setup, mode: str) -> list[float] | None:
+    """The table's fit in closed form where it can be certified, else None.
+
+    The moment point is the parameter point whose expected counts equal the
+    observed ones. Each stratum's Stirling term is at most sum_c x_c log
+    x_c - x0 and attains it exactly there, so where that point lies in the
+    box it is the constrained maximum (the saturated bound; Bishop, Fienberg
+    & Holland 1975, ch. 6). With x1._s the list-1 count, a_s = x11_s/x1._s
+    and b_s = x01_s/x1._s, it is q = (b_A - b_B)/(a_A - a_B), p1 = 1/(1 +
+    q), N_s = x1._s (1 + q), alpha = b_A/q - a_A and p2s = a_s/(1 - alpha).
+    Each parameter is one correctly rounded division of integer polynomials
+    in the counts, as ``_setup`` divides. The mode's solver coordinates take
+    those values and the six parameters follow through the map of
+    ``_COORDINATES`` with the ``scale`` of ``setup`` (the table's
+    ``_setup``), so in reduced mode N_A = ratio N_B and p2A = multiplier
+    p2B exactly. Returns the six parameters only where the point is
+    defined, its coordinates lie strictly inside the trimmed solver box
+    (``_trimmed``) and no parameter lies in the activity band of a bound
+    (``_active``); None elsewhere, for the solver to fit."""
+    if not _CERTIFY:
+        return None
+    a, b = data.stratum_a, data.stratum_b
+    x1a, x1b = a.x11 + a.x10, b.x11 + b.x10
+    num = a.x01 * x1b - b.x01 * x1a  # q = num / den
+    den = a.x11 * x1b - b.x11 * x1a
+    if den < 0:
+        num, den = -num, -den
+    if num <= 0 or den == 0:  # q undefined, or p1 = 1/(1 + q) not in (0, 1)
+        return None
+    rest = (x1a + a.x11) * num - a.x01 * den  # (1 - alpha) x1.A num
+    if rest <= 0:
+        return None
+    exact = (  # each parameter as (numerator, denominator), in PARAM_NAMES order
+        (x1a * (den + num), den), (x1b * (den + num), den),
+        (a.x01 * den - a.x11 * num, x1a * num), (den, den + num),
+        (a.x11 * num, rest), (b.x11 * x1a * num, x1b * rest),
+    )
+    box, _, scale, lo, hi = setup
+    coords, sel, _ = _COORDINATES[mode]
+    u = [exact[i][0] / exact[i][1] for i in coords]
+    if not all(low < value < high for value, low, high in zip(u, *_trimmed(lo, hi, coords))):
+        return None
+    theta = [s * u[c] for s, c in zip(scale, sel)]
+    if any(_active(value, low, high) for value, (low, high) in zip(theta, box)):
+        return None
+    return theta
+
+
 # --- starting points ----------------------------------------------------------
 
 def starting_points(data: SurveyData, options: FitOptions | None = None) -> list[ModelParams]:
@@ -242,14 +295,27 @@ def _clipped(theta, scale, lo, hi, mode: str) -> np.ndarray:
 
 # --- solver ------------------------------------------------------------------
 
-def _trimmed_bounds(lo, hi, coords) -> tuple[np.ndarray, np.ndarray]:
+def _trimmed(lo, hi, coords) -> tuple[list[float], list[float]]:
     """Pull the optimizer strictly off boundaries where the objective or its
     gradient diverges (zero cell probabilities, N at the observed total).
-    ``lo`` and ``hi`` are (P, T) boxes, row c that of coordinate ``coords[c]``."""
-    size = np.isin(coords, (0, 1))[:, None]
-    lo_t = np.where(size, np.maximum(lo + 1e-9 * (hi - lo), lo * (1.0 + 1e-12)),
-                    np.maximum(lo, 1e-10))
-    return lo_t, np.where(size, hi, hi * (1.0 - 1e-10))
+    ``lo`` and ``hi`` are one table's box as ``_setup`` gives it, entry c
+    that of coordinate ``coords[c]``; so is the trimmed box returned."""
+    lo_t, hi_t = [], []
+    for c, low, high in zip(coords, lo, hi):
+        if c < 2:  # a size
+            lo_t.append(max(low + 1e-9 * (high - low), low * (1.0 + 1e-12)))
+            hi_t.append(high)
+        else:
+            lo_t.append(max(low, 1e-10))
+            hi_t.append(high * (1.0 - 1e-10))
+    return lo_t, hi_t
+
+
+def _active(value, lo, hi):
+    """Whether parameter values lie in the activity band of their box [lo,
+    hi]: within 1e-6 of its width of a bound. Scalars or arrays."""
+    tol = _ACTIVITY_TOL * (hi - lo)
+    return (value - lo <= tol) | (hi - value <= tol)
 
 
 # The solver works on batches. Arrays of shape (P, K) hold one start per
@@ -570,8 +636,9 @@ def _solver_inputs(tables, options: FitOptions, start=None):
     if not fitted:
         return outcomes, fitted, None
     coords, sel, _ = _COORDINATES[options.mode]
-    scale, lo, hi = (np.array(column, dtype=float).T
-                     for column in zip(*(setup[2:] for _, setup, _ in fitted)))
+    scale, lo, hi, lo_t, hi_t = (
+        np.array(column, dtype=float).T
+        for column in zip(*((*setup[2:], *_trimmed(*setup[3:], coords)) for _, setup, _ in fitted)))
     if start is None:
         theta0 = np.concatenate([starts for _, _, starts in fitted], axis=1)
     else:
@@ -580,8 +647,7 @@ def _solver_inputs(tables, options: FitOptions, start=None):
                   for k, (index, setup, _) in enumerate(fitted)]
     u0 = theta0[list(coords)]
     table = np.repeat(np.arange(len(fitted)), fitted[0][2].shape[1])
-    return outcomes, fitted, (u0, table, np.array(counts).T, scale, sel,
-                              *_trimmed_bounds(lo, hi, coords),
+    return outcomes, fitted, (u0, table, np.array(counts).T, scale, sel, lo_t, hi_t,
                               options.max_iterations, options.gradient_tolerance)
 
 
@@ -675,9 +741,8 @@ def _read_out(outcomes, fitted, theta, solved, options) -> _Fits:
     if bad.any():
         ModelParams(*won[:, np.argmax(bad)].tolist())  # raises its ValidationError
     lo, hi = np.array(boxes).T  # each (6, len(fit_at))
-    tol = _ACTIVITY_TOL * (hi - lo)
     params[:, fit_at] = won
-    active[:, fit_at] = (won - lo <= tol) | (hi - won <= tol)
+    active[:, fit_at] = _active(won, lo, hi)
     return _Fits(params, active, outcomes, fitted, winners, solved)
 
 

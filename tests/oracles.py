@@ -1,11 +1,13 @@
 """Independent oracles used by the tests: finite differences against the
 analytic derivatives, exhaustive multinomial enumeration against the
-simulator, and a reference projected-Newton solve against the batched one.
+simulator, a reference projected-Newton solve against the batched one, and
+the moment point in exact fractions against the closed-form fit.
 These never call the code paths they check."""
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -177,3 +179,45 @@ def _reference_line_search(run, step):
         searching &= length > 1e-14
     run["it"] += accepted
     return accepted
+
+
+def moment_point(data: SurveyData) -> tuple[Fraction, ...] | None:
+    """The six parameters whose expected counts equal the observed ones, as
+    exact fractions in PARAM_NAMES order, or None where they do not exist
+    (equal list-1 ratios, or q <= 0). With a_s = x11_s/x1._s and b_s =
+    x01_s/x1._s: q = (b_A - b_B)/(a_A - a_B), p1 = 1/(1 + q), N_s = x1._s
+    (1 + q), alpha = b_A/q - a_A and p2s = a_s/(1 - alpha)."""
+    (a_a, b_a, n1_a), (a_b, b_b, n1_b) = (
+        (Fraction(c.x11, c.n_list1), Fraction(c.x01, c.n_list1), c.n_list1)
+        for c in (data.stratum_a, data.stratum_b))
+    if a_a == a_b or (b_a - b_b) / (a_a - a_b) <= 0:
+        return None
+    q = (b_a - b_b) / (a_a - a_b)
+    alpha = b_a / q - a_a
+    if alpha == 1:
+        return None
+    return (n1_a * (1 + q), n1_b * (1 + q), alpha, 1 / (1 + q), a_a / (1 - alpha),
+            a_b / (1 - alpha))
+
+
+def saturated_bound(data: SurveyData) -> float:
+    """The Stirling log-likelihood's least upper bound over every parameter
+    point, sum_s (sum_c x_c log x_c - x0_s), attained where the expected
+    counts equal the observed ones."""
+    return math.fsum(x * math.log(x) for c in (data.stratum_a, data.stratum_b)
+                     for x in (c.x11, c.x10, c.x01) if x) - data.pooled().total
+
+
+def standard_errors(params: ModelParams, data: SurveyData, mode: str) -> np.ndarray:
+    """The standard error of each of the six parameters at ``params`` from
+    the public Hessian's information in the mode's free coordinates
+    (reduced mode: N_B, alpha, p1, p2B, with N_A and p2A tied to them by the
+    data ratios)."""
+    if mode == "full":
+        jac = np.eye(6)
+    else:
+        jac = np.zeros((6, 4))
+        jac[[1, 2, 3, 5], [0, 1, 2, 3]] = 1.0
+        jac[0, 0], jac[4, 3] = model.size_ratio(data), model.p2a_ratio(data)
+    info = -jac.T @ model.hessian(params, data) @ jac
+    return np.sqrt(np.diag(jac @ np.linalg.inv(info) @ jac.T))

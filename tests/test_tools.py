@@ -11,6 +11,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 
 import fit_digest  # noqa: E402
+import paired_cpu  # noqa: E402
 import report_digest  # noqa: E402
 from dualdep.exceptions import FitError  # noqa: E402
 from dualdep.mle import fit_many  # noqa: E402
@@ -63,3 +64,14 @@ def test_main_writes_and_compares_the_digest_it_is_given(tmp_path):
     assert fit_digest.main(lambda: {"r": {"x": 2}}, __doc__, ["--output", str(after)]) == 0
     assert fit_digest.main(None, __doc__, ["--compare", str(before), str(before)]) == 0
     assert fit_digest.main(None, __doc__, ["--compare", str(before), str(after)]) == 1
+
+
+def test_paired_cpu_runs_one_tree_against_itself():
+    root = Path(__file__).resolve().parents[1]
+    out = io.StringIO()
+    summary = paired_cpu.compare(root, root, "estimate", rounds=2, out=out)
+    assert summary["rounds"] == 2 and 0 <= summary["change_wins"] <= 2
+    assert summary["parent_cpu_s"] > 0.0 and summary["change_cpu_s"] > 0.0
+    assert summary["median_ratio"] > 0.0
+    assert "the change used less CPU in" in out.getvalue()
+    assert not any(name.startswith("dualdep_") for name in sys.modules)

@@ -12,12 +12,16 @@ full-mode fallbacks, and standard errors on a table with counts near 1e9,
 whose one converged start ties stalled ones within the log-likelihood's
 rounding noise.
 
-Refits take two paths. The bootstraps of ``estimate-q1`` and its twins,
-``estimate-q1-full``, ``estimate-q4-starts15`` and
-``estimate-tiny-bootstrap`` start warm from their interior parent fit, with
-the starting grid only for the refits that fail or end on a bound there;
-``estimate-corner-bootstrap``, whose parent sits on bounds, and every
-``simulate`` command fit from the starting grid alone. For each
+A bootstrap refit of a drawn table whose moment point lies inside its box
+is that point, in closed form; the other refits take one of two solver
+paths. They start warm from an interior parent fit, with the starting grid
+only for the refits that fail or end on a bound there, or, where the parent
+sits on bounds (``estimate-corner-bootstrap``), from the starting grid
+alone, as every ``simulate`` fit does. The Q1 and Q4 draws are all
+certified. ``estimate-mixed-bootstrap`` (full mode, interior parent) takes
+all three paths in one command: 48 of its 50 draws are certified, and the
+other two climb warm, end on a bound (replicate 4 on N_B) and refit from
+the grid. For each
 command the digest holds its exit code, stdout and stderr, the report's
 ``results`` (floats as ``float.hex``, so equal files mean bit-identical
 results) and the summary CSV. The work directory is written as ``<work>``,
@@ -52,6 +56,7 @@ TABLES = {
     "corner": EDGES["corner"],
     "tiny": EDGES["tiny"],
     "large": EDGES["large-counts"],
+    "mixed": ((200, 35, 3807), (105, 3326, 2527)),
 }
 SIM = ("--replicates", "40", "--seed", "1")
 COMMANDS = {
@@ -71,6 +76,8 @@ COMMANDS = {
     "estimate-large-hessian": ("estimate", "--input", "large.csv", "--se", "hessian"),
     "estimate-tiny-bootstrap": ("estimate", "--input", "tiny.csv", "--se", "bootstrap",
                                 "--B", "50", "--seed", "1"),
+    "estimate-mixed-bootstrap": ("estimate", "--input", "mixed.csv", "--mode", "full",
+                                 "--se", "bootstrap", "--B", "50", "--seed", "5"),
     "study1": ("simulate", "study1", *SIM),
     "coverage": ("simulate", "coverage", *SIM),
     "study2": ("simulate", "study2", "--scenario", "1", "--grid", "0.01:0.35:0.17",
