@@ -236,10 +236,7 @@ def _refit(surveys, options: FitOptions, start):
     package error; a table's parameters are read only where it has none."""
     rows, declined = [], []
     for k, survey in enumerate(surveys):
-        try:
-            point = mle._moment_point(survey, mle._setup(survey, options.mode), options.mode)
-        except DualdepError:  # no box: the solver reports the table's error
-            point = None
+        point = mle._moment_point(survey, options.mode)
         if point is None:
             declined.append(k)
         rows.append(point or _UNFIT)

@@ -179,12 +179,7 @@ def _setup(data: SurveyData, mode: str):
     return box, (ratio, multiplier), tuple(scale), lo, hi
 
 
-# Whether ``_moment_point`` certifies fits; tests switch it off to pin the
-# solver path on tables it would certify.
-_CERTIFY = True
-
-
-def _moment_point(data: SurveyData, setup, mode: str) -> list[float] | None:
+def _moment_point(data: SurveyData, mode: str) -> list[float] | None:
     """The table's fit in closed form where it can be certified, else None.
 
     The moment point is the parameter point whose expected counts equal the
@@ -197,14 +192,14 @@ def _moment_point(data: SurveyData, setup, mode: str) -> list[float] | None:
     Each parameter is one correctly rounded division of integer polynomials
     in the counts, as ``_setup`` divides. The mode's solver coordinates take
     those values and the six parameters follow through the map of
-    ``_COORDINATES`` with the ``scale`` of ``setup`` (the table's
-    ``_setup``), so in reduced mode N_A = ratio N_B and p2A = multiplier
-    p2B exactly. Returns the six parameters only where the point is
-    defined, its coordinates lie strictly inside the trimmed solver box
-    (``_trimmed``) and no parameter lies in the activity band of a bound
-    (``_active``); None elsewhere, for the solver to fit."""
-    if not _CERTIFY:
-        return None
+    ``_COORDINATES`` with the ``scale`` of the table's ``_setup``, so in
+    reduced mode N_A = ratio N_B and p2A = multiplier p2B exactly. Returns
+    the six parameters only where the point is defined, the table has a box
+    (its ``_setup`` does not raise), the point's coordinates lie strictly
+    inside the trimmed solver box (``_trimmed``) and no parameter lies in
+    the activity band of a bound (``_active``); None elsewhere, for the
+    solver to fit or to report the table's error. Whether the point is
+    defined is read from the counts alone, before the ``_setup``."""
     a, b = data.stratum_a, data.stratum_b
     x1a, x1b = a.x11 + a.x10, b.x11 + b.x10
     num = a.x01 * x1b - b.x01 * x1a  # q = num / den
@@ -221,7 +216,10 @@ def _moment_point(data: SurveyData, setup, mode: str) -> list[float] | None:
         (a.x01 * den - a.x11 * num, x1a * num), (den, den + num),
         (a.x11 * num, rest), (b.x11 * x1a * num, x1b * rest),
     )
-    box, _, scale, lo, hi = setup
+    try:
+        box, _, scale, lo, hi = _setup(data, mode)
+    except DualdepError:
+        return None
     coords, sel, _ = _COORDINATES[mode]
     u = [exact[i][0] / exact[i][1] for i in coords]
     if not all(low < value < high for value, low, high in zip(u, *_trimmed(lo, hi, coords))):

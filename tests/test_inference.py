@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -121,7 +122,7 @@ def solver_only(monkeypatch):
     """Make ``mle._moment_point`` decline every table, so that every refit
     of a bootstrap reaches the solver (``mle._fits``), as every refit of a
     Q1 parent does not otherwise."""
-    monkeypatch.setattr(mle, "_CERTIFY", False)
+    monkeypatch.setattr(mle, "_moment_point", lambda *args: None)
 
 
 def columns_per_call(monkeypatch):
@@ -213,7 +214,7 @@ def test_bootstrap_retries_a_package_error_and_reports_its_reason(q1_fit, monkey
 def test_a_refit_passes_only_the_tables_the_certificate_declines_to_the_solver(
         q1_fit, monkeypatch):
     # x01 = 0 in stratum A leaves the table without a box, so the certificate
-    # is not asked and the solver reports the error; the Q1 draws between
+    # declines it and the solver reports the error; the Q1 draws between
     # its copies are certified and never reach the solver
     data, result = q1_fit
     no_box = SurveyData(CellCounts(100, 900, 0), CellCounts(60, 440, 1500))
@@ -228,8 +229,7 @@ def test_a_refit_passes_only_the_tables_the_certificate_declines_to_the_solver(
                                                 str(expected)]
     assert np.isnan(theta[:, [0, 4]]).all()
     for k, survey in enumerate(drawn, start=1):
-        assert theta[:, k].tolist() == mle._moment_point(
-            survey, mle._setup(survey, "reduced"), "reduced")
+        assert theta[:, k].tolist() == mle._moment_point(survey, "reduced")
 
 
 def test_bootstrap_propagates_programming_errors(q1_fit, monkeypatch):
@@ -286,7 +286,7 @@ def test_bootstrap_zero_x11_draw_costs_an_attempt_on_the_replicates_stream(tiny)
             if (isinstance(refit, DualdepError) or not refit.converged
                     or refit.active_constraints):
                 (refit,) = mle.fit_many([survey], result.options)  # the grid's second pass
-            row = certified_row(survey, result.options, TINY_REL)
+            row = certified_row(survey, result.options)
             if row is not None:
                 values, reason = row, ""
                 break
@@ -346,42 +346,39 @@ def test_the_block_stream_draws_what_a_fresh_stream_draws(q1_fit, seed, keys, at
         assert drawn(inference._replicate_stream(streams, key, attempt, rates)) == fresh(key, attempt)
 
 
-# How far fit_many's 12-start fit of a tiny table (single-digit counts) may
-# lie from its certified point: the solver stops at a projected gradient of
-# 1e-8, and at such counts the curvature is so flat that this leaves the fit
-# up to 4e-8 relative from the maximum, where the point's gradient is ~1e-14.
-TINY_REL = 1e-6
+# The gradient tolerance of the reference fit a certified row is checked
+# against. The default 1e-8 is absolute, and on a tiny table's draws, whose
+# likelihood is flat, it leaves the 12-start fit up to 4e-8 relative from the
+# maximum; at 1e-11 every checked draw lies within 1e-9 of its point.
+REFERENCE_TOLERANCE = 1e-11
 
 
-def certified_row(survey, options, rel=1e-9):
+def certified_row(survey, options):
     """The bootstrap row of a drawn table that ``mle._moment_point`` fits in
     closed form, or None where it declines the table. A certified row lies
-    within ``rel`` relative of ``fit_many``'s 12-start fit of the table, and
-    that fit's log-likelihood does not exceed the point's beyond the tie
-    band."""
-    try:
-        point = mle._moment_point(survey, mle._setup(survey, options.mode), options.mode)
-    except DualdepError:
-        return None
+    within 1e-9 relative of ``fit_many``'s 12-start fit of the table (run to
+    ``REFERENCE_TOLERANCE``), and that fit's log-likelihood does not exceed
+    the point's beyond the tie band."""
+    point = mle._moment_point(survey, options.mode)
     if point is None:
         return None
     params = ModelParams(*point)
     row = inference.quantities(params)
-    (grid,) = mle.fit_many([survey], options)
-    assert row == pytest.approx(inference.quantities(grid.params), rel=rel, abs=0.0), survey
+    (grid,) = mle.fit_many([survey], replace(options, gradient_tolerance=REFERENCE_TOLERANCE))
+    assert row == pytest.approx(inference.quantities(grid.params), rel=1e-9, abs=0.0), survey
     ll = model.log_likelihood(params, survey)
     assert grid.log_likelihood <= ll + mle._tie_band(grid.log_likelihood, ll), survey
     return row
 
 
-def one_table_at_a_time(indices, seed, data, parent, rel=1e-9):
+def one_table_at_a_time(indices, seed, data, parent):
     """The ``_bootstrap_block`` rows of replicates ``indices`` as FitResults
     give them: each replicate's tables drawn on a fresh stream, attempt by
     attempt, and refit alone with ``mle.fit_many`` (warm from the parent
     unless it sits on a bound; from the grid where the warm refit failed or
     ended on a bound), its row ``inference.quantities`` of the refit, or the
     closed-form row where the certificate fits the table
-    (``certified_row``, to within ``rel``)."""
+    (``certified_row``)."""
     warm = None if parent.active_constraints else parent.params
     out = []
     for index in indices:
@@ -394,7 +391,7 @@ def one_table_at_a_time(indices, seed, data, parent, rel=1e-9):
             (refit,) = mle.fit_many([survey], parent.options, start=warm)
             if warm is not None and (isinstance(refit, DualdepError) or refit.active_constraints):
                 (refit,) = mle.fit_many([survey], parent.options)
-            row = certified_row(survey, parent.options, rel)
+            row = certified_row(survey, parent.options)
             if row is not None:
                 reason = ""
                 break
@@ -407,13 +404,12 @@ def one_table_at_a_time(indices, seed, data, parent, rel=1e-9):
     return out
 
 
-@pytest.mark.parametrize("table, count, rel", [
-    *(((q, None), 40, 1e-9) for q in ("Q1", "Q2", "Q3", "Q4")),
-    # tiny: zero-x11 redraws, warm refits that take the grid
-    (((2, 3, 4), (1, 2, 3)), 60, TINY_REL),
-    (((201, 4162, 4390), (406, 2574, 3265)), 25, 1e-9),  # corner: the parent is on bounds
+@pytest.mark.parametrize("table, count", [
+    *(((q, None), 40) for q in ("Q1", "Q2", "Q3", "Q4")),
+    (((2, 3, 4), (1, 2, 3)), 60),  # tiny: zero-x11 redraws, warm refits that take the grid
+    (((201, 4162, 4390), (406, 2574, 3265)), 25),  # corner: the parent is on bounds
 ], ids=["Q1", "Q2", "Q3", "Q4", "tiny", "corner"])
-def test_the_array_read_out_gives_the_rows_of_the_fit_results(table, count, rel):
+def test_the_array_read_out_gives_the_rows_of_the_fit_results(table, count):
     # every bootstrap row, read out of the block's arrays, has the bits of
     # inference.quantities of fit_many's FitResult for the same drawn table
     # fitted alone, or of the closed form where the certificate fits it, and
@@ -425,7 +421,7 @@ def test_the_array_read_out_gives_the_rows_of_the_fit_results(table, count, rel)
     data = make_survey(a) if b is None else SurveyData(CellCounts(*a), CellCounts(*b))
     parent = fit(data)
     rows = inference._bootstrap_block((range(count), 3, data, parent))
-    assert rows == one_table_at_a_time(range(count), 3, data, parent, rel)
+    assert rows == one_table_at_a_time(range(count), 3, data, parent)
     assert sum(row is not None for _, row, _ in rows) >= count * 0.8
     every_third = list(range(count))[1::3]
     assert inference._bootstrap_block((every_third, 3, data, parent)) == rows[1::3]

@@ -685,11 +685,6 @@ def test_full_fit_reaches_the_maximum_of_its_swapped_twin():
 # where that point lies inside the box it is the constrained maximum.
 
 
-def _certified(data, mode):
-    """``mle._moment_point`` of ``data`` with the table's own ``_setup``."""
-    return mle._moment_point(data, mle._setup(data, mode), mode)
-
-
 @settings(max_examples=40, deadline=None)
 @given(data=drawn_tables(), mode=st.sampled_from(["reduced", "full"]))
 def test_a_certified_point_is_the_maximum_the_solver_finds(data, mode):
@@ -697,12 +692,9 @@ def test_a_certified_point_is_the_maximum_the_solver_finds(data, mode):
     bound = saturated_bound(data)
     if not isinstance(result, DualdepError):  # no solver fit exceeds the bound
         assert result.log_likelihood <= bound + mle._tie_band(result.log_likelihood, bound)
-    try:
-        setup = mle._setup(data, mode)
-    except DualdepError:
-        return
-    point = mle._moment_point(data, setup, mode)
+    point = mle._moment_point(data, mode)
     assume(point is not None)
+    setup = mle._setup(data, mode)  # a certified table has a box
     # each solver coordinate is the exact point correctly rounded, and the
     # tied parameters follow through the mode's map
     coords, sel, _ = mle._COORDINATES[mode]
@@ -710,16 +702,23 @@ def test_a_certified_point_is_the_maximum_the_solver_finds(data, mode):
     assert point == [scale * u[c] for scale, c in zip(setup[2], sel)]
     ll = log_likelihood(ModelParams(*point), data)
     assert ll == pytest.approx(bound, rel=0.0, abs=mle._tie_band(ll, bound))
+    if isinstance(result, NonConvergenceError):
+        return  # the climb stalls where the ridge is flattest (FLAT_RIDGE)
     assert not isinstance(result, DualdepError)
     assert result.log_likelihood <= ll + mle._tie_band(result.log_likelihood, ll)
-    # the same maximum: every parameter within a millionth of its standard
-    # error. (Not within 1e-9 relative: the solver stops at a projected
-    # gradient of 1e-8, and where the strata are nearly alike the ridge is so
-    # flat that its fit lies up to 1e-7 relative from the point, 2.4e-8 of a
-    # standard error, in a scan of 1,000 certified tables.)
-    distance = np.abs(result.params.as_array() - point) / standard_errors(
-        ModelParams(*point), data, mode)
-    assert distance.max() <= 1e-6
+    # the same maximum: every parameter of the fit within a millionth of its
+    # standard error, and of the fit run to a projected gradient of 1e-11
+    # within 1e-8 of it. (Not within 1e-9 relative: where the strata are
+    # nearly alike the ridge is so flat that no float64 climb pins its top
+    # that closely. In scans of about 3,400 certified tables the default fit
+    # lay up to 2.5e-7 relative from the point, 7.4e-8 of a standard error;
+    # in scans of about 4,700 the 1e-11 fit lay up to 3.2e-8 relative, 8e-10
+    # of a standard error. At 1e-12 the climb stalls short of the tolerance
+    # on some tables.)
+    se = standard_errors(ModelParams(*point), data, mode)
+    assert (np.abs(result.params.as_array() - point) / se).max() <= 1e-6
+    (tight,) = fit_many([data], FitOptions(mode=mode, gradient_tolerance=1e-11))
+    assert (np.abs(tight.params.as_array() - point) / se).max() <= 1e-8
 
 
 @pytest.mark.parametrize("mode", ["reduced", "full"])
@@ -730,18 +729,20 @@ def test_a_certified_point_is_the_maximum_the_solver_finds(data, mode):
 def test_the_certificate_declines_an_undefined_point(table, mode):
     data = SurveyData(CellCounts(*table[0]), CellCounts(*table[1]))
     assert moment_point(data) is None
-    assert _certified(data, mode) is None
+    assert mle._moment_point(data, mode) is None
 
 
 @pytest.mark.parametrize("mode", ["reduced", "full"])
 def test_a_stratum_with_no_list_2_only_units_has_no_box(mode):
     # x01 = 0 makes the naive estimate the observed total, so the size box is
-    # empty: _setup raises, and the bootstrap's refit hands the table to the
+    # empty: _setup raises, the certificate declines the table although its
+    # point is defined, and the bootstrap's refit hands the table to the
     # solver, which reports the error (test_inference)
     data = SurveyData(CellCounts(100, 900, 0), CellCounts(60, 440, 1500))
     with pytest.raises(InfeasibleConstraintsError):
         mle._setup(data, mode)
     assert moment_point(data)[2] < 0.0  # alpha = -a_A: outside the box anyway
+    assert mle._moment_point(data, mode) is None
 
 
 @pytest.mark.parametrize("mode", ["reduced", "full"])
@@ -757,4 +758,29 @@ def test_the_certificate_declines_a_point_in_the_activity_band(mode):
     assert all(low < value < high for value, low, high in zip(u, lo_t, hi_t))
     theta = [s * u[c] for s, c in zip(scale, sel)]
     assert 0.0 < theta[2] < 1e-6 and mle._active(theta[2], *box[2])
-    assert _certified(data, mode) is None
+    assert mle._moment_point(data, mode) is None
+
+
+# Nearly alike strata (list-1 ratios 0.0863 and 0.0855): the moment point lies
+# inside the box, but in full mode the likelihood's ridge is so flat (the
+# standard error of N_A is 47 times N_A) that every start of the climb hits
+# the iteration cap with a projected gradient of 3e-4 to 3e-2; reduced mode
+# converges. Found by the premise test above at about one certified table in
+# 3,500.
+FLAT_RIDGE = SurveyData(CellCounts(36, 381, 542), CellCounts(136, 1455, 2066))
+
+
+@pytest.mark.parametrize("mode", ["reduced", "full"])
+def test_the_certificate_fits_a_flat_ridge_at_the_bound(mode):
+    point = mle._moment_point(FLAT_RIDGE, mode)
+    ll, bound = log_likelihood(ModelParams(*point), FLAT_RIDGE), saturated_bound(FLAT_RIDGE)
+    assert ll == pytest.approx(bound, rel=0.0, abs=mle._tie_band(ll, bound))
+
+
+@pytest.mark.xfail(raises=NonConvergenceError, strict=True,
+                   reason="every start of the full-mode climb hits the iteration cap")
+def test_the_full_fit_climbs_a_flat_ridge_to_the_certified_point():
+    result = fit(FLAT_RIDGE, FitOptions(mode="full"))
+    point = mle._moment_point(FLAT_RIDGE, "full")
+    se = standard_errors(ModelParams(*point), FLAT_RIDGE, "full")
+    assert (np.abs(result.params.as_array() - point) / se).max() <= 1e-6

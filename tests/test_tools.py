@@ -75,3 +75,11 @@ def test_paired_cpu_runs_one_tree_against_itself():
     assert summary["median_ratio"] > 0.0
     assert "the change used less CPU in" in out.getvalue()
     assert not any(name.startswith("dualdep_") for name in sys.modules)
+
+
+def test_paired_cpu_runs_the_solver_refit_block():
+    root = Path(__file__).resolve().parents[1]
+    out = io.StringIO()
+    summary = paired_cpu.compare(root, root, "solver-refits", rounds=1, out=out)
+    assert summary["workload"] == "solver-refits" and summary["rounds"] == 1
+    assert summary["parent_cpu_s"] > 0.0 and summary["change_cpu_s"] > 0.0

@@ -10,13 +10,20 @@ blocks are:
 
 - ``estimate``: ``estimate --se both --threads 1 --B 100`` on Q1-Q4;
 - ``study2``: ``simulate study2 --scenario 1 --replicates 5 --threads 1``
-  at p1B = 0.01, 0.15 and 0.35.
+  at p1B = 0.01, 0.15 and 0.35;
+- ``solver-refits``: ``estimate --se both --threads 1 --B 100`` on three
+  tables whose drawn tables often reach the solver rather than the closed
+  form: ``small`` (single-digit counts: most draws are declined, and warm
+  refits that fail take the grid), ``corner`` (the parent fit is on bounds, so every solver
+  refit is a grid refit) and ``mixed`` (full mode: warm refits, and some
+  that end on a bound and take the grid).
 
 It prints each tree's median CPU per command, the median of the per-round
 ratios change/parent, and in how many rounds the change used less CPU.
 
     python tools/paired_cpu.py PARENT_TREE CHANGE_TREE --rounds 40
     python tools/paired_cpu.py PARENT_TREE CHANGE_TREE --workload study2 --rounds 20
+    python tools/paired_cpu.py PARENT_TREE CHANGE_TREE --workload solver-refits --rounds 40
 
 A tree is the root of a checkout (the directory that holds ``src``). CPU is
 this process's ``time.process_time``: the commands run on one thread and
@@ -43,16 +50,26 @@ QUARTERS = {
     "q3": ((107, 8199, 3116), (552, 2657, 3506)),
     "q4": ((76, 4019, 2795), (303, 1528, 3202)),
 }
+# tables whose bootstrap draws often reach the solver, with the fit mode
+SOLVER_REFITS = {
+    "small": (((4, 6, 8), (2, 4, 6)), "reduced"),
+    "corner": (((201, 4162, 4390), (406, 2574, 3265)), "reduced"),
+    "mixed": (((200, 35, 3807), (105, 3326, 2527)), "full"),
+}
 STUDY2_POINTS = ("0.01", "0.15", "0.35")
 SIDES = ("parent", "change")
 
 
 def block(workload: str, seed: int, work: Path) -> list[list[str]]:
-    """The commands of one block, reading the quarters' CSV files in
+    """The commands of one block, reading the tables' CSV files in
     ``work``, without ``--output``."""
     if workload == "estimate":
         return [["estimate", "--input", str(work / f"{name}.csv"), "--se", "both", "--threads", "1",
                  "--B", "100", "--seed", str(seed + k)] for k, name in enumerate(QUARTERS)]
+    if workload == "solver-refits":
+        return [["estimate", "--input", str(work / f"{name}.csv"), "--mode", mode, "--se", "both",
+                 "--threads", "1", "--B", "100", "--seed", str(seed + k)]
+                for k, (name, (_, mode)) in enumerate(SOLVER_REFITS.items())]
     return [["simulate", "study2", "--scenario", "1", "--grid", point, "--replicates", "5",
              "--threads", "1", "--seed", str(seed + k)] for k, point in enumerate(STUDY2_POINTS)]
 
@@ -82,7 +99,8 @@ def compare(parent: Path, change: Path, workload: str, rounds: int, out=sys.stdo
         packages, work = Path(tmp) / "packages", Path(tmp) / "work"
         packages.mkdir()
         work.mkdir()
-        for name, (a, b) in QUARTERS.items():
+        tables = {**QUARTERS, **{name: table for name, (table, _) in SOLVER_REFITS.items()}}
+        for name, (a, b) in tables.items():
             (work / f"{name}.csv").write_text(
                 "stratum,x11,x10,x01\nA,%d,%d,%d\nB,%d,%d,%d\n" % (*a, *b), encoding="utf-8")
         sys.path.insert(0, str(packages))
@@ -122,7 +140,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("parent", type=Path, help="root of the parent checkout")
     parser.add_argument("change", type=Path, help="root of the changed checkout")
-    parser.add_argument("--workload", choices=("estimate", "study2"), default="estimate")
+    parser.add_argument("--workload", choices=("estimate", "study2", "solver-refits"), default="estimate")
     parser.add_argument("--rounds", type=int, default=40)
     args = parser.parse_args(argv)
     compare(args.parent.resolve(), args.change.resolve(), args.workload, args.rounds)
