@@ -765,8 +765,8 @@ def test_the_certificate_declines_a_point_in_the_activity_band(mode):
 # inside the box, but in full mode the likelihood's ridge is so flat (the
 # standard error of N_A is 47 times N_A) that every start of the climb hits
 # the iteration cap with a projected gradient of 3e-4 to 3e-2; reduced mode
-# converges. Found by the premise test above at about one certified table in
-# 3,500.
+# converges. The premise test above found it once in about 4,400 certified
+# tables.
 FLAT_RIDGE = SurveyData(CellCounts(36, 381, 542), CellCounts(136, 1455, 2066))
 
 
