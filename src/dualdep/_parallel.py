@@ -23,9 +23,14 @@ import numpy as np
 # holds BLOCK_COLUMNS // width replicates of ``width`` starts each (300 warm
 # bootstrap refits, or 25 fits from the 12-start grid). Larger blocks spread
 # numpy's fixed per-call overhead over more columns but hold more memory.
-# Measured in process on the Q1 fit (2-core x86_64 VM, CPU time, medians of
-# 80 and 30 bootstraps, a fresh process per budget), warm refits in blocks
-# of 25, 100, 300 and 1000 columns:
+# The budget governs the solver's batches: the bootstrap draws the
+# certificate declines (``mle._moment_point``; no draw of a Q1-Q4 bootstrap
+# reaches the solver, while most draws of a tiny table or of a parent on a
+# bound do) and the study blocks, whose fits all run the solver from the
+# grid. Measured before the certificate, when every bootstrap draw was a
+# solver refit, in process on the Q1 fit (2-core x86_64 VM, CPU time,
+# medians of 80 and 30 bootstraps, a fresh process per budget), warm refits
+# in blocks of 25, 100, 300 and 1000 columns:
 # - B=100: 31, 17, 16 and 14 ms; peak RSS 38.2, 38.6, 38.5 and 38.6 MB;
 # - B=500: 151, 89, 72 and 72 ms; peak RSS 38.4, 38.6, 39.4 and 41.5 MB.
 # Study 2 at 0.01, 0.15 and 0.35 with 500 replicates each (1,500 fits from
@@ -61,13 +66,18 @@ class Streams:
     draw from many keys in turn: ``at(key)`` sets the generator to the start
     of ``stream(seed, key)`` (its key, counter 0 and an empty buffer) and
     returns it, so what it draws next is that stream's draws, bit for bit.
-    Setting the state costs a fraction of building a generator. The
-    generator is shared: once ``at`` moves it to another key, a stream
-    drawn before is reached again only from its start."""
+    Setting the state costs a fraction of building a generator, and less
+    again with the state's arrays held as lists of Python ints, which the
+    setter reads faster than numpy scalars. The generator is shared: once
+    ``at`` moves it to another key, a stream drawn before is reached again
+    only from its start."""
 
     def __init__(self, seed: int):
         bits = np.random.Philox(key=_key(seed, 0))
-        self._bits, self._rng, self._state = bits, np.random.Generator(bits), bits.state
+        state = bits.state
+        self._bits, self._rng = bits, np.random.Generator(bits)
+        self._state = {**state, "buffer": state["buffer"].tolist(),
+                       "state": {name: value.tolist() for name, value in state["state"].items()}}
         self._key = self._state["state"]["key"]  # set in place by ``at``
 
     def at(self, key: int) -> np.random.Generator:

@@ -6,17 +6,19 @@ table of (rounded) fitted size per stratum, including the estimated
 unobserved cell, then refits the model on the starred observed cells.
 Replicates run in blocks, each within a budget of solver columns
 (``_parallel.blocks``). A block computes the cell rates once and sets one
-generator to each replicate's stream (``_parallel.Streams``). A drawn table
-whose moment point lies strictly inside its box is refit in closed form
-(``mle._moment_point``); the block's other tables are one batched solve
-(``mle._fits``), and both are read out as arrays, with no FitResult per
-replicate. A replicate is drawn from the fitted model, so each solver refit
-starts from the fitted parameters alone (a warm start, one column).
-The starting grid is the safety net: it refits every such replicate when
-the fit sits on a bound, where the likelihood can have several maxima, and
-it refits a replicate whose warm refit failed or ended on a bound, in
-batches within the same budget. Stratum variances add for the total because
-the strata are independent.
+generator to each replicate's stream (``_parallel.Streams``). Each drawn
+table is certified from its counts as it is drawn (``mle._moment_point``):
+where its moment point lies strictly inside its box, that point is the
+refit, in closed form, and the table is never built as a SurveyData nor set
+up for the solver. Only the tables the certificate declines become surveys,
+and a block's such tables are one batched solve (``mle._fits``), read out
+as arrays, with no FitResult per replicate. A replicate is drawn from the
+fitted model, so each solver refit starts from the fitted parameters alone
+(a warm start, one column). The starting grid is the safety net: it
+refits every such replicate when the fit sits on a bound, where the
+likelihood can have several maxima, and it refits a replicate whose warm
+refit failed or ended on a bound, in batches within the same budget.
+Stratum variances add for the total because the strata are independent.
 """
 
 from __future__ import annotations
@@ -220,36 +222,21 @@ def _warm_start(fit: FitResult) -> np.ndarray | None:
     return None if fit.active_constraints else fit.params.as_array()[:, None]
 
 
-_UNFIT = (math.nan,) * 6  # the parameters of a table without a fit
-
-
 def _refit(surveys, options: FitOptions, start):
-    """The fits of a block's drawn tables as (parameters (6, T), errors).
-    A table whose moment point lies strictly inside its box is fitted in
-    closed form (``mle._moment_point``). The others go to the solver, read
-    out as arrays (``mle._fits``): each climbs from ``start`` (the parent
-    fit's parameters), and those whose warm refit raised a package error or
-    ended on a bound refit from the starting grid, in batches of at most
+    """The solver fits of a block's drawn tables that the certificate
+    declined, as (parameters (6, T), errors), read out as arrays
+    (``mle._fits``). Each table climbs from ``start`` (the parent fit's
+    parameters), and those whose warm refit raised a package error or ended
+    on a bound refit from the starting grid, in batches of at most
     ``_parallel.BLOCK_COLUMNS`` solver columns (``_parallel.blocks``). With
     ``start`` None, the grid refits them all in one batch (the block is
     already sized for the grid). ``errors`` holds per table None or its
     package error; a table's parameters are read only where it has none."""
-    rows, declined = [], []
-    for k, survey in enumerate(surveys):
-        point = mle._moment_point(survey, options.mode)
-        if point is None:
-            declined.append(k)
-        rows.append(point or _UNFIT)
-    theta, errors = np.array(rows).T, [None] * len(surveys)
-    if not declined:
-        return theta, errors
-    fits = mle._fits([surveys[k] for k in declined], options, start)
-    theta[:, declined] = fits.theta
-    for k, error in zip(declined, fits.errors):
-        errors[k] = error
+    fits = mle._fits(surveys, options, start)
+    theta, errors = fits.theta, list(fits.errors)
     if start is not None:
-        failed = np.array([error is not None for error in fits.errors])
-        again = [declined[j] for j in np.flatnonzero(failed | fits.active.any(axis=0)).tolist()]
+        failed = np.array([error is not None for error in errors])
+        again = np.flatnonzero(failed | fits.active.any(axis=0)).tolist()
         for block in _parallel.blocks(len(again), options.n_starts):
             chunk = again[block.start:block.stop]
             grid = mle._fits([surveys[k] for k in chunk], options)
@@ -274,42 +261,51 @@ def _bootstrap_block(task):
     """Run one block of replicates. The cell rates are computed once, and
     every replicate draws from its own stream (keyed by seed and replicate
     index), set up on the block's one generator (``_parallel.Streams``).
-    The block's tables are refit together (``_refit``) with the parent
-    fit's options: in closed form where the certificate accepts them, the
-    others in one batched solve, warm from the parent fit unless the parent
-    sits on a bound. All are read out as arrays, with no FitResult per
-    replicate. Only the
-    replicates whose attempt failed draw again, continuing their own streams
-    (``_replicate_stream``), for up to _MAX_ATTEMPTS attempts. Returns
-    (index, the ``QUANTITIES`` of the refit or None, reason of the last
-    failure) per replicate."""
+    Each drawn table is read as two strata of Python ints and certified on
+    the spot (``mle._moment_point``): where the certificate accepts it, its
+    moment point is the refit, and the table never becomes a SurveyData.
+    The tables it declines become surveys and are refit together with the
+    parent fit's options (``_refit``), warm from the parent fit unless the
+    parent sits on a bound, read out as arrays, with no FitResult per
+    replicate. Only the replicates whose attempt failed draw again,
+    continuing their own streams (``_replicate_stream``), for up to
+    _MAX_ATTEMPTS attempts. Returns (index, the ``QUANTITIES`` of the refit
+    or None, reason of the last failure) per replicate."""
     indices, seed, data, fit = task
     rates = _replicate_rates(data, fit)
     start = _warm_start(fit)
+    mode = fit.options.mode
     streams = _parallel.Streams(seed)
     rows, reasons = [None] * len(indices), [""] * len(indices)
     pending = range(len(indices))
     for attempt in range(_MAX_ATTEMPTS):
         if not pending:
             break
-        drawn, surveys = [], []
+        certified, points, declined, surveys = [], [], [], []
         for pos in pending:
             rng = _replicate_stream(streams, indices[pos], attempt, rates)
-            survey = _drawn_survey(*draw_replicate_tables(data, fit, rng, rates),
-                                   data.label_a, data.label_b)
-            if survey is None:
+            table_a, table_b = draw_replicate_tables(data, fit, rng, rates)
+            a, b = table_a[:3].tolist(), table_b[:3].tolist()
+            if a[0] < 1 or b[0] < 1:
                 reasons[pos] = "drawn x11 was zero"
+                continue
+            point = mle._moment_point(a, b, mode)
+            if point is None:
+                declined.append(pos)
+                surveys.append(_unchecked_survey(a, b, data.label_a, data.label_b))
             else:
-                drawn.append(pos)
-                surveys.append(survey)
-        if not surveys:  # every pending replicate drew x11 = 0: nothing to refit
-            continue
-        theta, errors = _refit(surveys, fit.options, start)
-        for pos, row, error in zip(drawn, _quantity_rows(theta).tolist(), errors):
-            if error is None:
+                certified.append(pos)
+                points.append(point)
+        if points:
+            for pos, row in zip(certified, _quantity_rows(np.array(points).T).tolist()):
                 rows[pos], reasons[pos] = tuple(row), ""
-            else:
-                reasons[pos] = str(error)
+        if surveys:
+            theta, errors = _refit(surveys, fit.options, start)
+            for pos, row, error in zip(declined, _quantity_rows(theta).tolist(), errors):
+                if error is None:
+                    rows[pos], reasons[pos] = tuple(row), ""
+                else:
+                    reasons[pos] = str(error)
         pending = [pos for pos in pending if rows[pos] is None]
     return list(zip(indices, rows, reasons))
 
@@ -327,9 +323,10 @@ def bootstrap(
     refits with the options of the original fit, ``fit.options``. Where the
     drawn table's moment point lies strictly inside its box, off the
     activity band of every bound, that point is the refit, in closed form
-    (``mle._moment_point``), whatever ``fit`` is. Any other refit climbs
-    from one start, the fitted parameters clipped into the drawn table's
-    box. It climbs from the starting grid of ``fit.options.n_starts``
+    (``mle._moment_point``, certified from the drawn counts), whatever
+    ``fit`` is. Any other refit goes to the solver, which sets the table up
+    once, and climbs from one start, the fitted parameters clipped into the
+    drawn table's box. It climbs from the starting grid of ``fit.options.n_starts``
     points instead when ``fit`` has an active constraint, and in a second
     batch when its warm refit raised a package error (non-convergence
     among them) or ended on a bound; that costs no attempt and no draw. A
@@ -338,7 +335,8 @@ def bootstrap(
     are logged with the reason of their last
     attempt, and more than 5% failures aborts with BootstrapError.
     Replicates run in blocks of at most ``_parallel.BLOCK_COLUMNS`` solver
-    columns (one per warm refit, ``fit.options.n_starts`` per grid refit),
+    columns (one per warm refit, ``fit.options.n_starts`` per grid refit,
+    budgeted for every replicate although a certified one takes none),
     each block's solver refits as one batch, and the blocks are spread over
     ``threads`` processes (replicates that fit in one block run in this
     process). Replicate

@@ -131,45 +131,72 @@ _COORDINATES = {
 }
 
 
-def _stratum_boxes(data: SurveyData) -> tuple[tuple[float, float], tuple[float, float]]:
-    """Per-stratum size boxes [observed total, naive estimate]."""
-    out = []
+_UNIT = (0.0, 1.0)  # the box of a probability
+
+
+def _size_box(x11: int, x10: int, x01: int) -> tuple[float, float]:
+    """A stratum's size box [observed total, naive estimate] from its counts
+    (x11 >= 1), the estimate divided as ``naive_estimate`` divides."""
+    x1 = x11 + x10
+    return float(x1 + x01), x1 * (x11 + x01) / x11
+
+
+def _ties(a, b) -> tuple[float, float]:
+    """The size ratio and the p2A multiplier of two strata's (x11, x10, x01)
+    counts, in the operation order of ``model.size_ratio`` and
+    ``model.p2a_ratio``."""
+    x1a, x1b = a[0] + a[1], b[0] + b[1]
+    return x1a / x1b, (a[0] / b[0]) * (x1b / x1a)
+
+
+def _tied_box(lo: float, hi: float, s: float, b_lo: float, b_hi: float) -> tuple[float, float]:
+    """The box [lo, hi] of a solver coordinate intersected with the box
+    [b_lo, b_hi] of a parameter tied to it at scale ``s``, divided by ``s``.
+    Division then re-multiplication can overshoot by an ulp, so the
+    endpoints walk inwards until every coordinate in the box maps inside
+    the parameter's box exactly."""
+    lo, hi = max(lo, b_lo / s), min(hi, b_hi / s)
+    while hi > lo and s * hi > b_hi:
+        hi = math.nextafter(hi, 0.0)
+    while lo < hi and s * lo < b_lo:
+        lo = math.nextafter(lo, math.inf)
+    return lo, hi
+
+
+def _room(b_lo: float, b_hi: float, s: float, lo: float, hi: float) -> bool:
+    """Whether the coordinate box [lo, hi] leaves room for a start: every
+    value at least the start margin inside it maps strictly inside the box
+    [b_lo, b_hi] of a parameter at scale ``s``."""
+    pad = _START_MARGIN * (hi - lo)
+    return lo < hi and b_lo < s * (lo + pad) and s * (hi - pad) < b_hi
+
+
+def _setup(data: SurveyData, mode: str):
+    """The constants of one table's problem: the six parameters' boxes, the
+    size ratio and p2A multiplier (``_ties``), the ``scale`` of the mode's
+    map and the box (lo, hi) of each solver coordinate. A coordinate's box
+    is the intersection of its parameters' boxes, each divided by the
+    parameter's scale (``_tied_box``). Raises FitError when a stratum has
+    x11 = 0 (no naive upper bound), and InfeasibleConstraintsError when a
+    coordinate's box leaves no room for a start (``_room``)."""
     for label, counts in data.strata:
         if counts.x11 < 1:
             raise FitError(
                 f"stratum {label!r} has x11 = 0: the naive upper bound does not exist"
             )
-        out.append((float(counts.total), naive_estimate(counts)))
-    return out[0], out[1]
-
-
-def _setup(data: SurveyData, mode: str):
-    """The constants of one table's problem: the six parameters' boxes, the
-    size ratio and p2A multiplier, the ``scale`` of the mode's map and the
-    box (lo, hi) of each solver coordinate. A coordinate's box is the
-    intersection of its parameters' boxes, each divided by the parameter's
-    scale. Raises InfeasibleConstraintsError when a coordinate's box leaves
-    no room for a start: every value at least the start margin inside it
-    must map strictly inside each of its parameters' boxes."""
-    coords, sel, tied = _COORDINATES[mode]
-    box = (*_stratum_boxes(data), (0.0, 1.0), (0.0, 1.0), (0.0, 1.0), (0.0, 1.0))
-    ratio, multiplier = model.size_ratio(data), model.p2a_ratio(data)
+    a, b = ((c.x11, c.x10, c.x01) for c in (data.stratum_a, data.stratum_b))
+    box = (_size_box(*a), _size_box(*b), _UNIT, _UNIT, _UNIT, _UNIT)
+    ratio, multiplier = _ties(a, b)
     ties = (ratio, 1.0, 1.0, 1.0, multiplier, 1.0)
+    coords, sel, tied = _COORDINATES[mode]
     scale = [1.0] * 6
     lo, hi = [box[i][0] for i in coords], [box[i][1] for i in coords]
     for i in tied:
-        c, s, (b_lo, b_hi) = sel[i], ties[i], box[i]
-        scale[i] = s
-        lo[c], hi[c] = max(lo[c], b_lo / s), min(hi[c], b_hi / s)
-        # division then re-multiplication can overshoot by an ulp; walk the
-        # endpoints until every in-box coordinate maps inside the box exactly
-        while hi[c] > lo[c] and s * hi[c] > b_hi:
-            hi[c] = math.nextafter(hi[c], 0.0)
-        while lo[c] < hi[c] and s * lo[c] < b_lo:
-            lo[c] = math.nextafter(lo[c], math.inf)
+        c = sel[i]
+        scale[i] = ties[i]
+        lo[c], hi[c] = _tied_box(lo[c], hi[c], ties[i], *box[i])
     for (b_lo, b_hi), s, c in zip(box, scale, sel):
-        pad = _START_MARGIN * (hi[c] - lo[c])
-        if not (lo[c] < hi[c] and b_lo < s * (lo[c] + pad) and s * (hi[c] - pad) < b_hi):
+        if not _room(b_lo, b_hi, s, lo[c], hi[c]):
             names = [PARAM_NAMES[i] for i, d in enumerate(sel) if d == c]
             raise InfeasibleConstraintsError(
                 f"no {PARAM_NAMES[coords[c]]} value keeps {' and '.join(names)} strictly inside "
@@ -179,8 +206,10 @@ def _setup(data: SurveyData, mode: str):
     return box, (ratio, multiplier), tuple(scale), lo, hi
 
 
-def _moment_point(data: SurveyData, mode: str) -> list[float] | None:
-    """The table's fit in closed form where it can be certified, else None.
+def _moment_point(a, b, mode: str) -> list[float] | None:
+    """The fit in closed form of the table whose strata have the (x11, x10,
+    x01) counts ``a`` and ``b`` (Python ints), where it can be certified,
+    else None.
 
     The moment point is the parameter point whose expected counts equal the
     observed ones. Each stratum's Stirling term is at most sum_c x_c log
@@ -189,45 +218,65 @@ def _moment_point(data: SurveyData, mode: str) -> list[float] | None:
     & Holland 1975, ch. 6). With x1._s the list-1 count, a_s = x11_s/x1._s
     and b_s = x01_s/x1._s, it is q = (b_A - b_B)/(a_A - a_B), p1 = 1/(1 +
     q), N_s = x1._s (1 + q), alpha = b_A/q - a_A and p2s = a_s/(1 - alpha).
-    Each parameter is one correctly rounded division of integer polynomials
-    in the counts, as ``_setup`` divides. The mode's solver coordinates take
-    those values and the six parameters follow through the map of
-    ``_COORDINATES`` with the ``scale`` of the table's ``_setup``, so in
-    reduced mode N_A = ratio N_B and p2A = multiplier p2B exactly. Returns
-    the six parameters only where the point is defined, the table has a box
-    (its ``_setup`` does not raise), the point's coordinates lie strictly
-    inside the trimmed solver box (``_trimmed``) and no parameter lies in
-    the activity band of a bound (``_active``); None elsewhere, for the
-    solver to fit or to report the table's error. Whether the point is
-    defined is read from the counts alone, before the ``_setup``."""
-    a, b = data.stratum_a, data.stratum_b
-    x1a, x1b = a.x11 + a.x10, b.x11 + b.x10
-    num = a.x01 * x1b - b.x01 * x1a  # q = num / den
-    den = a.x11 * x1b - b.x11 * x1a
+    Each solver coordinate of the mode (``_COORDINATES``) is one correctly
+    rounded division of integer polynomials in the counts; in reduced mode
+    N_A = ratio N_B and p2A = multiplier p2B (``_ties``), exactly as the
+    solver's map gives them.
+
+    The certificate builds only what it tests, with the float operations of
+    ``_setup``. It returns the six parameters only where the point is
+    defined (read from the counts first), its size coordinates and its
+    tied p2B lie strictly inside their trimmed boxes (``_trimmed``), no
+    parameter lies in the activity band of a bound (``_active``) and each
+    size's coordinate box leaves room for a start (``_room``); None
+    elsewhere, for the solver to fit or to report the table's error. So it
+    accepts exactly where a point inside the trimmed box of the table's
+    ``_setup`` is off every activity band: an untied probability off its
+    band (1e-6) is inside its trimmed box (1e-10), and a probability
+    coordinate with no room is narrower than its trim, so no point lies in
+    it; a size coordinate's trim (1e-12 of its lower end) can be narrower
+    than the margin's rounding, so the sizes' room is tested."""
+    (a11, a10, a01), (b11, b10, b01) = a, b
+    if a11 < 1 or b11 < 1:  # no naive upper bound
+        return None
+    x1a, x1b = a11 + a10, b11 + b10
+    num = a01 * x1b - b01 * x1a  # q = num / den
+    den = a11 * x1b - b11 * x1a
     if den < 0:
         num, den = -num, -den
     if num <= 0 or den == 0:  # q undefined, or p1 = 1/(1 + q) not in (0, 1)
         return None
-    rest = (x1a + a.x11) * num - a.x01 * den  # (1 - alpha) x1.A num
+    rest = (x1a + a11) * num - a01 * den  # (1 - alpha) x1.A num
     if rest <= 0:
         return None
-    exact = (  # each parameter as (numerator, denominator), in PARAM_NAMES order
-        (x1a * (den + num), den), (x1b * (den + num), den),
-        (a.x01 * den - a.x11 * num, x1a * num), (den, den + num),
-        (a.x11 * num, rest), (b.x11 * x1a * num, x1b * rest),
-    )
-    try:
-        box, _, scale, lo, hi = _setup(data, mode)
-    except DualdepError:
+    box_a, box_b = _size_box(a11, a10, a01), _size_box(b11, b10, b01)
+    n_b = x1b * (den + num) / den
+    alpha = (a01 * den - a11 * num) / (x1a * num)
+    p1 = den / (den + num)
+    p2b = b11 * x1a * num / (x1b * rest)
+    if mode == "reduced":  # coordinates N_B, alpha, p1 and p2B
+        ratio, multiplier = _ties(a, b)
+        lo, hi = _tied_box(box_b[0], box_b[1], ratio, box_a[0], box_a[1])
+        low, high = _trim_size(lo, hi)
+        if not (low < n_b < high and _room(box_a[0], box_a[1], ratio, lo, hi)
+                and _room(box_b[0], box_b[1], 1.0, lo, hi)):
+            return None
+        if multiplier > 1.0:  # else p2B's box is (0, 1), whose trim its band implies
+            low, high = _trim_probability(*_tied_box(0.0, 1.0, multiplier, 0.0, 1.0))
+            if not low < p2b < high:
+                return None
+        n_a, p2a = ratio * n_b, multiplier * p2b
+    else:  # every parameter is a coordinate
+        n_a, p2a = x1a * (den + num) / den, a11 * num / rest
+        for value, (lo, hi) in ((n_a, box_a), (n_b, box_b)):
+            low, high = _trim_size(lo, hi)
+            if not (low < value < high and _room(lo, hi, 1.0, lo, hi)):
+                return None
+    if (_active(n_a, box_a[0], box_a[1]) or _active(n_b, box_b[0], box_b[1])
+            or _active(alpha, 0.0, 1.0) or _active(p1, 0.0, 1.0) or _active(p2a, 0.0, 1.0)
+            or _active(p2b, 0.0, 1.0)):
         return None
-    coords, sel, _ = _COORDINATES[mode]
-    u = [exact[i][0] / exact[i][1] for i in coords]
-    if not all(low < value < high for value, low, high in zip(u, *_trimmed(lo, hi, coords))):
-        return None
-    theta = [s * u[c] for s, c in zip(scale, sel)]
-    if any(_active(value, low, high) for value, (low, high) in zip(theta, box)):
-        return None
-    return theta
+    return [n_a, n_b, alpha, p1, p2a, p2b]
 
 
 # --- starting points ----------------------------------------------------------
@@ -293,20 +342,24 @@ def _clipped(theta, scale, lo, hi, mode: str) -> np.ndarray:
 
 # --- solver ------------------------------------------------------------------
 
+def _trim_size(lo: float, hi: float) -> tuple[float, float]:
+    """A size coordinate's box [lo, hi], trimmed off the observed total."""
+    return max(lo + 1e-9 * (hi - lo), lo * (1.0 + 1e-12)), hi
+
+
+def _trim_probability(lo: float, hi: float) -> tuple[float, float]:
+    """A probability coordinate's box [lo, hi], trimmed off 0 and 1."""
+    return max(lo, 1e-10), hi * (1.0 - 1e-10)
+
+
 def _trimmed(lo, hi, coords) -> tuple[list[float], list[float]]:
     """Pull the optimizer strictly off boundaries where the objective or its
     gradient diverges (zero cell probabilities, N at the observed total).
     ``lo`` and ``hi`` are one table's box as ``_setup`` gives it, entry c
     that of coordinate ``coords[c]``; so is the trimmed box returned."""
-    lo_t, hi_t = [], []
-    for c, low, high in zip(coords, lo, hi):
-        if c < 2:  # a size
-            lo_t.append(max(low + 1e-9 * (high - low), low * (1.0 + 1e-12)))
-            hi_t.append(high)
-        else:
-            lo_t.append(max(low, 1e-10))
-            hi_t.append(high * (1.0 - 1e-10))
-    return lo_t, hi_t
+    ends = [(_trim_size if c < 2 else _trim_probability)(low, high)
+            for c, low, high in zip(coords, lo, hi)]
+    return [low for low, _ in ends], [high for _, high in ends]
 
 
 def _active(value, lo, hi):

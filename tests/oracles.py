@@ -1,7 +1,8 @@
 """Independent oracles used by the tests: finite differences against the
 analytic derivatives, exhaustive multinomial enumeration against the
-simulator, a reference projected-Newton solve against the batched one, and
-the moment point in exact fractions against the closed-form fit.
+simulator, a reference projected-Newton solve against the batched one, the
+moment point in exact fractions against the closed-form fit, and the
+certificate on a table's solver set-up against the one on its counts.
 These never call the code paths they check."""
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 from dualdep import mle, model
+from dualdep.exceptions import DualdepError
 from dualdep.model import ModelParams, log_likelihood, gradient
 from dualdep.tables import CellCounts, SurveyData
 
@@ -198,6 +200,47 @@ def moment_point(data: SurveyData) -> tuple[Fraction, ...] | None:
         return None
     return (n1_a * (1 + q), n1_b * (1 + q), alpha, 1 / (1 + q), a_a / (1 - alpha),
             a_b / (1 - alpha))
+
+
+def triples(data: SurveyData) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
+    """The (x11, x10, x01) counts of each stratum, the certificate's input."""
+    return tuple((c.x11, c.x10, c.x01) for c in (data.stratum_a, data.stratum_b))
+
+
+def reference_moment_point(data: SurveyData, mode: str) -> list[float] | None:
+    """``mle._moment_point``'s result, the reference way: the table's
+    solver ``_setup`` first (None where it raises: the table has no box),
+    then the moment point in exact integers, each solver coordinate one
+    correctly rounded division, accepted strictly inside the trimmed box
+    and off every activity band."""
+    try:
+        box, _, scale, lo, hi = mle._setup(data, mode)
+    except DualdepError:
+        return None
+    a, b = data.stratum_a, data.stratum_b
+    x1a, x1b = a.x11 + a.x10, b.x11 + b.x10
+    num = a.x01 * x1b - b.x01 * x1a  # q = num / den
+    den = a.x11 * x1b - b.x11 * x1a
+    if den < 0:
+        num, den = -num, -den
+    if num <= 0 or den == 0:
+        return None
+    rest = (x1a + a.x11) * num - a.x01 * den  # (1 - alpha) x1.A num
+    if rest <= 0:
+        return None
+    exact = (
+        (x1a * (den + num), den), (x1b * (den + num), den),
+        (a.x01 * den - a.x11 * num, x1a * num), (den, den + num),
+        (a.x11 * num, rest), (b.x11 * x1a * num, x1b * rest),
+    )
+    coords, sel, _ = mle._COORDINATES[mode]
+    u = [exact[i][0] / exact[i][1] for i in coords]
+    if not all(low < value < high for value, low, high in zip(u, *mle._trimmed(lo, hi, coords))):
+        return None
+    theta = [s * u[c] for s, c in zip(scale, sel)]
+    if any(mle._active(value, low, high) for value, (low, high) in zip(theta, box)):
+        return None
+    return theta
 
 
 def saturated_bound(data: SurveyData) -> float:

@@ -23,7 +23,7 @@ from dualdep.simulate import GeneratorConfig, _draw_survey, _scenario_config
 from dualdep.tables import CellCounts, SurveyData
 
 from conftest import drawn_tables
-from oracles import fd_hessian
+from oracles import fd_hessian, reference_moment_point, triples
 
 
 @pytest.fixture(scope="module")
@@ -119,9 +119,9 @@ def test_bootstrap_block_size_and_thread_invariance(q1_fit, monkeypatch):
 
 
 def solver_only(monkeypatch):
-    """Make ``mle._moment_point`` decline every table, so that every refit
-    of a bootstrap reaches the solver (``mle._fits``), as every refit of a
-    Q1 parent does not otherwise."""
+    """Make ``mle._moment_point`` decline every drawn table, so that each one
+    of a bootstrap block becomes a survey and reaches the solver
+    (``mle._fits``), as no draw of a Q1 parent does otherwise."""
     monkeypatch.setattr(mle, "_moment_point", lambda *args: None)
 
 
@@ -211,25 +211,69 @@ def test_bootstrap_retries_a_package_error_and_reports_its_reason(q1_fit, monkey
         assert np.array_equal(boot.estimates[name], clean.estimates[name][1:])
 
 
-def test_a_refit_passes_only_the_tables_the_certificate_declines_to_the_solver(
-        q1_fit, monkeypatch):
-    # x01 = 0 in stratum A leaves the table without a box, so the certificate
-    # declines it and the solver reports the error; the Q1 draws between
-    # its copies are certified and never reach the solver
-    data, result = q1_fit
-    no_box = SurveyData(CellCounts(100, 900, 0), CellCounts(60, 440, 1500))
-    drawn = [inference._drawn_survey(*draw_replicate_tables(data, result, _parallel.stream(2, k)))
-             for k in range(3)]
-    surveys = [no_box, *drawn, no_box]
-    calls = columns_per_call(monkeypatch)
-    theta, errors = inference._refit(surveys, result.options, result.params.as_array()[:, None])
-    assert calls == [(2, True), (24, False)]  # the warm pass, then the grid pass
-    (expected,) = mle.fit_many([no_box], result.options)
-    assert [str(error) for error in errors] == [str(expected), "None", "None", "None",
-                                                str(expected)]
-    assert np.isnan(theta[:, [0, 4]]).all()
-    for k, survey in enumerate(drawn, start=1):
-        assert theta[:, k].tolist() == mle._moment_point(survey, "reduced")
+MIXED = SurveyData(CellCounts(200, 35, 3807), CellCounts(105, 3326, 2527))  # fit in full mode
+
+
+def test_a_refit_passes_only_the_tables_the_certificate_declines_to_the_solver(monkeypatch):
+    # of the mixed table's 50 first draws at seed 5, the certificate (its
+    # reference on each table's solver set-up) declines two; they alone
+    # reach the solver, warm and then from the grid, and every other row is
+    # its moment point
+    parent = fit(MIXED, FitOptions(mode="full"))
+    drawn = [inference._drawn_survey(*draw_replicate_tables(MIXED, parent, _parallel.stream(5, k)))
+             for k in range(50)]
+    points = [reference_moment_point(survey, "full") for survey in drawn]
+    declined = [triples(survey) for survey, point in zip(drawn, points) if point is None]
+    assert len(declined) == 2
+    real, calls = mle._fits, []
+
+    def spy(surveys, options, start=None):
+        calls.append(([triples(survey) for survey in surveys], start is not None))
+        return real(surveys, options, start=start)
+
+    monkeypatch.setattr(mle, "_fits", spy)
+    rows = inference._bootstrap_block((range(50), 5, MIXED, parent))
+    assert calls == [(declined, True), (declined, False)]
+    for (_, row, reason), point in zip(rows, points):
+        if point is not None:
+            assert (row, reason) == (inference.quantities(ModelParams(*point)), "")
+
+
+def test_a_certified_draw_is_never_a_survey_and_a_declined_one_is_set_up_once(q1_fit,
+                                                                            monkeypatch):
+    # no Q1 draw is declined, so its block builds no SurveyData and makes no
+    # solver set-up; the corner table's parent sits on bounds, so each draw
+    # the certificate declines is one survey, set up once for its grid refit
+    counted = {"_setup": 0, "survey": 0, "checked": 0}
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            counted[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(mle, "_setup", counting("_setup", mle._setup))
+    monkeypatch.setattr(inference, "_unchecked_survey",
+                        counting("survey", inference._unchecked_survey))
+    monkeypatch.setattr(SurveyData, "__post_init__",
+                        counting("checked", SurveyData.__post_init__))
+    data, parent = q1_fit
+    rows = inference._bootstrap_block((range(100), 7, data, parent))
+    assert all(row is not None for _, row, _ in rows)
+    assert counted == {"_setup": 0, "survey": 0, "checked": 0}
+
+    corner = SurveyData(CellCounts(201, 4162, 4390), CellCounts(406, 2574, 3265))
+    parent = fit(corner)
+    assert parent.active_constraints  # so every solver refit is one grid refit
+    drawn = [inference._drawn_survey(*draw_replicate_tables(corner, parent, _parallel.stream(7, k)))
+             for k in range(60)]
+    assert all(survey is not None for survey in drawn)
+    declined = sum(reference_moment_point(survey, "reduced") is None for survey in drawn)
+    assert 0 < declined < 60
+    counted.update(_setup=0, survey=0, checked=0)
+    rows = inference._bootstrap_block((range(60), 7, corner, parent))
+    assert all(row is not None for _, row, _ in rows)  # each first attempt refits
+    assert counted == {"_setup": declined, "survey": declined, "checked": 0}
 
 
 def test_bootstrap_propagates_programming_errors(q1_fit, monkeypatch):
@@ -359,7 +403,7 @@ def certified_row(survey, options):
     within 1e-9 relative of ``fit_many``'s 12-start fit of the table (run to
     ``REFERENCE_TOLERANCE``), and that fit's log-likelihood does not exceed
     the point's beyond the tie band."""
-    point = mle._moment_point(survey, options.mode)
+    point = mle._moment_point(*triples(survey), options.mode)
     if point is None:
         return None
     params = ModelParams(*point)

@@ -21,7 +21,10 @@ from dualdep.simulate import (
 from dualdep.tables import CellCounts, SurveyData, naive_estimate
 
 from conftest import QUARTER_COUNTS, drawn_tables, make_survey
-from oracles import moment_point, random_interior_params, saturated_bound, standard_errors
+from oracles import (
+    moment_point, random_interior_params, reference_moment_point, saturated_bound,
+    standard_errors, triples,
+)
 
 
 def in_box(params, data, slack=0.0):
@@ -692,7 +695,7 @@ def test_a_certified_point_is_the_maximum_the_solver_finds(data, mode):
     bound = saturated_bound(data)
     if not isinstance(result, DualdepError):  # no solver fit exceeds the bound
         assert result.log_likelihood <= bound + mle._tie_band(result.log_likelihood, bound)
-    point = mle._moment_point(data, mode)
+    point = mle._moment_point(*triples(data), mode)
     assume(point is not None)
     setup = mle._setup(data, mode)  # a certified table has a box
     # each solver coordinate is the exact point correctly rounded, and the
@@ -729,20 +732,20 @@ def test_a_certified_point_is_the_maximum_the_solver_finds(data, mode):
 def test_the_certificate_declines_an_undefined_point(table, mode):
     data = SurveyData(CellCounts(*table[0]), CellCounts(*table[1]))
     assert moment_point(data) is None
-    assert mle._moment_point(data, mode) is None
+    assert mle._moment_point(*triples(data), mode) is None
 
 
 @pytest.mark.parametrize("mode", ["reduced", "full"])
 def test_a_stratum_with_no_list_2_only_units_has_no_box(mode):
     # x01 = 0 makes the naive estimate the observed total, so the size box is
     # empty: _setup raises, the certificate declines the table although its
-    # point is defined, and the bootstrap's refit hands the table to the
-    # solver, which reports the error (test_inference)
+    # point is defined, and the bootstrap hands the table to the solver,
+    # which reports the error
     data = SurveyData(CellCounts(100, 900, 0), CellCounts(60, 440, 1500))
     with pytest.raises(InfeasibleConstraintsError):
         mle._setup(data, mode)
     assert moment_point(data)[2] < 0.0  # alpha = -a_A: outside the box anyway
-    assert mle._moment_point(data, mode) is None
+    assert mle._moment_point(*triples(data), mode) is None
 
 
 @pytest.mark.parametrize("mode", ["reduced", "full"])
@@ -758,7 +761,7 @@ def test_the_certificate_declines_a_point_in_the_activity_band(mode):
     assert all(low < value < high for value, low, high in zip(u, lo_t, hi_t))
     theta = [s * u[c] for s, c in zip(scale, sel)]
     assert 0.0 < theta[2] < 1e-6 and mle._active(theta[2], *box[2])
-    assert mle._moment_point(data, mode) is None
+    assert mle._moment_point(*triples(data), mode) is None
 
 
 # Nearly alike strata (list-1 ratios 0.0863 and 0.0855): the moment point lies
@@ -772,7 +775,7 @@ FLAT_RIDGE = SurveyData(CellCounts(36, 381, 542), CellCounts(136, 1455, 2066))
 
 @pytest.mark.parametrize("mode", ["reduced", "full"])
 def test_the_certificate_fits_a_flat_ridge_at_the_bound(mode):
-    point = mle._moment_point(FLAT_RIDGE, mode)
+    point = mle._moment_point(*triples(FLAT_RIDGE), mode)
     ll, bound = log_likelihood(ModelParams(*point), FLAT_RIDGE), saturated_bound(FLAT_RIDGE)
     assert ll == pytest.approx(bound, rel=0.0, abs=mle._tie_band(ll, bound))
 
@@ -781,6 +784,56 @@ def test_the_certificate_fits_a_flat_ridge_at_the_bound(mode):
                    reason="every start of the full-mode climb hits the iteration cap")
 def test_the_full_fit_climbs_a_flat_ridge_to_the_certified_point():
     result = fit(FLAT_RIDGE, FitOptions(mode="full"))
-    point = mle._moment_point(FLAT_RIDGE, "full")
+    point = mle._moment_point(*triples(FLAT_RIDGE), "full")
     se = standard_errors(ModelParams(*point), FLAT_RIDGE, "full")
     assert (np.abs(result.params.as_array() - point) / se).max() <= 1e-6
+
+
+# --- the certificate on counts against the certificate on a solver set-up -----
+
+
+def _counts(x11=st.integers(1, 40), other=st.integers(0, 40)):
+    return st.tuples(x11, other, other)
+
+
+@st.composite
+def alike_strata(draw):
+    """Stratum B close to a multiple of stratum A: the list-1 ratios nearly
+    agree, so q's denominator is small and the point far out or undefined."""
+    a = draw(st.tuples(st.integers(1, 2000), st.integers(0, 20000), st.integers(0, 20000)))
+    m = draw(st.integers(1, 5))
+    b = tuple(max(low, m * x + draw(st.integers(-3, 3))) for x, low in zip(a, (1, 0, 0)))
+    return a, b
+
+
+@st.composite
+def near_the_alpha_band(draw):
+    """Strata (x11, 9 x11, 3 x11 + k) and m (5000, 20000, 15000) with x11 =
+    66667 k + j, whose moment alpha is exactly 1e-6 / (1 + 1.5e-5 j / k): for
+    large k within a few ulps of the activity band's edge at 1e-6."""
+    k = draw(st.integers(1, 10**12))
+    x11 = 66667 * k + draw(st.integers(-3, 3))
+    m = draw(st.integers(1, 1000))
+    return (x11, 9 * x11, 3 * x11 + k), (5000 * m, 20000 * m, 15000 * m)
+
+
+@settings(max_examples=400, deadline=None)
+@given(table=st.one_of(
+    drawn_tables().map(triples),
+    st.tuples(_counts(), _counts()),  # single digits: x10 x01 = 0 often, few points in the box
+    st.tuples(_counts(st.integers(0, 3)), _counts()),  # x11 = 0 too
+    alike_strata(),
+    near_the_alpha_band(),
+), mode=st.sampled_from(["reduced", "full"]))
+@example(table=((200000, 1800000, 600001), (5000, 20000, 15000)), mode="reduced")
+@example(table=((66667, 600003, 200002), (5000, 20000, 15000)), mode="full")  # alpha = 1e-6
+@example(table=((100, 900, 0), (60, 440, 1500)), mode="reduced")  # no box
+def test_the_certificate_on_counts_decides_as_on_the_solver_set_up(table, mode):
+    # the same accept or decline decision and the same six floats, bit for bit
+    (a11, a10, a01), (b11, b10, b01) = table
+    assume(a11 + a10 >= 1 and b11 + b10 >= 1)
+    data = SurveyData(CellCounts(a11, a10, a01), CellCounts(b11, b10, b01))
+    point, reference = mle._moment_point(*table, mode), reference_moment_point(data, mode)
+    assert (point is None) == (reference is None)
+    if point is not None:
+        assert [v.hex() for v in point] == [v.hex() for v in reference]

@@ -73,8 +73,19 @@ def test_paired_cpu_runs_one_tree_against_itself():
     assert summary["rounds"] == 2 and 0 <= summary["change_wins"] <= 2
     assert summary["parent_cpu_s"] > 0.0 and summary["change_cpu_s"] > 0.0
     assert summary["median_ratio"] > 0.0
-    assert "the change used less CPU in" in out.getvalue()
+    for name in ("parent_quartiles", "change_quartiles", "ratio_quartiles"):
+        low, mid, high = summary[name]
+        assert 0.0 < low <= mid <= high
+    assert summary["change_quartiles"][1] == summary["change_cpu_s"]
+    assert summary["ratio_quartiles"][1] == summary["median_ratio"]
+    text = out.getvalue()
+    assert "the change used less CPU in" in text and text.count("IQR") == 3
     assert not any(name.startswith("dualdep_") for name in sys.modules)
+
+
+def test_quartiles_are_the_exclusive_method_and_one_value_its_own():
+    assert paired_cpu.quartiles([1.0, 2.0, 3.0, 4.0]) == (1.25, 2.5, 3.75)
+    assert paired_cpu.quartiles([2.0]) == (2.0, 2.0, 2.0)
 
 
 def test_paired_cpu_runs_the_solver_refit_block():

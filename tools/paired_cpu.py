@@ -18,8 +18,11 @@ blocks are:
   refit is a grid refit) and ``mixed`` (full mode: warm refits, and some
   that end on a bound and take the grid).
 
-It prints each tree's median CPU per command, the median of the per-round
-ratios change/parent, and in how many rounds the change used less CPU.
+It prints each tree's CPU per command and the per-round ratio change/parent,
+each as its quartiles (``statistics.quantiles``, exclusive method) with the
+interquartile range, and in how many rounds the change used less CPU. A
+gain is told from noise by comparing the median paired difference with the
+parent's interquartile range.
 
     python tools/paired_cpu.py PARENT_TREE CHANGE_TREE --rounds 40
     python tools/paired_cpu.py PARENT_TREE CHANGE_TREE --workload study2 --rounds 20
@@ -125,15 +128,34 @@ def compare(parent: Path, change: Path, workload: str, rounds: int, out=sys.stdo
         "rounds": rounds,
         "parent_cpu_s": statistics.median(cpu["parent"]),
         "change_cpu_s": statistics.median(cpu["change"]),
+        "parent_quartiles": quartiles(cpu["parent"]),
+        "change_quartiles": quartiles(cpu["change"]),
+        "median_difference_s": statistics.median(p - c for p, c in zip(cpu["parent"],
+                                                                       cpu["change"])),
         "median_ratio": statistics.median(ratios),
+        "ratio_quartiles": quartiles(ratios),
         "change_wins": sum(ratio < 1.0 for ratio in ratios),
     }
-    print(f"{workload}: {rounds} paired rounds, CPU per command (median)", file=out)
+    print(f"{workload}: {rounds} paired rounds, CPU per command "
+          "(quartiles; interquartile range)", file=out)
     for side in SIDES:
-        print(f"  {side:<7}{summary[side + '_cpu_s'] * 1e3:10.3f} ms", file=out)
-    print(f"  change/parent median ratio {summary['median_ratio']:.4f}; "
+        low, mid, high = (value * 1e3 for value in summary[side + "_quartiles"])
+        print(f"  {side:<7}{low:10.3f}{mid:10.3f}{high:10.3f} ms; IQR {high - low:.3f} ms",
+              file=out)
+    low, mid, high = summary["ratio_quartiles"]
+    print(f"  change/parent ratio {low:.4f} {mid:.4f} {high:.4f}; IQR {high - low:.4f}",
+          file=out)
+    print(f"  median paired difference {summary['median_difference_s'] * 1e3:.3f} ms; "
           f"the change used less CPU in {summary['change_wins']} of {rounds} rounds", file=out)
     return summary
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """The quartiles of ``values`` (exclusive method); the median of one
+    value is that value, and so are its other quartiles."""
+    if len(values) < 2:
+        return (values[0],) * 3
+    return tuple(statistics.quantiles(values, n=4))
 
 
 def main(argv=None) -> int:
