@@ -792,6 +792,18 @@ def test_the_full_fit_climbs_a_flat_ridge_to_the_certified_point():
 # --- the certificate on counts against the certificate on a solver set-up -----
 
 
+def test_a_size_box_can_lack_room_for_a_start_yet_keep_a_trimmed_interior():
+    # 4,800 ulps wide at 2**20: the start margin (1e-4 of the width) rounds
+    # away, so _setup finds no room, while the trim (1e-12 of the lower end,
+    # about 4,504 ulps) leaves an interior; the certificate tests the sizes'
+    # room for this reason
+    lo = 2.0**20
+    hi = lo + 4800 * math.ulp(lo)
+    assert not mle._room(lo, hi, 1.0, lo, hi)
+    low, high = mle._trim_size(lo, hi)
+    assert lo < low < high == hi
+
+
 def _counts(x11=st.integers(1, 40), other=st.integers(0, 40)):
     return st.tuples(x11, other, other)
 
