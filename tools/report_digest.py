@@ -1,12 +1,14 @@
 """Run a fixed set of seeded CLI commands and write what each one produced.
 
-The commands are ``estimate`` on Q1 (reduced and full mode; a bootstrap of
-400 replicates, which spans two blocks, and its twin on two worker
-processes, whose results and CSV must equal the serial run's; a bootstrap
-seeded above 2**63, whose stream takes every bit of the seed), on Q4
-with 15 starts and on a table whose maximum sits on the N_B and p2B bounds
-(standard errors and a bootstrap); the study-1, coverage and study-2 simulations; and
-three edge commands: a bootstrap on a tiny table that fails too many
+The commands are ``diagnose`` on Q1 with the naive-bias approximation;
+``estimate`` on Q1 (reduced and full mode; a bootstrap of 400 replicates
+and its twin at ``--threads 2``, whose results and CSV must equal the
+serial run's; a bootstrap seeded above 2**63, whose stream takes every bit
+of the seed), on Q4 with 15 starts and on a table whose maximum sits on the
+N_B and p2B bounds (standard errors, and a bootstrap with its own twin at
+``--threads 2``: its 33 first-attempt grid refits fill two solver blocks,
+so they run on two worker processes); the study-1, coverage and study-2
+simulations; and three edge commands: a bootstrap on a tiny table that fails too many
 replicates (exit 1), a small custom study with many zero-x11 redraws and
 full-mode fallbacks, and standard errors on a table with counts near 1e9,
 whose one converged start ties stalled ones within the log-likelihood's
@@ -32,8 +34,8 @@ manifest (timestamp, options, output paths) is left out.
     PYTHONPATH=src python tools/report_digest.py --compare before.json after.json
 
 The command line is ``fit_digest.main``: ``--compare`` uses ``fit_digest.compare`` and
-exits 1 if any field differs. Digesting exits 1 if the two-process twin's
-results differ from the serial run's.
+exits 1 if any field differs. Digesting exits 1 if a ``--threads 2`` twin's
+results differ from its serial run's.
 Point PYTHONPATH at another checkout's ``src`` to digest that tree.
 """
 
@@ -60,6 +62,8 @@ TABLES = {
 }
 SIM = ("--replicates", "40", "--seed", "1")
 COMMANDS = {
+    "diagnose-q1-bias": ("diagnose", "--input", "q1.csv", "--phi", "0.8", "--p", "0.3",
+                         "--p1dot", "0.4", "--N", "70000"),
     "estimate-q1": ("estimate", "--input", "q1.csv", "--B", "50", "--seed", "1"),
     "estimate-q1-b400": ("estimate", "--input", "q1.csv", "--B", "400", "--seed", "1"),
     "estimate-q1-b400-threads2": ("estimate", "--input", "q1.csv", "--B", "400", "--seed", "1",
@@ -73,6 +77,9 @@ COMMANDS = {
     "estimate-corner-hessian": ("estimate", "--input", "corner.csv", "--se", "hessian"),
     "estimate-corner-bootstrap": ("estimate", "--input", "corner.csv", "--se", "bootstrap",
                                   "--B", "50", "--seed", "1"),
+    "estimate-corner-bootstrap-threads2": ("estimate", "--input", "corner.csv", "--se",
+                                           "bootstrap", "--B", "50", "--seed", "1",
+                                           "--threads", "2"),
     "estimate-large-hessian": ("estimate", "--input", "large.csv", "--se", "hessian"),
     "estimate-tiny-bootstrap": ("estimate", "--input", "tiny.csv", "--se", "bootstrap",
                                 "--B", "50", "--seed", "1"),
@@ -85,6 +92,9 @@ COMMANDS = {
     "custom-small": ("simulate", "custom", "--NA", "40", "--NB", "30", "--alpha", "0.05",
                      "--p1A", "0.2", "--p2A", "0.2", *SIM),
 }
+
+# commands with a ``-threads2`` twin whose results and CSV must equal theirs
+TWINS = ("estimate-q1-b400", "estimate-corner-bootstrap")
 
 
 def _hex_floats(value):
@@ -135,9 +145,10 @@ def digest() -> dict[str, dict]:
         work = Path(tmp)
         _write_tables(work)
         out = {name: run(name, command, work) for name, command in COMMANDS.items()}
-    serial, twin = out["estimate-q1-b400"], out["estimate-q1-b400-threads2"]
-    if (serial["results"], serial["csv"]) != (twin["results"], twin["csv"]):
-        sys.exit("estimate-q1-b400-threads2: results differ from the serial estimate-q1-b400")
+    for name in TWINS:
+        serial, twin = out[name], out[name + "-threads2"]
+        if (serial["results"], serial["csv"]) != (twin["results"], twin["csv"]):
+            sys.exit(f"{name}-threads2: results differ from the serial {name}")
     return out
 
 
