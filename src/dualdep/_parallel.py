@@ -1,16 +1,17 @@
-"""Process-based fan-out for blocks of independent replicates, and the
-package's random streams.
+"""Process-based fan-out of solver fits, and the package's random streams.
 
-Callers split their replicates into blocks sized by solver columns
-(``blocks``) and hand one task per block to ``run_indexed``; a worker fits a
-whole block in one batched solve, and the data shared by a block's
-replicates is pickled once per block. Every replicate draws from its own
-random stream, keyed by the full 64-bit seed and the replicate's index
-(``stream``; ``Streams`` reaches many keys in turn through one generator),
-and its fit does not depend on the other replicates of its block, so
-results are identical whatever the block size, worker count or completion
-order; ``run_indexed`` returns them in submission order. Neither function
-uses more workers than the CPUs the process may run on (``cpus``).
+Callers draw, certify and reduce their replicates in their own process and
+hand only the tables that need the solver to ``run_blocks``. It cuts them
+into blocks sized by solver columns (``blocks``) and runs one task per
+block through ``run_indexed``; a worker fits a whole block in one batched
+solve, and the data shared by a block's tables is pickled once per block.
+Every replicate draws from its own random stream, keyed by the full 64-bit
+seed and the replicate's index (``stream``; ``Streams`` reaches many keys
+in turn through one generator), and a table's fit does not depend on the
+other tables of its block, so results are identical whatever the block
+size, worker count or completion order; ``run_indexed`` returns them in
+submission order. Neither function uses more workers than the CPUs the
+process may run on (``cpus``).
 """
 
 from __future__ import annotations
@@ -20,19 +21,18 @@ import os
 import numpy as np
 
 # Solver columns per block: one column per start of each fit, so a block
-# holds BLOCK_COLUMNS // width replicates of ``width`` starts each (300 warm
-# bootstrap refits, or 25 fits from the 12-start grid). Larger blocks spread
-# numpy's fixed per-call overhead over more columns but hold more memory.
-# The budget governs the solver's batches: the bootstrap draws the
-# certificate declines (``mle._moment_point``; no draw of a Q1-Q4 bootstrap
-# reaches the solver, while most draws of a tiny table or of a parent on a
-# bound do) and the study blocks, whose fits all run the solver from the
-# grid. Measured before the certificate, when every bootstrap draw was a
-# solver refit, in process on the Q1 fit (2-core x86_64 VM, CPU time,
-# medians of 80 and 30 bootstraps, a fresh process per budget), warm refits
-# in blocks of 25, 100, 300 and 1000 columns:
-# - B=100: 31, 17, 16 and 14 ms; peak RSS 38.2, 38.6, 38.5 and 38.6 MB;
-# - B=500: 151, 89, 72 and 72 ms; peak RSS 38.4, 38.6, 39.4 and 41.5 MB.
+# holds BLOCK_COLUMNS // width tables of ``width`` starts each (300 warm
+# bootstrap refits, or 25 fits from the 12-start grid). Only tables that
+# reach the solver count: the bootstrap's draws that the certificate
+# declines (``mle._moment_point``; no draw of a Q1-Q4 bootstrap, but most
+# draws of a tiny table or of a parent on a bound) and every study draw.
+# Larger blocks spread numpy's fixed per-call overhead over more columns but
+# hold more memory. Measured in process before the certificate, when every
+# Q1 bootstrap draw was a warm solver refit (2-core x86_64 VM, a fresh
+# process per budget), in blocks of 25, 100, 300 and 1000 columns (CPU
+# time, medians of 80 and 30 runs):
+# - 100 refits: 31, 17, 16 and 14 ms; peak RSS 38.2, 38.6, 38.5 and 38.6 MB;
+# - 500 refits: 151, 89, 72 and 72 ms; peak RSS 38.4, 38.6, 39.4 and 41.5 MB.
 # Study 2 at 0.01, 0.15 and 0.35 with 500 replicates each (1,500 fits from
 # the grid, medians of 3 runs): 2.08 s peaking at 51.4 MB in blocks of 25
 # fits, 1.94 s peaking at 55.5 MB in blocks of 100.
@@ -105,6 +105,25 @@ def blocks(count: int, width: int, threads: int = 1) -> list[range]:
     if n > 1:
         n = max(n, min(threads, cpus(), count))
     return [range(count * i // n, count * (i + 1) // n) for i in range(n)]
+
+
+def run_blocks(worker, items: list, width: int, threads: int, *shared) -> list:
+    """``worker(block, *shared)`` over ``items`` cut into ``blocks`` of items
+    of ``width`` solver columns, the blocks spread over ``threads`` processes
+    (``run_indexed``); ``worker`` returns one result per item of its block,
+    and the results come back one per item, in item order. No items, no
+    task."""
+    if not items:
+        return []
+    tasks = [(worker, items[part.start:part.stop], shared)
+             for part in blocks(len(items), width, threads)]
+    return [result for part in run_indexed(_run_block, tasks, threads) for result in part]
+
+
+def _run_block(task) -> list:
+    """One task of ``run_blocks``: its worker over its block."""
+    worker, items, shared = task
+    return worker(items, *shared)
 
 
 def run_indexed(worker, tasks, threads: int) -> list:

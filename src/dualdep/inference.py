@@ -4,20 +4,19 @@ and the log-normal-style confidence interval for population sizes.
 The bootstrap is "imputed": each replicate resamples a full multinomial
 table of (rounded) fitted size per stratum, including the estimated
 unobserved cell, then refits the model on the starred observed cells.
-Replicates run in blocks, each within a budget of solver columns
-(``_parallel.blocks``). A block computes the cell rates once and sets one
-generator to each replicate's stream (``_parallel.Streams``). Each drawn
+Drawing, certifying and reducing run in the calling process. Each drawn
 table is certified from its counts as it is drawn (``mle._moment_point``):
 where its moment point lies strictly inside its box, that point is the
 refit, in closed form, and the table is never built as a SurveyData nor set
-up for the solver. Only the tables the certificate declines become surveys,
-and a block's such tables are one batched solve (``mle._fits``), read out
-as arrays, with no FitResult per replicate. A replicate is drawn from the
-fitted model, so each solver refit starts from the fitted parameters alone
-(a warm start, one column). The starting grid is the safety net: it
-refits every such replicate when the fit sits on a bound, where the
-likelihood can have several maxima, and it refits a replicate whose warm
-refit failed or ended on a bound, in batches within the same budget.
+up for the solver. Only the tables the certificate declines become surveys
+and go to the solver (``_refit``), in blocks within a budget of solver
+columns spread over the worker processes (``_parallel.run_blocks``), each
+block one batched solve read out as arrays (``mle._fits``). A replicate is
+drawn from the fitted model, so each solver refit starts from the fitted
+parameters alone (a warm start, one column). The starting grid is the
+safety net: it refits every such replicate when the fit sits on a bound,
+where the likelihood can have several maxima, and a replicate whose warm
+refit failed or ended on a bound.
 Stratum variances add for the total because the strata are independent.
 """
 
@@ -30,12 +29,7 @@ from statistics import NormalDist
 import numpy as np
 
 from . import _parallel, mle, model
-from .exceptions import (
-    BootstrapError,
-    DualdepError,
-    InformationMatrixError,
-    ValidationError,
-)
+from .exceptions import BootstrapError, InformationMatrixError, ValidationError
 from .mle import DEFAULT_SEED, FitOptions, FitResult
 from .model import ModelParams, PARAM_NAMES
 from .tables import CellCounts, SurveyData, _unchecked_survey
@@ -198,22 +192,14 @@ def draw_replicate_tables(
     return _tables(rng, rates if rates is not None else _replicate_rates(data, fit))
 
 
-def _drawn_survey(table_a, table_b, label_a: str = "A", label_b: str = "B") -> SurveyData | None:
-    """The survey of two drawn stratum tables (x11, x10, x01, unobserved), or
-    None when either stratum has x11 = 0, where no estimator is defined.
-    With x11 >= 1 in both strata the counts are always a valid survey, so
-    it is built without re-running the checks."""
-    if table_a[0] < 1 or table_b[0] < 1:
-        return None
-    return _unchecked_survey(table_a[:3].tolist(), table_b[:3].tolist(), label_a, label_b)
-
-
-def _fit_outcome(outcome) -> tuple[FitResult | None, str]:
-    """A ``mle.fit_many`` outcome as (fit, "") or, for a package error, (None,
-    its text)."""
-    if isinstance(outcome, DualdepError):
-        return None, str(outcome)
-    return outcome, ""
+def _drawn_counts(table_a, table_b):
+    """The (x11, x10, x01) counts of two drawn stratum tables (x11, x10, x01,
+    unobserved) as lists of Python ints, or None when either stratum has
+    x11 = 0, where no estimator is defined. The bootstrap (a failed
+    attempt) and the studies (a redraw) decide that case here; with x11 >= 1
+    in both strata the counts are always a valid survey."""
+    a, b = table_a[:3].tolist(), table_b[:3].tolist()
+    return None if a[0] < 1 or b[0] < 1 else (a, b)
 
 
 def _warm_start(fit: FitResult) -> np.ndarray | None:
@@ -222,32 +208,41 @@ def _warm_start(fit: FitResult) -> np.ndarray | None:
     return None if fit.active_constraints else fit.params.as_array()[:, None]
 
 
-def _refit(surveys, options: FitOptions, start):
-    """The solver fits of a block's drawn tables that the certificate
-    declined, as (parameters (6, T), errors), read out as arrays
-    (``mle._fits``). Each table climbs from ``start`` (the parent fit's
-    parameters), and those whose warm refit raised a package error or ended
-    on a bound refit from the starting grid, in batches of at most
-    ``_parallel.BLOCK_COLUMNS`` solver columns (``_parallel.blocks``). With
-    ``start`` None, the grid refits them all in one batch (the block is
-    already sized for the grid). ``errors`` holds per table None or its
-    package error; a table's parameters are read only where it has none."""
+def _refit(surveys, options: FitOptions, start) -> list:
+    """The solver refits of drawn tables that the certificate declined, the
+    worker of ``_parallel.run_blocks``: per table, its ``QUANTITIES`` row and
+    "", or None and the text of the package error its refit raised. The
+    tables are one batched solve, read out as arrays (``mle._fits``). Each
+    climbs from ``start`` (the parent fit's parameters, ``_warm_start``), and
+    those whose warm refit raised a package error or ended on a bound refit
+    from the starting grid, through ``run_blocks`` in this process. With
+    ``start`` None the grid refits them all.
+
+    The warm path stays because removing it moves bootstrap rows: on the
+    flat likelihood of a tiny table a warm refit and the grid can stop at
+    points far apart with log-likelihoods within 2e-9, and 74 of the first
+    300 rows of the small table (4, 6, 8)/(2, 4, 6) at seed 1 change, by up
+    to 78% relative. It does not pay for itself in CPU. Against a tree
+    whose ``_warm_start`` always returns None, ``tools/paired_cpu.py
+    --workload solver-refits --rounds 40`` read a median CPU ratio (grid
+    alone over warm) of 0.988, quartiles 0.887 and 1.091, the grid alone
+    cheaper in 21 of 40 rounds; per table, 0.99 on the small table and 0.91
+    on the mixed one (2-core x86_64 VM)."""
     fits = mle._fits(surveys, options, start)
-    theta, errors = fits.theta, list(fits.errors)
+    out = [(tuple(row), "") if error is None else (None, str(error))
+           for row, error in zip(_quantity_rows(fits.theta).tolist(), fits.errors)]
     if start is not None:
-        failed = np.array([error is not None for error in errors])
-        again = np.flatnonzero(failed | fits.active.any(axis=0)).tolist()
-        for block in _parallel.blocks(len(again), options.n_starts):
-            chunk = again[block.start:block.stop]
-            grid = mle._fits([surveys[k] for k in chunk], options)
-            theta[:, chunk] = grid.theta
-            for k, error in zip(chunk, grid.errors):
-                errors[k] = error
-    return theta, errors
+        active = fits.active.any(axis=0).tolist()
+        again = [k for k, error in enumerate(fits.errors) if error is not None or active[k]]
+        grid = _parallel.run_blocks(_refit, [surveys[k] for k in again], options.n_starts, 1,
+                                    options, None)
+        for k, refit in zip(again, grid):
+            out[k] = refit
+    return out
 
 
 def _replicate_stream(streams: _parallel.Streams, index: int, attempt: int, rates):
-    """Replicate ``index``'s stream on the block's generator, where the draw
+    """Replicate ``index``'s stream on the bootstrap's generator, where the draw
     of its ``attempt`` (0 for the first) starts: set to the stream's start,
     then past the draws of the earlier attempts, replayed with the same
     ``rates``."""
@@ -257,23 +252,19 @@ def _replicate_stream(streams: _parallel.Streams, index: int, attempt: int, rate
     return rng
 
 
-def _bootstrap_block(task):
-    """Run one block of replicates. The cell rates are computed once, and
-    every replicate draws from its own stream (keyed by seed and replicate
-    index), set up on the block's one generator (``_parallel.Streams``).
-    Each drawn table is read as two strata of Python ints and certified on
-    the spot (``mle._moment_point``): where the certificate accepts it, its
-    moment point is the refit, and the table never becomes a SurveyData.
-    The tables it declines become surveys and are refit together with the
-    parent fit's options (``_refit``), warm from the parent fit unless the
-    parent sits on a bound, read out as arrays, with no FitResult per
-    replicate. Only the replicates whose attempt failed draw again,
-    continuing their own streams (``_replicate_stream``), for up to
-    _MAX_ATTEMPTS attempts. Returns (index, the ``QUANTITIES`` of the refit
-    or None, reason of the last failure) per replicate."""
-    indices, seed, data, fit = task
+def _bootstrap_rows(indices, seed: int, data: SurveyData, fit: FitResult,
+                    threads: int = 1) -> list:
+    """``bootstrap``'s replicates ``indices``, as (index, the ``QUANTITIES``
+    of the refit or None, reason of the last failure). Each attempt is one
+    pass over the pending replicates, with the cell rates computed once and
+    every stream set up on one generator (``_parallel.Streams``): draw, read
+    the table as Python ints (``_drawn_counts``), certify it
+    (``mle._moment_point``), and send the declined tables, as surveys, to
+    ``_refit`` through ``_parallel.run_blocks``. A replicate whose attempt
+    failed continues its own stream (``_replicate_stream``)."""
     rates = _replicate_rates(data, fit)
     start = _warm_start(fit)
+    width = 1 if start is not None else fit.options.n_starts
     mode = fit.options.mode
     streams = _parallel.Streams(seed)
     rows, reasons = [None] * len(indices), [""] * len(indices)
@@ -284,28 +275,23 @@ def _bootstrap_block(task):
         certified, points, declined, surveys = [], [], [], []
         for pos in pending:
             rng = _replicate_stream(streams, indices[pos], attempt, rates)
-            table_a, table_b = draw_replicate_tables(data, fit, rng, rates)
-            a, b = table_a[:3].tolist(), table_b[:3].tolist()
-            if a[0] < 1 or b[0] < 1:
+            counts = _drawn_counts(*draw_replicate_tables(data, fit, rng, rates))
+            if counts is None:
                 reasons[pos] = "drawn x11 was zero"
                 continue
-            point = mle._moment_point(a, b, mode)
+            point = mle._moment_point(*counts, mode)
             if point is None:
                 declined.append(pos)
-                surveys.append(_unchecked_survey(a, b, data.label_a, data.label_b))
+                surveys.append(_unchecked_survey(*counts, data.label_a, data.label_b))
             else:
                 certified.append(pos)
                 points.append(point)
         if points:
             for pos, row in zip(certified, _quantity_rows(np.array(points).T).tolist()):
                 rows[pos], reasons[pos] = tuple(row), ""
-        if surveys:
-            theta, errors = _refit(surveys, fit.options, start)
-            for pos, row, error in zip(declined, _quantity_rows(theta).tolist(), errors):
-                if error is None:
-                    rows[pos], reasons[pos] = tuple(row), ""
-                else:
-                    reasons[pos] = str(error)
+        refits = _parallel.run_blocks(_refit, surveys, width, threads, fit.options, start)
+        for pos, (row, reason) in zip(declined, refits):
+            rows[pos], reasons[pos] = row, reason
         pending = [pos for pos in pending if rows[pos] is None]
     return list(zip(indices, rows, reasons))
 
@@ -334,12 +320,11 @@ def bootstrap(
     draw, or a package error from the refit); replicates that still fail
     are logged with the reason of their last
     attempt, and more than 5% failures aborts with BootstrapError.
-    Replicates run in blocks of at most ``_parallel.BLOCK_COLUMNS`` solver
-    columns (one per warm refit, ``fit.options.n_starts`` per grid refit,
-    budgeted for every replicate although a certified one takes none),
-    each block's solver refits as one batch, and the blocks are spread over
-    ``threads`` processes (replicates that fit in one block run in this
-    process). Replicate
+    Only the solver refits leave this process: they go in blocks of at
+    most ``_parallel.BLOCK_COLUMNS`` solver columns (one per warm refit,
+    ``fit.options.n_starts`` per grid refit), each one batch, spread over
+    ``threads`` processes when they fill more than one block, so a
+    bootstrap whose every draw is certified starts no process. Replicate
     streams are keyed by (seed, replicate index), the seed modulo 2**64 (a
     negative seed wraps), and a refit does not depend on its batch, so
     results depend neither on ``threads`` nor on the block size.
@@ -348,14 +333,8 @@ def bootstrap(
         raise ValidationError("B must be >= 1 for bootstrap")
     if not fit.converged:
         raise ValidationError("fit did not converge; bootstrap needs a converged fit")
-    width = 1 if _warm_start(fit) is not None else fit.options.n_starts
-    tasks = [(block, int(seed), data, fit)
-             for block in _parallel.blocks(n_replicates, width, threads)]
-    outcomes = [row for part in _parallel.run_indexed(_bootstrap_block, tasks, threads)
-                for row in part]
-
     rows, failures = [], []
-    for index, values, err in outcomes:
+    for index, values, err in _bootstrap_rows(range(n_replicates), seed, data, fit, threads):
         if values is None:
             failures.append((index, err))
         else:

@@ -5,13 +5,14 @@ reference configuration (N_A=50,000, N_B=20,000, alpha=0.05, p1=0.15,
 p2A=0.05, p2B=0.15) and summarizes bias, CV, and interval coverage of the
 naive and model-based estimators. Study 2 sweeps a grid that violates the
 shared-p1 identification assumption and tracks bias/RMSE of the size
-estimates. Every replicate of every study goes through one worker,
-``_replicates``, which takes a block of replicates: it draws each two-stratum
-table on a counter-based random stream keyed by the replicate (study 2: by
-grid index and replicate), fits the block's draws in one batch (and the
-full-mode fallbacks in a second one), and returns per replicate the survey
-with the fit or the reason it failed. The studies are reductions over those
-records, so summaries are independent of worker count and block size.
+estimates. Every study draws each two-stratum table in the calling process,
+on a counter-based random stream keyed by the replicate (study 2: by grid
+index and replicate), and fits the draws through one worker, ``_fit_draws``,
+in blocks spread over the worker processes (``_parallel.run_blocks``): each
+block is one batch (and its full-mode fallbacks a second one). Per
+replicate, a record holds the survey with the fit or the reason it failed.
+The studies are reductions over those records, so summaries are independent
+of worker count and block size.
 """
 
 from __future__ import annotations
@@ -23,13 +24,11 @@ from decimal import ROUND_HALF_EVEN, Decimal, InvalidOperation
 import numpy as np
 
 from . import mle, model
-from ._parallel import Streams, blocks, run_indexed
+from ._parallel import Streams, run_blocks
 from .exceptions import DualdepError, FitError, InfeasibleConstraintsError, ValidationError
-from .inference import (
-    _drawn_survey, _fit_outcome, _size_intervals, normal_quantile, se_from_hessian,
-)
+from .inference import _drawn_counts, _size_intervals, normal_quantile, se_from_hessian
 from .mle import DEFAULT_SEED, FitOptions
-from .tables import CellCounts, SurveyData, naive_estimate
+from .tables import CellCounts, SurveyData, _unchecked_survey, naive_estimate
 
 __all__ = [
     "GeneratorConfig",
@@ -287,20 +286,21 @@ def _draw_survey(config: GeneratorConfig, rng: np.random.Generator) -> tuple[Sur
     for redraws in range(_MAX_REDRAWS):
         table_a = rng.multinomial(config.n_a, probs_a)
         table_b = rng.multinomial(config.n_b, probs_b)
-        survey = _drawn_survey(table_a, table_b)
-        if survey is not None:
-            return survey, redraws
+        counts = _drawn_counts(table_a, table_b)
+        if counts is not None:
+            return _unchecked_survey(*counts, "A", "B"), redraws
     raise ValidationError(
         f"could not draw a table with x11 >= 1 in both strata after {_MAX_REDRAWS} tries"
     )
 
 
 def _fit_draws(surveys: list[SurveyData], options: FitOptions) -> list:
-    """Fit simulated draws in one batch; refit in full mode, as a second
-    batch, the draws whose reduced constraint box is empty (possible only
-    when the generating process violates the shared-p1 assumption).
-    Returns (FitResult or package error, fallback) per draw; ``fallback``
-    is True whenever the outcome is a fit from the full-mode refit."""
+    """Fit simulated draws in one batch, the worker of ``run_blocks``; refit
+    in full mode, as a second batch, the draws whose reduced constraint box
+    is empty (possible only when the generating process violates the
+    shared-p1 assumption). Returns per draw (FitResult, "", fallback) or,
+    where the fit raised a package error, (None, its text, False);
+    ``fallback`` is True whenever the fit is from the full-mode refit."""
     outcomes = mle.fit_many(surveys, options)
     fallback = [isinstance(o, InfeasibleConstraintsError) and options.mode != "full"
                 for o in outcomes]
@@ -308,7 +308,8 @@ def _fit_draws(surveys: list[SurveyData], options: FitOptions) -> list:
         refits = iter(mle.fit_many([s for s, f in zip(surveys, fallback) if f],
                                    replace(options, mode="full")))
         outcomes = [next(refits) if f else o for o, f in zip(outcomes, fallback)]
-    return [(o, f and not isinstance(o, DualdepError)) for o, f in zip(outcomes, fallback)]
+    return [(None, str(o), False) if isinstance(o, DualdepError) else (o, "", f)
+            for o, f in zip(outcomes, fallback)]
 
 
 # --- replicates ------------------------------------------------------------------
@@ -326,31 +327,22 @@ class _Replicate:
     fallback: bool
 
 
-def _replicates(task) -> list[_Replicate]:
-    """Draw one survey per random stream key and fit the draws as one batch."""
-    keys, config, options = task
-    streams = Streams(config.seed)
-    draws = [_draw_survey(config, streams.at(key)) for key in keys]
-    return [
-        _Replicate(survey, *_fit_outcome(outcome), redraws, fallback)
-        for (survey, redraws), (outcome, fallback)
-        in zip(draws, _fit_draws([survey for survey, _ in draws], options))
-    ]
-
-
 def _run_replicates(groups, options: FitOptions | None, threads: int) -> list[_Replicate]:
-    """``_replicates`` with ``options`` (default ``FitOptions()``) over
-    (config, stream keys) groups, each group in blocks of at most
-    ``_parallel.BLOCK_COLUMNS`` solver columns (25 keys at the 12-start
-    grid), spread over ``threads`` processes; records come back in group and
-    key order."""
+    """The records of (config, stream keys) groups, in group and key order:
+    every survey drawn in this process, on one generator per config
+    (``Streams``), then fitted with ``options`` (default ``FitOptions()``)
+    by ``_fit_draws`` in blocks of at most ``_parallel.BLOCK_COLUMNS``
+    solver columns (25 draws at the 12-start grid), spread over ``threads``
+    processes (``run_blocks``)."""
     options = options or FitOptions()
-    tasks = [
-        ([keys[i] for i in block], config, options)
-        for config, keys in groups
-        for block in blocks(len(keys), options.n_starts)
-    ]
-    return [record for part in run_indexed(_replicates, tasks, threads) for record in part]
+    draws = []
+    for config, keys in groups:
+        streams = Streams(config.seed)
+        draws += [_draw_survey(config, streams.at(key)) for key in keys]
+    fits = run_blocks(_fit_draws, [survey for survey, _ in draws], options.n_starts, threads,
+                      options)
+    return [_Replicate(survey, fit, reason, redraws, fallback)
+            for (survey, redraws), (fit, reason, fallback) in zip(draws, fits)]
 
 
 # --- study 1 -------------------------------------------------------------------

@@ -547,7 +547,7 @@ def test_estimate_report_identical_across_block_size_and_threads(tmp_path, q1_cs
 
     argv = ["estimate", "--input", str(q1_csv), "--se", "bootstrap", "--B", "5", "--seed", "3"]
     texts = []
-    # blocks of two warm refits
+    # blocks of two warm refits for any draw the certificate declines
     for threads, block in (("1", _parallel.BLOCK_COLUMNS), ("2", 2)):
         monkeypatch.setattr(_parallel, "BLOCK_COLUMNS", block)
         stem = tmp_path / f"t{threads}"

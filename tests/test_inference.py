@@ -34,6 +34,13 @@ def q1_fit():
     return data, fit(data)
 
 
+def drawn_survey(table_a, table_b):
+    """The survey of two drawn stratum tables, or None where either stratum
+    has x11 = 0 (``inference._drawn_counts``)."""
+    counts = inference._drawn_counts(table_a, table_b)
+    return None if counts is None else SurveyData(*(CellCounts(*c) for c in counts))
+
+
 def test_hessian_se_reference_magnitudes(q1_fit):
     data, result = q1_fit
     ses = se_from_hessian(result, data)
@@ -108,9 +115,10 @@ def test_bootstrap_thread_invariance(q1_fit):
 
 
 def test_bootstrap_block_size_and_thread_invariance(q1_fit, monkeypatch):
-    # one block in this process against three blocks of two warm refits over
-    # two workers
+    # every draw sent to the solver: one block in this process against three
+    # blocks of two warm refits over two workers
     data, result = q1_fit
+    solver_only(monkeypatch)
     whole = bootstrap(data, result, n_replicates=6, seed=5, threads=1)
     monkeypatch.setattr(_parallel, "BLOCK_COLUMNS", 2)
     split = bootstrap(data, result, n_replicates=6, seed=5, threads=2)
@@ -118,9 +126,53 @@ def test_bootstrap_block_size_and_thread_invariance(q1_fit, monkeypatch):
         assert np.array_equal(whole.estimates[name], split.estimates[name])
 
 
+def dispatched(monkeypatch):
+    """Spy on ``_parallel.run_indexed``: the list it returns gains, per call,
+    the number of tasks and the threads asked for."""
+    real, calls = _parallel.run_indexed, []
+
+    def spy(worker, tasks, threads):
+        calls.append((len(tasks), threads))
+        return real(worker, tasks, threads)
+
+    monkeypatch.setattr(_parallel, "run_indexed", spy)
+    return calls
+
+
+def test_a_certified_bootstrap_starts_no_process_pool(q1_fit, monkeypatch):
+    # every Q1 draw is certified in this process, so no table reaches the
+    # solver and nothing is dispatched, whatever --threads asks for
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(_parallel, "cpus", lambda: 2)
+    calls = dispatched(monkeypatch)
+    data, result = q1_fit
+    boot = bootstrap(data, result, n_replicates=400, seed=1, threads=2)
+    assert boot.n_failed == 0 and calls == []
+
+
+def test_declined_draws_give_the_same_rows_on_two_workers(tiny, monkeypatch):
+    # the tiny table declines most draws, fails some replicates and sends
+    # some warm refits to the grid; its declined draws fill several blocks of
+    # 40 warm refits over two workers, and every row and failure keeps the
+    # bits of the serial run in one block
+    parent = fit(tiny)
+    serial = inference._bootstrap_rows(range(100), 2, tiny, parent)
+    calls = dispatched(monkeypatch)
+    monkeypatch.setattr(_parallel, "BLOCK_COLUMNS", 40)
+    pooled = inference._bootstrap_rows(range(100), 2, tiny, parent, threads=2)
+    assert pooled == serial
+    assert any(row is None for _, row, _ in serial)
+    assert any(tasks >= 2 and threads == 2 for tasks, threads in calls)
+
+
 def solver_only(monkeypatch):
     """Make ``mle._moment_point`` decline every drawn table, so that each one
-    of a bootstrap block becomes a survey and reaches the solver
+    a bootstrap draws becomes a survey and reaches the solver
     (``mle._fits``), as no draw of a Q1 parent does otherwise."""
     monkeypatch.setattr(mle, "_moment_point", lambda *args: None)
 
@@ -220,7 +272,7 @@ def test_a_refit_passes_only_the_tables_the_certificate_declines_to_the_solver(m
     # reach the solver, warm and then from the grid, and every other row is
     # its moment point
     parent = fit(MIXED, FitOptions(mode="full"))
-    drawn = [inference._drawn_survey(*draw_replicate_tables(MIXED, parent, _parallel.stream(5, k)))
+    drawn = [drawn_survey(*draw_replicate_tables(MIXED, parent, _parallel.stream(5, k)))
              for k in range(50)]
     points = [reference_moment_point(survey, "full") for survey in drawn]
     declined = [triples(survey) for survey, point in zip(drawn, points) if point is None]
@@ -232,7 +284,7 @@ def test_a_refit_passes_only_the_tables_the_certificate_declines_to_the_solver(m
         return real(surveys, options, start=start)
 
     monkeypatch.setattr(mle, "_fits", spy)
-    rows = inference._bootstrap_block((range(50), 5, MIXED, parent))
+    rows = inference._bootstrap_rows(range(50), 5, MIXED, parent)
     assert calls == [(declined, True), (declined, False)]
     for (_, row, reason), point in zip(rows, points):
         if point is not None:
@@ -241,7 +293,7 @@ def test_a_refit_passes_only_the_tables_the_certificate_declines_to_the_solver(m
 
 def test_a_certified_draw_is_never_a_survey_and_a_declined_one_is_set_up_once(q1_fit,
                                                                             monkeypatch):
-    # no Q1 draw is declined, so its block builds no SurveyData and makes no
+    # no Q1 draw is declined, so its bootstrap builds no SurveyData and makes no
     # solver set-up; the corner table's parent sits on bounds, so each draw
     # the certificate declines is one survey, set up once for its grid refit
     counted = {"_setup": 0, "survey": 0, "checked": 0}
@@ -258,20 +310,20 @@ def test_a_certified_draw_is_never_a_survey_and_a_declined_one_is_set_up_once(q1
     monkeypatch.setattr(SurveyData, "__post_init__",
                         counting("checked", SurveyData.__post_init__))
     data, parent = q1_fit
-    rows = inference._bootstrap_block((range(100), 7, data, parent))
+    rows = inference._bootstrap_rows(range(100), 7, data, parent)
     assert all(row is not None for _, row, _ in rows)
     assert counted == {"_setup": 0, "survey": 0, "checked": 0}
 
     corner = SurveyData(CellCounts(201, 4162, 4390), CellCounts(406, 2574, 3265))
     parent = fit(corner)
     assert parent.active_constraints  # so every solver refit is one grid refit
-    drawn = [inference._drawn_survey(*draw_replicate_tables(corner, parent, _parallel.stream(7, k)))
+    drawn = [drawn_survey(*draw_replicate_tables(corner, parent, _parallel.stream(7, k)))
              for k in range(60)]
     assert all(survey is not None for survey in drawn)
     declined = sum(reference_moment_point(survey, "reduced") is None for survey in drawn)
     assert 0 < declined < 60
     counted.update(_setup=0, survey=0, checked=0)
-    rows = inference._bootstrap_block((range(60), 7, corner, parent))
+    rows = inference._bootstrap_rows(range(60), 7, corner, parent)
     assert all(row is not None for _, row, _ in rows)  # each first attempt refits
     assert counted == {"_setup": declined, "survey": declined, "checked": 0}
 
@@ -343,7 +395,7 @@ def test_bootstrap_zero_x11_draw_costs_an_attempt_on_the_replicates_stream(tiny)
             break
         expected.append((index, values, reason))
     assert (zeros, draws) == (72, 167)
-    got = inference._bootstrap_block((indices, 1, tiny, result))
+    got = inference._bootstrap_rows(indices, 1, tiny, result)
     assert got == expected
     assert [row[2] for row in got if row[1] is None][-1] == "drawn x11 was zero"
     with pytest.raises(BootstrapError, match="3 of 50 bootstrap replicates failed"):
@@ -351,15 +403,16 @@ def test_bootstrap_zero_x11_draw_costs_an_attempt_on_the_replicates_stream(tiny)
 
 
 def test_an_attempt_that_draws_no_table_makes_no_refit(tiny, monkeypatch):
-    # in blocks of 50 replicates of the tiny table, some attempt draws x11 =
-    # 0 for every replicate still pending; it refits nothing, so it makes
-    # no refit call
+    # replicate 0 of the tiny table at seed 1 draws x11 = 0 on its first two
+    # attempts and a table the certificate declines on its third; the two
+    # attempts that draw no table refit nothing, so only the third makes
+    # refit calls
     result = fit(tiny)
     calls = columns_per_call(monkeypatch)
-    monkeypatch.setattr(_parallel, "BLOCK_COLUMNS", 60)
-    boot = bootstrap(tiny, result, n_replicates=200, seed=1)
-    assert "drawn x11 was zero" in dict(boot.failures).values()
-    assert calls and min(width for width, _ in calls) > 0
+    ((_, row, reason),) = inference._bootstrap_rows([0], 1, tiny, result)
+    assert row is not None and reason == ""
+    assert calls[0] == (1, True)  # the third attempt's warm refit
+    assert min(width for width, _ in calls) > 0
 
 
 @settings(max_examples=200, deadline=None)
@@ -370,7 +423,7 @@ def test_an_attempt_that_draws_no_table_makes_no_refit(tiny, monkeypatch):
                      min_size=2, max_size=4, unique=True),
        attempt=st.integers(1, 3))
 def test_the_block_stream_draws_what_a_fresh_stream_draws(q1_fit, seed, keys, attempt):
-    # keys include study 2's (grid << 32) | rep; the block's one generator
+    # keys include study 2's (grid << 32) | rep; the bootstrap's one generator
     # gives each key the draws of a fresh stream, on a first attempt and on
     # a later one that continues the key's stream after other keys drew
     data, parent = q1_fit
@@ -416,7 +469,7 @@ def certified_row(survey, options):
 
 
 def one_table_at_a_time(indices, seed, data, parent):
-    """The ``_bootstrap_block`` rows of replicates ``indices`` as FitResults
+    """The ``_bootstrap_rows`` of replicates ``indices`` as FitResults
     give them: each replicate's tables drawn on a fresh stream, attempt by
     attempt, and refit alone with ``mle.fit_many`` (warm from the parent
     unless it sits on a bound; from the grid where the warm refit failed or
@@ -428,7 +481,7 @@ def one_table_at_a_time(indices, seed, data, parent):
     for index in indices:
         rng, row, reason = _parallel.stream(seed, index), None, ""
         for _ in range(11):
-            survey = inference._drawn_survey(*draw_replicate_tables(data, parent, rng))
+            survey = drawn_survey(*draw_replicate_tables(data, parent, rng))
             if survey is None:
                 reason = "drawn x11 was zero"
                 continue
@@ -464,11 +517,11 @@ def test_the_array_read_out_gives_the_rows_of_the_fit_results(table, count):
     a, b = table
     data = make_survey(a) if b is None else SurveyData(CellCounts(*a), CellCounts(*b))
     parent = fit(data)
-    rows = inference._bootstrap_block((range(count), 3, data, parent))
+    rows = inference._bootstrap_rows(range(count), 3, data, parent)
     assert rows == one_table_at_a_time(range(count), 3, data, parent)
     assert sum(row is not None for _, row, _ in rows) >= count * 0.8
     every_third = list(range(count))[1::3]
-    assert inference._bootstrap_block((every_third, 3, data, parent)) == rows[1::3]
+    assert inference._bootstrap_rows(every_third, 3, data, parent) == rows[1::3]
 
 
 def _row(refit):
@@ -483,12 +536,12 @@ def _first_attempts(data, parent, seed, count):
     bootstrap rows come from the first attempt)."""
     surveys = {}
     for index in range(count):
-        survey = inference._drawn_survey(
+        survey = drawn_survey(
             *draw_replicate_tables(data, parent, _parallel.stream(seed, index)))
         if survey is not None:
             surveys[index] = survey
     grid = dict(zip(surveys, mle.fit_many(list(surveys.values()), parent.options)))
-    rows = inference._bootstrap_block((range(count), seed, data, parent))
+    rows = inference._bootstrap_rows(range(count), seed, data, parent)
     return [(surveys[index], grid[index], row) for index, row, _ in rows
             if index in grid and not isinstance(grid[index], DualdepError)
             and grid[index].converged]
@@ -567,12 +620,12 @@ def test_a_warm_refit_on_a_bound_takes_the_grid_refit():
     data = SurveyData(CellCounts(200, 35, 3807), CellCounts(105, 3326, 2527))
     parent = fit(data, FitOptions(mode="full"))
     assert not parent.active_constraints
-    survey = inference._drawn_survey(*draw_replicate_tables(data, parent, _parallel.stream(5, 4)))
+    survey = drawn_survey(*draw_replicate_tables(data, parent, _parallel.stream(5, 4)))
     (warm,) = mle.fit_many([survey], parent.options, start=parent.params)
     assert warm.converged and warm.active_constraints == {"N_B"}
     (grid,) = mle.fit_many([survey], parent.options)
     assert _row(warm) != _row(grid)
-    ((index, row, reason),) = inference._bootstrap_block(([4], 5, data, parent))
+    ((index, row, reason),) = inference._bootstrap_rows([4], 5, data, parent)
     assert (index, row, reason) == (4, _row(grid), "")
 
 

@@ -387,8 +387,8 @@ def test_fit_first_order_optimal_on_bounds():
     held = 0
     for rep in range(4):
         survey, _ = _draw_survey(config, stream(config.seed, rep))
-        ((result, fallback),) = _fit_draws([survey], FitOptions())
-        assert fallback and result.mode == "full" and result.converged
+        ((result, reason, fallback),) = _fit_draws([survey], FitOptions())
+        assert fallback and reason == "" and result.mode == "full" and result.converged
         held += held_at_bounds(result, survey)
     assert held >= 4
 

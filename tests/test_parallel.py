@@ -5,13 +5,26 @@ from dualdep import _parallel
 from dualdep.cli import main
 
 
+def tagged(block, tag):
+    """A ``run_blocks`` worker: each item of ``block`` with the block's size
+    and ``tag``."""
+    return [(item, len(block), tag) for item in block]
+
+
 @given(count=st.integers(0, 2000), width=st.integers(1, 400), threads=st.integers(1, 64),
        cpus=st.integers(1, 64))
 def test_blocks_cover_every_index_once_in_order_within_the_budget(count, width, threads, cpus):
+    import concurrent.futures
+
+    items = [f"item {k}" for k in reversed(range(count))]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_parallel, "cpus", lambda: cpus)
+        mp.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         parts = _parallel.blocks(count, width, threads)
+        results = _parallel.run_blocks(tagged, items, width, threads, "shared")
     assert [i for part in parts for i in part] == list(range(count))
+    # one result per item, in item order, from the blocks of uneven sizes
+    assert results == [(items[i], len(part), "shared") for part in parts for i in part]
     budget = max(1, _parallel.BLOCK_COLUMNS // width)
     assert all(1 <= len(part) <= budget for part in parts)
     # items that fit in one block stay in one; more are spread over the workers
@@ -96,7 +109,7 @@ def test_pool_runs_serially_on_one_thread_or_one_task(two_cpus):
 
 
 def test_study2_on_64_threads_starts_no_more_workers_than_cpus(tmp_path, two_cpus):
-    # the default 35-point grid, in blocks of one replicate
+    # the default 35-point grid: 70 fits in three blocks
     assert main(["simulate", "study2", "--scenario", "1", "--replicates", "2",
                  "--threads", "64", "--output", str(tmp_path / "s")]) == 0
     assert two_cpus == [2]

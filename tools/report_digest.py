@@ -2,17 +2,18 @@
 
 The commands are ``diagnose`` on Q1 with the naive-bias approximation;
 ``estimate`` on Q1 (reduced and full mode; a bootstrap of 400 replicates
-and its twin at ``--threads 2``, whose results and CSV must equal the
-serial run's; a bootstrap seeded above 2**63, whose stream takes every bit
-of the seed), on Q4 with 15 starts and on a table whose maximum sits on the
-N_B and p2B bounds (standard errors, and a bootstrap with its own twin at
+and its twin at ``--threads 2``, whose draws are all certified, so it
+starts no process, and whose results and CSV must equal the serial run's;
+a bootstrap seeded above 2**63, whose stream takes every bit of the seed),
+on Q4 with 15 starts and on a table whose maximum sits on the N_B and p2B
+bounds (standard errors, and a bootstrap with its own twin at
 ``--threads 2``: its 33 first-attempt grid refits fill two solver blocks,
 so they run on two worker processes); the study-1, coverage and study-2
-simulations; and three edge commands: a bootstrap on a tiny table that fails too many
-replicates (exit 1), a small custom study with many zero-x11 redraws and
-full-mode fallbacks, and standard errors on a table with counts near 1e9,
-whose one converged start ties stalled ones within the log-likelihood's
-rounding noise.
+simulations; and three edge commands: a bootstrap on a tiny table that
+fails too many replicates (exit 1), a small custom study with many
+zero-x11 redraws and full-mode fallbacks, and standard errors on a table
+with counts near 1e9, whose one converged start ties stalled ones within
+the log-likelihood's rounding noise.
 
 A bootstrap refit of a drawn table whose moment point lies inside its box
 is that point, in closed form; the other refits take one of two solver
