@@ -24,7 +24,10 @@ alone, as every ``simulate`` fit does. The Q1 and Q4 draws are all
 certified. ``estimate-mixed-bootstrap`` (full mode, interior parent) takes
 all three paths in one command: 48 of its 50 draws are certified, and the
 other two climb warm, end on a bound (replicate 4 on N_B) and refit from
-the grid. For each
+the grid. ``estimate-small-bootstrap`` pins the warm path where it decides
+the rows: on the flat likelihood of the single-digit table (4, 6, 8)/(2, 4,
+6) most draws are declined, and a warm refit and the grid can stop at
+points far apart, so its bootstrap SEs change if the warm start goes. For each
 command the digest holds its exit code, stdout and stderr, the report's
 ``results`` (floats as ``float.hex``, so equal files mean bit-identical
 results) and the summary CSV. The work directory is written as ``<work>``,
@@ -60,6 +63,7 @@ TABLES = {
     "tiny": EDGES["tiny"],
     "large": EDGES["large-counts"],
     "mixed": ((200, 35, 3807), (105, 3326, 2527)),
+    "small": ((4, 6, 8), (2, 4, 6)),
 }
 SIM = ("--replicates", "40", "--seed", "1")
 COMMANDS = {
@@ -84,6 +88,8 @@ COMMANDS = {
     "estimate-large-hessian": ("estimate", "--input", "large.csv", "--se", "hessian"),
     "estimate-tiny-bootstrap": ("estimate", "--input", "tiny.csv", "--se", "bootstrap",
                                 "--B", "50", "--seed", "1"),
+    "estimate-small-bootstrap": ("estimate", "--input", "small.csv", "--se", "bootstrap",
+                                 "--B", "50", "--seed", "1"),
     "estimate-mixed-bootstrap": ("estimate", "--input", "mixed.csv", "--mode", "full",
                                  "--se", "bootstrap", "--B", "50", "--seed", "5"),
     "study1": ("simulate", "study1", *SIM),
