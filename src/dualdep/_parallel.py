@@ -23,9 +23,10 @@ import numpy as np
 # Solver columns per block: one column per start of each fit, so a block
 # holds BLOCK_COLUMNS // width tables of ``width`` starts each (300 warm
 # bootstrap refits, or 25 fits from the 12-start grid). Only tables that
-# reach the solver count: the bootstrap's draws that the certificate
-# declines (``mle._moment_point``; no draw of a Q1-Q4 bootstrap, but most
-# draws of a tiny table or of a parent on a bound) and every study draw.
+# reach the solver count: the bootstrap's and the studies' draws that the
+# certificate declines (``mle._moment_point``; no draw of a Q1-Q4 bootstrap
+# or of study 1, but most draws of a tiny table, of a parent on a bound and
+# of study 2's extremes).
 # Larger blocks spread numpy's fixed per-call overhead over more columns but
 # hold more memory. Measured in process before the certificate, when every
 # Q1 bootstrap draw was a warm solver refit (2-core x86_64 VM, a fresh

@@ -133,9 +133,15 @@ def se_from_hessian(fit: FitResult, data: SurveyData) -> HessianSE:
     """
     if not fit.converged:
         raise ValidationError("fit did not converge; standard errors would be meaningless")
-    hess = model.hessian(fit.params, data)
-    free = [i for i, name in enumerate(PARAM_NAMES) if name not in fit.active_constraints]
-    flagged = tuple(name for name in PARAM_NAMES if name in fit.active_constraints)
+    return _hessian_se(fit.params, fit.active_constraints, data)
+
+
+def _hessian_se(params: ModelParams, active, data: SurveyData) -> HessianSE:
+    """``se_from_hessian`` of a fit given by its parameters and the names of
+    its parameters on an active bound: what the studies keep of a fit."""
+    hess = model.hessian(params, data)
+    free = [i for i, name in enumerate(PARAM_NAMES) if name not in active]
+    flagged = tuple(name for name in PARAM_NAMES if name in active)
     if not free:
         raise InformationMatrixError("every parameter is on a constraint bound")
     info = -hess[np.ix_(free, free)]

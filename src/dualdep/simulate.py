@@ -7,12 +7,17 @@ naive and model-based estimators. Study 2 sweeps a grid that violates the
 shared-p1 identification assumption and tracks bias/RMSE of the size
 estimates. Every study draws each two-stratum table in the calling process,
 on a counter-based random stream keyed by the replicate (study 2: by grid
-index and replicate), and fits the draws through one worker, ``_fit_draws``,
-in blocks spread over the worker processes (``_parallel.run_blocks``): each
-block is one batch (and its full-mode fallbacks a second one). Per
-replicate, a record holds the survey with the fit or the reason it failed.
-The studies are reductions over those records, so summaries are independent
-of worker count and block size.
+index and replicate), and certifies it there from its counts
+(``mle._moment_point``): where the draw's moment point lies strictly inside
+its box, that point is the fit, in closed form. Only the declined draws go
+to the solver, through one worker, ``_fit_draws``, in blocks spread over the
+worker processes (``_parallel.run_blocks``): each block is one batched
+solve read out as arrays (``mle._fits``), and its full-mode fallbacks a
+second one. So a study whose every draw is certified, as study 1's are,
+starts no process. Per replicate, a record holds the survey with the fit's
+parameters and active bounds, or the reason the fit failed; no study builds
+a ``FitResult``. The studies are reductions over those records, so
+summaries are independent of worker count and block size.
 """
 
 from __future__ import annotations
@@ -26,8 +31,9 @@ import numpy as np
 from . import mle, model
 from ._parallel import Streams, run_blocks
 from .exceptions import DualdepError, FitError, InfeasibleConstraintsError, ValidationError
-from .inference import _drawn_counts, _size_intervals, normal_quantile, se_from_hessian
+from .inference import _drawn_counts, _hessian_se, _size_intervals, normal_quantile
 from .mle import DEFAULT_SEED, FitOptions
+from .model import PARAM_NAMES, ModelParams
 from .tables import CellCounts, SurveyData, _unchecked_survey, naive_estimate
 
 __all__ = [
@@ -294,55 +300,82 @@ def _draw_survey(config: GeneratorConfig, rng: np.random.Generator) -> tuple[Sur
     )
 
 
+_INTERIOR: frozenset[str] = frozenset()  # the active set of a fit on no bound
+
+
 def _fit_draws(surveys: list[SurveyData], options: FitOptions) -> list:
-    """Fit simulated draws in one batch, the worker of ``run_blocks``; refit
-    in full mode, as a second batch, the draws whose reduced constraint box
-    is empty (possible only when the generating process violates the
-    shared-p1 assumption). Returns per draw (FitResult, "", fallback) or,
-    where the fit raised a package error, (None, its text, False);
-    ``fallback`` is True whenever the fit is from the full-mode refit."""
-    outcomes = mle.fit_many(surveys, options)
-    fallback = [isinstance(o, InfeasibleConstraintsError) and options.mode != "full"
-                for o in outcomes]
-    if any(fallback):
-        refits = iter(mle.fit_many([s for s, f in zip(surveys, fallback) if f],
-                                   replace(options, mode="full")))
-        outcomes = [next(refits) if f else o for o, f in zip(outcomes, fallback)]
-    return [(None, str(o), False) if isinstance(o, DualdepError) else (o, "", f)
-            for o, f in zip(outcomes, fallback)]
+    """Fit the draws the certificate declined in one batched solve, read out
+    as arrays (``mle._fits``), the worker of ``run_blocks``; refit in full
+    mode, as a second batch, the draws whose reduced constraint box is
+    empty (possible only when the generating process violates the shared-p1
+    assumption). Returns per draw (parameters, active, "", fallback): the
+    winner's six parameters as floats and the names of those on an active
+    bound; or, where the fit raised a package error, (None, no names, its
+    text, False). ``fallback`` is True whenever the fit is from the
+    full-mode refit."""
+    fits = mle._fits(surveys, options)
+    theta, active, errors = fits.theta, fits.active, list(fits.errors)
+    fallback = [isinstance(error, InfeasibleConstraintsError) and options.mode != "full"
+                for error in errors]
+    again = [k for k, f in enumerate(fallback) if f]
+    if again:
+        refits = mle._fits([surveys[k] for k in again], replace(options, mode="full"))
+        theta[:, again], active[:, again] = refits.theta, refits.active
+        for k, error in zip(again, refits.errors):
+            errors[k] = error
+    return [(None, _INTERIOR, str(error), False) if error is not None
+            else (row, frozenset(name for name, on in zip(PARAM_NAMES, mask) if on), "", f)
+            for row, mask, error, f in zip(theta.T.tolist(), active.T.tolist(), errors, fallback)]
 
 
 # --- replicates ------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
 class _Replicate:
-    """One drawn and fitted replicate. ``fit`` is None when the fit raised a
-    package error (NonConvergenceError when its best start stalled), and
-    ``reason`` is that error's text."""
+    """One drawn and fitted replicate: the fit's ``params`` and the names of
+    those on an active bound (``active``; none for a certified draw, whose
+    point is off every activity band). ``params`` is None when the fit
+    raised a package error (NonConvergenceError when its best start
+    stalled), and ``reason`` is that error's text."""
 
     survey: SurveyData
-    fit: mle.FitResult | None
+    params: ModelParams | None
+    active: frozenset[str]
     reason: str
     redraws: int
     fallback: bool
 
 
+def _triples(survey: SurveyData):
+    """The (x11, x10, x01) counts of each stratum of ``survey``."""
+    return [(c.x11, c.x10, c.x01) for c in (survey.stratum_a, survey.stratum_b)]
+
+
 def _run_replicates(groups, options: FitOptions | None, threads: int) -> list[_Replicate]:
-    """The records of (config, stream keys) groups, in group and key order:
-    every survey drawn in this process, on one generator per config
-    (``Streams``), then fitted with ``options`` (default ``FitOptions()``)
-    by ``_fit_draws`` in blocks of at most ``_parallel.BLOCK_COLUMNS``
-    solver columns (25 draws at the 12-start grid), spread over ``threads``
-    processes (``run_blocks``)."""
+    """The records of (config, stream keys) groups, in group and key order.
+    Every survey is drawn in this process, on one generator per config
+    (``Streams``), and certified here from its counts (``mle._moment_point``
+    in the mode of ``options``, default ``FitOptions()``): a certified
+    draw's fit is its moment point. The declined draws are fitted with
+    ``options`` by ``_fit_draws`` in blocks of at most
+    ``_parallel.BLOCK_COLUMNS`` solver columns (25 draws at the 12-start
+    grid), spread over ``threads`` processes (``run_blocks``); with none
+    declined, no block runs."""
     options = options or FitOptions()
     draws = []
     for config, keys in groups:
         streams = Streams(config.seed)
         draws += [_draw_survey(config, streams.at(key)) for key in keys]
-    fits = run_blocks(_fit_draws, [survey for survey, _ in draws], options.n_starts, threads,
-                      options)
-    return [_Replicate(survey, fit, reason, redraws, fallback)
-            for (survey, redraws), (fit, reason, fallback) in zip(draws, fits)]
+    points = [mle._moment_point(*_triples(survey), options.mode) for survey, _ in draws]
+    fits = [(point, _INTERIOR, "", False) for point in points]
+    declined = [k for k, point in enumerate(points) if point is None]
+    solved = run_blocks(_fit_draws, [draws[k][0] for k in declined], options.n_starts, threads,
+                        options)
+    for k, fit in zip(declined, solved):
+        fits[k] = fit
+    return [_Replicate(survey, None if params is None else model._unchecked_params(*params),
+                       active, reason, redraws, fallback)
+            for (survey, redraws), (params, active, reason, fallback) in zip(draws, fits)]
 
 
 # --- study 1 -------------------------------------------------------------------
@@ -358,7 +391,7 @@ def run_study1(
     config = config or study1_config()
     outcomes = _run_replicates([(config, range(config.replicates))], options, threads)
 
-    fitted = [o.fit.params for o in outcomes if o.fit is not None]
+    fitted = [o.params for o in outcomes if o.params is not None]
     if not fitted:
         raise FitError(
             f"every one of the {config.replicates} replicate fits failed; "
@@ -386,7 +419,7 @@ def run_study1(
             for col, (name, truth) in enumerate(proposed_truths)
         ),
         redraws=sum(o.redraws for o in outcomes),
-        fit_failures=sum(o.fit is None for o in outcomes),
+        fit_failures=sum(o.params is None for o in outcomes),
         reduced_fallbacks=sum(o.fallback for o in outcomes),
     )
 
@@ -397,13 +430,13 @@ def _coverage_intervals(outcome: _Replicate, z: float, level: float):
     """Wald and multiplicative intervals for N_A and N_B from one replicate's
     information-matrix SEs, or None when the fit failed or either interval
     is undefined."""
-    if outcome.fit is None:
+    params, survey = outcome.params, outcome.survey
+    if params is None:
         return None
     try:
-        se = se_from_hessian(outcome.fit, outcome.survey).se
+        se = _hessian_se(params, outcome.active, survey).se
     except DualdepError:
         return None
-    params, survey = outcome.fit.params, outcome.survey
     centers = {"N_A": params.n_a, "N_B": params.n_b}
     x0 = {"N_A": float(survey.stratum_a.total), "N_B": float(survey.stratum_b.total)}
     lognormal = _size_intervals(centers, x0, se, level)
@@ -503,7 +536,7 @@ def run_study2(
     rows = []
     for gi, value in enumerate(grid):
         point = outcomes[gi * replicates:(gi + 1) * replicates]
-        proposed = [(o.fit.params.n_a, o.fit.params.n_b) for o in point if o.fit is not None]
+        proposed = [(o.params.n_a, o.params.n_b) for o in point if o.params is not None]
         naive = [
             (naive_estimate(o.survey.stratum_a), naive_estimate(o.survey.stratum_b)) for o in point
         ]
@@ -535,6 +568,6 @@ def run_study2(
         grid=grid,
         replicates=replicates,
         rows=tuple(rows),
-        fit_failures=sum(o.fit is None for o in outcomes),
+        fit_failures=sum(o.params is None for o in outcomes),
         reduced_fallbacks=sum(o.fallback for o in outcomes),
     )

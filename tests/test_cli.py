@@ -490,10 +490,10 @@ def test_simulate_report_is_strict_json_when_every_interval_fails(tmp_path, monk
     from dualdep import simulate
     from dualdep.exceptions import InformationMatrixError
 
-    def singular(result, survey):
+    def singular(params, active, survey):
         raise InformationMatrixError("observed information is singular")
 
-    monkeypatch.setattr(simulate, "se_from_hessian", singular)
+    monkeypatch.setattr(simulate, "_hessian_se", singular)
     stem = tmp_path / "cov"
     code = main(["simulate", "coverage", "--replicates", "3", "--seed", "5", "--output", str(stem)])
     assert code == 0

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from dualdep import simulate
+from dualdep import _parallel, mle, simulate
 from dualdep._parallel import stream
-from dualdep.exceptions import ValidationError
-from dualdep.mle import FitOptions
+from dualdep.exceptions import DualdepError, InfeasibleConstraintsError, ValidationError
+from dualdep.mle import FitOptions, fit_many
 from dualdep.model import cell_probabilities
 from dualdep.simulate import (
     GeneratorConfig,
@@ -190,9 +190,55 @@ def test_study_zero_x11_draw_is_redrawn_on_its_stream_and_never_a_failure():
         expected.append((SurveyData(counts_a, counts_b), redraws))
     records = simulate._run_replicates([(config, range(config.replicates))], FitOptions(), 1)
     assert [(r.survey, r.redraws) for r in records] == expected
-    assert all(r.fit is not None and r.reason == "" for r in records)
+    assert all(r.params is not None and r.reason == "" for r in records)
     result = run_study1(config)
     assert (result.redraws, result.fit_failures, result.reduced_fallbacks) == (36, 0, 4)
+
+
+@pytest.mark.parametrize("value, certified", [(0.01, 0), (0.15, 12), (0.35, 0)])
+def test_a_study_record_is_the_certified_point_or_the_solvers_winner(value, certified):
+    # study-2 draws: at 0.15 every moment point lies inside its box; at 0.01
+    # the reduced box is empty (the full-mode fallback), and at 0.35 the
+    # moment point lies outside the box. A certified record holds the
+    # closed-form point; a declined one the winner fit_many picks, bit for
+    # bit, in full mode where the reduced box is empty
+    config = simulate._scenario_config(1, value, replicates=12, seed=1)
+    records = simulate._run_replicates([(config, range(config.replicates))], FitOptions(), 1)
+    points = 0
+    for record in records:
+        point = mle._moment_point(*simulate._triples(record.survey), "reduced")
+        if point is not None:
+            points += 1
+            assert record.params.as_tuple() == tuple(point)
+            assert (record.active, record.reason, record.fallback) == (frozenset(), "", False)
+            continue
+        (fit,) = fit_many([record.survey])
+        fallback = isinstance(fit, InfeasibleConstraintsError)
+        if fallback:
+            (fit,) = fit_many([record.survey], FitOptions(mode="full"))
+        if isinstance(fit, DualdepError):
+            assert (record.params, record.reason, record.fallback) == (None, str(fit), False)
+            continue
+        assert record.params.as_tuple() == fit.params.as_tuple()
+        assert (record.active, record.reason, record.fallback) == (
+            fit.active_constraints, "", fallback)
+    assert points == certified
+
+
+def test_a_certified_study_makes_no_solver_call_and_starts_no_process_pool(monkeypatch):
+    # every study-1 draw is certified in this process, so nothing reaches the
+    # solver and nothing is dispatched, whatever threads asks for
+    import concurrent.futures
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a certified study reached the solver or the pool")
+
+    monkeypatch.setattr(mle, "_solve_start", refuse)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(_parallel, "cpus", lambda: 2)
+    result = run_study1(threads=2)
+    assert (result.fit_failures, result.reduced_fallbacks) == (0, 0)
+    assert all(s.n_used == 500 for s in result.proposed)
 
 
 def test_scenario_grid():
@@ -261,10 +307,10 @@ def test_coverage_propagates_programming_errors(monkeypatch):
     # only package errors count as failed replicates; a bug must surface
     from dualdep import simulate
 
-    def broken(result, survey):
+    def broken(params, active, survey):
         raise TypeError("bug in the standard-error code")
 
-    monkeypatch.setattr(simulate, "se_from_hessian", broken)
+    monkeypatch.setattr(simulate, "_hessian_se", broken)
     with pytest.raises(TypeError, match="bug in the standard-error code"):
         run_coverage(study1_config(replicates=2, seed=13))
 
@@ -274,10 +320,10 @@ def test_coverage_counts_fallback_when_interval_step_fails(monkeypatch):
     from dualdep import simulate
     from dualdep.exceptions import InformationMatrixError
 
-    def singular(result, survey):
+    def singular(params, active, survey):
         raise InformationMatrixError("observed information is singular")
 
-    monkeypatch.setattr(simulate, "se_from_hessian", singular)
+    monkeypatch.setattr(simulate, "_hessian_se", singular)
     config = simulate._scenario_config(1, 0.01, replicates=6, seed=2)
     result = run_coverage(config)
     assert result.failures == 6

@@ -94,3 +94,11 @@ def test_paired_cpu_runs_the_solver_refit_block():
     summary = paired_cpu.compare(root, root, "solver-refits", rounds=1, out=out)
     assert summary["workload"] == "solver-refits" and summary["rounds"] == 1
     assert summary["parent_cpu_s"] > 0.0 and summary["change_cpu_s"] > 0.0
+
+
+def test_paired_cpu_runs_the_studies_block():
+    root = Path(__file__).resolve().parents[1]
+    out = io.StringIO()
+    summary = paired_cpu.compare(root, root, "studies", rounds=1, out=out)
+    assert summary["workload"] == "studies" and summary["rounds"] == 1
+    assert summary["parent_cpu_s"] > 0.0 and summary["change_cpu_s"] > 0.0

@@ -16,7 +16,10 @@ blocks are:
   form: ``small`` (single-digit counts: most draws are declined, and warm
   refits that fail take the grid), ``corner`` (the parent fit is on bounds, so every solver
   refit is a grid refit) and ``mixed`` (full mode: warm refits, and some
-  that end on a bound and take the grid).
+  that end on a bound and take the grid);
+- ``studies``: ``simulate study1 --replicates 100`` and ``simulate coverage
+  --replicates 50``, both ``--threads 1``: study 1's draws, all certified,
+  and coverage's, with a Hessian SE each.
 
 It prints each tree's CPU per command and the per-round ratio change/parent,
 each as its quartiles (``statistics.quantiles``, exclusive method) with the
@@ -27,6 +30,7 @@ parent's interquartile range.
     python tools/paired_cpu.py PARENT_TREE CHANGE_TREE --rounds 40
     python tools/paired_cpu.py PARENT_TREE CHANGE_TREE --workload study2 --rounds 20
     python tools/paired_cpu.py PARENT_TREE CHANGE_TREE --workload solver-refits --rounds 40
+    python tools/paired_cpu.py PARENT_TREE CHANGE_TREE --workload studies --rounds 20
 
 A tree is the root of a checkout (the directory that holds ``src``). CPU is
 this process's ``time.process_time``: the commands run on one thread and
@@ -73,6 +77,10 @@ def block(workload: str, seed: int, work: Path) -> list[list[str]]:
         return [["estimate", "--input", str(work / f"{name}.csv"), "--mode", mode, "--se", "both",
                  "--threads", "1", "--B", "100", "--seed", str(seed + k)]
                 for k, (name, (_, mode)) in enumerate(SOLVER_REFITS.items())]
+    if workload == "studies":
+        return [["simulate", "study1", "--replicates", "100", "--threads", "1", "--seed", str(seed)],
+                ["simulate", "coverage", "--replicates", "50", "--threads", "1",
+                 "--seed", str(seed + 1)]]
     return [["simulate", "study2", "--scenario", "1", "--grid", point, "--replicates", "5",
              "--threads", "1", "--seed", str(seed + k)] for k, point in enumerate(STUDY2_POINTS)]
 
@@ -162,7 +170,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("parent", type=Path, help="root of the parent checkout")
     parser.add_argument("change", type=Path, help="root of the changed checkout")
-    parser.add_argument("--workload", choices=("estimate", "study2", "solver-refits"), default="estimate")
+    parser.add_argument("--workload", choices=("estimate", "study2", "solver-refits", "studies"),
+                        default="estimate")
     parser.add_argument("--rounds", type=int, default=40)
     args = parser.parse_args(argv)
     compare(args.parent.resolve(), args.change.resolve(), args.workload, args.rounds)
