@@ -29,7 +29,7 @@ from statistics import NormalDist
 import numpy as np
 
 from . import _parallel, mle, model
-from .exceptions import BootstrapError, InformationMatrixError, ValidationError
+from .exceptions import BootstrapError, DualdepError, InformationMatrixError, ValidationError
 from .mle import DEFAULT_SEED, FitOptions, FitResult
 from .model import ModelParams, PARAM_NAMES
 from .tables import CellCounts, SurveyData, _unchecked_survey
@@ -133,41 +133,79 @@ def se_from_hessian(fit: FitResult, data: SurveyData) -> HessianSE:
     """
     if not fit.converged:
         raise ValidationError("fit did not converge; standard errors would be meaningless")
-    return _hessian_se(fit.params, fit.active_constraints, data)
+    (outcome,) = _hessian_ses([(fit.params, fit.active_constraints, data)])
+    if isinstance(outcome, DualdepError):
+        raise outcome
+    return outcome
 
 
-def _hessian_se(params: ModelParams, active, data: SurveyData) -> HessianSE:
-    """``se_from_hessian`` of a fit given by its parameters and the names of
-    its parameters on an active bound: what the studies keep of a fit."""
-    hess = model.hessian(params, data)
-    free = [i for i, name in enumerate(PARAM_NAMES) if name not in active]
-    flagged = tuple(name for name in PARAM_NAMES if name in active)
-    if not free:
-        raise InformationMatrixError("every parameter is on a constraint bound")
-    info = -hess[np.ix_(free, free)]
-    if not np.all(np.isfinite(info)):
-        raise InformationMatrixError(
-            "observed information has non-finite entries at the fitted point; use the bootstrap"
-        )
-    try:
-        np.linalg.cholesky(info)
-    except np.linalg.LinAlgError:
-        raise InformationMatrixError(
-            "observed information is singular or indefinite at the fitted point; "
-            "use the bootstrap"
-        ) from None
-    cov = np.linalg.inv(info)
-    se = {name: float("nan") for name in PARAM_NAMES}
-    for pos, idx in enumerate(free):
-        se[PARAM_NAMES[idx]] = math.sqrt(cov[pos, pos])
-    var_total = se["N_A"] ** 2 + se["N_B"] ** 2
-    return HessianSE(
-        se=se,
-        se_total=math.sqrt(var_total) if math.isfinite(var_total) else float("nan"),
-        flagged=flagged,
-        free=tuple(PARAM_NAMES[i] for i in free),
-        covariance=cov,
-    )
+def _hessian_ses(fits) -> list:
+    """``se_from_hessian`` of many fits, each given by what the studies keep
+    of it: a (params, active, data) triple, ``active`` the names of its
+    parameters on an active bound. One pass: one factor table over every
+    fit's point, each point checked for evaluability (``model._check``),
+    then per set of free parameters one stacked Cholesky test and one
+    stacked inverse. Returns, per fit, its HessianSE or the package error
+    ``se_from_hessian`` raises; a fit's result does not depend on the other
+    fits."""
+    if not fits:
+        return []
+    theta = np.array([params.as_tuple() for params, _, _ in fits]).T
+    counts = np.array([model._counts(data) for _, _, data in fits]).T
+    values, weights = model._values(theta, counts)
+    hess = model._square(model._hess(values, weights))
+    outcomes: list = [None] * len(fits)
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for k, (_, active, _) in enumerate(fits):
+        try:
+            model._check(values[:, k:k + 1], counts[:, k:k + 1])
+        except DualdepError as exc:
+            outcomes[k] = exc.with_traceback(None)
+            continue
+        free = tuple(i for i, name in enumerate(PARAM_NAMES) if name not in active)
+        if free:
+            groups.setdefault(free, []).append(k)
+        else:
+            outcomes[k] = InformationMatrixError("every parameter is on a constraint bound")
+    for free, members in groups.items():
+        info = -hess[np.ix_(members, free, free)]
+        finite = np.isfinite(info).all(axis=(1, 2))
+        definite = finite.copy()
+        try:
+            np.linalg.cholesky(info[finite])
+        except np.linalg.LinAlgError:  # one failure fails the whole stack
+            for j in np.flatnonzero(finite).tolist():
+                try:
+                    np.linalg.cholesky(info[j])
+                except np.linalg.LinAlgError:
+                    definite[j] = False
+        covariances = iter(np.linalg.inv(info[definite]))
+        names = tuple(PARAM_NAMES[i] for i in free)
+        flagged = tuple(name for name in PARAM_NAMES if name not in names)
+        for j, k in enumerate(members):
+            if not finite[j]:
+                outcomes[k] = InformationMatrixError(
+                    "observed information has non-finite entries at the fitted point; "
+                    "use the bootstrap")
+                continue
+            if not definite[j]:
+                outcomes[k] = InformationMatrixError(
+                    "observed information is singular or indefinite at the fitted point; "
+                    "use the bootstrap")
+                continue
+            cov = next(covariances)
+            se = {name: float("nan") for name in PARAM_NAMES}
+            for pos, name in enumerate(names):
+                se[name] = math.sqrt(cov[pos, pos])
+            var_total = se["N_A"] ** 2 + se["N_B"] ** 2
+            outcomes[k] = HessianSE(
+                se=se,
+                se_total=math.sqrt(var_total) if math.isfinite(var_total) else float("nan"),
+                flagged=flagged,
+                free=names,
+                covariance=cov,
+            )
+    return outcomes
 
 
 def _replicate_probs(counts: CellCounts, n_hat: float) -> np.ndarray:

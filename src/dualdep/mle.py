@@ -484,9 +484,41 @@ def _ascent_step(hess, grad):
     return step
 
 
+# The fraction-to-boundary rule (Wächter & Biegler 2006): a step covers at
+# most this share of a probability coordinate's distance to the trimmed box
+# in the direction it moves, unless the coordinate is already within
+# _BOUNDARY_BAND of the box's width of that bound.
+_TO_BOUNDARY = 0.99
+_BOUNDARY_BAND = 1e-3
+
+
+def _to_boundary(u, step, lo, hi, first):
+    """``step`` with each column scaled as a whole so that no probability
+    coordinate (rows ``first`` on) covers more than ``_TO_BOUNDARY`` of its
+    room to the bound it heads for. A coordinate in the ``_BOUNDARY_BAND``
+    of that bound is exempt, so the clip of the trial point lands it
+    exactly on the bound. A column the rule does not bind keeps its bits.
+    Without the rule, a clipped step puts a probability on its trim, from
+    where it can only double its distance per step."""
+    s, x, lo, hi = step[first:], u[first:], lo[first:], hi[first:]
+    # the cheap test first: where the rule binds, twice the step covers
+    # 1.98 times the room, so it reaches the bound whatever the rounding
+    reach = x + 2.0 * s
+    if not ((reach >= hi) | (reach <= lo)).any():
+        return step
+    room, size = np.where(s > 0.0, hi - x, x - lo), np.abs(s)
+    binds = (size > _TO_BOUNDARY * room) & (room > _BOUNDARY_BAND * (hi - lo))
+    if not binds.any():
+        return step
+    with np.errstate(divide="ignore", invalid="ignore"):
+        share = np.where(binds, _TO_BOUNDARY * (room / size), 1.0).min(axis=0)
+        return step * share
+
+
 def _direction(run):
     """The step of each start: Newton on the free coordinates (zero on the
-    blocked ones), flipped to ascent where it would descend. Returns (step,
+    blocked ones), flipped to ascent where it would descend, then held off
+    the probability bounds it would cross (``_to_boundary``). Returns (step,
     singular, broken): the steps, shape (P, K); which Newton systems were
     singular; and which other steps are not finite. The Hessian comes from
     the factor table each start carries."""
@@ -505,6 +537,7 @@ def _direction(run):
         step[:, descend] = _ascent_step(hess[descend], grad.T[descend]).T
     step = np.where(free, step, 0.0)
     broken = ~np.isfinite(step).all(axis=0) & ~singular
+    step = _to_boundary(u, step, run["lo"], run["hi"], run["sel"][2])
     # where the curvature is extreme the step can be smaller than the
     # spacing of floats and round away; move such coordinates one ulp
     tiny = (step != 0.0) & (u + step == u)

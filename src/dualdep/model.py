@@ -437,6 +437,17 @@ def _hess(values, weights):
     return out
 
 
+_ROWS, _COLS = np.array(_PAIRS).T
+
+
+def _square(entries):
+    """The Hessians of ``_hess`` entries (21, K) as K exactly symmetric 6x6
+    matrices, shape (K, 6, 6)."""
+    h = np.empty((entries.shape[1], 6, 6))
+    h[:, _ROWS, _COLS] = h[:, _COLS, _ROWS] = entries.T
+    return h
+
+
 # --- public wrappers ---------------------------------------------------------
 
 def _one_point(params: ModelParams, data: SurveyData):
@@ -480,7 +491,4 @@ def hessian(params: ModelParams, data: SurveyData) -> np.ndarray:
     p2 touches only its own stratum's size and alpha.
     """
     values, weights, _ = _one_point(params, data)
-    rows, cols = np.array(_PAIRS).T
-    h = np.empty((6, 6))
-    h[rows, cols] = h[cols, rows] = _hess(values, weights)[:, 0]
-    return h
+    return _square(_hess(values, weights))[0]

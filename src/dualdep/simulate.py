@@ -31,7 +31,7 @@ import numpy as np
 from . import mle, model
 from ._parallel import Streams, run_blocks
 from .exceptions import DualdepError, FitError, InfeasibleConstraintsError, ValidationError
-from .inference import _drawn_counts, _hessian_se, _size_intervals, normal_quantile
+from .inference import _drawn_counts, _hessian_ses, _size_intervals, normal_quantile
 from .mle import DEFAULT_SEED, FitOptions
 from .model import PARAM_NAMES, ModelParams
 from .tables import CellCounts, SurveyData, _unchecked_survey, naive_estimate
@@ -426,17 +426,13 @@ def run_study1(
 
 # --- coverage ------------------------------------------------------------------
 
-def _coverage_intervals(outcome: _Replicate, z: float, level: float):
-    """Wald and multiplicative intervals for N_A and N_B from one replicate's
-    information-matrix SEs, or None when the fit failed or either interval
-    is undefined."""
-    params, survey = outcome.params, outcome.survey
-    if params is None:
+def _coverage_intervals(outcome: _Replicate, hessian_se, z: float, level: float):
+    """Wald and multiplicative intervals for N_A and N_B from a fitted
+    replicate's information-matrix SEs (``hessian_se``, its ``_hessian_ses``
+    outcome), or None when the SEs failed or either interval is undefined."""
+    if isinstance(hessian_se, DualdepError):
         return None
-    try:
-        se = _hessian_se(params, outcome.active, survey).se
-    except DualdepError:
-        return None
+    params, survey, se = outcome.params, outcome.survey, hessian_se.se
     centers = {"N_A": params.n_a, "N_B": params.n_b}
     x0 = {"N_A": float(survey.stratum_a.total), "N_B": float(survey.stratum_b.total)}
     lognormal = _size_intervals(centers, x0, se, level)
@@ -460,7 +456,10 @@ def run_coverage(
     outcomes = _run_replicates([(config, range(config.replicates))], options, threads)
 
     truth = {"N_A": float(config.n_a), "N_B": float(config.n_b)}
-    intervals = [i for i in (_coverage_intervals(o, z, level) for o in outcomes) if i is not None]
+    fitted = [o for o in outcomes if o.params is not None]
+    ses = _hessian_ses([(o.params, o.active, o.survey) for o in fitted])
+    intervals = [i for i in (_coverage_intervals(o, se, z, level) for o, se in zip(fitted, ses))
+                 if i is not None]
     n = len(intervals)
 
     def mean(values) -> float:

@@ -118,6 +118,18 @@ def _reference_direction(run):
         step[:, descend] = mle._ascent_step(hess[descend], grad.T[descend]).T
     step = np.where(free, step, 0.0)
     broken = ~np.isfinite(step).all(axis=0) & ~singular
+    # fraction to boundary, one probability coordinate at a time: the
+    # column's share is the least over the coordinates that bind
+    share = np.ones(u.shape[1])
+    for c in range(run["sel"][2], size):
+        lo, hi = run["lo"][c], run["hi"][c]
+        room = np.where(step[c] > 0.0, hi - u[c], u[c] - lo)
+        band = mle._BOUNDARY_BAND * (hi - lo)
+        binds = (np.abs(step[c]) > mle._TO_BOUNDARY * room) & (room > band)
+        for k in np.flatnonzero(binds).tolist():
+            share[k] = min(share[k], mle._TO_BOUNDARY * (room[k] / abs(step[c, k])))
+    with np.errstate(invalid="ignore"):
+        step = np.where(share < 1.0, step * share, step)
     tiny = (step != 0.0) & (u + step == u)
     if tiny.any():
         step = np.where(tiny, np.nextafter(u, np.copysign(np.inf, step)) - u, step)

@@ -96,6 +96,75 @@ def test_hessian_se_simulated_sanity():
     assert all(math.isfinite(v) and v > 0 for v in ses.se.values())
 
 
+def reference_hessian_se(params, active, data):
+    """``se_from_hessian`` one fit at a time, through the public one-point
+    Hessian: its HessianSE, or the package error it raises."""
+    try:
+        hess = model.hessian(params, data)
+    except DualdepError as exc:
+        return exc
+    free = [i for i, name in enumerate(model.PARAM_NAMES) if name not in active]
+    if not free:
+        return InformationMatrixError("every parameter is on a constraint bound")
+    info = -hess[np.ix_(free, free)]
+    if not np.isfinite(info).all():
+        return InformationMatrixError("non-finite")
+    try:
+        np.linalg.cholesky(info)
+    except np.linalg.LinAlgError:
+        return InformationMatrixError("singular or indefinite")
+    cov = np.linalg.inv(info)
+    se = {name: float("nan") for name in model.PARAM_NAMES}
+    for pos, i in enumerate(free):
+        se[model.PARAM_NAMES[i]] = math.sqrt(cov[pos, pos])
+    var_total = se["N_A"] ** 2 + se["N_B"] ** 2
+    return inference.HessianSE(se=se, se_total=math.sqrt(var_total) if math.isfinite(var_total)
+                               else float("nan"),
+                               flagged=tuple(n for n in model.PARAM_NAMES if n in active),
+                               free=tuple(model.PARAM_NAMES[i] for i in free), covariance=cov)
+
+
+def test_hessian_ses_in_one_pass_give_each_fit_its_own_bits(q1_fit):
+    data, result = q1_fit
+    corner = SurveyData(CellCounts(201, 4162, 4390), CellCounts(406, 2574, 3265))
+    corner_fit = fit(corner)
+    x0a = float(data.stratum_a.total)
+    fits = [
+        (result.params, frozenset(), data),
+        (result.params, frozenset({"p2B"}), data),
+        (corner_fit.params, corner_fit.active_constraints, corner),
+        (result.params, frozenset(model.PARAM_NAMES), data),  # nothing free
+        (replace(result.params, n_a=x0a - 1.0), frozenset(), data),  # N_A below x0A
+        (replace(result.params, n_a=x0a), frozenset(), data),  # log 0: infinite information
+        (ModelParams(20000.0, 10000.0, 0.5, 0.5, 0.5, 0.5), frozenset(), data),  # indefinite
+        (corner_fit.params, frozenset(), corner),  # on bounds, none flagged
+        (result.params, frozenset({"p2B"}), data),
+    ]
+    got = inference._hessian_ses(fits)
+    assert len(got) == len(fits)
+    kinds = []
+    for outcome, fitted in zip(got, fits):
+        want = reference_hessian_se(*fitted)
+        assert type(outcome) is type(want)
+        if isinstance(want, DualdepError):
+            kinds.append(type(want).__name__)
+            if isinstance(want, EvaluationError):
+                assert str(outcome) == str(want)
+            continue
+        kinds.append("se")
+        assert repr((outcome.se, outcome.se_total)) == repr((want.se, want.se_total))
+        assert (outcome.flagged, outcome.free) == (want.flagged, want.free)
+        assert outcome.covariance.tobytes() == want.covariance.tobytes()
+    # the corner's maximum is on bounds: unflagged, its information is not
+    # definite, while the other fits of its free set pass
+    assert kinds == ["se", "se", "se", "InformationMatrixError", "EvaluationError",
+                     "InformationMatrixError", "InformationMatrixError",
+                     "InformationMatrixError", "se"]
+    # se_from_hessian is the one-fit pass
+    assert repr(se_from_hessian(result, data).se) == repr(got[0].se)
+    assert inference._hessian_ses([]) == []
+
+
 def test_bootstrap_deterministic(q1_fit):
     data, result = q1_fit
     a = bootstrap(data, result, n_replicates=2, seed=11)

@@ -307,10 +307,10 @@ def test_coverage_propagates_programming_errors(monkeypatch):
     # only package errors count as failed replicates; a bug must surface
     from dualdep import simulate
 
-    def broken(params, active, survey):
+    def broken(fits):
         raise TypeError("bug in the standard-error code")
 
-    monkeypatch.setattr(simulate, "_hessian_se", broken)
+    monkeypatch.setattr(simulate, "_hessian_ses", broken)
     with pytest.raises(TypeError, match="bug in the standard-error code"):
         run_coverage(study1_config(replicates=2, seed=13))
 
@@ -320,10 +320,10 @@ def test_coverage_counts_fallback_when_interval_step_fails(monkeypatch):
     from dualdep import simulate
     from dualdep.exceptions import InformationMatrixError
 
-    def singular(params, active, survey):
-        raise InformationMatrixError("observed information is singular")
+    def singular(fits):
+        return [InformationMatrixError("observed information is singular") for _ in fits]
 
-    monkeypatch.setattr(simulate, "_hessian_se", singular)
+    monkeypatch.setattr(simulate, "_hessian_ses", singular)
     config = simulate._scenario_config(1, 0.01, replicates=6, seed=2)
     result = run_coverage(config)
     assert result.failures == 6

@@ -47,6 +47,32 @@ def test_compare_counts_each_changed_leaf(q1):
     assert "q1 per_start[3].iterations" in out.getvalue()
 
 
+def test_compare_ends_with_the_gate_counts_of_a_planted_pair(q1):
+    corner = SurveyData(CellCounts(*fit_digest.EDGES["corner"][0]),
+                        CellCounts(*fit_digest.EDGES["corner"][1]))
+    fitted, on_bounds, error = fit_many([q1, corner, X11A_ZERO])
+    records = {"lower": fitted, "tied": fitted, "active": on_bounds, "error": error,
+               "same": on_bounds}
+    before = {key: fit_digest.record(outcome) for key, outcome in records.items()}
+    after = copy.deepcopy(before)
+    ll = float.fromhex(before["lower"]["log_likelihood"])
+    after["lower"]["log_likelihood"] = (ll - 1e-6).hex()  # beyond the 1e-9 tie band
+    after["tied"]["log_likelihood"] = (ll - 5e-10).hex()  # within it
+    after["active"]["active_constraints"] = ["N_B"]
+    after["error"] = fit_digest.record(fitted)
+    lower, active, kinds = fit_digest.gates(before, after)
+    assert (lower, active, dict(kinds)) == (1, 1, {"FitError -> fit": 1})
+    out = io.StringIO()
+    assert fit_digest.compare(before, after, out=out) > 0
+    assert out.getvalue().splitlines()[-4:] == [
+        "winners lower beyond the tie band: 1", "changed active sets: 1",
+        "changed error types: 1", "  FitError -> fit: 1"]
+    # a digest of commands, not fits, has no gate lines
+    out = io.StringIO()
+    fit_digest.compare({"cmd": {"exit": 0}}, {"cmd": {"exit": 1}}, out=out)
+    assert "tie band" not in out.getvalue()
+
+
 def test_report_digest_runs_a_command(tmp_path):
     name = "estimate-corner-hessian"
     report_digest._write_tables(tmp_path)

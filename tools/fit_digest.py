@@ -13,7 +13,11 @@ written as its error's type, text and per-start diagnostics.
     PYTHONPATH=src python tools/fit_digest.py --compare before.json after.json
 
 ``--compare`` prints each differing field and, per field, the worst relative
-change over the corpus; it exits 1 if any field differs. Point PYTHONPATH at
+change over the corpus; it exits 1 if any field differs. Over the fits
+present on both sides it ends with three counts: winners whose
+log-likelihood fell by more than the tie band (``mle._tie_band``), changed
+active sets, and changed outcome kinds (an error's type, or a fit), each
+kind of change listed. Point PYTHONPATH at
 another checkout's ``src`` to digest that tree.
 """
 
@@ -24,10 +28,11 @@ import json
 import math
 import re
 import sys
+from collections import Counter
 
 from dualdep.exceptions import DualdepError
 from dualdep._parallel import stream
-from dualdep.mle import FitOptions, fit_many
+from dualdep.mle import FitOptions, _tie_band, fit_many
 from dualdep.model import PARAM_NAMES
 from dualdep.simulate import _draw_survey, _scenario_config, study1_config
 from dualdep.tables import CellCounts, SurveyData
@@ -44,16 +49,16 @@ EDGES = {
     "degenerate-box-b": ((30, 60, 70), (10, 40, 0)),  # x10 * x01 = 0 in stratum B
     "infeasible-reduced": ((5, 9000, 50), (50, 100, 5000)),  # empty mapped N_B box
     # log-likelihood about 3.1e10, floats 3.8e-6 apart: the one converged
-    # reduced-mode start ties stalled ones, and no full-mode start reaches the
-    # absolute gradient tolerance
+    # start of each mode ties stalled ones, and whether any full-mode start
+    # reaches the absolute gradient tolerance turns on the rounding of a step
     "large-counts": ((10_000_000, 800_000_000, 300_000_000),
                      (50_000_000, 200_000_000, 300_000_000)),
     "tiny": ((2, 3, 4), (1, 2, 3)),
     "x11A-zero": ((0, 10, 10), (5, 5, 5)),
 }
 STUDY2_VALUES = (0.01, 0.15, 0.35)
-# scenario 2 at p1A = 0.05, seed 11: only the four 1.2 x0-anchor starts reach
-# the full-mode maximum, on the N_B and p2B bounds
+# scenario 2 at p1A = 0.05, seed 11: only three to five of the 12 starts
+# reach the full-mode maximum, on the N_B and p2B bounds
 MULTI_MAXIMUM_REPLICATES = (1, 2, 3, 4, 5, 6, 8, 9)
 MODES = ("reduced", "full")
 STARTS = (1, 12, 15)
@@ -151,6 +156,35 @@ def _relative(a, b) -> float:
     return abs(x - y) / scale if math.isfinite(scale) and scale > 0.0 else math.inf
 
 
+def _outcome(record) -> str | None:
+    """What a digest record holds: its error's type, "fit", or None for a
+    record that is no fit (a command of ``report_digest``)."""
+    if "per_start" not in record:
+        return None
+    return record.get("error", "fit")
+
+
+def gates(before: dict, after: dict) -> tuple[int, int, Counter]:
+    """Over the fits present in both digests: how many winners' log-
+    likelihoods fell by more than the tie band, how many active sets
+    changed, and each change of outcome kind (``_outcome``) with its count,
+    keyed "BEFORE -> AFTER"."""
+    lower = active = 0
+    kinds: Counter = Counter()
+    for key in sorted(set(before) & set(after)):
+        old, new = before[key], after[key]
+        was, now = _outcome(old), _outcome(new)
+        if was is None or now is None:
+            continue
+        if was != now:
+            kinds[f"{was} -> {now}"] += 1
+        elif was == "fit":
+            a, b = float.fromhex(old["log_likelihood"]), float.fromhex(new["log_likelihood"])
+            lower += b < a - _tie_band(a, b)
+            active += old["active_constraints"] != new["active_constraints"]
+    return lower, active, kinds
+
+
 def compare(before: dict, after: dict, out=sys.stdout) -> int:
     """Print each differing field and the worst relative change per field
     (start indices pooled); return the number of differences, a record (a
@@ -176,6 +210,13 @@ def compare(before: dict, after: dict, out=sys.stdout) -> int:
     print("worst relative change per field:", file=out)
     for field in sorted(worst):
         print(f"  {field}: {worst[field]:.3g}", file=out)
+    if any(_outcome(record) is not None for record in (*before.values(), *after.values())):
+        lower, active, kinds = gates(before, after)
+        print(f"winners lower beyond the tie band: {lower}", file=out)
+        print(f"changed active sets: {active}", file=out)
+        print(f"changed error types: {sum(kinds.values())}", file=out)
+        for kind in sorted(kinds):
+            print(f"  {kind}: {kinds[kind]}", file=out)
     return differences
 
 
