@@ -143,9 +143,10 @@ def _hessian_ses(fits) -> list:
     """``se_from_hessian`` of many fits, each given by what the studies keep
     of it: a (params, active, data) triple, ``active`` the names of its
     parameters on an active bound. One pass: one factor table over every
-    fit's point, each point checked for evaluability (``model._check``),
-    then per set of free parameters one stacked Cholesky test and one
-    stacked inverse. Returns, per fit, its HessianSE or the package error
+    fit's point, screened for evaluability in one pass
+    (``model._unevaluable``; ``model._check`` gives a flagged point its
+    error), then per set of free parameters one stacked Cholesky test and
+    one stacked inverse. Returns, per fit, its HessianSE or the package error
     ``se_from_hessian`` raises; a fit's result does not depend on the other
     fits."""
     if not fits:
@@ -153,15 +154,18 @@ def _hessian_ses(fits) -> list:
     theta = np.array([params.as_tuple() for params, _, _ in fits]).T
     counts = np.array([model._counts(data) for _, _, data in fits]).T
     values, weights = model._values(theta, counts)
-    hess = model._square(model._hess(values, weights))
+    with np.errstate(**model._QUIET):
+        hess = model._square(model._hess(values, weights))
+    flagged = model._unevaluable(values, counts).tolist()
     outcomes: list = [None] * len(fits)
     groups: dict[tuple[int, ...], list[int]] = {}
     for k, (_, active, _) in enumerate(fits):
-        try:
-            model._check(values[:, k:k + 1], counts[:, k:k + 1])
-        except DualdepError as exc:
-            outcomes[k] = exc.with_traceback(None)
-            continue
+        if flagged[k]:
+            try:
+                model._check(values[:, k:k + 1], counts[:, k:k + 1])
+            except DualdepError as exc:
+                outcomes[k] = exc.with_traceback(None)
+                continue
         free = tuple(i for i, name in enumerate(PARAM_NAMES) if name not in active)
         if free:
             groups.setdefault(free, []).append(k)

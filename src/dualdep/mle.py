@@ -369,13 +369,14 @@ def _active(value, lo, hi):
     return (value - lo <= tol) | (hi - value <= tol)
 
 
-# The solver works on batches. Arrays of shape (P, K) hold one start per
-# column in solver coordinates u (P = 4 in reduced mode, 6 in full mode),
-# next to the constants of the start's table: counts (8, K), box, and the
-# ``scale`` (6, K) of the mode's map from u to the six parameters,
-# theta[i] = scale[i] * u[sel[i]] (``_COORDINATES``). Every operation acts
-# on each column alone, so a start's result does not depend on which other
-# starts share its batch, and a start that stops can leave the arrays.
+# The solver works on batches, one start per column, in solver coordinates
+# u (P = 4 coordinates in reduced mode, 6 in full mode). A start's table
+# gives it constants: counts (8, K), box, and the ``scale`` (6, K) of the
+# mode's map from u to the six parameters, theta[i] = scale[i] * u[sel[i]]
+# (``_COORDINATES``). Every operation acts on each column alone, so a
+# start's result does not depend on which other starts share its batch or
+# on where its column sits, and a start that stops can leave the columns
+# that are still computed.
 
 
 class _Chain(NamedTuple):
@@ -385,9 +386,12 @@ class _Chain(NamedTuple):
     scale[i] scale[j] H[i, j] over the parameter pairs with sel[i] = c and
     sel[j] = d, each read from its upper-triangle entry of ``model._hess``,
     so an off-diagonal entry whose parameters share a coordinate counts
-    twice, once for its mirror."""
+    twice, once for its mirror. Where ``sel`` is the identity (full mode)
+    every sum has one term, in the model's own order, so the map is the
+    scaling alone."""
 
     sel: np.ndarray
+    identity: bool
     grad_params: np.ndarray  # the parameter of each gradient term
     grad_layout: tuple
     grad_order: np.ndarray  # the summed row of each coordinate
@@ -409,43 +413,62 @@ def _chain(sel: tuple[int, ...]) -> _Chain:
     ])
     square = [layout[0].index(min(c, d) * size + max(c, d))
               for c in range(size) for d in range(size)]
-    return _Chain(np.array(sel), grad_params, grad_layout, np.argsort(grad_layout[0]),
-                  entries, rows, cols, layout, np.array(square))
+    return _Chain(np.array(sel), sel == tuple(range(6)), grad_params, grad_layout,
+                  np.argsort(grad_layout[0]), entries, rows, cols, layout, np.array(square))
 
 
 def _expand(u, scale, sel):
     """theta (6, K) from solver coordinates."""
-    return scale * u[_chain(tuple(sel)).sel]
-
-
-def _gradient(values, weights, scale, sel) -> np.ndarray:
-    """Log-likelihood gradient in solver coordinates, shape (P, K), from the
-    factor table (``model._values``) of the points."""
     chain = _chain(tuple(sel))
-    terms = (scale * model._grad(values, weights))[chain.grad_params]
-    return model._segment_sum(terms, chain.grad_layout)[chain.grad_order]
+    return scale * u if chain.identity else scale * u[chain.sel]
 
 
-def _hessian(values, weights, scale, sel) -> np.ndarray:
+def _gradient(values, weights, scale, sel, z=None, out=None) -> np.ndarray:
+    """Log-likelihood gradient in solver coordinates, shape (P, K), from the
+    factor table (``model._values``) of the points and, if given, its
+    ``model._quotients`` ``z``; written into ``out`` if given."""
+    chain = _chain(tuple(sel))
+    grad = model._grad(values, weights, z)
+    if chain.identity:
+        return np.multiply(scale, grad, out=out)
+    terms = (scale * grad)[chain.grad_params]
+    return np.take(model._segment_sum(terms, chain.grad_layout), chain.grad_order, axis=0,
+                   out=out)
+
+
+def _hessian(values, weights, scale, sel, ratios=None) -> np.ndarray:
     """Log-likelihood Hessian in solver coordinates, shape (K, P, P), from
-    the factor table of the points: the upper triangle summed once through
+    the factor table of the points (and its w_f / phi_f ``ratios``, if
+    given; ``model._hess``): the upper triangle summed once through
     ``_Chain`` and mirrored."""
     chain = _chain(tuple(sel))
-    hess = model._hess(values, weights)
-    terms = hess[chain.entries] * scale[chain.rows] * scale[chain.cols]
-    upper = model._segment_sum(terms, chain.layout)
+    hess = model._hess(values, weights, ratios)
+    if chain.identity:
+        upper = hess * scale[model._ROWS]
+        upper *= scale[model._COLS]
+    else:
+        terms = hess[chain.entries] * scale[chain.rows] * scale[chain.cols]
+        upper = model._segment_sum(terms, chain.layout)
     size = sel[-1] + 1
     return upper[chain.square].reshape(size, size, -1).transpose(2, 0, 1)
 
 
-def _projected_gradient(u, grad, lo, hi):
+def _projected_gradient(u, grad, lo, hi, band=None, out=None):
     """Which coordinates are free, and per column the largest free gradient
     entry (NaN if any entry is NaN). A coordinate within the activity band
     of a bound with the gradient pointing out of the box is blocked: it
-    belongs on the bound."""
-    band = _ACTIVITY_TOL * (hi - lo)
-    free = ~(((u - lo <= band) & (grad < 0.0)) | ((hi - u <= band) & (grad > 0.0)))
-    return free, np.where(free, np.abs(grad), 0.0).max(axis=0)
+    belongs on the bound. ``band`` is the activity band of each coordinate,
+    ``_ACTIVITY_TOL`` of its box's width, if the caller holds it. With
+    ``out``, a (down, up, free, pg) tuple of arrays, the rooms u - lo and
+    hi - u, the free coordinates and the projected gradient are written
+    there."""
+    if band is None:
+        band = _ACTIVITY_TOL * (hi - lo)
+    down, up, free, pg = (None,) * 4 if out is None else out
+    down, up = np.subtract(u, lo, out=down), np.subtract(hi, u, out=up)
+    free = np.logical_not(((down <= band) & (grad < 0.0)) | ((up <= band) & (grad > 0.0)),
+                          out=free)
+    return free, np.where(free, np.abs(grad), 0.0).max(axis=0, out=pg)
 
 
 def _newton_step(hess, grad):
@@ -492,27 +515,35 @@ _TO_BOUNDARY = 0.99
 _BOUNDARY_BAND = 1e-3
 
 
-def _to_boundary(u, step, lo, hi, first):
+def _to_boundary(step, down, up, edge, first):
     """``step`` with each column scaled as a whole so that no probability
     coordinate (rows ``first`` on) covers more than ``_TO_BOUNDARY`` of its
-    room to the bound it heads for. A coordinate in the ``_BOUNDARY_BAND``
-    of that bound is exempt, so the clip of the trial point lands it
-    exactly on the bound. A column the rule does not bind keeps its bits.
-    Without the rule, a clipped step puts a probability on its trim, from
-    where it can only double its distance per step."""
-    s, x, lo, hi = step[first:], u[first:], lo[first:], hi[first:]
-    # the cheap test first: where the rule binds, twice the step covers
-    # 1.98 times the room, so it reaches the bound whatever the rounding
-    reach = x + 2.0 * s
-    if not ((reach >= hi) | (reach <= lo)).any():
-        return step
-    room, size = np.where(s > 0.0, hi - x, x - lo), np.abs(s)
-    binds = (size > _TO_BOUNDARY * room) & (room > _BOUNDARY_BAND * (hi - lo))
+    room to the bound it heads for: ``down`` (u - lo) or ``up`` (hi - u),
+    the rooms the evaluation of the start's point left. A coordinate whose
+    room is at most ``edge`` (``_BOUNDARY_BAND`` of its box's width) is
+    exempt, so the clip of the trial point lands it exactly on the bound.
+    A column the rule does not bind keeps its bits; where no column binds,
+    ``step`` itself is returned. Without the rule, a clipped step puts a
+    probability on its trim, from where it can only double its distance
+    per step."""
+    s, down, up, edge = step[first:], down[first:], up[first:], edge[first:]
+    room, size = np.where(s > 0.0, up, down), np.abs(s)
+    binds = (size > _TO_BOUNDARY * room) & (room > edge)
     if not binds.any():
         return step
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(**model._QUIET):
         share = np.where(binds, _TO_BOUNDARY * (room / size), 1.0).min(axis=0)
         return step * share
+
+
+def _may_bind(step, down, up, first):
+    """Whether ``_to_boundary`` may scale any column of ``step``, from the
+    rooms ``down`` and ``up`` alone: where the rule binds, a probability
+    coordinate's doubled step covers 1.98 times its room, so it exceeds the
+    room whatever the rounding. A coordinate that does not move, as one
+    held on its bound, never passes."""
+    twice = step[first:] + step[first:]
+    return bool(((twice > up[first:]) | (-twice > down[first:])).any())
 
 
 def _direction(run):
@@ -521,23 +552,30 @@ def _direction(run):
     the probability bounds it would cross (``_to_boundary``). Returns (step,
     singular, broken): the steps, shape (P, K); which Newton systems were
     singular; and which other steps are not finite. The Hessian comes from
-    the factor table each start carries."""
+    the factor table each start carries.
+
+    The rule reads the rooms to the box that each start's evaluation left
+    (``_projected_gradient``), and runs only where ``_may_bind``."""
     u, free = run["u"], run["free"]
     size = u.shape[0]
-    grad = np.where(free, run["grad"], 0.0)
-    # blocked coordinates get an identity row and column and a zero
-    # gradient entry, so their step is zero
-    hess = _hessian(run["values"], run["weights"], run["scale"], run["sel"])
-    if not free.all():
+    every = free.all()
+    grad = run["grad"] if every else np.where(free, run["grad"], 0.0)
+    with np.errstate(**model._QUIET):
+        hess = _hessian(run["values"], run["weights"], run["scale"], run["sel"], run["ratios"])
+    if not every:
+        # blocked coordinates get an identity row and column and a zero
+        # gradient entry, so their step is zero
         np.copyto(hess, np.eye(size), where=~(free.T[:, :, None] & free.T[:, None, :]))
     step, singular = _newton_step(hess, grad.T)
     step = step.T
     descend = ~((grad * step).sum(axis=0) > 0.0) & ~singular
     if descend.any():
         step[:, descend] = _ascent_step(hess[descend], grad.T[descend]).T
-    step = np.where(free, step, 0.0)
+    step = step.copy() if every else np.where(free, step, 0.0)  # C order, as u
     broken = ~np.isfinite(step).all(axis=0) & ~singular
-    step = _to_boundary(u, step, run["lo"], run["hi"], run["sel"][2])
+    first = run["sel"][2]
+    if _may_bind(step, run["down"], run["up"], first):
+        step = _to_boundary(step, run["down"], run["up"], run["edge"], first)
     # where the curvature is extreme the step can be smaller than the
     # spacing of floats and round away; move such coordinates one ulp
     tiny = (step != 0.0) & (u + step == u)
@@ -546,25 +584,94 @@ def _direction(run):
     return step, singular, broken
 
 
-# The per-start entries of the solver state: the columns a start that stops
-# takes with it. ``start`` is the column's index in the solve's input;
-# ``values`` and ``weights`` are the factor table at ``u``.
-_COLUMNS = ("start", "u", "ll", "grad", "free", "pg", "values", "weights", "it", "counts",
-            "scale", "lo", "hi")
-# The state a start leaves behind: the solve's outputs.
-_FINAL = ("u", "ll", "pg", "it")
+# The solver state of a batch is one C-contiguous float64 array (R, n) for
+# the n starts still moving, one start per column, named by row blocks
+# (``_rows``): first the state a step moves -- the point u, its
+# log-likelihood and projected gradient, its gradient, the rooms u - lo and
+# hi - u to its box, its factor table (``values``, ``weights``) and the
+# table's w_f / phi_f (``ratios``) -- then the logs of the values, which
+# the evaluation of a point uses and no step moves, and the constants of
+# the start's table: ``counts``, ``scale``, the trimmed box ``lo``, ``hi``,
+# and each coordinate's activity ``band`` and boundary ``edge``. Next to it
+# sit ``start`` (each column's index in the solve's input), ``it`` (its
+# iterations) and ``free``. The memory is allocated once per solve
+# (``_initial_state``): two state buffers, between which a compaction
+# gathers the moving columns, and a trial buffer, into which trial points
+# are evaluated with the same layout. Every entry is a contiguous block of
+# its array, as a freshly allocated array would be: not every numpy loop
+# over strided views is exact (numpy 2.4 on an AVX-512 x86-64 machine:
+# ``np.negative`` from a 64-byte input stride into a strided output reads
+# the wrong elements, and ``np.isfinite`` into a strided boolean output
+# writes wrong values).
+_MOVED = ("u", "ll", "pg", "grad", "down", "up", "values", "weights", "ratios")
+_CONSTANT = ("counts", "scale", "lo", "hi", "band", "edge")
+
+
+@functools.cache
+def _rows(size: int) -> dict:
+    """The row block of each state entry for ``size`` solver coordinates (a
+    slice, or a row index for a scalar per start), and the blocks ``moved``
+    and ``constant`` that hold the entries of ``_MOVED`` and ``_CONSTANT``,
+    ``final``, that of the solve's outputs u, ll and pg, and ``z``, that of
+    ``model._quotients`` (``ratios`` and ``logs``)."""
+    heights = {"u": size, "ll": 0, "pg": 0, "grad": size, "down": size, "up": size,
+               "values": 16, "weights": 16, "ratios": 11, "logs": 16, "counts": 8, "scale": 6,
+               "lo": size, "hi": size, "band": size, "edge": size}
+    rows, at = {}, 0
+    for name in _MOVED + ("logs",) + _CONSTANT:
+        rows[name] = slice(at, at + heights[name]) if heights[name] else at
+        at += max(heights[name], 1)
+    rows["moved"] = slice(0, rows["logs"].start)
+    rows["constant"] = slice(rows["counts"].start, at)
+    rows["final"] = slice(0, size + 2)
+    rows["z"] = slice(rows["ratios"].start, rows["logs"].stop)
+    return rows
+
+
+def _views(state, free) -> dict:
+    """A state array and its free mask, and each of its entries, by name."""
+    rows = _rows(free.shape[0])
+    views = {name: state[rows[name]] for name in _MOVED + _CONSTANT + ("z",)}
+    views.update(state=state, free=free)
+    return views
+
+
+def _evaluate(out, const, sel):
+    """Fill the state ``out`` (``_views``) at the solver points in its
+    ``u``: the factor table, log-likelihood, gradient, rooms, free
+    coordinates and projected gradient, reading the table's constants from
+    ``const``. The table is built once per point, here, and ``_direction``
+    builds the Hessian from it once the point is accepted."""
+    u, scale, counts = out["u"], const["scale"], const["counts"]
+    with np.errstate(**model._QUIET):
+        values, weights = model._values(_expand(u, scale, sel), counts,
+                                        out=(out["values"], out["weights"]))
+        z = model._quotients(values, weights, out=out["z"])
+        model._ll(values, weights, counts, z[11:], out=out["ll"])
+        grad = _gradient(values, weights, scale, sel, z, out=out["grad"])
+    _projected_gradient(u, grad, const["lo"], const["hi"], const["band"],
+                        (out["down"], out["up"], out["free"], out["pg"]))
 
 
 def _initial_state(u0, table, counts, scale, sel, lo_t, hi_t):
     """The solver state of the starts ``u0`` (``_solve_start``'s arguments),
     each clipped into its box and evaluated, one column per start."""
     table = np.asarray(table)
-    run = {"start": np.arange(table.size), "it": np.zeros(table.size, dtype=int),
-           "counts": counts[:, table], "scale": scale[:, table], "sel": sel,
-           "lo": lo_t[:, table], "hi": hi_t[:, table]}
-    u = np.clip(u0, run["lo"], run["hi"])
-    state = _evaluate(u, run["counts"], run["scale"], sel, run["lo"], run["hi"])
-    run.update(zip(_MOVED, (u, *state)))
+    size, width = u0.shape
+    rows = _rows(size)
+    height = rows["constant"].stop
+    # the two state buffers and the trial buffer
+    memory = np.empty((3, height * width))
+    state = memory[0].reshape(height, width)
+    for name, source in (("counts", counts), ("scale", scale), ("lo", lo_t), ("hi", hi_t)):
+        state[rows[name]] = source[:, table]
+    state[rows["band"]] = _ACTIVITY_TOL * (state[rows["hi"]] - state[rows["lo"]])
+    state[rows["edge"]] = _BOUNDARY_BAND * (state[rows["hi"]] - state[rows["lo"]])
+    run = _views(state, np.empty((size, width), dtype=bool))
+    run.update(sel=sel, start=np.arange(width), it=np.zeros(width, dtype=int), memory=memory,
+               side=0, trial_free=np.empty(size * width, dtype=bool), trials={})
+    np.minimum(np.maximum(u0, run["lo"], out=run["u"]), run["hi"], out=run["u"])
+    _evaluate(run, run, sel)
     return run
 
 
@@ -584,35 +691,44 @@ def _solve_start(u0, table, counts, scale, sel, lo_t, hi_t, max_iter, tol):
     stalls short of tight gradient tolerances. At most ``max_iter`` steps are
     taken. The starts iterate together: one Hessian evaluation and one
     stacked solve serve every start still moving. A start that converges or
-    stops writes its final state to the outputs and leaves the working
-    arrays, so every later evaluation covers the moving starts only. Each
-    point is evaluated once: every start carries the factor table of its
-    point (``_evaluate``), and the Hessian is built from it.
+    stops writes its final state to the outputs and leaves the state, whose
+    moving columns one gather packs into the other state buffer, so every
+    later evaluation covers the moving starts only. Each point is evaluated
+    once: every start carries the factor table of its point (``_evaluate``),
+    and the Hessian is built from it. The arguments are only read.
 
     Returns (u, log_likelihood, projected_gradient_norm, iterations,
     messages), one column of u and one entry of the others per start.
     """
     run = _initial_state(u0, table, counts, scale, sel, lo_t, hi_t)
-    width = run["start"].size
-    final = {name: run[name].copy() for name in _FINAL}
+    size, width = u0.shape
+    rows = _rows(size)
+    final, final_it = np.empty((size + 2, width)), np.empty(width, dtype=int)
     messages = [""] * width
 
     def stop(*reasons):
         """Stop the starts that a (mask, message) pair names, the first pair
-        naming a start giving its message: write their final state and drop
-        their columns. Returns which columns stay."""
-        done = np.logical_or.reduce([mask for mask, _ in reasons])
+        naming a start giving its message: write their final state and
+        gather the other columns into the other state buffer. Returns None
+        if none stops, else the column each moving start held before."""
+        done = reasons[0][0]
+        for mask, _ in reasons[1:]:
+            done = done | mask
         if not done.any():
-            return ~done
+            return None
         for mask, message in reversed(reasons):
             for row in run["start"][mask].tolist():
                 messages[row] = message
-        rows = run["start"][done]
-        for name in _FINAL:
-            final[name][..., rows] = run[name][..., done]
-        for name in _COLUMNS:
-            run[name] = run[name][..., ~done]
-        return ~done
+        out = run["start"][done]
+        final[:, out] = run["state"][rows["final"], done]
+        final_it[out] = run["it"][done]
+        (keep,) = np.nonzero(~done)
+        side, height = 1 - run["side"], len(run["state"])
+        state = run["memory"][side, :height * keep.size].reshape(height, keep.size)
+        np.take(run["state"], keep, axis=1, out=state)
+        run.update(_views(state, run["free"][:, keep]), side=side, start=run["start"][keep],
+                   it=run["it"][keep])
+        return keep
 
     accepted = np.ones(width, dtype=bool)
     while True:
@@ -622,9 +738,9 @@ def _solve_start(u0, table, counts, scale, sel, lo_t, hi_t, max_iter, tol):
             break
         step, singular, broken = _direction(run)
         kept = stop((singular, "singular Newton system"), (broken, "non-finite Newton step"))
-        accepted = _line_search(run, step[:, kept], width)
+        accepted = _line_search(run, step if kept is None else step[:, kept], width)
 
-    return final["u"], final["ll"], final["pg"], final["it"], messages
+    return final[:size], final[size], final[size + 1], final_it, messages
 
 
 # The step lengths a line search tries, in order: repeated halving from 1
@@ -632,30 +748,28 @@ def _solve_start(u0, table, counts, scale, sel, lo_t, hi_t, max_iter, tol):
 _LENGTHS = np.ldexp(1.0, -np.arange(47))
 
 
-def _evaluate(u, counts, scale, sel, lo, hi):
-    """The log-likelihood, gradient, free coordinates, projected gradient
-    and factor table (values, weights) at solver points u: the ``_MOVED``
-    state but u. The table is built once per point, here, and
-    ``_direction`` builds the Hessian from it once the point is accepted."""
-    values, weights = model._values(_expand(u, scale, sel), counts)
-    ll = model._ll(values, weights, counts)
-    grad = _gradient(values, weights, scale, sel)
-    return (ll, grad, *_projected_gradient(u, grad, lo, hi), values, weights)
-
-
-# The state an accepted step moves.
-_MOVED = ("u", "ll", "grad", "free", "pg", "values", "weights")
-
-
-def _trial(run, points, cols):
-    """The ``_MOVED`` state at ``points`` clipped into the box, point j
-    belonging to the start in column ``cols[j]``, and which points pass: the
-    projected gradient shrinks or the log-likelihood rises."""
-    lo, hi, counts, scale = (run[name][:, cols] for name in ("lo", "hi", "counts", "scale"))
-    u = np.clip(points, lo, hi)
-    ll, grad, free, pg, values, weights = _evaluate(u, counts, scale, run["sel"], lo, hi)
-    passed = (pg < run["pg"][cols]) | (ll > run["ll"][cols])
-    return (u, ll, grad, free, pg, values, weights), passed
+def _trial(run, points, cols=None):
+    """Evaluate ``points`` (P, m), clipped into the box, into the trial
+    buffer, point j belonging to the start in column ``cols[j]`` (column j
+    where ``cols`` is None). Returns the trial state (``_views``) and which
+    points pass: the projected gradient shrinks or the log-likelihood
+    rises."""
+    size, m = points.shape
+    trials = run["trials"]
+    if m not in trials:
+        height = len(run["state"])
+        trials[m] = _views(run["memory"][2, :height * m].reshape(height, m),
+                           run["trial_free"][:size * m].reshape(size, m))
+    out = trials[m]
+    if cols is None:
+        const, ll, pg = run, run["ll"], run["pg"]
+    else:
+        rows = _rows(size)["constant"]
+        np.take(run["state"][rows], cols, axis=1, out=out["state"][rows])
+        const, ll, pg = out, run["ll"][cols], run["pg"][cols]
+    np.minimum(np.maximum(points, const["lo"], out=out["u"]), const["hi"], out=out["u"])
+    _evaluate(out, const, run["sel"])
+    return out, (out["pg"] < pg) | (out["ll"] > ll)
 
 
 def _line_search(run, step, width):
@@ -668,26 +782,31 @@ def _line_search(run, step, width):
     one length at a time would. The full-length trial of every start is one
     evaluation. After it, each evaluation tries, for every start still
     searching, its next lengths at once, one column per length, as many as
-    keep the evaluation within ``width`` columns."""
+    keep the evaluation within ``width`` columns. An accepted trial's
+    state moves into the start's column with one copy."""
     u = run["u"]
-    new, accepted = _trial(run, u + step, slice(None))
+    moved = _rows(len(u))["moved"]
+    state, free = run["state"][moved], run["free"]
+    trial, accepted = _trial(run, u + step)
     if accepted.all():
-        run.update(zip(_MOVED, new))
-    else:
-        for name, value in zip(_MOVED, new):
-            np.copyto(run[name], value, where=accepted)
-    searching, k = np.flatnonzero(~accepted), 1
+        state[...] = trial["state"][moved]
+        free[...] = trial["free"]
+        run["it"] += 1
+        return accepted
+    np.copyto(state, trial["state"][moved], where=accepted)
+    np.copyto(free, trial["free"], where=accepted)
+    (searching,), k = np.nonzero(~accepted), 1
     while searching.size and k < _LENGTHS.size:
         per = min(width // searching.size, _LENGTHS.size - k)
         points = u[:, searching, None] + _LENGTHS[k:k + per] * step[:, searching, None]
-        new, ok = _trial(run, points.reshape(len(u), -1), np.repeat(searching, per))
+        trial, ok = _trial(run, points.reshape(len(u), -1), np.repeat(searching, per))
         ok = ok.reshape(-1, per)
         found = ok.any(axis=1)
-        first = np.flatnonzero(found) * per + ok.argmax(axis=1)[found]
-        moved = searching[found]
-        for name, value in zip(_MOVED, new):
-            run[name][..., moved] = value[..., first]
-        accepted[moved] = True
+        first = np.nonzero(found)[0] * per + ok.argmax(axis=1)[found]
+        to = searching[found]
+        state[:, to] = trial["state"][moved, first]
+        free[:, to] = trial["free"][:, first]
+        accepted[to] = True
         searching, k = searching[~found], k + per
     run["it"] += accepted
     return accepted

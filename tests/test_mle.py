@@ -706,7 +706,7 @@ def test_a_step_that_would_cross_from_far_is_scaled_to_the_tightest_room(q1):
     step = np.array([[500.0, -200.0, 0.1, 1.0, -0.6, 0.05]]).T
     room = np.array([hi[3] - 0.5, 0.4 - lo[4]])
     share = min(0.99 * (room / np.array([1.0, 0.6])))
-    got = mle._to_boundary(run["u"], step.copy(), run["lo"], run["hi"], 2)
+    got = mle._to_boundary(step.copy(), run["down"], run["up"], run["edge"], 2)
     assert got.tobytes() == (step * share).tobytes()
     assert got[3, 0] == 0.99 * room[0]  # p1 covers 0.99 of its room
     new = run["u"] + got
@@ -721,13 +721,14 @@ def test_a_coordinate_in_the_band_is_clipped_onto_its_bound(q1):
     alpha = lo[2] + 1e-4 * (hi[2] - lo[2])
     run, lo, hi = one_start_run(q1, "full", [15000.0, 9000.0, alpha, 0.5, 0.4, 0.6])
     step = np.array([[0.0, 0.0, -0.5, 1.0, 0.0, 0.0]]).T
-    got = mle._to_boundary(run["u"], step.copy(), run["lo"], run["hi"], 2)
+    got = mle._to_boundary(step.copy(), run["down"], run["up"], run["edge"], 2)
     assert 0.0 < got[3, 0] < step[3, 0] and got[2, 0] < -(alpha - lo[2])
-    (u, *_), _ = mle._trial(run, run["u"] + got, slice(None))
+    trial, _ = mle._trial(run, run["u"] + got)
+    u = trial["u"]
     assert u[2, 0] == lo[2]
     # alone in the band, alpha's step is not scaled at all
     alone = np.array([[0.0, 0.0, -0.5, 0.0, 0.0, 0.0]]).T
-    assert mle._to_boundary(run["u"], alone, run["lo"], run["hi"], 2) is alone
+    assert mle._to_boundary(alone, run["down"], run["up"], run["edge"], 2) is alone
 
 
 @pytest.mark.parametrize("mode", ["reduced", "full"])
@@ -741,7 +742,34 @@ def test_a_step_the_rule_does_not_bind_keeps_its_bits(q1, mode):
         room = np.where(rng.random(len(u)) < 0.5, hi - run["u"][:, 0], lo - run["u"][:, 0])
         step = (0.98 * rng.random(len(u)) * room)[:, None]
         step[:first] = rng.normal(0.0, 1e3, (first, 1))
-        assert mle._to_boundary(run["u"], step, run["lo"], run["hi"], first) is step
+        assert mle._to_boundary(step, run["down"], run["up"], run["edge"], first) is step
+
+
+# a step's share of its room, densest where the rule's 0.99 divides them
+step_shares = st.one_of(st.floats(0.0, 3.0), st.sampled_from([0.0, 0.5, 0.98, 1.0, 2.0]),
+                        st.integers(-4, 4).map(lambda ulps: 0.99 + ulps * 2.0**-53))
+
+
+@settings(max_examples=60, deadline=None)
+@given(mode=st.sampled_from(["reduced", "full"]), data=st.data())
+def test_the_rule_runs_wherever_it_may_bind(mode, data):
+    # ``_direction`` calls ``_to_boundary`` only where ``_may_bind``: so
+    # wherever the rule scales a step, ``_may_bind`` holds. The probability
+    # coordinates sit anywhere in their boxes, bounds included, and step
+    # any share of their room either way
+    first = 1 if mode == "reduced" else 2
+    u = [9000.0, 0.3, 0.5, 0.6] if mode == "reduced" else [15000.0, 9000.0, 0.3, 0.5, 0.4, 0.6]
+    _, lo, hi = one_start_run(make_survey("Q1"), mode, u)
+    where = data.draw(st.lists(st.floats(0.0, 1.0), min_size=len(u) - first,
+                               max_size=len(u) - first))
+    u[first:] = [low + (high - low) * at for low, high, at in zip(lo[first:], hi[first:], where)]
+    run, lo, hi = one_start_run(make_survey("Q1"), mode, u)
+    step = np.zeros((len(u), 1))
+    for c in range(first, len(u)):
+        share, up = data.draw(step_shares), data.draw(st.booleans())
+        step[c, 0] = share * (hi[c] - run["u"][c, 0]) if up else -share * (run["u"][c, 0] - lo[c])
+    if mle._to_boundary(step, run["down"], run["up"], run["edge"], first) is not step:
+        assert mle._may_bind(step, run["down"], run["up"], first)
 
 
 def test_the_first_step_keeps_probabilities_off_their_trims():

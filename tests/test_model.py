@@ -280,9 +280,29 @@ def test_kernels_give_a_column_the_same_bits_alone_as_in_a_batch(columns):
     theta, counts = kernel_arguments(columns)
     kernels = (lambda table, counts: model._ll(*table, counts),
                lambda table, _: model._grad(*table), lambda table, _: model._hess(*table))
-    for kernel in kernels:
-        batch = kernel(model._values(theta, counts), counts)
-        for k in range(theta.shape[1]):
-            alone_counts = counts[:, k:k + 1].copy()
-            alone = kernel(model._values(theta[:, k:k + 1].copy(), alone_counts), alone_counts)
-            assert alone.tobytes() == batch[..., k:k + 1].copy().tobytes()
+    with np.errstate(**model._QUIET):  # as the kernels' callers run them
+        for kernel in kernels:
+            batch = kernel(model._values(theta, counts), counts)
+            for k in range(theta.shape[1]):
+                alone_counts = counts[:, k:k + 1].copy()
+                alone = kernel(model._values(theta[:, k:k + 1].copy(), alone_counts),
+                               alone_counts)
+                assert alone.tobytes() == batch[..., k:k + 1].copy().tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(columns=st.lists(column, min_size=1, max_size=12))
+def test_the_screen_flags_exactly_the_points_check_rejects(columns):
+    # ``_unevaluable`` screens a batch in one pass for the points whose
+    # one-point ``_check`` raises (boundaries and non-evaluable points
+    # included)
+    theta, counts = kernel_arguments(columns)
+    values, _ = model._values(theta, counts)
+    flags = model._unevaluable(values, counts)
+    for k in range(theta.shape[1]):
+        try:
+            model._check(values[:, k:k + 1], counts[:, k:k + 1])
+        except EvaluationError:
+            assert flags[k], k
+        else:
+            assert not flags[k], k

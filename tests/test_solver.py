@@ -104,12 +104,19 @@ def test_random_batches_solve_bit_identical_to_reference(tables, mode, n_starts,
 
 def assert_fresh_tables(run):
     """The factor table each column of the solver state ``run`` carries is
-    the bits of a fresh ``model._values`` at that column's point alone."""
+    the bits of a fresh ``model._values`` at that column's point alone, and
+    so are the table's w_f / phi_f and the point's rooms to its box."""
     theta = mle._expand(run["u"], run["scale"], run["sel"])
     for k in range(theta.shape[1]):
         values, weights = model._values(theta[:, k:k + 1].copy(), run["counts"][:, k:k + 1].copy())
         assert run["values"][:, k:k + 1].tobytes() == values.tobytes(), k
         assert run["weights"][:, k:k + 1].tobytes() == weights.tobytes(), k
+        with np.errstate(**model._QUIET):
+            ratios = model._quotients(values, weights)[:11]
+        assert run["ratios"][:, k:k + 1].tobytes() == ratios.tobytes(), k
+        u, lo, hi = (run[name][:, k:k + 1].copy() for name in ("u", "lo", "hi"))
+        assert run["down"][:, k:k + 1].tobytes() == (u - lo).tobytes(), k
+        assert run["up"][:, k:k + 1].tobytes() == (hi - u).tobytes(), k
 
 
 @settings(max_examples=25, deadline=None)
@@ -135,3 +142,77 @@ def test_the_solver_carries_the_factor_table_of_each_point(tables, mode, n_start
     accepted = mle._line_search(run, np.where(np.isfinite(step), step, 0.0), table.size)
     assume(accepted.any())
     assert_fresh_tables(run)
+
+
+def mixed_stops_args():
+    """The arguments of the mixed-stops batch: one full-mode batch of Q1,
+    its first start on the maximum; the large-count table, its first start
+    where a start of it stalled; and Q1 with alpha's scale 0."""
+    q1 = make_survey("Q1")
+    options = FitOptions(mode="full")
+    u, _, _, _, messages = mle._solve_start(*solver_inputs([LARGE_COUNTS], options))
+    args = solver_inputs([q1, LARGE_COUNTS, q1], options)
+    args[3][2, 2] = 0.0
+    args[0][:, 0] = fit(q1, options).params.as_tuple()
+    args[0][:, 12] = u[:, messages.index("no acceptable step")]
+    return args
+
+
+def assert_reads_only(args):
+    """``mle._solve_start`` leaves every array argument's bytes as they were:
+    ``mle._fits`` reads ``scale`` after the solve."""
+    before = [a.tobytes() if isinstance(a, np.ndarray) else a for a in args]
+    mle._solve_start(*args)
+    assert [a.tobytes() if isinstance(a, np.ndarray) else a for a in args] == before
+
+
+def test_the_solve_writes_into_none_of_its_arguments():
+    args = mixed_stops_args()
+    args[0][3, 1] = 1.5  # p1 above its box, so the solve clips the start
+    assert_reads_only(args)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    tables=st.lists(st.builds(SurveyData, stratum_counts, stratum_counts), min_size=1, max_size=4),
+    mode=st.sampled_from(["reduced", "full"]),
+    n_starts=st.integers(1, 15),
+    data=st.data(),
+)
+def test_the_solve_writes_into_none_of_its_arguments_on_random_batches(tables, mode, n_starts,
+                                                                        data):
+    # some coordinates of the starts moved out of the trimmed box
+    args = solver_inputs(tables, FitOptions(mode=mode, n_starts=n_starts))
+    assume(args is not None)
+    u0, table, _, _, _, lo_t, hi_t = args[:7]
+    where = np.array(data.draw(st.lists(st.sampled_from((0, 1, 2)), min_size=u0.size,
+                                        max_size=u0.size))).reshape(u0.shape)
+    args[0] = np.select((where == 1, where == 2),
+                        (lo_t[:, table] - 1e-3, hi_t[:, table] + 1e-3), u0)
+    assert_reads_only(args)
+
+
+def test_columns_that_stop_in_reverse_order_keep_their_outcomes():
+    # column j starts at the point one Q1 start reaches after j steps, so it
+    # needs j steps fewer: the last column stops first, and so on back to
+    # column 2, which converges on the iteration cap that stops columns 0 and 1
+    args = solver_inputs([make_survey("Q1")], FitOptions(mode="full", n_starts=1))
+    total = int(mle._solve_start(*args)[3][0])
+    n = 6
+    path = [mle._solve_start(*args[:7], j, args[8])[0][:, 0] for j in range(n)]
+    args[0], args[1], args[7] = np.array(path).T, np.zeros(n, dtype=int), total - 2
+    _, _, _, it, messages = assert_same_solve(args)
+    assert it.tolist() == [total - 2] * 3 + [total - j for j in range(3, n)]
+    assert messages == ["iteration cap reached"] * 2 + ["converged"] * (n - 2)
+
+
+def test_every_column_but_the_first_stopping_at_once_keeps_its_outcome():
+    # columns 1-4 stop in the first iteration, each for its own reason, and
+    # column 0 climbs on alone
+    args = mixed_stops_args()
+    cols = [1, 0, 12, 24, 0]
+    args[0], args[1] = args[0][:, cols], args[1][cols]
+    _, _, _, it, messages = assert_same_solve(args)
+    assert messages == ["converged", "converged", "no acceptable step",
+                        "singular Newton system", "converged"]
+    assert it[0] > 1 and not it[1:].any()

@@ -5,6 +5,7 @@ test."""
 import copy
 import io
 import json
+import shutil
 import sys
 from pathlib import Path
 
@@ -13,6 +14,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 import fit_digest  # noqa: E402
 import paired_cpu  # noqa: E402
 import report_digest  # noqa: E402
+import dualdep  # noqa: E402
+from dualdep import mle, simulate  # noqa: E402
 from dualdep.exceptions import FitError  # noqa: E402
 from dualdep.mle import fit_many  # noqa: E402
 from dualdep.model import PARAM_NAMES  # noqa: E402
@@ -128,3 +131,21 @@ def test_paired_cpu_runs_the_studies_block():
     summary = paired_cpu.compare(root, root, "studies", rounds=1, out=out)
     assert summary["workload"] == "studies" and summary["rounds"] == 1
     assert summary["parent_cpu_s"] > 0.0 and summary["change_cpu_s"] > 0.0
+
+
+def test_paired_cpu_times_the_solver_alone_on_two_copies_of_one_tree(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    for name in ("a", "b"):
+        shutil.copytree(root / "src" / "dualdep", tmp_path / name / "src" / "dualdep",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    out = io.StringIO()
+    summary = paired_cpu.compare(tmp_path / "a", tmp_path / "b", "solve", rounds=1, out=out)
+    assert summary["workload"] == "solve" and summary["rounds"] == 1
+    assert summary["parent_cpu_s"] > 0.0 and summary["change_cpu_s"] > 0.0
+    assert not any(name.startswith("dualdep_") for name in sys.modules)
+    # each call fits draws that the certificate declines, in its mode
+    calls = paired_cpu.solve_inputs(dualdep, seed=7)
+    assert [options.mode for _, options in calls] == ["full", "reduced"]
+    for draws, options in calls:
+        assert len(draws) == paired_cpu.SOLVE_DRAWS
+        assert all(mle._moment_point(*simulate._triples(d), options.mode) is None for d in draws)

@@ -19,7 +19,12 @@ blocks are:
   that end on a bound and take the grid);
 - ``studies``: ``simulate study1 --replicates 100`` and ``simulate coverage
   --replicates 50``, both ``--threads 1``: study 1's draws, all certified,
-  and coverage's, with a Hessian SE each.
+  and coverage's, with a Hessian SE each;
+- ``solve``: the batched solver alone, ``mle._fits`` on study-2 draws that
+  the certificate declines: scenario 1's first 5 declined draws at
+  p1B = 0.01 in full mode, and at 0.35 in reduced mode, one call each,
+  drawn with the tree's own ``simulate`` from the round's seed before the
+  clock starts. A "command" is then one call.
 
 It prints each tree's CPU per command and the per-round ratio change/parent,
 each as its quartiles (``statistics.quantiles``, exclusive method) with the
@@ -31,6 +36,7 @@ parent's interquartile range.
     python tools/paired_cpu.py PARENT_TREE CHANGE_TREE --workload study2 --rounds 20
     python tools/paired_cpu.py PARENT_TREE CHANGE_TREE --workload solver-refits --rounds 40
     python tools/paired_cpu.py PARENT_TREE CHANGE_TREE --workload studies --rounds 20
+    python tools/paired_cpu.py PARENT_TREE CHANGE_TREE --workload solve --rounds 40
 
 A tree is the root of a checkout (the directory that holds ``src``). CPU is
 this process's ``time.process_time``: the commands run on one thread and
@@ -64,6 +70,10 @@ SOLVER_REFITS = {
     "mixed": (((200, 35, 3807), (105, 3326, 2527)), "full"),
 }
 STUDY2_POINTS = ("0.01", "0.15", "0.35")
+# the solve workload's calls: scenario 1's study-2 draws at p1B, declined by
+# the certificate in the fit mode, SOLVE_DRAWS per call
+SOLVE_POINTS = ((0.01, "full"), (0.35, "reduced"))
+SOLVE_DRAWS = 5
 SIDES = ("parent", "change")
 
 
@@ -86,11 +96,13 @@ def block(workload: str, seed: int, work: Path) -> list[list[str]]:
 
 
 def load(tree: Path, name: str, packages: Path):
-    """The ``cli`` module of ``tree``'s dualdep, copied to ``packages`` as
-    ``name``."""
+    """``tree``'s dualdep, copied to ``packages`` as ``name``, with its
+    ``cli``, ``mle`` and ``simulate`` modules imported."""
     shutil.copytree(tree / "src" / "dualdep", packages / name,
                     ignore=shutil.ignore_patterns("__pycache__"))
-    return importlib.import_module(f"{name}.cli")
+    for module in ("cli", "mle", "simulate"):
+        importlib.import_module(f"{name}.{module}")
+    return sys.modules[name]
 
 
 def run_block(cli, commands: list[list[str]], work: Path) -> float:
@@ -102,6 +114,39 @@ def run_block(cli, commands: list[list[str]], work: Path) -> float:
         if code != 0:
             raise SystemExit(f"{' '.join(argv)} exited with {code}")
     return time.process_time() - start
+
+
+def solve_inputs(package, seed: int) -> list:
+    """The ``solve`` workload's calls at ``seed``: per point of
+    ``SOLVE_POINTS``, the first ``SOLVE_DRAWS`` draws of study 2's scenario
+    1 that the certificate declines, drawn on the study's streams, and the
+    fit options."""
+    mle, simulate = package.mle, package.simulate
+    calls = []
+    for value, mode in SOLVE_POINTS:
+        config = simulate._scenario_config(1, value, replicates=1, seed=seed)
+        streams = simulate.Streams(config.seed)
+        draws, rep = [], 0
+        while len(draws) < SOLVE_DRAWS:
+            survey, _ = simulate._draw_survey(config, streams.at(rep))
+            rep += 1
+            if mle._moment_point(*simulate._triples(survey), mode) is None:
+                draws.append(survey)
+        calls.append((draws, mle.FitOptions(mode=mode)))
+    return calls
+
+
+def run_side(package, workload: str, seed: int, work: Path) -> float:
+    """CPU seconds per command of one block of ``workload`` at ``seed`` on
+    one tree's ``package``."""
+    if workload != "solve":
+        commands = block(workload, seed, work)
+        return run_block(package.cli, commands, work) / len(commands)
+    calls = solve_inputs(package, seed)
+    start = time.process_time()
+    for draws, options in calls:
+        package.mle._fits(draws, options)
+    return (time.process_time() - start) / len(calls)
 
 
 def compare(parent: Path, change: Path, workload: str, rounds: int, out=sys.stdout) -> dict:
@@ -116,15 +161,14 @@ def compare(parent: Path, change: Path, workload: str, rounds: int, out=sys.stdo
                 "stratum,x11,x10,x01\nA,%d,%d,%d\nB,%d,%d,%d\n" % (*a, *b), encoding="utf-8")
         sys.path.insert(0, str(packages))
         try:
-            clis = {side: load(tree, f"dualdep_{side}", packages)
-                    for side, tree in zip(SIDES, (parent, change))}
+            loaded = {side: load(tree, f"dualdep_{side}", packages)
+                      for side, tree in zip(SIDES, (parent, change))}
             for side in SIDES:  # warm up: imports, caches and the first allocations
-                run_block(clis[side], block(workload, 0, work), work)
+                run_side(loaded[side], workload, 0, work)
             cpu = {side: [] for side in SIDES}
             for r in range(rounds):
-                commands = block(workload, 1000 * (r + 1), work)
                 for side in (SIDES if r % 2 == 0 else SIDES[::-1]):
-                    cpu[side].append(run_block(clis[side], commands, work) / len(commands))
+                    cpu[side].append(run_side(loaded[side], workload, 1000 * (r + 1), work))
         finally:
             sys.path.remove(str(packages))
             for side in SIDES:
@@ -170,7 +214,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("parent", type=Path, help="root of the parent checkout")
     parser.add_argument("change", type=Path, help="root of the changed checkout")
-    parser.add_argument("--workload", choices=("estimate", "study2", "solver-refits", "studies"),
+    parser.add_argument("--workload",
+                        choices=("estimate", "study2", "solver-refits", "studies", "solve"),
                         default="estimate")
     parser.add_argument("--rounds", type=int, default=40)
     args = parser.parse_args(argv)
