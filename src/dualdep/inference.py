@@ -154,8 +154,7 @@ def _hessian_ses(fits) -> list:
     theta = np.array([params.as_tuple() for params, _, _ in fits]).T
     counts = np.array([model._counts(data) for _, _, data in fits]).T
     values, weights = model._values(theta, counts)
-    with np.errstate(**model._QUIET):
-        hess = model._square(model._hess(values, weights))
+    hess = model._square(model._hess(values, weights))
     flagged = model._unevaluable(values, counts).tolist()
     outcomes: list = [None] * len(fits)
     groups: dict[tuple[int, ...], list[int]] = {}

@@ -386,12 +386,9 @@ class _Chain(NamedTuple):
     scale[i] scale[j] H[i, j] over the parameter pairs with sel[i] = c and
     sel[j] = d, each read from its upper-triangle entry of ``model._hess``,
     so an off-diagonal entry whose parameters share a coordinate counts
-    twice, once for its mirror. Where ``sel`` is the identity (full mode)
-    every sum has one term, in the model's own order, so the map is the
-    scaling alone."""
+    twice, once for its mirror."""
 
     sel: np.ndarray
-    identity: bool
     grad_params: np.ndarray  # the parameter of each gradient term
     grad_layout: tuple
     grad_order: np.ndarray  # the summed row of each coordinate
@@ -413,57 +410,45 @@ def _chain(sel: tuple[int, ...]) -> _Chain:
     ])
     square = [layout[0].index(min(c, d) * size + max(c, d))
               for c in range(size) for d in range(size)]
-    return _Chain(np.array(sel), sel == tuple(range(6)), grad_params, grad_layout,
-                  np.argsort(grad_layout[0]), entries, rows, cols, layout, np.array(square))
+    return _Chain(np.array(sel), grad_params, grad_layout, np.argsort(grad_layout[0]),
+                  entries, rows, cols, layout, np.array(square))
 
 
 def _expand(u, scale, sel):
     """theta (6, K) from solver coordinates."""
-    chain = _chain(tuple(sel))
-    return scale * u if chain.identity else scale * u[chain.sel]
+    return scale * u[_chain(tuple(sel)).sel]
 
 
-def _gradient(values, weights, scale, sel, z=None, out=None) -> np.ndarray:
+def _gradient(values, weights, scale, sel, out=None) -> np.ndarray:
     """Log-likelihood gradient in solver coordinates, shape (P, K), from the
-    factor table (``model._values``) of the points and, if given, its
-    ``model._quotients`` ``z``; written into ``out`` if given."""
+    factor table (``model._values``) of the points, into ``out`` if
+    given."""
     chain = _chain(tuple(sel))
-    grad = model._grad(values, weights, z)
-    if chain.identity:
-        return np.multiply(scale, grad, out=out)
-    terms = (scale * grad)[chain.grad_params]
+    terms = (scale * model._grad(values, weights))[chain.grad_params]
     return np.take(model._segment_sum(terms, chain.grad_layout), chain.grad_order, axis=0,
                    out=out)
 
 
-def _hessian(values, weights, scale, sel, ratios=None) -> np.ndarray:
+def _hessian(values, weights, scale, sel) -> np.ndarray:
     """Log-likelihood Hessian in solver coordinates, shape (K, P, P), from
-    the factor table of the points (and its w_f / phi_f ``ratios``, if
-    given; ``model._hess``): the upper triangle summed once through
+    the factor table of the points: the upper triangle summed once through
     ``_Chain`` and mirrored."""
     chain = _chain(tuple(sel))
-    hess = model._hess(values, weights, ratios)
-    if chain.identity:
-        upper = hess * scale[model._ROWS]
-        upper *= scale[model._COLS]
-    else:
-        terms = hess[chain.entries] * scale[chain.rows] * scale[chain.cols]
-        upper = model._segment_sum(terms, chain.layout)
+    hess = model._hess(values, weights)
+    terms = hess[chain.entries] * scale[chain.rows] * scale[chain.cols]
+    upper = model._segment_sum(terms, chain.layout)
     size = sel[-1] + 1
     return upper[chain.square].reshape(size, size, -1).transpose(2, 0, 1)
 
 
-def _projected_gradient(u, grad, lo, hi, band=None, out=None):
+def _projected_gradient(u, grad, lo, hi, out=None):
     """Which coordinates are free, and per column the largest free gradient
     entry (NaN if any entry is NaN). A coordinate within the activity band
     of a bound with the gradient pointing out of the box is blocked: it
-    belongs on the bound. ``band`` is the activity band of each coordinate,
-    ``_ACTIVITY_TOL`` of its box's width, if the caller holds it. With
-    ``out``, a (down, up, free, pg) tuple of arrays, the rooms u - lo and
-    hi - u, the free coordinates and the projected gradient are written
-    there."""
-    if band is None:
-        band = _ACTIVITY_TOL * (hi - lo)
+    belongs on the bound. With ``out``, a (down, up, free, pg) tuple of
+    arrays, the rooms u - lo and hi - u, the free coordinates and the
+    projected gradient are written there."""
+    band = _ACTIVITY_TOL * (hi - lo)
     down, up, free, pg = (None,) * 4 if out is None else out
     down, up = np.subtract(u, lo, out=down), np.subtract(hi, u, out=up)
     free = np.logical_not(((down <= band) & (grad < 0.0)) | ((up <= band) & (grad > 0.0)),
@@ -531,19 +516,9 @@ def _to_boundary(step, down, up, edge, first):
     binds = (size > _TO_BOUNDARY * room) & (room > edge)
     if not binds.any():
         return step
-    with np.errstate(**model._QUIET):
+    with np.errstate(divide="ignore", invalid="ignore"):
         share = np.where(binds, _TO_BOUNDARY * (room / size), 1.0).min(axis=0)
         return step * share
-
-
-def _may_bind(step, down, up, first):
-    """Whether ``_to_boundary`` may scale any column of ``step``, from the
-    rooms ``down`` and ``up`` alone: where the rule binds, a probability
-    coordinate's doubled step covers 1.98 times its room, so it exceeds the
-    room whatever the rounding. A coordinate that does not move, as one
-    held on its bound, never passes."""
-    twice = step[first:] + step[first:]
-    return bool(((twice > up[first:]) | (-twice > down[first:])).any())
 
 
 def _direction(run):
@@ -552,16 +527,13 @@ def _direction(run):
     the probability bounds it would cross (``_to_boundary``). Returns (step,
     singular, broken): the steps, shape (P, K); which Newton systems were
     singular; and which other steps are not finite. The Hessian comes from
-    the factor table each start carries.
-
-    The rule reads the rooms to the box that each start's evaluation left
-    (``_projected_gradient``), and runs only where ``_may_bind``."""
+    the factor table each start carries. The rule reads the rooms to the
+    box that each start's evaluation left (``_projected_gradient``)."""
     u, free = run["u"], run["free"]
     size = u.shape[0]
     every = free.all()
     grad = run["grad"] if every else np.where(free, run["grad"], 0.0)
-    with np.errstate(**model._QUIET):
-        hess = _hessian(run["values"], run["weights"], run["scale"], run["sel"], run["ratios"])
+    hess = _hessian(run["values"], run["weights"], run["scale"], run["sel"])
     if not every:
         # blocked coordinates get an identity row and column and a zero
         # gradient entry, so their step is zero
@@ -573,9 +545,7 @@ def _direction(run):
         step[:, descend] = _ascent_step(hess[descend], grad.T[descend]).T
     step = step.copy() if every else np.where(free, step, 0.0)  # C order, as u
     broken = ~np.isfinite(step).all(axis=0) & ~singular
-    first = run["sel"][2]
-    if _may_bind(step, run["down"], run["up"], first):
-        step = _to_boundary(step, run["down"], run["up"], run["edge"], first)
+    step = _to_boundary(step, run["down"], run["up"], run["edge"], run["sel"][2])
     # where the curvature is extreme the step can be smaller than the
     # spacing of floats and round away; move such coordinates one ulp
     tiny = (step != 0.0) & (u + step == u)
@@ -588,23 +558,21 @@ def _direction(run):
 # the n starts still moving, one start per column, named by row blocks
 # (``_rows``): first the state a step moves -- the point u, its
 # log-likelihood and projected gradient, its gradient, the rooms u - lo and
-# hi - u to its box, its factor table (``values``, ``weights``) and the
-# table's w_f / phi_f (``ratios``) -- then the logs of the values, which
-# the evaluation of a point uses and no step moves, and the constants of
-# the start's table: ``counts``, ``scale``, the trimmed box ``lo``, ``hi``,
-# and each coordinate's activity ``band`` and boundary ``edge``. Next to it
+# hi - u to its box and its factor table (``values``, ``weights``) -- then
+# the constants of the start's table: ``counts``, ``scale``, the trimmed
+# box ``lo``, ``hi`` and each coordinate's boundary ``edge``. Next to it
 # sit ``start`` (each column's index in the solve's input), ``it`` (its
 # iterations) and ``free``. The memory is allocated once per solve
 # (``_initial_state``): two state buffers, between which a compaction
 # gathers the moving columns, and a trial buffer, into which trial points
-# are evaluated with the same layout. Every entry is a contiguous block of
-# its array, as a freshly allocated array would be: not every numpy loop
-# over strided views is exact (numpy 2.4 on an AVX-512 x86-64 machine:
-# ``np.negative`` from a 64-byte input stride into a strided output reads
-# the wrong elements, and ``np.isfinite`` into a strided boolean output
-# writes wrong values).
-_MOVED = ("u", "ll", "pg", "grad", "down", "up", "values", "weights", "ratios")
-_CONSTANT = ("counts", "scale", "lo", "hi", "band", "edge")
+# are evaluated with the same layout. Every entry, ``free`` included, is a
+# contiguous block, as a freshly allocated array would be: not every numpy
+# loop over strided views is exact (numpy 2.4.6 on x86-64: ``np.negative``
+# from a 64-byte stride into a strided output reads the wrong elements,
+# and ``np.isfinite`` into a strided boolean output writes wrong values;
+# ``tests/test_solver.py`` pins both).
+_MOVED = ("u", "ll", "pg", "grad", "down", "up", "values", "weights")
+_CONSTANT = ("counts", "scale", "lo", "hi", "edge")
 
 
 @functools.cache
@@ -612,26 +580,24 @@ def _rows(size: int) -> dict:
     """The row block of each state entry for ``size`` solver coordinates (a
     slice, or a row index for a scalar per start), and the blocks ``moved``
     and ``constant`` that hold the entries of ``_MOVED`` and ``_CONSTANT``,
-    ``final``, that of the solve's outputs u, ll and pg, and ``z``, that of
-    ``model._quotients`` (``ratios`` and ``logs``)."""
+    and ``final``, that of the solve's outputs u, ll and pg."""
     heights = {"u": size, "ll": 0, "pg": 0, "grad": size, "down": size, "up": size,
-               "values": 16, "weights": 16, "ratios": 11, "logs": 16, "counts": 8, "scale": 6,
-               "lo": size, "hi": size, "band": size, "edge": size}
+               "values": 16, "weights": 16, "counts": 8, "scale": 6, "lo": size, "hi": size,
+               "edge": size}
     rows, at = {}, 0
-    for name in _MOVED + ("logs",) + _CONSTANT:
+    for name in _MOVED + _CONSTANT:
         rows[name] = slice(at, at + heights[name]) if heights[name] else at
         at += max(heights[name], 1)
-    rows["moved"] = slice(0, rows["logs"].start)
+    rows["moved"] = slice(0, rows["counts"].start)
     rows["constant"] = slice(rows["counts"].start, at)
     rows["final"] = slice(0, size + 2)
-    rows["z"] = slice(rows["ratios"].start, rows["logs"].stop)
     return rows
 
 
 def _views(state, free) -> dict:
     """A state array and its free mask, and each of its entries, by name."""
     rows = _rows(free.shape[0])
-    views = {name: state[rows[name]] for name in _MOVED + _CONSTANT + ("z",)}
+    views = {name: state[rows[name]] for name in _MOVED + _CONSTANT}
     views.update(state=state, free=free)
     return views
 
@@ -643,13 +609,11 @@ def _evaluate(out, const, sel):
     ``const``. The table is built once per point, here, and ``_direction``
     builds the Hessian from it once the point is accepted."""
     u, scale, counts = out["u"], const["scale"], const["counts"]
-    with np.errstate(**model._QUIET):
-        values, weights = model._values(_expand(u, scale, sel), counts,
-                                        out=(out["values"], out["weights"]))
-        z = model._quotients(values, weights, out=out["z"])
-        model._ll(values, weights, counts, z[11:], out=out["ll"])
-        grad = _gradient(values, weights, scale, sel, z, out=out["grad"])
-    _projected_gradient(u, grad, const["lo"], const["hi"], const["band"],
+    values, weights = model._values(_expand(u, scale, sel), counts,
+                                    out=(out["values"], out["weights"]))
+    out["ll"][...] = model._ll(values, weights, counts)
+    grad = _gradient(values, weights, scale, sel, out=out["grad"])
+    _projected_gradient(u, grad, const["lo"], const["hi"],
                         (out["down"], out["up"], out["free"], out["pg"]))
 
 
@@ -665,7 +629,6 @@ def _initial_state(u0, table, counts, scale, sel, lo_t, hi_t):
     state = memory[0].reshape(height, width)
     for name, source in (("counts", counts), ("scale", scale), ("lo", lo_t), ("hi", hi_t)):
         state[rows[name]] = source[:, table]
-    state[rows["band"]] = _ACTIVITY_TOL * (state[rows["hi"]] - state[rows["lo"]])
     state[rows["edge"]] = _BOUNDARY_BAND * (state[rows["hi"]] - state[rows["lo"]])
     run = _views(state, np.empty((size, width), dtype=bool))
     run.update(sel=sel, start=np.arange(width), it=np.zeros(width, dtype=int), memory=memory,
@@ -726,8 +689,8 @@ def _solve_start(u0, table, counts, scale, sel, lo_t, hi_t, max_iter, tol):
         side, height = 1 - run["side"], len(run["state"])
         state = run["memory"][side, :height * keep.size].reshape(height, keep.size)
         np.take(run["state"], keep, axis=1, out=state)
-        run.update(_views(state, run["free"][:, keep]), side=side, start=run["start"][keep],
-                   it=run["it"][keep])
+        run.update(_views(state, np.take(run["free"], keep, axis=1)), side=side,
+                   start=run["start"][keep], it=run["it"][keep])
         return keep
 
     accepted = np.ones(width, dtype=bool)

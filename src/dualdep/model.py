@@ -205,16 +205,12 @@ def expand(reduced: ReducedParams, data: SurveyData) -> ModelParams:
 # x01A, x0A, x11B, x10B, x01B, x0B), one column per point. _values is the one
 # pass over the points: it builds their factor table (values, weights), and
 # _ll, _grad and _hess read that table, so a caller that needs several of
-# them at a point builds it once; _quotients builds the logs of the values
-# once for both _ll and _grad. All of them use elementwise arithmetic only,
-# and add rows to rows in a fixed order where they sum (never a numpy
+# them at a point builds it once. All of them use elementwise arithmetic
+# only, and add rows to rows in a fixed order where they sum (never a numpy
 # reduction, which sums a lone column's contiguous terms pairwise), so a
-# point's result never depends on the other points of the batch, nor on
-# where its column sits in memory. They do not check that every term is
-# evaluable: _check does that for the public wrappers, and the solver's
-# trimmed box keeps every term evaluable. Nor do they set numpy's
-# floating-point error state: a caller that may meet a zero or infinite
-# term runs them under np.errstate(**_QUIET), once per evaluation.
+# point's result never depends on the other points of the batch. They do not
+# check that every term is evaluable: _check does that for the public
+# wrappers, and the solver's trimmed box keeps every term evaluable.
 #
 # The factor table. Each cell probability is a product of eleven factors
 # phi_f, each affine in one parameter or bilinear in (alpha, p2s); _W[f, c]
@@ -297,8 +293,7 @@ def _segment_sum(terms, layout):
     targets, blocks = layout
     out = terms[:len(targets)]  # adds into the first block of terms
     for start, size in blocks:
-        head = out[:size]
-        np.add(head, terms[start:start + size], out=head)
+        out[:size] += terms[start:start + size]
     return out
 
 
@@ -344,9 +339,6 @@ def _hessian_terms():
 (_W_CELLS,), _W_LAYOUT = _segments(list(zip(*np.nonzero(_W))))
 (_G_COEFF, _G_Z, _G_V), _G_LAYOUT = _segments(_gradient_terms())
 (_H_COEFF, _H_Y, _H_V1, _H_V2), _H_LAYOUT = _segments(_hessian_terms())
-
-# the error state under which the kernels meet log 0, x / 0 and 0 * inf
-_QUIET = {"divide": "ignore", "invalid": "ignore", "over": "ignore"}
 
 
 def _counts(data: SurveyData) -> tuple[float, ...]:
@@ -409,67 +401,51 @@ def _check(values, counts) -> None:
             raise EvaluationError(term, f"probability {value} with count coefficient {coeff}")
 
 
-def _xlogy(x, y, logy=None):
-    """x log y with a zero count contributing zero whatever y is; ``logy``
-    is log y where the caller has it."""
-    return np.where(x == 0.0, 0.0, x * (np.log(y) if logy is None else logy))
+def _xlogy(x, y):
+    """x log y with a zero count contributing zero whatever y is."""
+    return np.where(x == 0.0, 0.0, x * np.log(y))
 
 
-def _frac(num, den, out=None):
-    """num / den with a zero numerator winning over a zero denominator,
-    into ``out`` if given."""
-    out = np.divide(num, den, out=out)
-    out[num == 0.0] = 0.0
-    return out
+def _frac(num, den):
+    """num / den with a zero numerator winning over a zero denominator."""
+    return np.where(num == 0.0, 0.0, num / den)
 
 
-def _ll(values, weights, counts, logs=None, out=None):
-    """The log-likelihood of a factor table, shape (K,), into ``out`` if
-    given; ``logs`` holds log(values) where the caller has them."""
-    terms = _xlogy(weights, values, logs)
-    # summed pairwise in a fixed tree; the Stirling pairs' linear parts,
-    # -N_s + (N_s - x0s), are -x0s
-    for half in (8, 4, 2, 1):
-        terms = terms[:half] + terms[half:]
-    return np.subtract(terms[0] - counts[3], counts[7], out=out)
+def _ll(values, weights, counts):
+    """The log-likelihood of a factor table, shape (K,)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = _xlogy(weights, values)
+        # summed pairwise in a fixed tree; the Stirling pairs' linear parts,
+        # -N_s + (N_s - x0s), are -x0s
+        for half in (8, 4, 2, 1):
+            terms = terms[:half] + terms[half:]
+        return terms[0] - counts[3] - counts[7]
 
 
-def _quotients(values, weights, out=None):
-    """The table z that ``_grad`` reads, into ``out`` if given: w_f / phi_f
-    (rows 0-10), which ``_hess`` also reads, and the logs of the values
-    (rows 11-26), which ``_ll`` also reads."""
-    z = np.empty((11 + len(values), values.shape[1])) if out is None else out
-    _frac(weights[:11], values[:11], out=z[:11])
-    np.log(values, out=z[11:])
-    return z
-
-
-def _grad(values, weights, z=None):
+def _grad(values, weights):
     """The gradient of a factor table, shape (6, K), rows in PARAM_NAMES
-    order, from its ``_quotients`` ``z`` if given; a size's component
-    diverges to +inf at N = x0."""
-    if z is None:
-        z = _quotients(values, weights)
-    out = np.empty((6, values.shape[1]))
-    out[_G_LAYOUT[0]] = _segment_sum(_G_COEFF[:, None] * z[_G_Z] * values[_G_V], _G_LAYOUT)
+    order; a size's component diverges to +inf at N = x0."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        z = np.empty((11 + len(values), values.shape[1]))
+        z[:11] = _frac(weights[:11], values[:11])
+        np.log(values, out=z[11:])
+        out = np.empty((6, values.shape[1]))
+        out[_G_LAYOUT[0]] = _segment_sum(_G_COEFF[:, None] * z[_G_Z] * values[_G_V], _G_LAYOUT)
     return out
 
 
-def _hess(values, weights, ratios=None):
-    """The Hessian entries _PAIRS of a factor table, shape (21, K), reading
-    w_f / phi_f from ``ratios`` (the first rows of ``_quotients``) if given;
-    the entries no factor couples (N_A-N_B, alpha-p1, p1-p2s, a size with
-    the other stratum's p2, p2A-p2B) are exactly 0."""
-    y = np.empty((22 + len(values), values.shape[1]))
-    if ratios is None:
-        _frac(weights[:11], values[:11], out=y[11:22])
-    else:
-        y[11:22] = ratios
-    _frac(y[11:22], values[:11], out=y[:11])
-    np.divide(1.0, values, out=y[22:])
-    terms = _H_COEFF[:, None] * y[_H_Y] * values[_H_V1] * values[_H_V2]
-    out = np.zeros((len(_PAIRS), values.shape[1]))
-    out[_H_LAYOUT[0]] = _segment_sum(terms, _H_LAYOUT)
+def _hess(values, weights):
+    """The Hessian entries _PAIRS of a factor table, shape (21, K); the
+    entries no factor couples (N_A-N_B, alpha-p1, p1-p2s, a size with the
+    other stratum's p2, p2A-p2B) are exactly 0."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        y = np.empty((22 + len(values), values.shape[1]))
+        y[11:22] = _frac(weights[:11], values[:11])
+        y[:11] = _frac(y[11:22], values[:11])
+        np.divide(1.0, values, out=y[22:])
+        terms = _H_COEFF[:, None] * y[_H_Y] * values[_H_V1] * values[_H_V2]
+        out = np.zeros((len(_PAIRS), values.shape[1]))
+        out[_H_LAYOUT[0]] = _segment_sum(terms, _H_LAYOUT)
     return out
 
 
@@ -505,9 +481,7 @@ def log_likelihood(params: ModelParams, data: SurveyData) -> float:
     (alpha = 0, N_s = x0s) evaluable; a zero cell against a nonzero count
     raises EvaluationError naming the term.
     """
-    values, weights, counts = _one_point(params, data)
-    with np.errstate(**_QUIET):
-        return float(_ll(values, weights, counts)[0])
+    return float(_ll(*_one_point(params, data))[0])
 
 
 def gradient(params: ModelParams, data: SurveyData) -> np.ndarray:
@@ -518,8 +492,7 @@ def gradient(params: ModelParams, data: SurveyData) -> np.ndarray:
     returned as +/-inf rather than raising.
     """
     values, weights, _ = _one_point(params, data)
-    with np.errstate(**_QUIET):
-        return _grad(values, weights)[:, 0]
+    return _grad(values, weights)[:, 0]
 
 
 def hessian(params: ModelParams, data: SurveyData) -> np.ndarray:
@@ -530,5 +503,4 @@ def hessian(params: ModelParams, data: SurveyData) -> np.ndarray:
     p2 touches only its own stratum's size and alpha.
     """
     values, weights, _ = _one_point(params, data)
-    with np.errstate(**_QUIET):
-        return _square(_hess(values, weights))[0]
+    return _square(_hess(values, weights))[0]

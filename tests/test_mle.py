@@ -745,33 +745,6 @@ def test_a_step_the_rule_does_not_bind_keeps_its_bits(q1, mode):
         assert mle._to_boundary(step, run["down"], run["up"], run["edge"], first) is step
 
 
-# a step's share of its room, densest where the rule's 0.99 divides them
-step_shares = st.one_of(st.floats(0.0, 3.0), st.sampled_from([0.0, 0.5, 0.98, 1.0, 2.0]),
-                        st.integers(-4, 4).map(lambda ulps: 0.99 + ulps * 2.0**-53))
-
-
-@settings(max_examples=60, deadline=None)
-@given(mode=st.sampled_from(["reduced", "full"]), data=st.data())
-def test_the_rule_runs_wherever_it_may_bind(mode, data):
-    # ``_direction`` calls ``_to_boundary`` only where ``_may_bind``: so
-    # wherever the rule scales a step, ``_may_bind`` holds. The probability
-    # coordinates sit anywhere in their boxes, bounds included, and step
-    # any share of their room either way
-    first = 1 if mode == "reduced" else 2
-    u = [9000.0, 0.3, 0.5, 0.6] if mode == "reduced" else [15000.0, 9000.0, 0.3, 0.5, 0.4, 0.6]
-    _, lo, hi = one_start_run(make_survey("Q1"), mode, u)
-    where = data.draw(st.lists(st.floats(0.0, 1.0), min_size=len(u) - first,
-                               max_size=len(u) - first))
-    u[first:] = [low + (high - low) * at for low, high, at in zip(lo[first:], hi[first:], where)]
-    run, lo, hi = one_start_run(make_survey("Q1"), mode, u)
-    step = np.zeros((len(u), 1))
-    for c in range(first, len(u)):
-        share, up = data.draw(step_shares), data.draw(st.booleans())
-        step[c, 0] = share * (hi[c] - run["u"][c, 0]) if up else -share * (run["u"][c, 0] - lo[c])
-    if mle._to_boundary(step, run["down"], run["up"], run["edge"], first) is not step:
-        assert mle._may_bind(step, run["down"], run["up"], first)
-
-
 def test_the_first_step_keeps_probabilities_off_their_trims():
     # study 2 at p1B = 0.01 falls back to full mode, where a clipped first
     # Newton step used to put alpha or p2B on its trim in most starts

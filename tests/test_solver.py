@@ -3,6 +3,8 @@ bits for every start, whichever starts share a batch and however many of
 them have stopped. And the factor table the solver carries with each start
 against a fresh one at the start's point."""
 
+import platform
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -105,15 +107,12 @@ def test_random_batches_solve_bit_identical_to_reference(tables, mode, n_starts,
 def assert_fresh_tables(run):
     """The factor table each column of the solver state ``run`` carries is
     the bits of a fresh ``model._values`` at that column's point alone, and
-    so are the table's w_f / phi_f and the point's rooms to its box."""
+    so are the point's rooms to its box."""
     theta = mle._expand(run["u"], run["scale"], run["sel"])
     for k in range(theta.shape[1]):
         values, weights = model._values(theta[:, k:k + 1].copy(), run["counts"][:, k:k + 1].copy())
         assert run["values"][:, k:k + 1].tobytes() == values.tobytes(), k
         assert run["weights"][:, k:k + 1].tobytes() == weights.tobytes(), k
-        with np.errstate(**model._QUIET):
-            ratios = model._quotients(values, weights)[:11]
-        assert run["ratios"][:, k:k + 1].tobytes() == ratios.tobytes(), k
         u, lo, hi = (run[name][:, k:k + 1].copy() for name in ("u", "lo", "hi"))
         assert run["down"][:, k:k + 1].tobytes() == (u - lo).tobytes(), k
         assert run["up"][:, k:k + 1].tobytes() == (hi - u).tobytes(), k
@@ -216,3 +215,50 @@ def test_every_column_but_the_first_stopping_at_once_keeps_its_outcome():
     assert messages == ["converged", "converged", "no acceptable step",
                         "singular Newton system", "converged"]
     assert it[0] > 1 and not it[1:].any()
+
+
+def test_the_solver_state_stays_contiguous(monkeypatch):
+    # every view of the state and of each trial buffer is a contiguous
+    # block, through the compactions of the mixed-stops batch (see the
+    # strided-loop test below for why)
+    seen = []
+
+    def contiguous(views):
+        return all(view.flags.c_contiguous for view in views.values()
+                   if isinstance(view, np.ndarray))
+
+    direction, trial = mle._direction, mle._trial
+
+    def checked_direction(run):
+        seen.append(contiguous(run))
+        return direction(run)
+
+    def checked_trial(run, points, cols=None):
+        out = trial(run, points, cols)
+        seen.append(contiguous(out[0]))
+        return out
+
+    monkeypatch.setattr(mle, "_direction", checked_direction)
+    monkeypatch.setattr(mle, "_trial", checked_trial)
+    _, _, _, _, messages = mle._solve_start(*mixed_stops_args())
+    assert len(set(messages)) > 1 and len(seen) > 10 and all(seen)
+
+
+# numpy 2.4.6 on x86-64 (seen with its dispatch at the X86_V2 baseline as at
+# AVX-512) computes some ufunc loops wrongly when input and output are both
+# strided: np.negative with a 64-byte stride reads the contiguous elements
+# instead, and np.isfinite writes wrong flags into a strided boolean output
+# of 16 or more elements. The solver's state views are contiguous for this
+# reason; a numpy that mends it turns these into strict-xfail failures.
+STRIDED_LOOP_DEFECT = np.__version__ == "2.4.6" and platform.machine() in ("x86_64", "AMD64")
+
+
+@pytest.mark.xfail(STRIDED_LOOP_DEFECT, strict=True,
+                   reason="numpy 2.4.6 strided ufunc loops on x86-64")
+@pytest.mark.parametrize("ufunc, stride, n, dtype", [(np.negative, 8, 4, float),
+                                                     (np.isfinite, 2, 16, bool)])
+def test_a_ufunc_into_a_strided_view_gives_the_bits_of_contiguous_arrays(ufunc, stride, n, dtype):
+    a = np.arange(1.0, stride * n + 1.0)
+    out = np.zeros(stride * n, dtype=dtype)
+    got = ufunc(a[::stride], out=out[::stride])
+    assert got.tobytes() == ufunc(a[::stride].copy()).tobytes()
