@@ -32,9 +32,7 @@ from .model import (
     CellProbabilities,
     ModelParams,
     PARAM_NAMES,
-    ReducedParams,
     cell_probabilities,
-    expand,
     gradient,
     hessian,
     log_likelihood,

@@ -20,17 +20,19 @@ import os
 
 import numpy as np
 
+from .exceptions import ValidationError
+
 # Solver columns per block: one column per start of each fit, so a block
-# holds BLOCK_COLUMNS // width tables of ``width`` starts each (300 warm
-# bootstrap refits, or 25 fits from the 12-start grid). Only tables that
-# reach the solver count: the bootstrap's and the studies' draws that the
-# certificate declines (``mle._moment_point``; no draw of a Q1-Q4 bootstrap
-# or of study 1, but most draws of a tiny table, of a parent on a bound and
-# of study 2's extremes).
+# holds BLOCK_COLUMNS // width tables of ``width`` starts each (25 fits from
+# the 12-start grid). Only tables that reach the solver count: the
+# bootstrap's and the studies' draws that the certificate declines
+# (``mle._moment_point``; no draw of a Q1-Q4 bootstrap or of study 1, but
+# most draws of a tiny table, of a parent on a bound and of study 2's
+# extremes).
 # Larger blocks spread numpy's fixed per-call overhead over more columns but
 # hold more memory. Measured in process before the certificate, when every
-# Q1 bootstrap draw was a warm solver refit (2-core x86_64 VM, a fresh
-# process per budget), in blocks of 25, 100, 300 and 1000 columns (CPU
+# Q1 bootstrap draw was a solver refit from one start (2-core x86_64 VM, a
+# fresh process per budget), in blocks of 25, 100, 300 and 1000 columns (CPU
 # time, medians of 80 and 30 runs):
 # - 100 refits: 31, 17, 16 and 14 ms; peak RSS 38.2, 38.6, 38.5 and 38.6 MB;
 # - 500 refits: 151, 89, 72 and 72 ms; peak RSS 38.4, 38.6, 39.4 and 41.5 MB.
@@ -85,6 +87,13 @@ class Streams:
         self._key[1] = int(key) % 2**64
         self._bits.state = self._state
         return self._rng
+
+
+def check_threads(threads: int) -> None:
+    """Raise ValidationError unless ``threads``, the worker processes a
+    caller asks for, is at least 1."""
+    if threads < 1:
+        raise ValidationError(f"threads must be >= 1, got {threads}")
 
 
 def cpus() -> int:

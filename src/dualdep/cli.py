@@ -462,10 +462,8 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--level", type=float, default=0.95)
     est.add_argument("--threads", type=int, default=_default_threads())
     est.add_argument("--starts", type=int, default=12,
-                     help="starting points of the point fit, and of the grid that refits a "
-                          "bootstrap replicate whose one-start warm refit fails or ends on a "
-                          "bound (and every replicate when the point fit is on a bound); a "
-                          "replicate certified in closed form takes no starts")
+                     help="starting points of the point fit and of each bootstrap replicate's "
+                          "solver refit; a replicate certified in closed form takes no starts")
     est.add_argument("--max-iterations", type=int, default=500)
     est.add_argument("--gradient-tolerance", type=float, default=1e-8)
     est.add_argument("--output", type=Path, default=None)

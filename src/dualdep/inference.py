@@ -11,12 +11,8 @@ refit, in closed form, and the table is never built as a SurveyData nor set
 up for the solver. Only the tables the certificate declines become surveys
 and go to the solver (``_refit``), in blocks within a budget of solver
 columns spread over the worker processes (``_parallel.run_blocks``), each
-block one batched solve read out as arrays (``mle._fits``). A replicate is
-drawn from the fitted model, so each solver refit starts from the fitted
-parameters alone (a warm start, one column). The starting grid is the
-safety net: it refits every such replicate when the fit sits on a bound,
-where the likelihood can have several maxima, and a replicate whose warm
-refit failed or ended on a bound.
+block one batched solve read out as arrays (``mle._fits``). Each solver
+refit climbs from the drawn table's starting grid, as every fit does.
 Stratum variances add for the total because the strata are independent.
 """
 
@@ -249,43 +245,15 @@ def _drawn_counts(table_a, table_b):
     return None if a[0] < 1 or b[0] < 1 else (a, b)
 
 
-def _warm_start(fit: FitResult) -> np.ndarray | None:
-    """The start of every warm refit around ``fit``: its parameters (6, 1),
-    or None (refit from the starting grid) when it sits on a bound."""
-    return None if fit.active_constraints else fit.params.as_array()[:, None]
-
-
-def _refit(surveys, options: FitOptions, start) -> list:
+def _refit(surveys, options: FitOptions) -> list:
     """The solver refits of drawn tables that the certificate declined, the
     worker of ``_parallel.run_blocks``: per table, its ``QUANTITIES`` row and
     "", or None and the text of the package error its refit raised. The
-    tables are one batched solve, read out as arrays (``mle._fits``). Each
-    climbs from ``start`` (the parent fit's parameters, ``_warm_start``), and
-    those whose warm refit raised a package error or ended on a bound refit
-    from the starting grid, through ``run_blocks`` in this process. With
-    ``start`` None the grid refits them all.
-
-    The warm path stays because removing it moves bootstrap rows: on the
-    flat likelihood of a tiny table a warm refit and the grid can stop at
-    points far apart with log-likelihoods within 2e-9, and 74 of the first
-    300 rows of the small table (4, 6, 8)/(2, 4, 6) at seed 1 change, by up
-    to 78% relative. It does not pay for itself in CPU. Against a tree
-    whose ``_warm_start`` always returns None, ``tools/paired_cpu.py
-    --workload solver-refits --rounds 40`` read a median CPU ratio (grid
-    alone over warm) of 0.988, quartiles 0.887 and 1.091, the grid alone
-    cheaper in 21 of 40 rounds; per table, 0.99 on the small table and 0.91
-    on the mixed one (2-core x86_64 VM)."""
-    fits = mle._fits(surveys, options, start)
-    out = [(tuple(row), "") if error is None else (None, str(error))
-           for row, error in zip(_quantity_rows(fits.theta).tolist(), fits.errors)]
-    if start is not None:
-        active = fits.active.any(axis=0).tolist()
-        again = [k for k, error in enumerate(fits.errors) if error is not None or active[k]]
-        grid = _parallel.run_blocks(_refit, [surveys[k] for k in again], options.n_starts, 1,
-                                    options, None)
-        for k, refit in zip(again, grid):
-            out[k] = refit
-    return out
+    tables are one batched solve from each table's starting grid, read out
+    as arrays (``mle._fits``)."""
+    fits = mle._fits(surveys, options)
+    return [(tuple(row), "") if error is None else (None, str(error))
+            for row, error in zip(_quantity_rows(fits.theta).tolist(), fits.errors)]
 
 
 def _replicate_stream(streams: _parallel.Streams, index: int, attempt: int, rates):
@@ -310,8 +278,6 @@ def _bootstrap_rows(indices, seed: int, data: SurveyData, fit: FitResult,
     ``_refit`` through ``_parallel.run_blocks``. A replicate whose attempt
     failed continues its own stream (``_replicate_stream``)."""
     rates = _replicate_rates(data, fit)
-    start = _warm_start(fit)
-    width = 1 if start is not None else fit.options.n_starts
     mode = fit.options.mode
     streams = _parallel.Streams(seed)
     rows, reasons = [None] * len(indices), [""] * len(indices)
@@ -336,7 +302,8 @@ def _bootstrap_rows(indices, seed: int, data: SurveyData, fit: FitResult,
         if points:
             for pos, row in zip(certified, _quantity_rows(np.array(points).T).tolist()):
                 rows[pos], reasons[pos] = tuple(row), ""
-        refits = _parallel.run_blocks(_refit, surveys, width, threads, fit.options, start)
+        refits = _parallel.run_blocks(_refit, surveys, fit.options.n_starts, threads,
+                                      fit.options)
         for pos, (row, reason) in zip(declined, refits):
             rows[pos], reasons[pos] = row, reason
         pending = [pos for pos in pending if rows[pos] is None]
@@ -358,18 +325,14 @@ def bootstrap(
     activity band of every bound, that point is the refit, in closed form
     (``mle._moment_point``, certified from the drawn counts), whatever
     ``fit`` is. Any other refit goes to the solver, which sets the table up
-    once, and climbs from one start, the fitted parameters clipped into the
-    drawn table's box. It climbs from the starting grid of ``fit.options.n_starts``
-    points instead when ``fit`` has an active constraint, and in a second
-    batch when its warm refit raised a package error (non-convergence
-    among them) or ended on a bound; that costs no attempt and no draw. A
-    replicate gets up to ten fresh redraws after a failed attempt (zero x11
-    draw, or a package error from the refit); replicates that still fail
-    are logged with the reason of their last
-    attempt, and more than 5% failures aborts with BootstrapError.
-    Only the solver refits leave this process: they go in blocks of at
-    most ``_parallel.BLOCK_COLUMNS`` solver columns (one per warm refit,
-    ``fit.options.n_starts`` per grid refit), each one batch, spread over
+    once and climbs from its starting grid of ``fit.options.n_starts``
+    points. A replicate gets up to ten fresh redraws after a failed attempt
+    (zero x11 draw, or a package error from the refit, non-convergence
+    among them); replicates that still fail are logged with the reason of
+    their last attempt, and more than 5% failures aborts with
+    BootstrapError. Only the solver refits leave this process: they go in
+    blocks of at most ``_parallel.BLOCK_COLUMNS`` solver columns
+    (``fit.options.n_starts`` per refit), each one batch, spread over
     ``threads`` processes when they fill more than one block, so a
     bootstrap whose every draw is certified starts no process. Replicate
     streams are keyed by (seed, replicate index), the seed modulo 2**64 (a
@@ -378,6 +341,7 @@ def bootstrap(
     """
     if n_replicates < 1:
         raise ValidationError("B must be >= 1 for bootstrap")
+    _parallel.check_threads(threads)
     if not fit.converged:
         raise ValidationError("fit did not converge; bootstrap needs a converged fit")
     rows, failures = [], []
@@ -460,7 +424,8 @@ def uncertainty_report(
     for method in methods:
         if method not in ("hessian", "bootstrap"):
             raise ValidationError(f"unknown uncertainty method {method!r}")
-    normal_quantile(level)  # reject a bad level before any method runs
+    normal_quantile(level)  # reject a bad level or thread count before any method runs
+    _parallel.check_threads(threads)
     x0 = {
         "N_A": float(data.stratum_a.total),
         "N_B": float(data.stratum_b.total),

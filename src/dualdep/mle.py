@@ -304,7 +304,7 @@ def _starts(data: SurveyData, options: FitOptions, setup) -> np.ndarray:
     """``starting_points`` from the table's ``_setup``: the six parameters
     of each start, one start per column of a (6, n_starts) array."""
     _, (ratio, multiplier), scale, lo, hi = setup
-    sel = _COORDINATES[options.mode][1]
+    coords, sel, _ = _COORDINATES[options.mode]
     lo, hi = np.array((lo, hi))[..., None]  # (P, 1)
     pad = _START_MARGIN * (hi - lo)
     inner_lo, inner_hi = lo + pad, hi - pad  # each coordinate's box less the margin
@@ -322,22 +322,13 @@ def _starts(data: SurveyData, options: FitOptions, setup) -> np.ndarray:
         draws = stream(options.seed, 0).random((options.n_starts - grid, 4)).T
         draws = lo[at] + (hi[at] - lo[at]) * (_START_MARGIN + (1 - 2 * _START_MARGIN) * draws)
         n_b, alpha, p1, p2b = (np.concatenate(pair) for pair in zip((n_b, alpha, p1, p2b), draws))
-    theta = _clipped(np.array([ratio * n_b, n_b, alpha, p1, multiplier * p2b, p2b]),
-                     np.array(scale)[:, None], lo, hi, options.mode)
+    # each solver coordinate clipped into its box less the margin, the tied
+    # parameters following their coordinates
+    theta = np.array([ratio * n_b, n_b, alpha, p1, multiplier * p2b, p2b])
+    u = np.minimum(np.maximum(theta[list(coords)], inner_lo), inner_hi)
+    theta = _expand(u, np.array(scale)[:, None], sel)
     theta[2] = alpha  # alpha is taken as drawn or gridded, unclipped
     return theta
-
-
-def _clipped(theta, scale, lo, hi, mode: str) -> np.ndarray:
-    """The points ``theta`` (6, n) with each solver coordinate of ``mode``
-    clipped into its box ``lo``, ``hi`` (P, n) less the start margin, the
-    tied parameters following their coordinates through ``scale`` (6, n).
-    The shapes broadcast: one table's (P, 1) box clips each of its starts,
-    and a stack of T tables' boxes clips one point (6, 1) into each."""
-    coords, sel, _ = _COORDINATES[mode]
-    pad = _START_MARGIN * (hi - lo)
-    u = np.minimum(np.maximum(theta[list(coords)], lo + pad), hi - pad)
-    return _expand(u, scale, sel)
 
 
 # --- solver ------------------------------------------------------------------
@@ -777,23 +768,20 @@ def _line_search(run, step, width):
 
 # --- fitting -------------------------------------------------------------------
 
-def _solver_inputs(tables, options: FitOptions, start=None):
-    """Each table's ``_setup`` and starts, stacked into the arguments of
-    ``_solve_start``, one block of columns per table in table order. The
-    starts are the table's starting grid (``_starts``), or with ``start``
-    (6, 1) given those six parameters clipped into each table's box
-    (``_clipped``, once over the stacked boxes), one column per table.
-    Returns (outcomes, fitted, args): ``outcomes`` holds, at the index of
-    each table with no box, the package error that makes it unfittable
-    (None elsewhere); ``fitted`` the (index, setup, starts) of every other
-    table; ``args`` the arguments, or None if no table has a box."""
+def _solver_inputs(tables, options: FitOptions):
+    """Each table's ``_setup`` and starting grid (``_starts``), stacked into
+    the arguments of ``_solve_start``, one block of columns per table in
+    table order. Returns (outcomes, fitted, args): ``outcomes`` holds, at
+    the index of each table with no box, the package error that makes it
+    unfittable (None elsewhere); ``fitted`` the (index, setup, starts) of
+    every other table; ``args`` the arguments, or None if no table has a
+    box."""
     outcomes: list = [None] * len(tables)
     fitted, counts = [], []
     for index, data in enumerate(tables):
         try:
             setup = _setup(data, options.mode)
-            starts = _starts(data, options, setup) if start is None else None
-            fitted.append((index, setup, starts))
+            fitted.append((index, setup, _starts(data, options, setup)))
             counts.append(model._counts(data))
         except DualdepError as exc:
             # without its traceback the error holds no frame, and so no
@@ -802,17 +790,11 @@ def _solver_inputs(tables, options: FitOptions, start=None):
     if not fitted:
         return outcomes, fitted, None
     coords, sel, _ = _COORDINATES[options.mode]
-    scale, lo, hi, lo_t, hi_t = (
+    scale, lo_t, hi_t = (
         np.array(column, dtype=float).T
-        for column in zip(*((*setup[2:], *_trimmed(*setup[3:], coords)) for _, setup, _ in fitted)))
-    if start is None:
-        theta0 = np.concatenate([starts for _, _, starts in fitted], axis=1)
-    else:
-        theta0 = _clipped(start, scale, lo, hi, options.mode)
-        fitted = [(index, setup, theta0[:, k:k + 1])
-                  for k, (index, setup, _) in enumerate(fitted)]
-    u0 = theta0[list(coords)]
-    table = np.repeat(np.arange(len(fitted)), fitted[0][2].shape[1])
+        for column in zip(*((setup[2], *_trimmed(*setup[3:], coords)) for _, setup, _ in fitted)))
+    u0 = np.concatenate([starts for _, _, starts in fitted], axis=1)[list(coords)]
+    table = np.repeat(np.arange(len(fitted)), options.n_starts)
     return outcomes, fitted, (u0, table, np.array(counts).T, scale, sel, lo_t, hi_t,
                               options.max_iterations, options.gradient_tolerance)
 
@@ -876,14 +858,11 @@ def _read_out(outcomes, fitted, theta, solved, options) -> _Fits:
     if not fitted:
         return _Fits(params, active, outcomes, fitted, [], solved)
     lls, pg_norms, *_ = solved
-    n = fitted[0][2].shape[1]
-    if n == 1:
-        winners = list(range(len(fitted)))
-    else:
-        totals = (theta[0] + theta[1]).tolist()
-        converged = [pg_norm < options.gradient_tolerance for pg_norm in pg_norms]
-        winners = [k + _winner(lls[k:k + n], converged[k:k + n], totals[k:k + n])
-                   for k in range(0, len(lls), n)]
+    n = options.n_starts
+    totals = (theta[0] + theta[1]).tolist()
+    converged = [pg_norm < options.gradient_tolerance for pg_norm in pg_norms]
+    winners = [k + _winner(lls[k:k + n], converged[k:k + n], totals[k:k + n])
+               for k in range(0, len(lls), n)]
     fit_at, won, boxes = [], [], []
     for (index, setup, starts), k in zip(fitted, winners):
         if pg_norms[k] < options.gradient_tolerance:
@@ -912,12 +891,11 @@ def _read_out(outcomes, fitted, theta, solved, options) -> _Fits:
     return _Fits(params, active, outcomes, fitted, winners, solved)
 
 
-def _fits(tables, options: FitOptions, start=None) -> _Fits:
+def _fits(tables, options: FitOptions) -> _Fits:
     """Fit many tables with one batched solve over every start of every
-    table, read out as arrays (``_read_out``). The starts are each table's
-    starting grid, or with ``start`` (6, 1) given those six parameters
-    clipped into each table's box (``_solver_inputs``)."""
-    outcomes, fitted, args = _solver_inputs(tables, options, start)
+    table's starting grid (``_solver_inputs``), read out as arrays
+    (``_read_out``)."""
+    outcomes, fitted, args = _solver_inputs(tables, options)
     if args is None:
         return _read_out(outcomes, fitted, None, None, options)
     u, values, pg_norms, iterations, messages = _solve_start(*args)
@@ -958,7 +936,7 @@ def _result(fits: _Fits, position: int, options: FitOptions) -> FitResult:
     )
 
 
-def fit_many(tables, options: FitOptions | None = None, start: ModelParams | None = None) -> list:
+def fit_many(tables, options: FitOptions | None = None) -> list:
     """Fit many tables with one batched solve over every start of every table.
 
     Returns, in table order, each table's converged FitResult or the
@@ -966,15 +944,13 @@ def fit_many(tables, options: FitOptions | None = None, start: ModelParams | Non
     box, a best start short of the tolerance), so one bad table never ends
     the others. A table's result is bit-identical whatever other tables
     share the batch. Each table climbs from its starting grid of
-    ``options.n_starts`` points, or with ``start`` given from that one
-    point, its solver coordinates clipped into the table's box with the
-    grid's margin (a warm start). The batch holds one column per start;
+    ``options.n_starts`` points. The batch holds one column per start;
     callers with many tables pass them in blocks. The FitResults are built
     from the batch's array read-out (``_fits``), which decides each table's
     winner, convergence and active bounds.
     """
     options = options or FitOptions()
-    fits = _fits(tables, options, None if start is None else start.as_array()[:, None])
+    fits = _fits(tables, options)
     outcomes = list(fits.errors)
     for position, (index, _, _) in enumerate(fits.fitted):
         if outcomes[index] is None:

@@ -35,12 +35,10 @@ __all__ = [
     "PARAM_NAMES",
     "ModelParams",
     "CellProbabilities",
-    "ReducedParams",
     "cell_probabilities",
     "marginals_and_covariance",
     "size_ratio",
     "p2a_ratio",
-    "expand",
     "log_likelihood",
     "gradient",
     "hessian",
@@ -119,16 +117,6 @@ class CellProbabilities:
         return (self.p11, self.p10, self.p01, self.p00)
 
 
-@dataclass(frozen=True)
-class ReducedParams:
-    """The four free coordinates once N_A and p2A are tied to the data ratios."""
-
-    n_b: float
-    alpha: float
-    p1: float
-    p2b: float
-
-
 def cell_probabilities(alpha: float, p1: float, p2: float) -> CellProbabilities:
     """Observed-cell probabilities of the negative-dependence model.
 
@@ -175,26 +163,6 @@ def p2a_ratio(data: SurveyData) -> float:
         raise ValidationError("cannot relate p2A to p2B: x11B = 0")
     return (data.stratum_a.x11 / data.stratum_b.x11) * (
         data.stratum_b.n_list1 / data.stratum_a.n_list1
-    )
-
-
-def expand(reduced: ReducedParams, data: SurveyData) -> ModelParams:
-    """Restore the full parameter vector from the reduced coordinates.
-
-    N_A = (x1.A / x1.B) N_B and p2A = p2a_ratio(data) * p2B. If the ratio
-    pushes p2A above 1 it is clamped to 1; a fit never produces that (the
-    p2B box is pre-shrunk by the ratio) and a clamped value then shows up
-    as an active p2A constraint.
-    """
-    ratio = size_ratio(data)
-    multiplier = p2a_ratio(data)
-    return ModelParams(
-        n_a=ratio * reduced.n_b,
-        n_b=reduced.n_b,
-        alpha=reduced.alpha,
-        p1=reduced.p1,
-        p2a=min(multiplier * reduced.p2b, 1.0),
-        p2b=reduced.p2b,
     )
 
 

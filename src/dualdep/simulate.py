@@ -29,7 +29,7 @@ from decimal import ROUND_HALF_EVEN, Decimal, InvalidOperation
 import numpy as np
 
 from . import mle, model
-from ._parallel import Streams, run_blocks
+from ._parallel import Streams, check_threads, run_blocks
 from .exceptions import DualdepError, FitError, InfeasibleConstraintsError, ValidationError
 from .inference import _drawn_counts, _hessian_ses, _size_intervals, normal_quantile
 from .mle import DEFAULT_SEED, FitOptions
@@ -388,6 +388,7 @@ def run_study1(
     """Bias/CV summaries of the naive and model-based estimators under the
     generating model. Replicates whose fit fails are excluded from the
     model-based summaries and counted in ``fit_failures``."""
+    check_threads(threads)
     config = config or study1_config()
     outcomes = _run_replicates([(config, range(config.replicates))], options, threads)
 
@@ -452,6 +453,7 @@ def run_coverage(
     intervals for the stratum sizes, with per-replicate variances from the
     observed information."""
     z = normal_quantile(level)
+    check_threads(threads)
     config = config or study1_config()
     outcomes = _run_replicates([(config, range(config.replicates))], options, threads)
 
@@ -522,6 +524,7 @@ def run_study2(
     probabilities. Draws for which the reduced constraint box is empty are
     refit in full mode and counted in ``reduced_fallbacks``.
     """
+    check_threads(threads)
     grid = _checked_grid(grid) if grid is not None else scenario_grid()
     groups = [
         (_scenario_config(scenario, value, replicates, seed),

@@ -210,6 +210,24 @@ def test_estimate_bad_fit_option_is_usage_error(q1_csv, capsys, flag, value, mes
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--se", "hessian", "--threads", "-2"],
+    ["estimate", "--se", "bootstrap", "--B", "2", "--threads", "0"],
+    ["simulate", "study1", "--replicates", "2", "--threads", "0"],
+    ["simulate", "coverage", "--replicates", "2", "--threads", "0"],
+    ["simulate", "study2", "--scenario", "1", "--grid", "0.15", "--replicates", "2",
+     "--threads", "0"],
+], ids=["estimate-hessian", "estimate-bootstrap", "study1", "coverage", "study2"])
+def test_a_thread_count_below_one_is_usage_error(q1_csv, tmp_path, capsys, argv):
+    if argv[0] == "estimate":
+        argv = [*argv, "--input", str(q1_csv)]
+    code = main([*argv, "--output", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"error: threads must be >= 1, got {argv[argv.index('--threads') + 1]}\n"
+    assert not list(tmp_path.glob("out*"))
+
+
 BIAS = ("--p", "0.02", "--p1dot", "0.17")
 
 
@@ -547,7 +565,7 @@ def test_estimate_report_identical_across_block_size_and_threads(tmp_path, q1_cs
 
     argv = ["estimate", "--input", str(q1_csv), "--se", "bootstrap", "--B", "5", "--seed", "3"]
     texts = []
-    # blocks of two warm refits for any draw the certificate declines
+    # blocks of one grid refit for any draw the certificate declines
     for threads, block in (("1", _parallel.BLOCK_COLUMNS), ("2", 2)):
         monkeypatch.setattr(_parallel, "BLOCK_COLUMNS", block)
         stem = tmp_path / f"t{threads}"

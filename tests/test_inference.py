@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from dualdep import _parallel, inference, mle, model
 from dualdep.exceptions import (
@@ -22,7 +22,6 @@ from dualdep.model import ModelParams
 from dualdep.simulate import GeneratorConfig, _draw_survey, _scenario_config
 from dualdep.tables import CellCounts, SurveyData
 
-from conftest import drawn_tables
 from oracles import fd_hessian, reference_moment_point, triples
 
 
@@ -184,8 +183,8 @@ def test_bootstrap_thread_invariance(q1_fit):
 
 
 def test_bootstrap_block_size_and_thread_invariance(q1_fit, monkeypatch):
-    # every draw sent to the solver: one block in this process against three
-    # blocks of two warm refits over two workers
+    # every draw sent to the solver: one block in this process against six
+    # blocks of one grid refit over two workers
     data, result = q1_fit
     solver_only(monkeypatch)
     whole = bootstrap(data, result, n_replicates=6, seed=5, threads=1)
@@ -225,9 +224,9 @@ def test_a_certified_bootstrap_starts_no_process_pool(q1_fit, monkeypatch):
 
 
 def test_declined_draws_give_the_same_rows_on_two_workers(tiny, monkeypatch):
-    # the tiny table declines most draws, fails some replicates and sends
-    # some warm refits to the grid; its declined draws fill several blocks of
-    # 40 warm refits over two workers, and every row and failure keeps the
+    # the tiny table declines most draws and fails some replicates; its
+    # declined draws fill several blocks of three grid refits (a budget of 40
+    # columns) over two workers, and every row and failure keeps the
     # bits of the serial run in one block
     parent = fit(tiny)
     serial = inference._bootstrap_rows(range(100), 2, tiny, parent)
@@ -248,34 +247,33 @@ def solver_only(monkeypatch):
 
 def columns_per_call(monkeypatch):
     """Spy on ``mle._fits``, the bootstrap's solver entry: the list it
-    returns gains, per call, the solver columns of that call and whether it
-    was a warm pass."""
+    returns gains, per call, the solver columns of that call."""
     real, calls = mle._fits, []
 
-    def spy(surveys, options, start=None):
-        calls.append((len(surveys) * (1 if start is not None else options.n_starts),
-                      start is not None))
-        return real(surveys, options, start=start)
+    def spy(surveys, options):
+        calls.append(len(surveys) * options.n_starts)
+        return real(surveys, options)
 
     monkeypatch.setattr(mle, "_fits", spy)
     return calls
 
 
-def test_a_warm_bootstrap_split_into_blocks_gives_the_bits_of_one_block(q1_fit, monkeypatch):
+def test_a_bootstrap_split_into_blocks_gives_the_bits_of_one_block(q1_fit, monkeypatch):
+    # 40 grid refits in blocks of at most seven: 6, 7, 7, 6, 7 and 7 tables
     data, result = q1_fit
     solver_only(monkeypatch)
     whole = bootstrap(data, result, n_replicates=40, seed=5)
     calls = columns_per_call(monkeypatch)
-    monkeypatch.setattr(_parallel, "BLOCK_COLUMNS", 7)
+    monkeypatch.setattr(_parallel, "BLOCK_COLUMNS", 7 * 12)
     split = bootstrap(data, result, n_replicates=40, seed=5)
-    assert sorted(width for width, warm in calls if warm) == [6, 6, 7, 7, 7, 7]
+    assert sorted(calls) == [6 * 12, 6 * 12, 7 * 12, 7 * 12, 7 * 12, 7 * 12]
     for name in whole.estimates:
         assert np.array_equal(whole.estimates[name], split.estimates[name])
 
 
 @pytest.mark.parametrize("table", [
     ((201, 4162, 4390), (406, 2574, 3265)),  # corner: the parent sits on the N_B and p2B bounds
-    ((2, 3, 4), (1, 2, 3)),  # tiny: many warm refits end on a bound and refit from the grid
+    ((2, 3, 4), (1, 2, 3)),  # tiny: the certificate declines most draws
 ], ids=["corner", "tiny"])
 def test_no_refit_batch_exceeds_the_column_budget(table, monkeypatch):
     data = SurveyData(CellCounts(*table[0]), CellCounts(*table[1]))
@@ -284,9 +282,8 @@ def test_no_refit_batch_exceeds_the_column_budget(table, monkeypatch):
     calls = columns_per_call(monkeypatch)
     monkeypatch.setattr(_parallel, "BLOCK_COLUMNS", 60)
     split = bootstrap(data, parent, n_replicates=100, seed=1)
-    assert max(width for width, _ in calls) <= 60
-    # grid batches of several tables: a budget of 60 holds five 12-start fits
-    assert max(width for width, warm in calls if not warm) == 60
+    # batches of several tables: a budget of 60 holds five 12-start fits
+    assert max(calls) == 60
     assert whole.failures == split.failures
     for name in whole.estimates:
         assert np.array_equal(whole.estimates[name], split.estimates[name])
@@ -312,18 +309,18 @@ def test_bootstrap_retries_a_package_error_and_reports_its_reason(q1_fit, monkey
     real = mle._fits
     calls = []
 
-    def first_table_fails(surveys, options, start=None):
-        calls.append((len(surveys), start is None))
-        fits = real(surveys, options, start=start)
+    def first_table_fails(surveys, options):
+        calls.append(len(surveys))
+        fits = real(surveys, options)
         fits.errors[0] = EvaluationError("p11A", "probability 0.0 with count coefficient 3.0")
         return fits
 
     monkeypatch.setattr(mle, "_fits", first_table_fails)
-    monkeypatch.setattr(_parallel, "BLOCK_COLUMNS", 30)  # one block: replicate 0 comes first
+    monkeypatch.setattr(_parallel, "BLOCK_COLUMNS", 30 * 12)  # one block: replicate 0 comes first
     boot = bootstrap(data, result, n_replicates=30, seed=4)
-    # replicate 0 fails every attempt, warm and then from the grid, and is
-    # counted with its reason; the other 29 are untouched by its failures
-    assert calls == [(30, False), (1, True)] + [(1, False), (1, True)] * 10
+    # replicate 0 fails every attempt and is counted with its reason; the
+    # other 29 are untouched by its failures
+    assert calls == [30] + [1] * 10
     assert boot.failures == ((0, "cannot evaluate log-likelihood term 'p11A': "
                                  "probability 0.0 with count coefficient 3.0"),)
     monkeypatch.setattr(mle, "_fits", real)
@@ -338,7 +335,7 @@ MIXED = SurveyData(CellCounts(200, 35, 3807), CellCounts(105, 3326, 2527))  # fi
 def test_a_refit_passes_only_the_tables_the_certificate_declines_to_the_solver(monkeypatch):
     # of the mixed table's 50 first draws at seed 5, the certificate (its
     # reference on each table's solver set-up) declines two; they alone
-    # reach the solver, warm and then from the grid, and every other row is
+    # reach the solver, in one batch of grid refits, and every other row is
     # its moment point
     parent = fit(MIXED, FitOptions(mode="full"))
     drawn = [drawn_survey(*draw_replicate_tables(MIXED, parent, _parallel.stream(5, k)))
@@ -348,13 +345,13 @@ def test_a_refit_passes_only_the_tables_the_certificate_declines_to_the_solver(m
     assert len(declined) == 2
     real, calls = mle._fits, []
 
-    def spy(surveys, options, start=None):
-        calls.append(([triples(survey) for survey in surveys], start is not None))
-        return real(surveys, options, start=start)
+    def spy(surveys, options):
+        calls.append([triples(survey) for survey in surveys])
+        return real(surveys, options)
 
     monkeypatch.setattr(mle, "_fits", spy)
     rows = inference._bootstrap_rows(range(50), 5, MIXED, parent)
-    assert calls == [(declined, True), (declined, False)]
+    assert calls == [declined]
     for (_, row, reason), point in zip(rows, points):
         if point is not None:
             assert (row, reason) == (inference.quantities(ModelParams(*point)), "")
@@ -401,7 +398,7 @@ def test_bootstrap_propagates_programming_errors(q1_fit, monkeypatch):
     data, result = q1_fit
     solver_only(monkeypatch)
 
-    def broken(surveys, options, start=None):
+    def broken(surveys, options):
         raise TypeError("bug in the fitting code")
 
     monkeypatch.setattr(mle, "_fits", broken)
@@ -410,12 +407,15 @@ def test_bootstrap_propagates_programming_errors(q1_fit, monkeypatch):
 
 
 def test_bootstrap_propagates_programming_errors_of_the_grid_pass(q1_fit, monkeypatch):
-    # every warm refit fails with a package error, so the grid pass runs
+    # every grid refit of the first attempt fails with a package error, so a
+    # second attempt's grid refits run, and their programming error propagates
     data, result = q1_fit
     solver_only(monkeypatch)
+    calls = []
 
-    def broken(surveys, options, start=None):
-        if start is None:
+    def broken(surveys, options):
+        calls.append(len(surveys))
+        if len(calls) > 1:
             raise TypeError("bug in the fitting code")
         n = len(surveys)
         return mle._Fits(np.full((6, n), np.nan), np.zeros((6, n), dtype=bool),
@@ -424,6 +424,7 @@ def test_bootstrap_propagates_programming_errors_of_the_grid_pass(q1_fit, monkey
     monkeypatch.setattr(mle, "_fits", broken)
     with pytest.raises(TypeError, match="bug in the fitting code"):
         bootstrap(data, result, n_replicates=3, seed=4)
+    assert calls == [3, 3]
 
 
 def test_bootstrap_zero_x11_draw_costs_an_attempt_on_the_replicates_stream(tiny):
@@ -432,7 +433,6 @@ def test_bootstrap_zero_x11_draw_costs_an_attempt_on_the_replicates_stream(tiny)
     # and the next attempt continues the same stream; a table the
     # certificate fits takes its closed-form row
     result = fit(tiny)
-    assert not result.active_constraints  # so refits start warm from the parent fit
     indices = list(range(50))
     expected, zeros, draws = [], 0, 0
     for index in indices:
@@ -447,10 +447,7 @@ def test_bootstrap_zero_x11_draw_costs_an_attempt_on_the_replicates_stream(tiny)
                 continue
             survey = SurveyData(CellCounts(*map(int, table_a[:3])),
                                 CellCounts(*map(int, table_b[:3])))
-            (refit,) = mle.fit_many([survey], result.options, start=result.params)
-            if (isinstance(refit, DualdepError) or not refit.converged
-                    or refit.active_constraints):
-                (refit,) = mle.fit_many([survey], result.options)  # the grid's second pass
+            (refit,) = mle.fit_many([survey], result.options)
             row = certified_row(survey, result.options)
             if row is not None:
                 values, reason = row, ""
@@ -472,16 +469,15 @@ def test_bootstrap_zero_x11_draw_costs_an_attempt_on_the_replicates_stream(tiny)
 
 
 def test_an_attempt_that_draws_no_table_makes_no_refit(tiny, monkeypatch):
-    # replicate 0 of the tiny table at seed 1 draws x11 = 0 on its first two
-    # attempts and a table the certificate declines on its third; the two
-    # attempts that draw no table refit nothing, so only the third makes
-    # refit calls
+    # replicate 0 of the tiny table at seed 1 draws x11 = 0 on attempts 1, 2
+    # and 5; attempts 3 and 4 draw tables the certificate declines and whose
+    # box has no room, and attempt 6 one the solver fits; the attempts that
+    # draw no table refit nothing, so there are three grid refits
     result = fit(tiny)
     calls = columns_per_call(monkeypatch)
     ((_, row, reason),) = inference._bootstrap_rows([0], 1, tiny, result)
     assert row is not None and reason == ""
-    assert calls[0] == (1, True)  # the third attempt's warm refit
-    assert min(width for width, _ in calls) > 0
+    assert calls == [12, 12, 12]
 
 
 @settings(max_examples=200, deadline=None)
@@ -540,12 +536,9 @@ def certified_row(survey, options):
 def one_table_at_a_time(indices, seed, data, parent):
     """The ``_bootstrap_rows`` of replicates ``indices`` as FitResults
     give them: each replicate's tables drawn on a fresh stream, attempt by
-    attempt, and refit alone with ``mle.fit_many`` (warm from the parent
-    unless it sits on a bound; from the grid where the warm refit failed or
-    ended on a bound), its row ``inference.quantities`` of the refit, or the
-    closed-form row where the certificate fits the table
-    (``certified_row``)."""
-    warm = None if parent.active_constraints else parent.params
+    attempt, and refit alone with ``mle.fit_many``, its row
+    ``inference.quantities`` of the refit, or the closed-form row where the
+    certificate fits the table (``certified_row``)."""
     out = []
     for index in indices:
         rng, row, reason = _parallel.stream(seed, index), None, ""
@@ -554,9 +547,7 @@ def one_table_at_a_time(indices, seed, data, parent):
             if survey is None:
                 reason = "drawn x11 was zero"
                 continue
-            (refit,) = mle.fit_many([survey], parent.options, start=warm)
-            if warm is not None and (isinstance(refit, DualdepError) or refit.active_constraints):
-                (refit,) = mle.fit_many([survey], parent.options)
+            (refit,) = mle.fit_many([survey], parent.options)
             row = certified_row(survey, parent.options)
             if row is not None:
                 reason = ""
@@ -572,7 +563,7 @@ def one_table_at_a_time(indices, seed, data, parent):
 
 @pytest.mark.parametrize("table, count", [
     *(((q, None), 40) for q in ("Q1", "Q2", "Q3", "Q4")),
-    (((2, 3, 4), (1, 2, 3)), 60),  # tiny: zero-x11 redraws, warm refits that take the grid
+    (((2, 3, 4), (1, 2, 3)), 60),  # tiny: zero-x11 redraws and declined draws
     (((201, 4162, 4390), (406, 2574, 3265)), 25),  # corner: the parent is on bounds
 ], ids=["Q1", "Q2", "Q3", "Q4", "tiny", "corner"])
 def test_the_array_read_out_gives_the_rows_of_the_fit_results(table, count):
@@ -616,39 +607,6 @@ def _first_attempts(data, parent, seed, count):
             and grid[index].converged]
 
 
-def assert_at_the_grid_maximum(data, parent, seed, count):
-    # a warm refit reaches the grid refit's maximum: no lower log-likelihood
-    # and the same parameters, both within 1e-6
-    compared = _first_attempts(data, parent, seed, count)
-    for survey, grid, row in compared:
-        n_a, n_b, _, alpha, p1, p2a, p2b = row
-        ll = model.log_likelihood(ModelParams(n_a, n_b, alpha, p1, p2a, p2b), survey)
-        assert ll >= grid.log_likelihood - 1e-6, survey
-        assert row == pytest.approx(_row(grid), rel=1e-6, abs=0.0), survey
-    return compared
-
-
-@pytest.mark.parametrize("mode", ["reduced", "full"])
-@pytest.mark.parametrize("quarter", ["Q1", "Q2", "Q3", "Q4"])
-def test_warm_refits_reach_the_grid_maximum_on_the_quarters(quarter, mode):
-    from conftest import make_survey
-
-    data = make_survey(quarter)
-    parent = fit(data, FitOptions(mode=mode))
-    assert not parent.active_constraints  # so every refit starts warm
-    assert len(assert_at_the_grid_maximum(data, parent, 7, 25)) == 25
-
-
-@settings(max_examples=25, deadline=None)
-@given(data=drawn_tables(), mode=st.sampled_from(["reduced", "full"]),
-       seed=st.integers(0, 2**32))
-def test_warm_refits_reach_the_grid_maximum_on_random_tables(data, mode, seed):
-    (parent,) = mle.fit_many([data], FitOptions(mode=mode))
-    assume(not isinstance(parent, DualdepError) and parent.converged
-           and not parent.active_constraints)
-    assert_at_the_grid_maximum(data, parent, seed, 8)
-
-
 def assert_grid_bits(data, parent, seed, count):
     # each row has the bits of the grid refit, or of the closed form where
     # the certificate fits the table
@@ -670,32 +628,12 @@ def test_a_parent_on_a_bound_refits_from_the_grid():
 
 def test_a_multi_maximum_parent_refits_from_the_grid():
     # a study-2 draw whose full-mode maximum, on the N_B and p2B bounds, only
-    # four of the twelve grid starts reach; from the parent alone, a refit
-    # can stop at a lower maximum
+    # four of the twelve grid starts reach
     config = _scenario_config(2, 0.05, replicates=10, seed=11)
     data, _ = _draw_survey(config, _parallel.stream(config.seed, 1))
     parent = fit(data, FitOptions(mode="full"))
     assert {"N_B", "p2B"} <= parent.active_constraints
-    compared = assert_grid_bits(data, parent, 3, 25)
-    warm = mle.fit_many([survey for survey, _, _ in compared], parent.options,
-                        start=parent.params)
-    assert max(grid.log_likelihood - alone.log_likelihood
-               for (_, grid, _), alone in zip(compared, warm)) > 1.0
-
-
-def test_a_warm_refit_on_a_bound_takes_the_grid_refit():
-    # the parent is interior, but the warm refit of replicate 4 ends on the
-    # N_B bound, at other bits than the grid refit
-    data = SurveyData(CellCounts(200, 35, 3807), CellCounts(105, 3326, 2527))
-    parent = fit(data, FitOptions(mode="full"))
-    assert not parent.active_constraints
-    survey = drawn_survey(*draw_replicate_tables(data, parent, _parallel.stream(5, 4)))
-    (warm,) = mle.fit_many([survey], parent.options, start=parent.params)
-    assert warm.converged and warm.active_constraints == {"N_B"}
-    (grid,) = mle.fit_many([survey], parent.options)
-    assert _row(warm) != _row(grid)
-    ((index, row, reason),) = inference._bootstrap_rows([4], 5, data, parent)
-    assert (index, row, reason) == (4, _row(grid), "")
+    assert_grid_bits(data, parent, 3, 25)
 
 
 def test_bootstrap_requires_positive_B(q1_fit):

@@ -2,15 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from dualdep import model
-from dualdep.exceptions import EvaluationError, ValidationError
+from dualdep import mle, model
+from dualdep.exceptions import EvaluationError, FitError, ValidationError
 from dualdep.model import (
     ModelParams,
-    ReducedParams,
     cell_probabilities,
-    expand,
     gradient,
     hessian,
     log_likelihood,
@@ -81,50 +79,65 @@ def test_marginals_reference_values():
     assert cov == pytest.approx(-0.05 * 0.15 * 0.85, abs=1e-15)
 
 
+def reduced_map(data, n_b, alpha, p1, p2b):
+    """The six parameters at the reduced solver point (N_B, alpha, p1, p2B):
+    the solver's own map, ``mle._setup``'s scale through ``mle._expand``."""
+    scale = np.array(mle._setup(data, "reduced")[2])[:, None]
+    u = np.array([[n_b], [alpha], [p1], [p2b]])
+    return ModelParams(*mle._expand(u, scale, mle._COORDINATES["reduced"][1])[:, 0].tolist())
+
+
 def test_expand_reference_values(q1):
-    params = expand(ReducedParams(n_b=18916, alpha=0.069, p1=0.1651, p2b=0.1837), q1)
+    assert p2a_ratio(q1) == (100 / 534) * (3118 / 9000)
+    params = reduced_map(q1, n_b=18916, alpha=0.069, p1=0.1651, p2b=0.1837)
+    assert params.n_a == size_ratio(q1) * 18916
+    assert params.p2a == p2a_ratio(q1) * 0.1837
     assert params.n_a == pytest.approx((9000 / 3118) * 18916, rel=1e-14)
-    assert params.p2a == pytest.approx((100 / 534) * (3118 / 9000) * 0.1837, rel=1e-14)
     assert round(params.p2a, 4) == 0.0119
 
 
 def test_expand_symmetric_data():
     counts = CellCounts(50, 100, 80)
     data = SurveyData(counts, counts)
-    params = expand(ReducedParams(n_b=400, alpha=0.1, p1=0.3, p2b=0.4), data)
+    assert size_ratio(data) == p2a_ratio(data) == 1.0
+    params = reduced_map(data, n_b=400, alpha=0.1, p1=0.3, p2b=0.4)
     assert params.n_a == params.n_b
     assert params.p2a == params.p2b
 
 
 def test_expand_zero_x11a_gives_zero_p2a():
+    # the ratios tie p2A to 0; the solver refuses the table, which has no
+    # naive upper bound for N_A
     data = SurveyData(CellCounts(0, 150, 80), CellCounts(40, 60, 30))
-    params = expand(ReducedParams(n_b=300, alpha=0.1, p1=0.3, p2b=0.8), data)
-    assert params.p2a == 0.0
+    assert p2a_ratio(data) == mle._ties((0, 150, 80), (40, 60, 30))[1] == 0.0
+    with pytest.raises(FitError, match="x11 = 0"):
+        mle._setup(data, "reduced")
 
 
 def test_expand_zero_x11b_errors():
     data = SurveyData(CellCounts(40, 60, 30), CellCounts(0, 150, 80))
     with pytest.raises(ValidationError, match="x11B = 0"):
         p2a_ratio(data)
-    with pytest.raises(ValidationError):
-        expand(ReducedParams(n_b=300, alpha=0.1, p1=0.3, p2b=0.8), data)
+    with pytest.raises(FitError, match="x11 = 0"):
+        mle._setup(data, "reduced")
 
 
 def test_expand_restriction_roundtrip(q1):
-    reduced = ReducedParams(n_b=12000.5, alpha=0.07, p1=0.17, p2b=0.18)
-    params = expand(reduced, q1)
-    assert (params.n_b, params.alpha, params.p1, params.p2b) == (
-        reduced.n_b, reduced.alpha, reduced.p1, reduced.p2b,
-    )
-    again = expand(ReducedParams(params.n_b, params.alpha, params.p1, params.p2b), q1)
-    assert again == params
+    params = reduced_map(q1, n_b=12000.5, alpha=0.07, p1=0.17, p2b=0.18)
+    assert (params.n_b, params.alpha, params.p1, params.p2b) == (12000.5, 0.07, 0.17, 0.18)
+    assert reduced_map(q1, params.n_b, params.alpha, params.p1, params.p2b) == params
 
 
-def test_expand_clamps_p2a():
-    data = SurveyData(CellCounts(90, 10, 5), CellCounts(10, 500, 5))
-    assert p2a_ratio(data) > 1.0
-    params = expand(ReducedParams(n_b=600, alpha=0.05, p1=0.3, p2b=0.9), data)
-    assert params.p2a == 1.0
+stratum = st.tuples(st.integers(0, 10**12), st.integers(0, 10**12), st.integers(0, 10**12))
+
+
+@given(a=stratum, b=stratum)
+def test_the_solver_ties_are_the_public_ratios_bit_for_bit(a, b):
+    # mle._ties reads the counts as Python ints and must divide in the
+    # operation order of size_ratio and p2a_ratio
+    assume(a[0] + a[1] >= 1 and b[0] >= 1)
+    data = SurveyData(CellCounts(*a), CellCounts(*b))
+    assert mle._ties(a, b) == (size_ratio(data), p2a_ratio(data))
 
 
 def test_log_likelihood_frozen_value(tiny):

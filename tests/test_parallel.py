@@ -59,6 +59,28 @@ def test_blocks_of_warm_refits_and_of_grid_fits():
     assert _parallel.blocks(3, 1000) == [range(0, 1), range(1, 2), range(2, 3)]
 
 
+@pytest.mark.parametrize("threads", [0, -2])
+def test_a_thread_count_below_one_is_refused(q1, threads):
+    from dualdep import inference, simulate
+    from dualdep.exceptions import ValidationError
+    from dualdep.mle import fit
+
+    parent = fit(q1)
+    config = simulate.study1_config(replicates=2)
+    calls = [
+        lambda: _parallel.check_threads(threads),
+        lambda: inference.bootstrap(q1, parent, n_replicates=2, threads=threads),
+        lambda: inference.uncertainty_report(q1, parent, ("hessian",), threads=threads),
+        lambda: simulate.run_study1(config, threads=threads),
+        lambda: simulate.run_coverage(config, threads=threads),
+        lambda: simulate.run_study2(1, grid=(0.15,), replicates=2, threads=threads),
+    ]
+    for call in calls:
+        with pytest.raises(ValidationError, match=f"^threads must be >= 1, got {threads}$"):
+            call()
+    _parallel.check_threads(1)
+
+
 def test_only_items_that_fill_several_blocks_are_spread_over_workers(monkeypatch):
     monkeypatch.setattr(_parallel, "cpus", lambda: 8)
     assert _parallel.blocks(5, 1, threads=8) == [range(5)]  # a small bootstrap: in process

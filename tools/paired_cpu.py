@@ -13,10 +13,9 @@ blocks are:
   at p1B = 0.01, 0.15 and 0.35;
 - ``solver-refits``: ``estimate --se both --threads 1 --B 100`` on three
   tables whose drawn tables often reach the solver rather than the closed
-  form: ``small`` (single-digit counts: most draws are declined, and warm
-  refits that fail take the grid), ``corner`` (the parent fit is on bounds, so every solver
-  refit is a grid refit) and ``mixed`` (full mode: warm refits, and some
-  that end on a bound and take the grid);
+  form, each such draw one grid refit: ``small`` (single-digit counts: most
+  draws are declined, on a flat likelihood), ``corner`` (the parent fit is
+  on bounds) and ``mixed`` (full mode, an interior parent);
 - ``studies``: ``simulate study1 --replicates 100`` and ``simulate coverage
   --replicates 50``, both ``--threads 1``: study 1's draws, all certified,
   and coverage's, with a Hessian SE each;

@@ -16,18 +16,15 @@ with counts near 1e9, whose one converged start ties stalled ones within
 the log-likelihood's rounding noise.
 
 A bootstrap refit of a drawn table whose moment point lies inside its box
-is that point, in closed form; the other refits take one of two solver
-paths. They start warm from an interior parent fit, with the starting grid
-only for the refits that fail or end on a bound there, or, where the parent
-sits on bounds (``estimate-corner-bootstrap``), from the starting grid
-alone, as every ``simulate`` fit does. The Q1 and Q4 draws are all
-certified. ``estimate-mixed-bootstrap`` (full mode, interior parent) takes
-all three paths in one command: 48 of its 50 draws are certified, and the
-other two climb warm, end on a bound (replicate 4 on N_B) and refit from
-the grid. ``estimate-small-bootstrap`` pins the warm path where it decides
-the rows: on the flat likelihood of the single-digit table (4, 6, 8)/(2, 4,
-6) most draws are declined, and a warm refit and the grid can stop at
-points far apart, so its bootstrap SEs change if the warm start goes. For each
+is that point, in closed form; every other refit climbs from the drawn
+table's starting grid, as every ``simulate`` fit does. The Q1 and Q4 draws
+are all certified. ``estimate-corner-bootstrap`` (parent on bounds) refits
+from the grid. ``estimate-mixed-bootstrap`` (full mode, interior parent)
+takes both paths in one command: 48 of its 50 draws are certified and the
+other two are grid refits. ``estimate-small-bootstrap`` pins grid refits on
+a flat likelihood: the certificate declines most draws of the single-digit
+table (4, 6, 8)/(2, 4, 6), and there the winner among the starts decides
+the rows. For each
 command the digest holds its exit code, stdout and stderr, the report's
 ``results`` (floats as ``float.hex``, so equal files mean bit-identical
 results) and the summary CSV. The work directory is written as ``<work>``,
