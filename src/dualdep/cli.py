@@ -71,7 +71,8 @@ def _write_outputs(args, command: str, inputs: list[str], seed, results: dict,
                    csv_header, csv_rows) -> tuple[Path, Path]:
     """Write ``<stem>.report.json`` and ``<stem>.summary.csv`` for a command and
     print where they went. Non-finite floats in ``results`` become null in
-    the report and in ``csv_rows`` empty cells."""
+    the report and in ``csv_rows`` empty cells. A directory or file that
+    cannot be written is a ValidationError naming it."""
     manifest = _manifest(args, command, inputs, seed)
     report = {"command": command, "results": _finite(results), "manifest": manifest}
     digest_view = dict(report)
@@ -86,14 +87,18 @@ def _write_outputs(args, command: str, inputs: list[str], seed, results: dict,
     stem = _stem_for(args, command)
     json_path = stem.with_name(stem.name + ".report.json")
     csv_path = stem.with_name(stem.name + ".summary.csv")
-    json_path.parent.mkdir(parents=True, exist_ok=True)
-    json_path.write_text(
-        json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n", encoding="utf-8"
-    )
-    with csv_path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(csv_header)
-        writer.writerows(_finite(csv_rows))
+    try:
+        json_path.parent.mkdir(parents=True, exist_ok=True)
+        json_path.write_text(
+            json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n", encoding="utf-8"
+        )
+        with csv_path.open("w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(csv_header)
+            writer.writerows(_finite(csv_rows))
+    except OSError as exc:
+        where = exc.filename if exc.filename is not None else stem
+        raise ValidationError(f"{where}: cannot write: {exc.strerror or exc}") from None
     print(f"wrote {json_path} and {csv_path}")
     return json_path, csv_path
 

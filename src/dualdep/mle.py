@@ -407,7 +407,7 @@ def _chain(sel: tuple[int, ...]) -> _Chain:
 
 def _expand(u, scale, sel):
     """theta (6, K) from solver coordinates."""
-    return scale * u[_chain(tuple(sel)).sel]
+    return scale * u.take(_chain(tuple(sel)).sel, axis=0)
 
 
 def _gradient(values, weights, scale, sel, out=None) -> np.ndarray:
@@ -415,9 +415,9 @@ def _gradient(values, weights, scale, sel, out=None) -> np.ndarray:
     factor table (``model._values``) of the points, into ``out`` if
     given."""
     chain = _chain(tuple(sel))
-    terms = (scale * model._grad(values, weights))[chain.grad_params]
-    return np.take(model._segment_sum(terms, chain.grad_layout), chain.grad_order, axis=0,
-                   out=out)
+    grad = model._grad(values, weights)
+    terms = np.multiply(scale, grad, out=grad).take(chain.grad_params, axis=0)
+    return model._segment_sum(terms, chain.grad_layout).take(chain.grad_order, axis=0, out=out)
 
 
 def _hessian(values, weights, scale, sel) -> np.ndarray:
@@ -425,11 +425,12 @@ def _hessian(values, weights, scale, sel) -> np.ndarray:
     the factor table of the points: the upper triangle summed once through
     ``_Chain`` and mirrored."""
     chain = _chain(tuple(sel))
-    hess = model._hess(values, weights)
-    terms = hess[chain.entries] * scale[chain.rows] * scale[chain.cols]
+    terms = model._hess(values, weights).take(chain.entries, axis=0)
+    terms *= scale.take(chain.rows, axis=0)
+    terms *= scale.take(chain.cols, axis=0)
     upper = model._segment_sum(terms, chain.layout)
     size = sel[-1] + 1
-    return upper[chain.square].reshape(size, size, -1).transpose(2, 0, 1)
+    return upper.take(chain.square, axis=0).reshape(size, size, -1).transpose(2, 0, 1)
 
 
 def _projected_gradient(u, grad, lo, hi, out=None):
@@ -442,9 +443,11 @@ def _projected_gradient(u, grad, lo, hi, out=None):
     band = _ACTIVITY_TOL * (hi - lo)
     down, up, free, pg = (None,) * 4 if out is None else out
     down, up = np.subtract(u, lo, out=down), np.subtract(hi, u, out=up)
-    free = np.logical_not(((down <= band) & (grad < 0.0)) | ((up <= band) & (grad > 0.0)),
-                          out=free)
-    return free, np.where(free, np.abs(grad), 0.0).max(axis=0, out=pg)
+    blocked = ((down <= band) & (grad < 0.0)) | ((up <= band) & (grad > 0.0))
+    free = np.logical_not(blocked, out=free)
+    size = np.abs(grad)
+    np.copyto(size, 0.0, where=blocked)
+    return free, np.maximum.reduce(size, axis=0, out=pg)
 
 
 def _newton_step(hess, grad):
@@ -475,9 +478,11 @@ def _ascent_step(hess, grad):
         hess /= d[:, :, None] * d[:, None, :]
         gd = grad / d
         step = np.full(grad.shape, np.nan)
-        ok = np.isfinite(hess).all(axis=(1, 2)) & np.isfinite(gd).all(axis=1)
-        if ok.any():
-            lam, vec = np.linalg.eigh(hess if ok.all() else hess[ok])
+        ok = (np.logical_and.reduce(np.isfinite(hess), axis=(1, 2))
+              & np.logical_and.reduce(np.isfinite(gd), axis=1))
+        count = np.count_nonzero(ok)
+        if count:
+            lam, vec = np.linalg.eigh(hess if count == ok.size else hess[ok])
             y = np.matmul(np.swapaxes(vec, 1, 2), gd[ok][..., None])[..., 0] / np.abs(lam)
             step[ok] = np.matmul(vec, y[..., None])[..., 0] / d[ok]
     return step
@@ -503,13 +508,20 @@ def _to_boundary(step, down, up, edge, first):
     probability on its trim, from where it can only double its distance
     per step."""
     s, down, up, edge = step[first:], down[first:], up[first:], edge[first:]
-    room, size = np.where(s > 0.0, up, down), np.abs(s)
+    room, size = down.copy(), np.abs(s)
+    np.copyto(room, up, where=s > 0.0)
     binds = (size > _TO_BOUNDARY * room) & (room > edge)
-    if not binds.any():
+    if not np.count_nonzero(binds):
         return step
     with np.errstate(divide="ignore", invalid="ignore"):
-        share = np.where(binds, _TO_BOUNDARY * (room / size), 1.0).min(axis=0)
-        return step * share
+        share = np.divide(room, size, out=room)
+        np.multiply(_TO_BOUNDARY, share, out=share)
+        np.copyto(share, 1.0, where=~binds)
+        return step * np.minimum.reduce(share, axis=0)
+
+
+# The identity of each mode's number of solver coordinates, built once.
+_EYE = {len(coords): np.eye(len(coords)) for coords, _, _ in _COORDINATES.values()}
 
 
 def _direction(run):
@@ -520,28 +532,30 @@ def _direction(run):
     singular; and which other steps are not finite. The Hessian comes from
     the factor table each start carries. The rule reads the rooms to the
     box that each start's evaluation left (``_projected_gradient``)."""
-    u, free = run["u"], run["free"]
-    size = u.shape[0]
-    every = free.all()
-    grad = run["grad"] if every else np.where(free, run["grad"], 0.0)
+    u, free, grad = run["u"], run["free"], run["grad"]
+    blocked = None if np.count_nonzero(free) == free.size else ~free
     hess = _hessian(run["values"], run["weights"], run["scale"], run["sel"])
-    if not every:
+    if blocked is not None:
         # blocked coordinates get an identity row and column and a zero
         # gradient entry, so their step is zero
-        np.copyto(hess, np.eye(size), where=~(free.T[:, :, None] & free.T[:, None, :]))
+        grad = grad.copy()
+        np.copyto(grad, 0.0, where=blocked)
+        np.copyto(hess, _EYE[len(u)], where=blocked.T[:, :, None] | blocked.T[:, None, :])
     step, singular = _newton_step(hess, grad.T)
     step = step.T
-    descend = ~((grad * step).sum(axis=0) > 0.0) & ~singular
-    if descend.any():
+    descend = ~(np.add.reduce(grad * step, axis=0) > 0.0) & ~singular
+    if np.count_nonzero(descend):
         step[:, descend] = _ascent_step(hess[descend], grad.T[descend]).T
-    step = step.copy() if every else np.where(free, step, 0.0)  # C order, as u
-    broken = ~np.isfinite(step).all(axis=0) & ~singular
+    step = step.copy()  # C order, as u
+    if blocked is not None:
+        np.copyto(step, 0.0, where=blocked)
+    broken = ~np.logical_and.reduce(np.isfinite(step), axis=0) & ~singular
     step = _to_boundary(step, run["down"], run["up"], run["edge"], run["sel"][2])
     # where the curvature is extreme the step can be smaller than the
     # spacing of floats and round away; move such coordinates one ulp
     tiny = (step != 0.0) & (u + step == u)
-    if tiny.any():
-        step = np.where(tiny, np.nextafter(u, np.copysign(np.inf, step)) - u, step)
+    if np.count_nonzero(tiny):
+        np.copyto(step, np.nextafter(u, np.copysign(np.inf, step)) - u, where=tiny)
     return step, singular, broken
 
 
@@ -668,19 +682,20 @@ def _solve_start(u0, table, counts, scale, sel, lo_t, hi_t, max_iter, tol):
         done = reasons[0][0]
         for mask, _ in reasons[1:]:
             done = done | mask
-        if not done.any():
+        if not np.count_nonzero(done):
             return None
         for mask, message in reversed(reasons):
-            for row in run["start"][mask].tolist():
-                messages[row] = message
+            if np.count_nonzero(mask):
+                for row in run["start"][mask].tolist():
+                    messages[row] = message
         out = run["start"][done]
         final[:, out] = run["state"][rows["final"], done]
         final_it[out] = run["it"][done]
-        (keep,) = np.nonzero(~done)
+        (keep,) = (~done).nonzero()
         side, height = 1 - run["side"], len(run["state"])
         state = run["memory"][side, :height * keep.size].reshape(height, keep.size)
-        np.take(run["state"], keep, axis=1, out=state)
-        run.update(_views(state, np.take(run["free"], keep, axis=1)), side=side,
+        run["state"].take(keep, axis=1, out=state)
+        run.update(_views(state, run["free"].take(keep, axis=1)), side=side,
                    start=run["start"][keep], it=run["it"][keep])
         return keep
 
@@ -719,8 +734,8 @@ def _trial(run, points, cols=None):
         const, ll, pg = run, run["ll"], run["pg"]
     else:
         rows = _rows(size)["constant"]
-        np.take(run["state"][rows], cols, axis=1, out=out["state"][rows])
-        const, ll, pg = out, run["ll"][cols], run["pg"][cols]
+        run["state"][rows].take(cols, axis=1, out=out["state"][rows])
+        const, ll, pg = out, run["ll"].take(cols), run["pg"].take(cols)
     np.minimum(np.maximum(points, const["lo"], out=out["u"]), const["hi"], out=out["u"])
     _evaluate(out, const, run["sel"])
     return out, (out["pg"] < pg) | (out["ll"] > ll)
@@ -742,24 +757,26 @@ def _line_search(run, step, width):
     moved = _rows(len(u))["moved"]
     state, free = run["state"][moved], run["free"]
     trial, accepted = _trial(run, u + step)
-    if accepted.all():
+    if np.count_nonzero(accepted) == accepted.size:
         state[...] = trial["state"][moved]
         free[...] = trial["free"]
         run["it"] += 1
         return accepted
     np.copyto(state, trial["state"][moved], where=accepted)
     np.copyto(free, trial["free"], where=accepted)
-    (searching,), k = np.nonzero(~accepted), 1
+    (searching,), k = (~accepted).nonzero(), 1
     while searching.size and k < _LENGTHS.size:
         per = min(width // searching.size, _LENGTHS.size - k)
-        points = u[:, searching, None] + _LENGTHS[k:k + per] * step[:, searching, None]
-        trial, ok = _trial(run, points.reshape(len(u), -1), np.repeat(searching, per))
+        points = (u.take(searching, axis=1)[:, :, None]
+                  + _LENGTHS[k:k + per] * step.take(searching, axis=1)[:, :, None])
+        trial, ok = _trial(run, points.reshape(len(u), -1), searching.repeat(per))
         ok = ok.reshape(-1, per)
-        found = ok.any(axis=1)
-        first = np.nonzero(found)[0] * per + ok.argmax(axis=1)[found]
-        to = searching[found]
-        state[:, to] = trial["state"][moved, first]
-        free[:, to] = trial["free"][:, first]
+        found = np.logical_or.reduce(ok, axis=1)
+        (rows,) = found.nonzero()
+        first = rows * per + ok.argmax(axis=1).take(rows)
+        to = searching.take(rows)
+        state[:, to] = trial["state"][moved].take(first, axis=1)
+        free[:, to] = trial["free"].take(first, axis=1)
         accepted[to] = True
         searching, k = searching[~found], k + per
     run["it"] += accepted

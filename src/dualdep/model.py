@@ -307,6 +307,16 @@ def _hessian_terms():
 (_W_CELLS,), _W_LAYOUT = _segments(list(zip(*np.nonzero(_W))))
 (_G_COEFF, _G_Z, _G_V), _G_LAYOUT = _segments(_gradient_terms())
 (_H_COEFF, _H_Y, _H_V1, _H_V2), _H_LAYOUT = _segments(_hessian_terms())
+# The kernels gather rows with ``ndarray.take`` on index arrays, never on a
+# Python list, which numpy converts anew on every call. The weights' and the
+# gradient's segment sums cover every row of their output, so each is
+# gathered into row order (``_W_ORDER``, ``_G_ORDER``: the row of each
+# target); the Hessian's leave the uncoupled entries zero, so they are
+# scattered to their targets (``_H_TARGETS``). The coefficients are columns,
+# to broadcast over the points.
+_W_ORDER, _G_ORDER = (np.argsort(layout[0]) for layout in (_W_LAYOUT, _G_LAYOUT))
+_H_TARGETS = np.array(_H_LAYOUT[0], dtype=np.intp)
+_G_COEFF, _H_COEFF = _G_COEFF[:, None], _H_COEFF[:, None]
 
 
 def _counts(data: SurveyData) -> tuple[float, ...]:
@@ -334,7 +344,8 @@ def _values(theta, counts, out=None):
     np.subtract(theta[:2], counts[3::4], out=values[14:16])
     cells = counts.copy()  # the count of each cell's log, N_s - x0s for p00s
     cells[3::4] = values[14:16]
-    weights[_W_LAYOUT[0]] = _segment_sum(cells[_W_CELLS], _W_LAYOUT)
+    _segment_sum(cells.take(_W_CELLS, axis=0), _W_LAYOUT).take(_W_ORDER, axis=0,
+                                                               out=weights[:11])
     weights[_UNIT] = 0.0
     weights[12:14] = theta[:2]
     np.negative(values[14:16], out=weights[14:16])
@@ -369,14 +380,24 @@ def _check(values, counts) -> None:
             raise EvaluationError(term, f"probability {value} with count coefficient {coeff}")
 
 
+# The masked fills below compute the whole expression and then overwrite the
+# masked entries with np.copyto: the same bits as np.where(mask, 0.0, expr),
+# without the third array np.where allocates.
+
 def _xlogy(x, y):
     """x log y with a zero count contributing zero whatever y is."""
-    return np.where(x == 0.0, 0.0, x * np.log(y))
+    out = np.log(y)
+    np.multiply(x, out, out=out)
+    np.copyto(out, 0.0, where=x == 0.0)
+    return out
 
 
-def _frac(num, den):
-    """num / den with a zero numerator winning over a zero denominator."""
-    return np.where(num == 0.0, 0.0, num / den)
+def _frac(num, den, out):
+    """num / den with a zero numerator winning over a zero denominator,
+    written into ``out``, a C-contiguous array of their shape."""
+    np.divide(num, den, out=out)
+    np.copyto(out, 0.0, where=num == 0.0)
+    return out
 
 
 def _ll(values, weights, counts):
@@ -395,11 +416,12 @@ def _grad(values, weights):
     order; a size's component diverges to +inf at N = x0."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         z = np.empty((11 + len(values), values.shape[1]))
-        z[:11] = _frac(weights[:11], values[:11])
+        _frac(weights[:11], values[:11], z[:11])
         np.log(values, out=z[11:])
-        out = np.empty((6, values.shape[1]))
-        out[_G_LAYOUT[0]] = _segment_sum(_G_COEFF[:, None] * z[_G_Z] * values[_G_V], _G_LAYOUT)
-    return out
+        terms = z.take(_G_Z, axis=0)
+        np.multiply(_G_COEFF, terms, out=terms)
+        terms *= values.take(_G_V, axis=0)
+        return _segment_sum(terms, _G_LAYOUT).take(_G_ORDER, axis=0)
 
 
 def _hess(values, weights):
@@ -408,12 +430,15 @@ def _hess(values, weights):
     other stratum's p2, p2A-p2B) are exactly 0."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         y = np.empty((22 + len(values), values.shape[1]))
-        y[11:22] = _frac(weights[:11], values[:11])
-        y[:11] = _frac(y[11:22], values[:11])
+        _frac(weights[:11], values[:11], y[11:22])
+        _frac(y[11:22], values[:11], y[:11])
         np.divide(1.0, values, out=y[22:])
-        terms = _H_COEFF[:, None] * y[_H_Y] * values[_H_V1] * values[_H_V2]
+        terms = y.take(_H_Y, axis=0)
+        np.multiply(_H_COEFF, terms, out=terms)
+        terms *= values.take(_H_V1, axis=0)
+        terms *= values.take(_H_V2, axis=0)
         out = np.zeros((len(_PAIRS), values.shape[1]))
-        out[_H_LAYOUT[0]] = _segment_sum(terms, _H_LAYOUT)
+        out[_H_TARGETS] = _segment_sum(terms, _H_LAYOUT)
     return out
 
 

@@ -1,9 +1,10 @@
 """Independent oracles used by the tests: finite differences against the
 analytic derivatives, exhaustive multinomial enumeration against the
-simulator, a reference projected-Newton solve against the batched one, the
-moment point in exact fractions against the closed-form fit, and the
-certificate on a table's solver set-up against the one on its counts.
-These never call the code paths they check."""
+simulator, a reference projected-Newton solve against the batched one,
+plain-numpy reference kernels against the solver's, the moment point in
+exact fractions against the closed-form fit, and the certificate on a
+table's solver set-up against the one on its counts. These never call the
+code paths they check."""
 
 from __future__ import annotations
 
@@ -193,6 +194,109 @@ def _reference_line_search(run, step):
         searching &= length > 1e-14
     run["it"] += accepted
     return accepted
+
+
+# --- reference kernels ----------------------------------------------------------
+# The solver's per-point kernels written with plain numpy expressions: fancy
+# indexing for every gather and scatter, np.where for every masked fill and
+# reductions through the array methods. ``model`` and ``mle`` supply only
+# the fixed index tables of the kernels (the factor layouts and the chain
+# rule's), which they build once at import. The kernels there must return
+# these bits.
+
+def reference_xlogy(x, y):
+    """x log y with a zero count contributing zero whatever y is."""
+    return np.where(x == 0.0, 0.0, x * np.log(y))
+
+
+def reference_frac(num, den):
+    """num / den with a zero numerator winning over a zero denominator."""
+    return np.where(num == 0.0, 0.0, num / den)
+
+
+def reference_segment_sum(terms, layout):
+    """``model._segment_sum``: each target's terms summed in their listed
+    order, one row per target in layout order, in place. (In place matters
+    to the bits: numpy 2.4.6 adds a lone element into itself with the
+    operands' NaNs the other way round.)"""
+    targets, blocks = layout
+    out = terms[:len(targets)]
+    for start, size in blocks:
+        out[:size] += terms[start:start + size]
+    return out
+
+
+def reference_values(theta, counts):
+    """``model._values`` of the points theta (6, K) with counts (8, K)."""
+    alpha = theta[2]
+    values, weights = np.empty((2, 16, theta.shape[1]))
+    values[0:3] = theta[3:6]
+    np.subtract(1.0, theta[2:6], out=values[3:7])
+    np.add(values[5:7], alpha * values[1:3], out=values[7:9])
+    np.add(values[1:3], alpha * values[5:7], out=values[9:11])
+    values[11] = 1.0
+    values[12:14] = theta[:2]
+    np.subtract(theta[:2], counts[3::4], out=values[14:16])
+    cells = counts.copy()
+    cells[3::4] = values[14:16]
+    weights[model._W_LAYOUT[0]] = reference_segment_sum(cells[model._W_CELLS], model._W_LAYOUT)
+    weights[11] = 0.0
+    weights[12:14] = theta[:2]
+    np.negative(values[14:16], out=weights[14:16])
+    return values, weights
+
+
+def reference_ll(values, weights, counts):
+    """``model._ll``."""
+    terms = reference_xlogy(weights, values)
+    for half in (8, 4, 2, 1):
+        terms = terms[:half] + terms[half:]
+    return terms[0] - counts[3] - counts[7]
+
+
+def reference_grad(values, weights):
+    """``model._grad``."""
+    z = np.concatenate((reference_frac(weights[:11], values[:11]), np.log(values)))
+    terms = model._G_COEFF * z[model._G_Z] * values[model._G_V]
+    out = np.empty((6, values.shape[1]))
+    out[model._G_LAYOUT[0]] = reference_segment_sum(terms, model._G_LAYOUT)
+    return out
+
+
+def reference_hess(values, weights):
+    """``model._hess``."""
+    ratio = reference_frac(weights[:11], values[:11])
+    y = np.concatenate((reference_frac(ratio, values[:11]), ratio, 1.0 / values))
+    terms = model._H_COEFF * y[model._H_Y] * values[model._H_V1] * values[model._H_V2]
+    out = np.zeros((len(model._PAIRS), values.shape[1]))
+    out[model._H_LAYOUT[0]] = reference_segment_sum(terms, model._H_LAYOUT)
+    return out
+
+
+def reference_gradient(values, weights, scale, sel):
+    """``mle._gradient``."""
+    chain = mle._chain(tuple(sel))
+    terms = (scale * reference_grad(values, weights))[chain.grad_params]
+    return reference_segment_sum(terms, chain.grad_layout)[chain.grad_order]
+
+
+def reference_hessian(values, weights, scale, sel):
+    """``mle._hessian``."""
+    chain = mle._chain(tuple(sel))
+    terms = (reference_hess(values, weights)[chain.entries] * scale[chain.rows]
+             * scale[chain.cols])
+    upper = reference_segment_sum(terms, chain.layout)
+    size = sel[-1] + 1
+    return upper[chain.square].reshape(size, size, -1).transpose(2, 0, 1)
+
+
+def reference_projected_gradient(u, grad, lo, hi):
+    """``mle._projected_gradient``: the free coordinates and the projected
+    gradient, with the rooms u - lo and hi - u."""
+    band = mle._ACTIVITY_TOL * (hi - lo)
+    down, up = u - lo, hi - u
+    free = ~(((down <= band) & (grad < 0.0)) | ((up <= band) & (grad > 0.0)))
+    return free, np.where(free, np.abs(grad), 0.0).max(axis=0), down, up
 
 
 def moment_point(data: SurveyData) -> tuple[Fraction, ...] | None:

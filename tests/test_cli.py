@@ -96,6 +96,27 @@ def test_unreadable_or_malformed_input_is_usage_error(tmp_path, capsys, name, co
     assert err.startswith("error: ") and err.count("\n") == 1 and message in err
 
 
+@pytest.mark.parametrize("blocked", ["directory", "report", "summary"])
+@pytest.mark.parametrize("argv", [["estimate", "--se", "hessian"], ["diagnose"]],
+                         ids=["estimate", "diagnose"])
+def test_an_unwritable_output_is_usage_error(q1_csv, tmp_path, capsys, argv, blocked):
+    # the stem's directory is a regular file, or one of the two files to
+    # write is a directory
+    stem = tmp_path / "out"
+    if blocked == "directory":
+        where = tmp_path / "afile"
+        where.write_text("", encoding="utf-8")
+        stem = where / "stem"
+    else:
+        where = tmp_path / f"out.{blocked}.{'json' if blocked == 'report' else 'csv'}"
+        where.mkdir()
+    code = main([*argv, "--input", str(q1_csv), "--output", str(stem)])
+    captured = capsys.readouterr()
+    assert code == 2 and "wrote" not in captured.out
+    assert captured.err.startswith(f"error: {where}: cannot write: ")
+    assert captured.err.count("\n") == 1
+
+
 VALID_STRATA = [{"label": "A", "x11": 100, "x10": 8900, "x01": 3641},
                 {"label": "B", "x11": 534, "x10": 2584, "x01": 3780}]
 json_values = st.recursive(

@@ -51,7 +51,9 @@ def test_a_stream_is_keyed_modulo_2_64():
         assert _parallel.Streams(seed).at(key).random(3).tolist() == wrapped
 
 
-def test_blocks_of_warm_refits_and_of_grid_fits():
+def test_blocks_are_cut_by_solver_width():
+    # an item of width 1 is a one-start fit, of width 12 a fit from the
+    # default starting grid: a block holds BLOCK_COLUMNS // width items
     assert _parallel.blocks(0, 1) == []
     assert _parallel.blocks(100, 1) == [range(100)]
     assert _parallel.blocks(500, 1) == [range(250), range(250, 500)]

@@ -1,7 +1,9 @@
 """The batched solve against the reference solve of ``oracles``: the same
 bits for every start, whichever starts share a batch and however many of
-them have stopped. And the factor table the solver carries with each start
-against a fresh one at the start's point."""
+them have stopped. The factor table the solver carries with each start
+against a fresh one at the start's point. And the solver's per-point
+kernels against the reference kernels of ``oracles``, bit for bit, on
+boundary, infinite and NaN inputs."""
 
 import platform
 
@@ -15,6 +17,7 @@ from dualdep.mle import FitOptions, fit
 from dualdep.simulate import _draw_survey, _scenario_config
 from dualdep.tables import CellCounts, SurveyData
 
+import oracles
 from conftest import make_survey
 from oracles import reference_solve
 
@@ -242,6 +245,112 @@ def test_the_solver_state_stays_contiguous(monkeypatch):
     monkeypatch.setattr(mle, "_trial", checked_trial)
     _, _, _, _, messages = mle._solve_start(*mixed_stops_args())
     assert len(set(messages)) > 1 and len(seen) > 10 and all(seen)
+
+
+def assert_same_bits(got, want):
+    """Two arrays hold the same bits: equal int64 views, so that -0.0 differs
+    from 0.0 and a NaN's sign and payload count."""
+    got, want = np.ascontiguousarray(got), np.ascontiguousarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    if got.dtype == np.float64:
+        got, want = got.view(np.int64), want.view(np.int64)
+    assert np.array_equal(got, want)
+
+
+# The special entries a kernel test mixes in: the ends of the unit interval
+# and their trims, signed zeros, infinities and NaN.
+PROBABILITY_SPECIALS = (0.0, -0.0, 1.0, 1e-10, 1.0 - 1e-10, np.inf, -np.inf, np.nan)
+FACTOR_SPECIALS = (0.0, 1.0, 1.0 + 1e-12, np.inf, np.nan)  # a size over its observed total
+ENTRY_SPECIALS = (0.0, -0.0, 1e-300, 1.0, 1e300, np.inf, -np.inf, np.nan)
+
+
+def mixed(rng, shape, regular, specials, share):
+    """An array of ``regular`` draws with about ``share`` of its entries
+    replaced by entries of ``specials``."""
+    out = regular(shape)
+    special = rng.random(shape) < share
+    out[special] = rng.choice(np.array(specials), size=shape)[special]
+    return out
+
+
+kernel_widths = st.sampled_from([1, 12, 60, 300])
+special_shares = st.sampled_from([0.0, 0.05, 0.3, 1.0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(width=kernel_widths, share=special_shares, seed=st.integers(0, 2**32 - 1))
+def test_the_masked_fills_give_the_bits_of_np_where(width, share, seed):
+    rng = np.random.default_rng(seed)
+    x, y = (mixed(rng, (11, width), lambda shape: rng.uniform(-2.0, 5.0, shape), ENTRY_SPECIALS,
+                  share) for _ in range(2))
+    with np.errstate(all="ignore"):
+        assert_same_bits(model._xlogy(x, y), oracles.reference_xlogy(x, y))
+        assert_same_bits(model._frac(x, y, np.empty_like(x)), oracles.reference_frac(x, y))
+
+
+def kernel_points(rng, width, share):
+    """theta (6, K) and counts (8, K): zero counts, sizes at, on the trim
+    of and above the observed total, probabilities on the ends of the unit
+    interval and their trims, and infinite and NaN entries."""
+    cells = rng.integers(0, 50, size=(6, width)) * (rng.random((6, width)) >= share)
+    x0 = cells[:3].sum(axis=0), cells[3:].sum(axis=0)
+    counts = np.array([*cells[:3], x0[0], *cells[3:], x0[1]], dtype=float)
+    factors = mixed(rng, (2, width), lambda shape: rng.uniform(1.0, 3.0, shape), FACTOR_SPECIALS,
+                    share)
+    with np.errstate(invalid="ignore"):  # an infinite factor of a zero total is NaN
+        sizes = np.array(x0) * factors
+    probs = mixed(rng, (4, width), rng.random, PROBABILITY_SPECIALS, share)
+    return np.concatenate((sizes, probs)), counts
+
+
+@settings(max_examples=40, deadline=None)
+@given(width=kernel_widths, share=special_shares, seed=st.integers(0, 2**32 - 1),
+       mode=st.sampled_from(["reduced", "full"]))
+def test_the_kernels_give_the_bits_of_the_reference_kernels(width, share, seed, mode):
+    rng = np.random.default_rng(seed)
+    theta, counts = kernel_points(rng, width, share)
+    _, sel, tied = mle._COORDINATES[mode]
+    scale = np.ones((6, width))
+    scale[list(tied)] = mixed(rng, (len(tied), width), lambda shape: rng.uniform(0.1, 10.0, shape),
+                              (0.0, np.inf), share)
+    with np.errstate(all="ignore"):
+        values, weights = oracles.reference_values(theta, counts)
+        for got, want in zip(model._values(theta, counts), (values, weights)):
+            assert_same_bits(got, want)
+        assert_same_bits(model._ll(values, weights, counts),
+                         oracles.reference_ll(values, weights, counts))
+        assert_same_bits(model._grad(values, weights), oracles.reference_grad(values, weights))
+        assert_same_bits(model._hess(values, weights), oracles.reference_hess(values, weights))
+        assert_same_bits(mle._gradient(values, weights, scale, sel),
+                         oracles.reference_gradient(values, weights, scale, sel))
+        assert_same_bits(mle._hessian(values, weights, scale, sel),
+                         oracles.reference_hessian(values, weights, scale, sel))
+
+
+@settings(max_examples=40, deadline=None)
+@given(width=kernel_widths, share=special_shares, seed=st.integers(0, 2**32 - 1),
+       size=st.sampled_from([4, 6]))
+def test_the_projected_gradient_gives_the_bits_of_the_reference(width, share, seed, size):
+    # points on, within the activity band of, inside and outside their box,
+    # against gradients that are zero, signed zero, infinite or NaN
+    rng = np.random.default_rng(seed)
+    lo = rng.uniform(0.0, 1.0, (size, width))
+    hi = lo + rng.uniform(1e-3, 2.0, (size, width))
+    band = mle._ACTIVITY_TOL * (hi - lo)
+    at = rng.integers(0, 6, (size, width))
+    u = np.choose(at, [lo, hi, lo + band / 2, hi - band / 2, lo - 1.0,
+                       rng.uniform(lo, hi)])
+    u = mixed(rng, (size, width), lambda shape: u, (np.nan, np.inf), share / 4)
+    grad = mixed(rng, (size, width), lambda shape: rng.uniform(-5.0, 5.0, shape), ENTRY_SPECIALS,
+                 share)
+    out = (np.empty((size, width)), np.empty((size, width)), np.empty((size, width), dtype=bool),
+           np.empty(width))
+    with np.errstate(all="ignore"):
+        free, pg = mle._projected_gradient(u, grad, lo, hi, out)
+        want = oracles.reference_projected_gradient(u, grad, lo, hi)
+    assert free is out[2] and pg is out[3]
+    for got, expected in zip((free, pg, *out[:2]), want):
+        assert_same_bits(got, expected)
 
 
 # numpy 2.4.6 on x86-64 (seen with its dispatch at the X86_V2 baseline as at

@@ -143,9 +143,23 @@ def test_paired_cpu_times_the_solver_alone_on_two_copies_of_one_tree(tmp_path):
     assert summary["workload"] == "solve" and summary["rounds"] == 1
     assert summary["parent_cpu_s"] > 0.0 and summary["change_cpu_s"] > 0.0
     assert not any(name.startswith("dualdep_") for name in sys.modules)
-    # each call fits draws that the certificate declines, in its mode
+    # each width is summarized and printed after the whole block
+    assert list(summary["parts"]) == list(paired_cpu.SOLVE_WIDTHS)
+    for part in summary["parts"].values():
+        assert part["parent_cpu_s"] > 0.0 and part["change_cpu_s"] > 0.0
+    text = out.getvalue()
+    assert text.count("IQR") == 9
+    assert all(f"solve, {width}, CPU per command" in text for width in paired_cpu.SOLVE_WIDTHS)
+    # the 60-column calls fit draws that the certificate declines, in their
+    # mode; the 12-column calls are the four quarters' reduced point fits
     calls = paired_cpu.solve_inputs(dualdep, seed=7)
-    assert [options.mode for _, options in calls] == ["full", "reduced"]
-    for draws, options in calls:
+    blocks, fits = (calls[width] for width in paired_cpu.SOLVE_WIDTHS)
+    assert [options.mode for _, options in blocks] == ["full", "reduced"]
+    for draws, options in blocks:
         assert len(draws) == paired_cpu.SOLVE_DRAWS
         assert all(mle._moment_point(*simulate._triples(d), options.mode) is None for d in draws)
+    assert [options.mode for _, options in fits] == ["reduced"] * 4
+    assert [tuple(simulate._triples(data)) for (data,), _ in fits] == list(
+        paired_cpu.QUARTERS.values())
+    for width, calls in zip((60, 12), (blocks, fits)):
+        assert all(mle._solver_inputs(*call)[2][0].shape[1] == width for call in calls)

@@ -19,15 +19,19 @@ blocks are:
 - ``studies``: ``simulate study1 --replicates 100`` and ``simulate coverage
   --replicates 50``, both ``--threads 1``: study 1's draws, all certified,
   and coverage's, with a Hessian SE each;
-- ``solve``: the batched solver alone, ``mle._fits`` on study-2 draws that
-  the certificate declines: scenario 1's first 5 declined draws at
+- ``solve``: the batched solver alone, ``mle._fits`` at the two batch
+  widths the benchmark's workloads run. At 60 columns: study-2 draws that
+  the certificate declines, scenario 1's first 5 declined draws at
   p1B = 0.01 in full mode, and at 0.35 in reduced mode, one call each,
   drawn with the tree's own ``simulate`` from the round's seed before the
-  clock starts. A "command" is then one call.
+  clock starts. At 12 columns: the reduced-mode point fit of each of Q1-Q4,
+  one call each, the fit ``estimate`` makes on every command. A "command"
+  is then one call.
 
 It prints each tree's CPU per command and the per-round ratio change/parent,
 each as its quartiles (``statistics.quantiles``, exclusive method) with the
-interquartile range, and in how many rounds the change used less CPU. A
+interquartile range, and in how many rounds the change used less CPU; for
+``solve``, the same for each width's calls alone after the whole block. A
 gain is told from noise by comparing the median paired difference with the
 parent's interquartile range.
 
@@ -69,10 +73,12 @@ SOLVER_REFITS = {
     "mixed": (((200, 35, 3807), (105, 3326, 2527)), "full"),
 }
 STUDY2_POINTS = ("0.01", "0.15", "0.35")
-# the solve workload's calls: scenario 1's study-2 draws at p1B, declined by
-# the certificate in the fit mode, SOLVE_DRAWS per call
+# the solve workload's 60-column calls: scenario 1's study-2 draws at p1B,
+# declined by the certificate in the fit mode, SOLVE_DRAWS per call
 SOLVE_POINTS = ((0.01, "full"), (0.35, "reduced"))
 SOLVE_DRAWS = 5
+# its two widths: those calls, and each quarter's reduced-mode point fit
+SOLVE_WIDTHS = ("60 columns", "12 columns")
 SIDES = ("parent", "change")
 
 
@@ -115,13 +121,14 @@ def run_block(cli, commands: list[list[str]], work: Path) -> float:
     return time.process_time() - start
 
 
-def solve_inputs(package, seed: int) -> list:
-    """The ``solve`` workload's calls at ``seed``: per point of
+def solve_inputs(package, seed: int) -> dict:
+    """The ``solve`` workload's calls at ``seed``, each a list of tables and
+    the fit options, by width (``SOLVE_WIDTHS``): per point of
     ``SOLVE_POINTS``, the first ``SOLVE_DRAWS`` draws of study 2's scenario
-    1 that the certificate declines, drawn on the study's streams, and the
-    fit options."""
-    mle, simulate = package.mle, package.simulate
-    calls = []
+    1 that the certificate declines, drawn on the study's streams; and each
+    quarter of ``QUARTERS`` alone, in reduced mode."""
+    mle, simulate, tables = package.mle, package.simulate, package.tables
+    blocks = []
     for value, mode in SOLVE_POINTS:
         config = simulate._scenario_config(1, value, replicates=1, seed=seed)
         streams = simulate.Streams(config.seed)
@@ -131,21 +138,28 @@ def solve_inputs(package, seed: int) -> list:
             rep += 1
             if mle._moment_point(*simulate._triples(survey), mode) is None:
                 draws.append(survey)
-        calls.append((draws, mle.FitOptions(mode=mode)))
-    return calls
+        blocks.append((draws, mle.FitOptions(mode=mode)))
+    fits = [([tables.SurveyData(tables.CellCounts(*a), tables.CellCounts(*b))],
+             mle.FitOptions(mode="reduced")) for a, b in QUARTERS.values()]
+    return dict(zip(SOLVE_WIDTHS, (blocks, fits)))
 
 
-def run_side(package, workload: str, seed: int, work: Path) -> float:
+def run_side(package, workload: str, seed: int, work: Path) -> dict[str, float]:
     """CPU seconds per command of one block of ``workload`` at ``seed`` on
-    one tree's ``package``."""
+    one tree's ``package``: of the whole block, under ``"block"``, and for
+    ``solve`` of each width's calls too."""
     if workload != "solve":
         commands = block(workload, seed, work)
-        return run_block(package.cli, commands, work) / len(commands)
-    calls = solve_inputs(package, seed)
-    start = time.process_time()
-    for draws, options in calls:
-        package.mle._fits(draws, options)
-    return (time.process_time() - start) / len(calls)
+        return {"block": run_block(package.cli, commands, work) / len(commands)}
+    cpu, total, count = {}, 0.0, 0
+    for width, calls in solve_inputs(package, seed).items():
+        start = time.process_time()
+        for tables, options in calls:
+            package.mle._fits(tables, options)
+        elapsed = time.process_time() - start
+        cpu[width] = elapsed / len(calls)
+        total, count = total + elapsed, count + len(calls)
+    return {"block": total / count, **cpu}
 
 
 def compare(parent: Path, change: Path, workload: str, rounds: int, out=sys.stdout) -> dict:
@@ -173,10 +187,21 @@ def compare(parent: Path, change: Path, workload: str, rounds: int, out=sys.stdo
             for side in SIDES:
                 for module in [m for m in sys.modules if m.split(".")[0] == f"dualdep_{side}"]:
                     del sys.modules[module]
+    parts = {part: {side: [cpu_s[part] for cpu_s in cpu[side]] for side in SIDES}
+             for part in cpu["parent"][0]}
+    summary = {"workload": workload, "rounds": rounds, **summarize(parts.pop("block"))}
+    report(f"{workload}: {rounds} paired rounds", summary, rounds, out)
+    if parts:
+        summary["parts"] = {part: summarize(part_cpu) for part, part_cpu in parts.items()}
+        for part, part_summary in summary["parts"].items():
+            report(f"{workload}, {part}", part_summary, rounds, out)
+    return summary
+
+
+def summarize(cpu: dict[str, list[float]]) -> dict:
+    """The summary of each side's CPU per command over the rounds."""
     ratios = [c / p for p, c in zip(cpu["parent"], cpu["change"])]
-    summary = {
-        "workload": workload,
-        "rounds": rounds,
+    return {
         "parent_cpu_s": statistics.median(cpu["parent"]),
         "change_cpu_s": statistics.median(cpu["change"]),
         "parent_quartiles": quartiles(cpu["parent"]),
@@ -187,8 +212,11 @@ def compare(parent: Path, change: Path, workload: str, rounds: int, out=sys.stdo
         "ratio_quartiles": quartiles(ratios),
         "change_wins": sum(ratio < 1.0 for ratio in ratios),
     }
-    print(f"{workload}: {rounds} paired rounds, CPU per command "
-          "(quartiles; interquartile range)", file=out)
+
+
+def report(title: str, summary: dict, rounds: int, out) -> None:
+    """Print one summary of ``summarize``."""
+    print(f"{title}, CPU per command (quartiles; interquartile range)", file=out)
     for side in SIDES:
         low, mid, high = (value * 1e3 for value in summary[side + "_quartiles"])
         print(f"  {side:<7}{low:10.3f}{mid:10.3f}{high:10.3f} ms; IQR {high - low:.3f} ms",
@@ -198,7 +226,6 @@ def compare(parent: Path, change: Path, workload: str, rounds: int, out=sys.stdo
           file=out)
     print(f"  median paired difference {summary['median_difference_s'] * 1e3:.3f} ms; "
           f"the change used less CPU in {summary['change_wins']} of {rounds} rounds", file=out)
-    return summary
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
