@@ -1,10 +1,11 @@
 """Process-based fan-out of solver fits, and the package's random streams.
 
-Callers draw, certify and reduce their replicates in their own process and
-hand only the tables that need the solver to ``run_blocks``. It cuts them
-into blocks sized by solver columns (``blocks``) and runs one task per
-block through ``run_indexed``; a worker fits a whole block in one batched
-solve, and the data shared by a block's tables is pickled once per block.
+The package's one replicate pipeline (``mle._fit_drawn``) certifies drawn
+tables in the calling process and hands only those that need the solver to
+``run_blocks``. It cuts them into blocks sized by solver columns
+(``blocks``) and runs one task per block through ``run_indexed``; its worker
+(``mle._fit_block``) fits a whole block in one batched solve, and the data
+shared by a block's tables is pickled once per block.
 Every replicate draws from its own random stream, keyed by the full 64-bit
 seed and the replicate's index (``stream``; ``Streams`` reaches many keys
 in turn through one generator), and a table's fit does not depend on the
@@ -26,7 +27,7 @@ from .exceptions import ValidationError
 # holds BLOCK_COLUMNS // width tables of ``width`` starts each (25 fits from
 # the 12-start grid). Only tables that reach the solver count: the
 # bootstrap's and the studies' draws that the certificate declines
-# (``mle._moment_point``; no draw of a Q1-Q4 bootstrap or of study 1, but
+# (``mle._fit_drawn``; no draw of a Q1-Q4 bootstrap or of study 1, but
 # most draws of a tiny table, of a parent on a bound and of study 2's
 # extremes).
 # Larger blocks spread numpy's fixed per-call overhead over more columns but

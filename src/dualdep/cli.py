@@ -72,7 +72,8 @@ def _write_outputs(args, command: str, inputs: list[str], seed, results: dict,
     """Write ``<stem>.report.json`` and ``<stem>.summary.csv`` for a command and
     print where they went. Non-finite floats in ``results`` become null in
     the report and in ``csv_rows`` empty cells. A directory or file that
-    cannot be written is a ValidationError naming it."""
+    cannot be written is a ValidationError naming it, and leaves neither
+    file behind."""
     manifest = _manifest(args, command, inputs, seed)
     report = {"command": command, "results": _finite(results), "manifest": manifest}
     digest_view = dict(report)
@@ -87,16 +88,20 @@ def _write_outputs(args, command: str, inputs: list[str], seed, results: dict,
     stem = _stem_for(args, command)
     json_path = stem.with_name(stem.name + ".report.json")
     csv_path = stem.with_name(stem.name + ".summary.csv")
+    written = []
     try:
         json_path.parent.mkdir(parents=True, exist_ok=True)
-        json_path.write_text(
-            json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n", encoding="utf-8"
-        )
+        with json_path.open("w", encoding="utf-8") as fh:
+            written.append(json_path)
+            fh.write(json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n")
         with csv_path.open("w", newline="", encoding="utf-8") as fh:
+            written.append(csv_path)
             writer = csv.writer(fh)
             writer.writerow(csv_header)
             writer.writerows(_finite(csv_rows))
     except OSError as exc:
+        for path in written:
+            path.unlink(missing_ok=True)
         where = exc.filename if exc.filename is not None else stem
         raise ValidationError(f"{where}: cannot write: {exc.strerror or exc}") from None
     print(f"wrote {json_path} and {csv_path}")
@@ -148,13 +153,14 @@ def cmd_diagnose(args) -> int:
         bias_value = tables.lp_bias_approx(args.N, args.p1dot, args.p, args.phi)
 
     print(f"Dual-list diagnostics for {args.input}")
-    print(f"{'stratum':<24}{'c_hat':>8}{'p_hat':>8}{'naive':>14}")
+    # a space before each column, wide enough for "undefined"
+    print(f"{'stratum':<24} {'c_hat':>9} {'p_hat':>9} {'naive':>13}")
     for idx, (label, _) in enumerate(data.strata):
         print(
-            f"{label:<24}{_fmt_prob(diag.c_hat[idx]):>8}{_fmt_prob(diag.p_hat[idx]):>8}"
-            f"{_fmt_size(diag.naive_per_stratum[idx]):>14}"
+            f"{label:<24} {_fmt_prob(diag.c_hat[idx]):>9} {_fmt_prob(diag.p_hat[idx]):>9}"
+            f" {_fmt_size(diag.naive_per_stratum[idx]):>13}"
         )
-    print(f"{'pooled naive':<24}{'':>16}{_fmt_size(diag.naive_pooled):>14}")
+    print(f"{'pooled naive':<24} {'':>9} {'':>9} {_fmt_size(diag.naive_pooled):>13}")
     for flag in diag.flags:
         print(f"flag: {flag} (naive estimate undefined in that stratum)")
     if bias_value is not None:

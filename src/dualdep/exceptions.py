@@ -17,11 +17,14 @@ class EvaluationError(DualdepError):
     """
 
     def __init__(self, term: str, detail: str = ""):
-        self.term = term
+        self.term, self.detail = term, detail
         msg = f"cannot evaluate log-likelihood term '{term}'"
         if detail:
             msg += f": {detail}"
         super().__init__(msg)
+
+    def __reduce__(self):  # rebuilt from its arguments, not its message, after pickling
+        return type(self), (self.term, self.detail), self.__dict__
 
 
 class FitError(DualdepError):

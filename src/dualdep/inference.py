@@ -4,16 +4,14 @@ and the log-normal-style confidence interval for population sizes.
 The bootstrap is "imputed": each replicate resamples a full multinomial
 table of (rounded) fitted size per stratum, including the estimated
 unobserved cell, then refits the model on the starred observed cells.
-Drawing, certifying and reducing run in the calling process. Each drawn
-table is certified from its counts as it is drawn (``mle._moment_point``):
-where its moment point lies strictly inside its box, that point is the
-refit, in closed form, and the table is never built as a SurveyData nor set
-up for the solver. Only the tables the certificate declines become surveys
-and go to the solver (``_refit``), in blocks within a budget of solver
-columns spread over the worker processes (``_parallel.run_blocks``), each
-block one batched solve read out as arrays (``mle._fits``). Each solver
-refit climbs from the drawn table's starting grid, as every fit does.
-Stratum variances add for the total because the strata are independent.
+Drawing and reducing run in the calling process, and each attempt's drawn
+tables are refitted by the package's one replicate pipeline, which the
+simulation studies share (``mle._fit_drawn``): a table whose moment point
+it certifies from the counts is refitted in closed form, and never built as
+a SurveyData nor set up for the solver; only the others go to the solver,
+in blocks spread over the worker processes, each refit climbing from the
+drawn table's starting grid, as every fit does. Stratum variances add for
+the total because the strata are independent.
 """
 
 from __future__ import annotations
@@ -26,9 +24,9 @@ import numpy as np
 
 from . import _parallel, mle, model
 from .exceptions import BootstrapError, DualdepError, InformationMatrixError, ValidationError
-from .mle import DEFAULT_SEED, FitOptions, FitResult
+from .mle import DEFAULT_SEED, FitResult
 from .model import ModelParams, PARAM_NAMES
-from .tables import CellCounts, SurveyData, _unchecked_survey
+from .tables import CellCounts, SurveyData
 
 __all__ = [
     "QUANTITIES",
@@ -48,13 +46,13 @@ QUANTITIES = ("N_A", "N_B", "N_total", "alpha", "p1", "p2A", "p2B")
 
 def quantities(params: ModelParams) -> tuple[float, ...]:
     """The value of each of ``QUANTITIES`` at ``params``, in that order."""
-    return tuple(_quantity_rows(params.as_array()[:, None])[0].tolist())
+    return _quantity_row(params.as_array().tolist())
 
 
-def _quantity_rows(theta: np.ndarray) -> np.ndarray:
-    """``quantities`` of each column of parameters ``theta`` (6, T), one row
-    per column: (T, 7)."""
-    return np.vstack((theta[:2], theta[0] + theta[1], theta[2:])).T
+def _quantity_row(theta) -> tuple:
+    """``quantities`` of the six parameters ``theta``, a list of numbers."""
+    n_a, n_b, *rest = theta
+    return (n_a, n_b, n_a + n_b, *rest)
 
 
 _MAX_ATTEMPTS = 11  # first try plus ten retries with fresh draws
@@ -245,17 +243,6 @@ def _drawn_counts(table_a, table_b):
     return None if a[0] < 1 or b[0] < 1 else (a, b)
 
 
-def _refit(surveys, options: FitOptions) -> list:
-    """The solver refits of drawn tables that the certificate declined, the
-    worker of ``_parallel.run_blocks``: per table, its ``QUANTITIES`` row and
-    "", or None and the text of the package error its refit raised. The
-    tables are one batched solve from each table's starting grid, read out
-    as arrays (``mle._fits``)."""
-    fits = mle._fits(surveys, options)
-    return [(tuple(row), "") if error is None else (None, str(error))
-            for row, error in zip(_quantity_rows(fits.theta).tolist(), fits.errors)]
-
-
 def _replicate_stream(streams: _parallel.Streams, index: int, attempt: int, rates):
     """Replicate ``index``'s stream on the bootstrap's generator, where the draw
     of its ``attempt`` (0 for the first) starts: set to the stream's start,
@@ -273,39 +260,28 @@ def _bootstrap_rows(indices, seed: int, data: SurveyData, fit: FitResult,
     of the refit or None, reason of the last failure). Each attempt is one
     pass over the pending replicates, with the cell rates computed once and
     every stream set up on one generator (``_parallel.Streams``): draw, read
-    the table as Python ints (``_drawn_counts``), certify it
-    (``mle._moment_point``), and send the declined tables, as surveys, to
-    ``_refit`` through ``_parallel.run_blocks``. A replicate whose attempt
-    failed continues its own stream (``_replicate_stream``)."""
+    the table as Python ints (``_drawn_counts``), and refit the drawn tables
+    with the parent fit's options (``mle._fit_drawn``). A replicate whose
+    attempt failed continues its own stream (``_replicate_stream``)."""
     rates = _replicate_rates(data, fit)
-    mode = fit.options.mode
     streams = _parallel.Streams(seed)
     rows, reasons = [None] * len(indices), [""] * len(indices)
     pending = range(len(indices))
     for attempt in range(_MAX_ATTEMPTS):
         if not pending:
             break
-        certified, points, declined, surveys = [], [], [], []
+        drawn, draws = [], []
         for pos in pending:
             rng = _replicate_stream(streams, indices[pos], attempt, rates)
             counts = _drawn_counts(*draw_replicate_tables(data, fit, rng, rates))
             if counts is None:
                 reasons[pos] = "drawn x11 was zero"
-                continue
-            point = mle._moment_point(*counts, mode)
-            if point is None:
-                declined.append(pos)
-                surveys.append(_unchecked_survey(*counts, data.label_a, data.label_b))
             else:
-                certified.append(pos)
-                points.append(point)
-        if points:
-            for pos, row in zip(certified, _quantity_rows(np.array(points).T).tolist()):
-                rows[pos], reasons[pos] = tuple(row), ""
-        refits = _parallel.run_blocks(_refit, surveys, fit.options.n_starts, threads,
-                                      fit.options)
-        for pos, (row, reason) in zip(declined, refits):
-            rows[pos], reasons[pos] = row, reason
+                drawn.append(pos)
+                draws.append(counts)
+        for pos, (params, _, error) in zip(drawn, mle._fit_drawn(draws, fit.options, threads)):
+            rows[pos], reasons[pos] = ((_quantity_row(params), "") if error is None
+                                       else (None, str(error)))
         pending = [pos for pos in pending if rows[pos] is None]
     return list(zip(indices, rows, reasons))
 
@@ -323,21 +299,20 @@ def bootstrap(
     refits with the options of the original fit, ``fit.options``. Where the
     drawn table's moment point lies strictly inside its box, off the
     activity band of every bound, that point is the refit, in closed form
-    (``mle._moment_point``, certified from the drawn counts), whatever
+    (certified from the drawn counts by ``mle._fit_drawn``), whatever
     ``fit`` is. Any other refit goes to the solver, which sets the table up
     once and climbs from its starting grid of ``fit.options.n_starts``
     points. A replicate gets up to ten fresh redraws after a failed attempt
     (zero x11 draw, or a package error from the refit, non-convergence
     among them); replicates that still fail are logged with the reason of
     their last attempt, and more than 5% failures aborts with
-    BootstrapError. Only the solver refits leave this process: they go in
-    blocks of at most ``_parallel.BLOCK_COLUMNS`` solver columns
-    (``fit.options.n_starts`` per refit), each one batch, spread over
-    ``threads`` processes when they fill more than one block, so a
-    bootstrap whose every draw is certified starts no process. Replicate
-    streams are keyed by (seed, replicate index), the seed modulo 2**64 (a
-    negative seed wraps), and a refit does not depend on its batch, so
-    results depend neither on ``threads`` nor on the block size.
+    BootstrapError. Only the solver refits leave this process, spread over
+    ``threads`` processes when they fill more than one block of solver
+    columns, so a bootstrap whose every draw is certified starts no
+    process. Replicate streams are keyed by (seed, replicate index), the
+    seed modulo 2**64 (a negative seed wraps), and a refit does not depend
+    on its batch, so results depend neither on ``threads`` nor on the block
+    size.
     """
     if n_replicates < 1:
         raise ValidationError("B must be >= 1 for bootstrap")

@@ -22,12 +22,12 @@ from typing import NamedTuple
 import numpy as np
 
 from . import model
-from ._parallel import stream
+from ._parallel import run_blocks, stream
 from .exceptions import (
     DualdepError, FitError, InfeasibleConstraintsError, NonConvergenceError, ValidationError,
 )
 from .model import ModelParams, PARAM_NAMES
-from .tables import SurveyData, naive_estimate
+from .tables import SurveyData, _unchecked_survey, naive_estimate
 
 __all__ = [
     "DEFAULT_SEED", "FitOptions", "StartDiagnostics", "FitResult", "starting_points", "fit",
@@ -919,6 +919,38 @@ def _fits(tables, options: FitOptions) -> _Fits:
     _, table, _, scale, sel, *_ = args
     solved = (values.tolist(), pg_norms.tolist(), iterations.tolist(), messages)
     return _read_out(outcomes, fitted, _expand(u, scale[:, table], sel), solved, options)
+
+
+def _fit_block(tables, options: FitOptions) -> list:
+    """The pool worker of ``_fit_drawn``: a block of tables fitted in one
+    batched solve (``_fits``). Per table, the winner's six parameters (None
+    where the fit raised a package error), its active-bound mask and that
+    error or None."""
+    fits = _fits(tables, options)
+    return [(None if error is not None else params, tuple(mask), error)
+            for params, mask, error in zip(fits.theta.T.tolist(), fits.active.T.tolist(),
+                                           fits.errors)]
+
+
+_OFF_BOUNDS = (False,) * 6  # the active-bound mask of a certified fit
+
+
+def _fit_drawn(draws, options: FitOptions, threads: int) -> list:
+    """The fits of drawn tables with ``options``, in draw order, each as
+    ``_fit_block`` gives it: the replicate pipeline of the bootstrap and the
+    studies. A draw is an (a, b) pair of the strata's (x11, x10, x01) counts
+    as Python ints, x11 >= 1 in both. Each draw is certified in this process
+    (``_moment_point``): a certified draw's fit is its moment point, off
+    every bound. Only the declined draws become surveys and go to the
+    solver, in blocks of at most ``_parallel.BLOCK_COLUMNS`` solver columns
+    spread over ``threads`` processes (``run_blocks``)."""
+    fits = [(_moment_point(a, b, options.mode), _OFF_BOUNDS, None) for a, b in draws]
+    declined = [k for k, (point, _, _) in enumerate(fits) if point is None]
+    surveys = [_unchecked_survey(*draws[k], "A", "B") for k in declined]
+    for k, fit in zip(declined, run_blocks(_fit_block, surveys, options.n_starts, threads,
+                                           options)):
+        fits[k] = fit
+    return fits
 
 
 def _result(fits: _Fits, position: int, options: FitOptions) -> FitResult:

@@ -7,17 +7,17 @@ naive and model-based estimators. Study 2 sweeps a grid that violates the
 shared-p1 identification assumption and tracks bias/RMSE of the size
 estimates. Every study draws each two-stratum table in the calling process,
 on a counter-based random stream keyed by the replicate (study 2: by grid
-index and replicate), and certifies it there from its counts
-(``mle._moment_point``): where the draw's moment point lies strictly inside
-its box, that point is the fit, in closed form. Only the declined draws go
-to the solver, through one worker, ``_fit_draws``, in blocks spread over the
-worker processes (``_parallel.run_blocks``): each block is one batched
-solve read out as arrays (``mle._fits``), and its full-mode fallbacks a
-second one. So a study whose every draw is certified, as study 1's are,
-starts no process. Per replicate, a record holds the survey with the fit's
-parameters and active bounds, or the reason the fit failed; no study builds
-a ``FitResult``. The studies are reductions over those records, so
-summaries are independent of worker count and block size.
+index and replicate), and fits the draws through the package's one
+replicate pipeline, which the bootstrap shares (``mle._fit_drawn``): a draw
+whose moment point it certifies from the counts is fitted in closed form,
+and only the others go to the solver, in blocks spread over the worker
+processes. So a study whose every draw is certified, as study 1's are,
+starts no process. The draws whose reduced constraint box is empty go
+through the pipeline a second time, in full mode. Per replicate, a record
+holds the survey with the fit's parameters and active bounds, or the reason
+the fit failed; no study builds a ``FitResult``. The studies are reductions
+over those records, so summaries are independent of worker count and block
+size.
 """
 
 from __future__ import annotations
@@ -25,16 +25,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from decimal import ROUND_HALF_EVEN, Decimal, InvalidOperation
+from itertools import compress
 
 import numpy as np
 
 from . import mle, model
-from ._parallel import Streams, check_threads, run_blocks
+from ._parallel import Streams, check_threads
 from .exceptions import DualdepError, FitError, InfeasibleConstraintsError, ValidationError
 from .inference import _drawn_counts, _hessian_ses, _size_intervals, normal_quantile
 from .mle import DEFAULT_SEED, FitOptions
 from .model import PARAM_NAMES, ModelParams
-from .tables import CellCounts, SurveyData, _unchecked_survey, naive_estimate
+from .tables import CellCounts, SurveyData, naive_estimate
 
 __all__ = [
     "GeneratorConfig",
@@ -294,38 +295,11 @@ def _draw_survey(config: GeneratorConfig, rng: np.random.Generator) -> tuple[Sur
         table_b = rng.multinomial(config.n_b, probs_b)
         counts = _drawn_counts(table_a, table_b)
         if counts is not None:
-            return _unchecked_survey(*counts, "A", "B"), redraws
+            a, b = counts
+            return SurveyData(CellCounts(*a), CellCounts(*b)), redraws
     raise ValidationError(
         f"could not draw a table with x11 >= 1 in both strata after {_MAX_REDRAWS} tries"
     )
-
-
-_INTERIOR: frozenset[str] = frozenset()  # the active set of a fit on no bound
-
-
-def _fit_draws(surveys: list[SurveyData], options: FitOptions) -> list:
-    """Fit the draws the certificate declined in one batched solve, read out
-    as arrays (``mle._fits``), the worker of ``run_blocks``; refit in full
-    mode, as a second batch, the draws whose reduced constraint box is
-    empty (possible only when the generating process violates the shared-p1
-    assumption). Returns per draw (parameters, active, "", fallback): the
-    winner's six parameters as floats and the names of those on an active
-    bound; or, where the fit raised a package error, (None, no names, its
-    text, False). ``fallback`` is True whenever the fit is from the
-    full-mode refit."""
-    fits = mle._fits(surveys, options)
-    theta, active, errors = fits.theta, fits.active, list(fits.errors)
-    fallback = [isinstance(error, InfeasibleConstraintsError) and options.mode != "full"
-                for error in errors]
-    again = [k for k, f in enumerate(fallback) if f]
-    if again:
-        refits = mle._fits([surveys[k] for k in again], replace(options, mode="full"))
-        theta[:, again], active[:, again] = refits.theta, refits.active
-        for k, error in zip(again, refits.errors):
-            errors[k] = error
-    return [(None, _INTERIOR, str(error), False) if error is not None
-            else (row, frozenset(name for name, on in zip(PARAM_NAMES, mask) if on), "", f)
-            for row, mask, error, f in zip(theta.T.tolist(), active.T.tolist(), errors, fallback)]
 
 
 # --- replicates ------------------------------------------------------------------
@@ -336,7 +310,9 @@ class _Replicate:
     those on an active bound (``active``; none for a certified draw, whose
     point is off every activity band). ``params`` is None when the fit
     raised a package error (NonConvergenceError when its best start
-    stalled), and ``reason`` is that error's text."""
+    stalled), and ``reason`` is that error's text. ``fallback`` is True
+    where ``params`` is the full-mode fit of a draw whose reduced box was
+    empty."""
 
     survey: SurveyData
     params: ModelParams | None
@@ -354,28 +330,28 @@ def _triples(survey: SurveyData):
 def _run_replicates(groups, options: FitOptions | None, threads: int) -> list[_Replicate]:
     """The records of (config, stream keys) groups, in group and key order.
     Every survey is drawn in this process, on one generator per config
-    (``Streams``), and certified here from its counts (``mle._moment_point``
-    in the mode of ``options``, default ``FitOptions()``): a certified
-    draw's fit is its moment point. The declined draws are fitted with
-    ``options`` by ``_fit_draws`` in blocks of at most
-    ``_parallel.BLOCK_COLUMNS`` solver columns (25 draws at the 12-start
-    grid), spread over ``threads`` processes (``run_blocks``); with none
-    declined, no block runs."""
+    (``Streams``), and fitted with ``options`` (default ``FitOptions()``)
+    by ``mle._fit_drawn`` over ``threads`` processes. The draws whose
+    reduced constraint box is empty (InfeasibleConstraintsError) are fitted
+    again in full mode, a second ``mle._fit_drawn``; ``fallback`` marks
+    those whose full-mode fit succeeded."""
     options = options or FitOptions()
     draws = []
     for config, keys in groups:
         streams = Streams(config.seed)
         draws += [_draw_survey(config, streams.at(key)) for key in keys]
-    points = [mle._moment_point(*_triples(survey), options.mode) for survey, _ in draws]
-    fits = [(point, _INTERIOR, "", False) for point in points]
-    declined = [k for k, point in enumerate(points) if point is None]
-    solved = run_blocks(_fit_draws, [draws[k][0] for k in declined], options.n_starts, threads,
-                        options)
-    for k, fit in zip(declined, solved):
-        fits[k] = fit
+    counts = [_triples(survey) for survey, _ in draws]
+    fits = mle._fit_drawn(counts, options, threads)
+    again = [] if options.mode == "full" else [
+        k for k, fit in enumerate(fits) if isinstance(fit[2], InfeasibleConstraintsError)]
+    fallback = [False] * len(fits)
+    for k, refit in zip(again, mle._fit_drawn([counts[k] for k in again],
+                                              replace(options, mode="full"), threads)):
+        fits[k], fallback[k] = refit, refit[2] is None
     return [_Replicate(survey, None if params is None else model._unchecked_params(*params),
-                       active, reason, redraws, fallback)
-            for (survey, redraws), (params, active, reason, fallback) in zip(draws, fits)]
+                       frozenset(compress(PARAM_NAMES, mask)),
+                       "" if error is None else str(error), redraws, fell)
+            for (survey, redraws), (params, mask, error), fell in zip(draws, fits, fallback)]
 
 
 # --- study 1 -------------------------------------------------------------------

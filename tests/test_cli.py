@@ -101,7 +101,7 @@ def test_unreadable_or_malformed_input_is_usage_error(tmp_path, capsys, name, co
                          ids=["estimate", "diagnose"])
 def test_an_unwritable_output_is_usage_error(q1_csv, tmp_path, capsys, argv, blocked):
     # the stem's directory is a regular file, or one of the two files to
-    # write is a directory
+    # write is a directory; either way neither file is left behind
     stem = tmp_path / "out"
     if blocked == "directory":
         where = tmp_path / "afile"
@@ -115,6 +115,8 @@ def test_an_unwritable_output_is_usage_error(q1_csv, tmp_path, capsys, argv, blo
     assert code == 2 and "wrote" not in captured.out
     assert captured.err.startswith(f"error: {where}: cannot write: ")
     assert captured.err.count("\n") == 1
+    for suffix in ("report.json", "summary.csv"):
+        assert not stem.with_name(f"{stem.name}.{suffix}").is_file()
 
 
 VALID_STRATA = [{"label": "A", "x11": 100, "x10": 8900, "x01": 3641},
@@ -275,12 +277,16 @@ def test_diagnose_bad_option_is_usage_error(q1_csv, capsys, argv, message):
     ("A,201,4162,4390\nB,406,2574,3265\n", ["estimate", "--se", "hessian"],
      {("N_B", "se_hessian"), ("N_total", "se_hessian"), ("p2B", "se_hessian")}),
 ])
-def test_non_finite_values_are_null_in_json_and_empty_in_csv(tmp_path, table, argv, undefined):
+def test_non_finite_values_are_null_in_json_and_empty_in_csv(tmp_path, capsys, table, argv,
+                                                             undefined):
     path = tmp_path / "t.csv"
     path.write_text("stratum,x11,x10,x01\n" + table, encoding="utf-8")
     assert main(argv + ["--input", str(path)]) == 0
     results = read_report(tmp_path / "t")["results"]
     if argv[0] == "diagnose":
+        # "undefined" is wider than a probability, and still a column apart
+        assert ("A" + " " * 27 + "0.0000 undefined     undefined"
+                in capsys.readouterr().out.splitlines())
         reported = {(s["label"], field): s[field]
                     for s in results["strata"] for field in ("c_hat", "p_hat", "naive")}
     else:

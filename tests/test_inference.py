@@ -371,8 +371,7 @@ def test_a_certified_draw_is_never_a_survey_and_a_declined_one_is_set_up_once(q1
         return wrapper
 
     monkeypatch.setattr(mle, "_setup", counting("_setup", mle._setup))
-    monkeypatch.setattr(inference, "_unchecked_survey",
-                        counting("survey", inference._unchecked_survey))
+    monkeypatch.setattr(mle, "_unchecked_survey", counting("survey", mle._unchecked_survey))
     monkeypatch.setattr(SurveyData, "__post_init__",
                         counting("checked", SurveyData.__post_init__))
     data, parent = q1_fit
@@ -466,6 +465,27 @@ def test_bootstrap_zero_x11_draw_costs_an_attempt_on_the_replicates_stream(tiny)
     assert [row[2] for row in got if row[1] is None][-1] == "drawn x11 was zero"
     with pytest.raises(BootstrapError, match="3 of 50 bootstrap replicates failed"):
         bootstrap(tiny, result, n_replicates=50, seed=1)
+
+
+def test_the_bootstrap_never_falls_back_to_full_mode(tiny, monkeypatch):
+    # replicates 22 and 35 of the tiny table at seed 1 draw, on their last
+    # attempt, tables whose reduced box is empty; unlike a study's draw, such
+    # a refit fails with the InfeasibleConstraintsError's text, and every
+    # solver refit keeps the parent's reduced mode
+    result = fit(tiny)
+    real, modes = mle._fits, []
+
+    def spy(surveys, options):
+        modes.append(options.mode)
+        return real(surveys, options)
+
+    monkeypatch.setattr(mle, "_fits", spy)
+    rows = inference._bootstrap_rows(range(50), 1, tiny, result)
+    failed = {index: reason for index, row, reason in rows if row is None}
+    assert failed.keys() == {22, 35, 37}
+    for index in (22, 35):
+        assert failed[index].startswith("no N_B value keeps N_A and N_B strictly inside")
+    assert modes and set(modes) == {"reduced"}
 
 
 def test_an_attempt_that_draws_no_table_makes_no_refit(tiny, monkeypatch):

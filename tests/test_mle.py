@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from dualdep import mle, model
+from dualdep import _parallel, mle, model
 from dualdep._parallel import stream
 from dualdep.exceptions import (
     DualdepError, FitError, InfeasibleConstraintsError, NonConvergenceError, ValidationError,
@@ -16,7 +16,7 @@ from dualdep.model import (
     ModelParams, gradient, hessian, log_likelihood, size_ratio, p2a_ratio,
 )
 from dualdep.simulate import (
-    GeneratorConfig, _draw_survey, _fit_draws, _scenario_config, study1_config,
+    GeneratorConfig, _draw_survey, _run_replicates, _scenario_config, study1_config,
 )
 from dualdep.tables import CellCounts, SurveyData, naive_estimate
 
@@ -389,11 +389,9 @@ def test_fit_first_order_optimal_on_bounds():
     # falls back to the six-parameter fit
     config = _scenario_config(1, 0.01, replicates=4, seed=20180331)
     held = 0
-    for rep in range(4):
-        survey, _ = _draw_survey(config, stream(config.seed, rep))
-        ((params, active, reason, fallback),) = _fit_draws([survey], FitOptions())
-        assert fallback and reason == "" and params is not None
-        held += held_at_bounds(ModelParams(*params), survey, "full")
+    for record in _run_replicates([(config, range(4))], FitOptions(), 1):
+        assert record.fallback and record.reason == "" and record.params is not None
+        held += held_at_bounds(record.params, record.survey, "full")
     assert held >= 4
 
 
@@ -954,3 +952,88 @@ def test_the_certificate_on_counts_decides_as_on_the_solver_set_up(table, mode):
     assert (point is None) == (reference is None)
     if point is not None:
         assert [v.hex() for v in point] == [v.hex() for v in reference]
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=st.one_of(
+    drawn_tables().map(triples),
+    st.tuples(_counts(), _counts()),
+    alike_strata(),
+), mode=st.sampled_from(["reduced", "full"]))
+def test_the_certificate_does_not_depend_on_the_stratum_order(table, mode):
+    # swapping the strata swaps N_A with N_B and p2A with p2B; in reduced mode
+    # the tied parameters are products of other roundings, so the two
+    # orientations agree within a few ulps rather than bit for bit
+    a, b = table
+    point, swapped = mle._moment_point(a, b, mode), mle._moment_point(b, a, mode)
+    assert (point is None) == (swapped is None)
+    if point is not None:
+        n_b, n_a, alpha, p1, p2b, p2a = swapped
+        assert [n_a, n_b, alpha, p1, p2a, p2b] == pytest.approx(point, rel=1e-14, abs=0.0)
+
+
+@st.composite
+def study2_extreme_draws(draw):
+    """A study-2 draw at a p1B of 0.01 to 0.03 (scenario 1), where most draws'
+    reduced box is empty."""
+    config = _scenario_config(1, draw(st.sampled_from([0.01, 0.02, 0.03])), 1, 1)
+    return triples(_draw_survey(config, stream(draw(st.integers(0, 2**32)), 0))[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(table=study2_extreme_draws())
+def test_the_full_mode_certificate_declines_a_table_with_no_reduced_box(table):
+    # the moment point meets both reduced-mode ties, so where the reduced
+    # box has no room it cannot lie inside the full box off every band: a
+    # study's full-mode fallback always reaches the solver
+    data = SurveyData(CellCounts(*table[0]), CellCounts(*table[1]))
+    try:
+        mle._setup(data, "reduced")
+    except InfeasibleConstraintsError:
+        assert mle._moment_point(*table, "full") is None
+
+
+# --- the replicate pipeline ------------------------------------------------------
+
+
+def study2_draws():
+    """Four study-2 draws at each of p1B = 0.15 (certified in reduced mode),
+    0.35 (declined: the point lies outside its box) and 0.01 (declined: the
+    reduced box is empty)."""
+    draws = []
+    for value in (0.15, 0.35, 0.01):
+        config = _scenario_config(1, value, replicates=4, seed=1)
+        draws += [triples(_draw_survey(config, stream(1, rep))[0]) for rep in range(4)]
+    return draws
+
+
+def outcome(fit):
+    """A ``_fit_drawn`` fit with its error as its type, text and fields,
+    which compare across processes."""
+    params, mask, error = fit
+    return params, mask, error if error is None else (type(error), str(error), vars(error))
+
+
+@pytest.mark.parametrize("options", [
+    FitOptions(), FitOptions(mode="full"), FitOptions(max_iterations=3),
+], ids=["reduced", "full", "capped"])
+def test_the_replicate_pipeline_certifies_here_and_solves_the_rest_in_blocks(options,
+                                                                           monkeypatch):
+    # a certified draw's fit is its moment point on no bound; a declined
+    # draw's is the solver's winner (or its package error), as one block of
+    # one table gives it, also from blocks of two draws on two processes,
+    # whose errors cross the process boundary with their text and fields
+    draws = study2_draws()
+    fits = mle._fit_drawn(draws, options, 1)
+    for draw, fit in zip(draws, fits):
+        point = mle._moment_point(*draw, options.mode)
+        if point is not None:
+            assert fit == (point, (False,) * 6, None)
+        else:
+            data = SurveyData(CellCounts(*draw[0]), CellCounts(*draw[1]))
+            assert [outcome(fit)] == [outcome(f) for f in mle._fit_block([data], options)]
+    assert any(error is not None for _, _, error in fits) == (options != FitOptions(mode="full"))
+    monkeypatch.setattr(_parallel, "BLOCK_COLUMNS", 2 * options.n_starts)
+    monkeypatch.setattr(_parallel, "cpus", lambda: 2)
+    assert [outcome(f) for f in mle._fit_drawn(draws, options, threads=2)] == [
+        outcome(f) for f in fits]

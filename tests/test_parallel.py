@@ -1,8 +1,12 @@
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
-from dualdep import _parallel
+from dualdep import _parallel, exceptions
 from dualdep.cli import main
+from dualdep.mle import StartDiagnostics
+from dualdep.model import ModelParams
 
 
 def tagged(block, tag):
@@ -137,3 +141,25 @@ def test_study2_on_64_threads_starts_no_more_workers_than_cpus(tmp_path, two_cpu
     assert main(["simulate", "study2", "--scenario", "1", "--replicates", "2",
                  "--threads", "64", "--output", str(tmp_path / "s")]) == 0
     assert two_cpus == [2]
+
+
+def test_every_package_error_crosses_a_process_boundary_whole():
+    # a pool worker returns its tables' package errors: each comes back with
+    # its type, text and fields, EvaluationError rebuilt from its term and
+    # detail rather than from its message
+    start = StartDiagnostics(ModelParams(50000.0, 20000.0, 0.05, 0.15, 0.05, 0.15), -1.5, 0.1,
+                             False, 3, "iteration cap reached")
+    samples = {
+        exceptions.EvaluationError: [exceptions.EvaluationError("p11A", "probability 0"),
+                                     exceptions.EvaluationError("N_B - x0B")],
+        exceptions.NonConvergenceError: [
+            exceptions.NonConvergenceError("no starting point reached", [start])],
+    }
+    classes = [value for value in vars(exceptions).values()
+               if isinstance(value, type) and issubclass(value, exceptions.DualdepError)]
+    assert len(classes) == 8
+    for cls in classes:
+        for error in samples.get(cls, [cls("a message")]):
+            copy = pickle.loads(pickle.dumps(error))
+            assert type(copy) is cls
+            assert (str(copy), copy.args, vars(copy)) == (str(error), error.args, vars(error))

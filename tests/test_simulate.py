@@ -1,11 +1,14 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from dualdep import _parallel, mle, simulate
 from dualdep._parallel import stream
-from dualdep.exceptions import DualdepError, InfeasibleConstraintsError, ValidationError
+from dualdep.exceptions import (
+    DualdepError, InfeasibleConstraintsError, NonConvergenceError, ValidationError,
+)
 from dualdep.mle import FitOptions, fit_many
 from dualdep.model import cell_probabilities
 from dualdep.simulate import (
@@ -223,6 +226,23 @@ def test_a_study_record_is_the_certified_point_or_the_solvers_winner(value, cert
         assert (record.active, record.reason, record.fallback) == (
             fit.active_constraints, "", fallback)
     assert points == certified
+
+
+def test_a_failed_fallback_is_a_failure_and_not_a_fallback():
+    # at p1B = 0.01 every draw's reduced box is empty; capped at one step,
+    # its full-mode refit stalls, so the record has no fit, carries that
+    # refit's NonConvergenceError text and is not counted as a fallback
+    options = FitOptions(max_iterations=1)
+    config = simulate._scenario_config(1, 0.01, replicates=6, seed=1)
+    records = simulate._run_replicates([(config, range(6))], options, 1)
+    for record in records:
+        (reduced,) = fit_many([record.survey], options)
+        assert isinstance(reduced, InfeasibleConstraintsError)
+        (full,) = fit_many([record.survey], replace(options, mode="full"))
+        assert isinstance(full, NonConvergenceError)
+        assert (record.params, record.active, record.reason, record.fallback) == (
+            None, frozenset(), str(full), False)
+    assert run_study2(1, (0.01,), replicates=6, seed=1, options=options).reduced_fallbacks == 0
 
 
 def test_a_certified_study_makes_no_solver_call_and_starts_no_process_pool(monkeypatch):

@@ -9,7 +9,10 @@ on Q4 with 15 starts and on a table whose maximum sits on the N_B and p2B
 bounds (standard errors, and a bootstrap with its own twin at
 ``--threads 2``: its 33 first-attempt grid refits fill two solver blocks,
 so they run on two worker processes); the study-1, coverage and study-2
-simulations; and three edge commands: a bootstrap on a tiny table that
+simulations, and study 2 at p1B = 0.01 alone with its twin at ``--threads
+2`` (the 60 draws' reduced boxes are empty, so their full-mode fallbacks,
+the pipeline's second pass, fill three solver blocks and run on two worker
+processes); and three edge commands: a bootstrap on a tiny table that
 fails too many replicates (exit 1), a small custom study with many
 zero-x11 redraws and full-mode fallbacks, and standard errors on a table
 with counts near 1e9, whose one converged start ties stalled ones within
@@ -93,12 +96,16 @@ COMMANDS = {
     "coverage": ("simulate", "coverage", *SIM),
     "study2": ("simulate", "study2", "--scenario", "1", "--grid", "0.01:0.35:0.17",
                "--replicates", "10", "--seed", "1"),
+    "study2-fallbacks": ("simulate", "study2", "--scenario", "1", "--grid", "0.01",
+                         "--replicates", "60", "--seed", "1"),
+    "study2-fallbacks-threads2": ("simulate", "study2", "--scenario", "1", "--grid", "0.01",
+                                  "--replicates", "60", "--seed", "1", "--threads", "2"),
     "custom-small": ("simulate", "custom", "--NA", "40", "--NB", "30", "--alpha", "0.05",
                      "--p1A", "0.2", "--p2A", "0.2", *SIM),
 }
 
 # commands with a ``-threads2`` twin whose results and CSV must equal theirs
-TWINS = ("estimate-q1-b400", "estimate-corner-bootstrap")
+TWINS = ("estimate-q1-b400", "estimate-corner-bootstrap", "study2-fallbacks")
 
 
 def _hex_floats(value):
