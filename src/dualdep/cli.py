@@ -476,7 +476,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="starting points of the point fit and of each bootstrap replicate's "
                           "solver refit; a replicate certified in closed form takes no starts")
     est.add_argument("--max-iterations", type=int, default=500)
-    est.add_argument("--gradient-tolerance", type=float, default=1e-8)
+    est.add_argument("--gradient-tolerance", type=float, default=1e-8,
+                     help="a start converges when its projected gradient is below this, or "
+                          "when it stalls within the log-likelihood's rounding")
     est.add_argument("--output", type=Path, default=None)
     est.set_defaults(func=cmd_estimate)
 

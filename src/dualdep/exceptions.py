@@ -36,8 +36,10 @@ class InfeasibleConstraintsError(FitError):
 
 
 class NonConvergenceError(FitError):
-    """The best starting point did not reach the gradient tolerance: no start
-    did, or one that stalled sits above every start that converged.
+    """The best starting point did not converge (its projected gradient did
+    not reach the tolerance, nor did it stall within the log-likelihood's
+    rounding): no start did, or one that stalled sits above every start
+    that converged.
 
     Carries the per-start diagnostics so the caller can inspect what happened.
     """

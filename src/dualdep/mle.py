@@ -3,7 +3,8 @@
 The likelihood surface is sensitive to starting points, so the fit runs a
 deterministic grid of interior starts, climbs from each with a projected
 Newton method on the analytic Hessian until the projected gradient is below
-the tolerance (1e-8 by default), and keeps the best local maximum.
+the tolerance (1e-8 by default) or the start stalls within the
+log-likelihood's rounding, and keeps the best local maximum.
 Population sizes are box-constrained between the observed totals and the
 per-stratum naive estimates; probabilities live in the unit interval.
 ``fit_many`` climbs from every start of many tables in one batched solve,
@@ -57,7 +58,14 @@ def _tie_band(a: float, b: float) -> float:
 
 @dataclass(frozen=True)
 class FitOptions:
-    """Knobs for the constrained fit; defaults match the package's reference runs."""
+    """Knobs for the constrained fit; defaults match the package's reference runs.
+
+    A start converges when its projected gradient is below
+    ``gradient_tolerance``, or when it stalls within rounding: no step
+    length raises its log-likelihood or shrinks its projected gradient,
+    while the gain its step predicts lies within the log-likelihood's tie
+    band (1e-9, or 16 ulps where floats are coarser).
+    """
 
     mode: str = "reduced"
     max_iterations: int = 500
@@ -82,7 +90,10 @@ class FitOptions:
 
 @dataclass(frozen=True)
 class StartDiagnostics:
-    """Outcome of one starting point."""
+    """Outcome of one starting point. ``converged`` is True when the start
+    stopped with its projected gradient below the tolerance (message
+    "converged") or stalled within rounding (message "converged within
+    rounding"; see ``FitOptions``)."""
 
     start: ModelParams
     log_likelihood: float
@@ -96,9 +107,9 @@ class StartDiagnostics:
 class FitResult:
     """A fitted model with convergence metadata.
 
-    ``fit`` and ``fit_many`` return only fits whose best start reached the
-    gradient tolerance, so their ``converged`` is always True; reports still
-    carry it. ``active_constraints`` lists parameters sitting on a box bound
+    ``fit`` and ``fit_many`` return only fits whose best start converged
+    (``StartDiagnostics``), so their ``converged`` is always True; reports
+    still carry it. ``active_constraints`` lists parameters sitting on a box bound
     in natural coordinates. ``size_ratio_gap`` and ``p2_identity_gap`` report
     the relative violation of the two reduction identities; both are
     exactly zero in reduced mode.
@@ -285,9 +296,16 @@ def starting_points(data: SurveyData, options: FitOptions | None = None) -> list
     """Deterministic interior starting grid.
 
     Crosses three pooled-size hypotheses (midpoint first, then 1.2x the
-    observed total and 0.8x the pooled naive estimate) with the alpha grid
+    smallest pooled total the mode's box allows and 0.8x the pooled naive
+    estimate) with the alpha grid
     (0.05, 0.10, 0.02, 0.20); p1 is the pooled list-1 rate under each size
     hypothesis and p2B the stratum-B list-2 rate under its implied share.
+    That smallest total is the observed total x0 in full mode and (1 +
+    ratio) times N_B's lower end in reduced mode, where N_A follows N_B at
+    the size ratio: so the low anchor starts N_B 20% above its box's lower
+    end, off the log singularity at the observed total. A start converges
+    when its projected gradient is below the tolerance, or when it stalls
+    within the log-likelihood's rounding (``FitOptions``).
     The data ratios tie N_A and p2A to each point, and every solver
     coordinate of the mode is clipped into its box with a 1e-4 margin, so
     all points sit strictly inside the six-parameter box. Requests beyond
@@ -305,11 +323,14 @@ def _starts(data: SurveyData, options: FitOptions, setup) -> np.ndarray:
     of each start, one start per column of a (6, n_starts) array."""
     _, (ratio, multiplier), scale, lo, hi = setup
     coords, sel, _ = _COORDINATES[options.mode]
+    # the smallest pooled total the mode's box allows: x0 in full mode, and
+    # (1 + ratio) times N_B's lower end in reduced mode
+    lowest = scale[0] * lo[sel[0]] + scale[1] * lo[sel[1]]
     lo, hi = np.array((lo, hi))[..., None]  # (P, 1)
     pad = _START_MARGIN * (hi - lo)
     inner_lo, inner_hi = lo + pad, hi - pad  # each coordinate's box less the margin
     pooled = data.pooled()
-    lo_anchor = 1.2 * float(pooled.total)
+    lo_anchor = 1.2 * max(float(pooled.total), lowest)
     hi_anchor = 0.8 * naive_estimate(pooled)
     grid = min(options.n_starts, _GRID_ALPHA.size)
     total = np.array(((lo_anchor + hi_anchor) / 2.0, lo_anchor, hi_anchor))[_GRID_ANCHOR[:grid]]
@@ -643,6 +664,12 @@ def _initial_state(u0, table, counts, scale, sel, lo_t, hi_t):
     return run
 
 
+# The messages of the two stops at which a start has converged: its
+# projected gradient below the tolerance, or a stall within the
+# likelihood's rounding (``_stalls``).
+_CONVERGED = ("converged", "converged within rounding")
+
+
 def _solve_start(u0, table, counts, scale, sel, lo_t, hi_t, max_iter, tol):
     """Projected Newton (Bertsekas 1982) from a batch of starts.
 
@@ -657,8 +684,11 @@ def _solve_start(u0, table, counts, scale, sel, lo_t, hi_t, max_iter, tol):
     test is needed because the objective is O(1e5): close to the maximum its
     changes fall below floating-point granularity, so an ascent test alone
     stalls short of tight gradient tolerances. At most ``max_iter`` steps are
-    taken. The starts iterate together: one Hessian evaluation and one
-    stacked solve serve every start still moving. A start that converges or
+    taken. A start whose line search finds no acceptable length stops:
+    converged within rounding where its step's predicted gain lies in the
+    tie band (``_stalls``), else with no acceptable step. The starts
+    iterate together: one Hessian evaluation and one stacked solve serve
+    every start still moving. A start that converges or
     stops writes its final state to the outputs and leaves the state, whose
     moving columns one gather packs into the other state buffer, so every
     later evaluation covers the moving starts only. Each point is evaluated
@@ -699,17 +729,36 @@ def _solve_start(u0, table, counts, scale, sel, lo_t, hi_t, max_iter, tol):
                    start=run["start"][keep], it=run["it"][keep])
         return keep
 
-    accepted = np.ones(width, dtype=bool)
+    within = stalled = np.zeros(width, dtype=bool)
     while True:
-        stop((run["pg"] < tol, "converged"), (run["it"] >= max_iter, "iteration cap reached"),
-             (~accepted, "no acceptable step"))
+        stop((run["pg"] < tol, _CONVERGED[0]), (run["it"] >= max_iter, "iteration cap reached"),
+             (within, _CONVERGED[1]), (stalled, "no acceptable step"))
         if not run["start"].size:
             break
         step, singular, broken = _direction(run)
         kept = stop((singular, "singular Newton system"), (broken, "non-finite Newton step"))
-        accepted = _line_search(run, step if kept is None else step[:, kept], width)
+        step = step if kept is None else step[:, kept]
+        within, stalled = _stalls(run, step, _line_search(run, step, width))
 
     return final[:size], final[size], final[size + 1], final_it, messages
+
+
+def _stalls(run, step, accepted):
+    """Split the starts that found no acceptable ``step`` in two: those that
+    converged within the likelihood's rounding, whose step predicts a gain
+    g's in [0, ``_tie_band(ll, ll)``] that the log-likelihood cannot
+    resolve (Boyd & Vandenberghe 2004, section 9.5.1), and the others.
+    A start that found no step has kept its point, so its gradient and
+    log-likelihood are those the step was taken from. Returns the two
+    masks."""
+    stalled, within = ~accepted, np.zeros_like(accepted)
+    if np.count_nonzero(stalled):
+        (cols,) = stalled.nonzero()
+        gains = np.add.reduce(run["grad"].take(cols, axis=1) * step.take(cols, axis=1), axis=0)
+        for col, gain, ll in zip(cols.tolist(), gains.tolist(), run["ll"].take(cols).tolist()):
+            within[col] = 0.0 <= gain <= _tie_band(ll, ll)
+        stalled &= ~within
+    return within, stalled
 
 
 # The step lengths a line search tries, in order: repeated halving from 1
@@ -848,13 +897,13 @@ def _winner(lls, converged, totals) -> int:
     return k
 
 
-def _diagnostics(starts, solved, cols, options) -> list[StartDiagnostics]:
+def _diagnostics(starts, solved, cols) -> list[StartDiagnostics]:
     """The StartDiagnostics of a table's starts (6, n), in its solver
     columns ``cols`` of ``solved``. Each start is inside the box by
     construction, so its ``ModelParams`` skips the checks."""
     return [
         StartDiagnostics(start=model._unchecked_params(*start), log_likelihood=value,
-                         projected_gradient=pg_norm, converged=pg_norm < options.gradient_tolerance,
+                         projected_gradient=pg_norm, converged=message in _CONVERGED,
                          iterations=n_iter, message=message)
         for start, value, pg_norm, n_iter, message in zip(
             starts.T.tolist(), *(part[cols] for part in solved))
@@ -874,26 +923,25 @@ def _read_out(outcomes, fitted, theta, solved, options) -> _Fits:
     active = np.zeros(params.shape, dtype=bool)
     if not fitted:
         return _Fits(params, active, outcomes, fitted, [], solved)
-    lls, pg_norms, *_ = solved
+    lls, _, _, messages = solved
     n = options.n_starts
     totals = (theta[0] + theta[1]).tolist()
-    converged = [pg_norm < options.gradient_tolerance for pg_norm in pg_norms]
+    converged = [message in _CONVERGED for message in messages]
     winners = [k + _winner(lls[k:k + n], converged[k:k + n], totals[k:k + n])
                for k in range(0, len(lls), n)]
     fit_at, won, boxes = [], [], []
     for (index, setup, starts), k in zip(fitted, winners):
-        if pg_norms[k] < options.gradient_tolerance:
+        if converged[k]:
             fit_at.append(index)
             won.append(k)
             boxes.append(setup[0])
             continue
         cols = slice(k - k % n, k - k % n + n)
-        stalled = ("the best start did not reach"
-                   if any(pg_norm < options.gradient_tolerance for pg_norm in pg_norms[cols])
+        stalled = ("the best start did not reach" if any(converged[cols])
                    else "no starting point reached")
         outcomes[index] = NonConvergenceError(
             f"{stalled} gradient tolerance {options.gradient_tolerance}",
-            _diagnostics(starts, solved, cols, options))
+            _diagnostics(starts, solved, cols))
     if not fit_at:
         return _Fits(params, active, outcomes, fitted, winners, solved)
     won = theta[:, won]
@@ -959,8 +1007,7 @@ def _result(fits: _Fits, position: int, options: FitOptions) -> FitResult:
     index, (_, (ratio, multiplier), *_), starts = fits.fitted[position]
     n = starts.shape[1]
     k = fits.winners[position]
-    diagnostics = _diagnostics(starts, fits.solved, slice(position * n, (position + 1) * n),
-                               options)
+    diagnostics = _diagnostics(starts, fits.solved, slice(position * n, (position + 1) * n))
     winner = diagnostics[k - position * n]
     params = model._unchecked_params(*fits.theta[:, index].tolist())
     # in reduced mode theta is built from the same products, so both gaps are 0
@@ -1016,7 +1063,7 @@ def fit(data: SurveyData, options: FitOptions | None = None) -> FitResult:
     best local maximum wins; log-likelihood ties (within 1e-9, or 16 ulps of
     the log-likelihood where that is wider) go to a converged start, then
     to the smaller N_A + N_B. Raises NonConvergenceError when that best
-    start did not reach the gradient tolerance, whether or not another start
+    start did not converge (``FitOptions``), whether or not another start
     did. One table through ``fit_many``.
     """
     (outcome,) = fit_many([data], options)

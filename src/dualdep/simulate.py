@@ -22,6 +22,7 @@ size.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from decimal import ROUND_HALF_EVEN, Decimal, InvalidOperation
@@ -93,6 +94,13 @@ class GeneratorConfig:
                 raise ValidationError(f"{name} must be in [0, 1], got {value}")
         if not 0 <= int(self.seed) < 2**64:
             raise ValidationError("seed must fit in 64 unsigned bits")
+
+    @functools.cached_property
+    def _cells(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each stratum's cell probabilities (``_cell_array``), computed on
+        the config's first draw and kept for its others."""
+        return (_cell_array(self.dependence, self.alpha, self.p1_a, self.p2_a),
+                _cell_array(self.dependence, self.alpha, self.p1_b, self.p2_b))
 
 
 def study1_config(replicates: int = 500, seed: int = DEFAULT_SEED) -> GeneratorConfig:
@@ -288,8 +296,7 @@ def draw_counts(
 def _draw_survey(config: GeneratorConfig, rng: np.random.Generator) -> tuple[SurveyData, int]:
     """Draw both strata, redrawing while either stratum has x11 = 0 (neither
     estimator is defined there); returns the survey and the redraw count."""
-    probs_a = _cell_array(config.dependence, config.alpha, config.p1_a, config.p2_a)
-    probs_b = _cell_array(config.dependence, config.alpha, config.p1_b, config.p2_b)
+    probs_a, probs_b = config._cells
     for redraws in range(_MAX_REDRAWS):
         table_a = rng.multinomial(config.n_a, probs_a)
         table_b = rng.multinomial(config.n_b, probs_b)

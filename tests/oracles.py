@@ -165,7 +165,18 @@ def reference_solve(u0, table, counts, scale, sel, lo_t, hi_t, max_iter, tol):
         stop(singular, "singular Newton system")
         stop(broken, "non-finite Newton step")
         np.copyto(step, 0.0, where=~run["live"])
-        stop(~_reference_line_search(run, step), "no acceptable step")
+        # a start that finds no step has converged within rounding when
+        # its step's predicted gain g's lies in [0, 16 ulps of its
+        # log-likelihood], at least 1e-9 (1e-9 where the log-likelihood is
+        # not finite)
+        gain = (run["grad"] * step).sum(axis=0)
+        with np.errstate(invalid="ignore"):
+            band = np.where(np.isfinite(run["ll"]),
+                            np.maximum(mle._TIE_TOL, mle._TIE_ULPS * np.spacing(np.abs(run["ll"]))),
+                            mle._TIE_TOL)
+        found = _reference_line_search(run, step)
+        stop(~found & (gain >= 0.0) & (gain <= band), "converged within rounding")
+        stop(~found, "no acceptable step")
 
     return run["u"], run["ll"], run["pg"], run["it"], messages
 

@@ -1,5 +1,5 @@
 """The seeded outputs, pinned: the fixed corpora of ``tools/fit_digest.py``
-(714 fits) and ``tools/report_digest.py`` (20 CLI commands) recomputed and
+(738 fits) and ``tools/report_digest.py`` (20 CLI commands) recomputed and
 compared with the reference in ``seeded_outputs.json``.
 
 A fit is pinned by its winner's fields (parameters, log-likelihood, active

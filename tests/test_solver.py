@@ -21,8 +21,13 @@ import oracles
 from conftest import make_survey
 from oracles import reference_solve
 
-LARGE_COUNTS = SurveyData(CellCounts(10_000_000, 800_000_000, 300_000_000),
-                          CellCounts(50_000_000, 200_000_000, 300_000_000))
+# Counts near 1e8 whose full-mode log-likelihood (about 2.6e9) is 4.8e-7
+# apart between floats: of the 12 starts, nine stall within its rounding,
+# and starts 0, 2 and 11 stall where the step they cannot take predicts a
+# gain g's of about -6e-23, just below 0 and so outside the rounding band:
+# no acceptable step.
+STALLING = SurveyData(CellCounts(54_210_000, 16_290_000, 21_690_000),
+                      CellCounts(52_780_000, 11_220_000, 3_860_000))
 
 
 def solver_inputs(tables, options):
@@ -67,24 +72,31 @@ def test_study2_draws_solve_bit_identical_to_reference(value, mode):
         assert_same_solve(args)
 
 
-def test_mixed_stops_solve_bit_identical_to_reference():
-    # one full-mode batch of three tables: Q1, with its first start on the
-    # maximum, so it converges before any step; the large-count table, with
-    # its first start where a start of it stalled, so no step length passes
-    # (all 47 are tried); and Q1 with alpha's scale 0, so every Newton
-    # system has a zero row
+def mixed_stops_args():
+    """The arguments of the mixed-stops batch: one full-mode batch of Q1,
+    its first start on the maximum; ``STALLING``, its first start where a
+    start of it stalled outside the rounding band; and Q1 with alpha's
+    scale 0."""
     q1 = make_survey("Q1")
     options = FitOptions(mode="full")
-    u, _, _, _, messages = mle._solve_start(*solver_inputs([LARGE_COUNTS], options))
-    stalled = u[:, messages.index("no acceptable step")]
-    args = solver_inputs([q1, LARGE_COUNTS, q1], options)
+    u, _, _, _, messages = mle._solve_start(*solver_inputs([STALLING], options))
+    args = solver_inputs([q1, STALLING, q1], options)
     args[3][2, 2] = 0.0
     args[0][:, 0] = fit(q1, options).params.as_tuple()
-    args[0][:, 12] = stalled
-    _, _, _, it, messages = assert_same_solve(args)
+    args[0][:, 12] = u[:, messages.index("no acceptable step")]
+    return args
+
+
+def test_mixed_stops_solve_bit_identical_to_reference():
+    # Q1's first start converges before any step; STALLING's first start
+    # tries all 47 step lengths, none passing, and its other starts stall
+    # within the rounding band or outside it; every Newton system of the
+    # third table has a zero row
+    _, _, _, it, messages = assert_same_solve(mixed_stops_args())
     assert (messages[0], it[0]) == ("converged", 0)
     assert all(m == "converged" for m in messages[1:12])
     assert (messages[12], it[12]) == ("no acceptable step", 0)
+    assert {"converged within rounding", "no acceptable step"} <= set(messages[13:24])
     assert messages[24:] == ["singular Newton system"] * 12 and not it[24:].any()
 
 
@@ -144,20 +156,6 @@ def test_the_solver_carries_the_factor_table_of_each_point(tables, mode, n_start
     accepted = mle._line_search(run, np.where(np.isfinite(step), step, 0.0), table.size)
     assume(accepted.any())
     assert_fresh_tables(run)
-
-
-def mixed_stops_args():
-    """The arguments of the mixed-stops batch: one full-mode batch of Q1,
-    its first start on the maximum; the large-count table, its first start
-    where a start of it stalled; and Q1 with alpha's scale 0."""
-    q1 = make_survey("Q1")
-    options = FitOptions(mode="full")
-    u, _, _, _, messages = mle._solve_start(*solver_inputs([LARGE_COUNTS], options))
-    args = solver_inputs([q1, LARGE_COUNTS, q1], options)
-    args[3][2, 2] = 0.0
-    args[0][:, 0] = fit(q1, options).params.as_tuple()
-    args[0][:, 12] = u[:, messages.index("no acceptable step")]
-    return args
 
 
 def assert_reads_only(args):

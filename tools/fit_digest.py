@@ -1,10 +1,11 @@
 """Fit a fixed seeded corpus and write every field of every fit, exactly.
 
-The corpus is the four published quarters, seven edge tables, 40 study-1
-draws, 60 study-2 scenario-1 draws (20 each at p1B = 0.01, 0.15 and 0.35) and
-eight study-2 scenario-2 draws at p1A = 0.05 whose starts reach different
-maxima, each fitted in reduced and full mode with 1, 12 and 15 starts: 119
-tables, 714 fits. Each fit is written as JSON with floats as ``float.hex`` (so two files
+The corpus is the four published quarters, seven edge tables, the four
+quarters with every count times 10^6 (their starts converge within the
+log-likelihood's rounding), 40 study-1 draws, 60 study-2 scenario-1 draws
+(20 each at p1B = 0.01, 0.15 and 0.35) and eight study-2 scenario-2 draws
+at p1A = 0.05 whose starts reach different maxima, each fitted in reduced
+and full mode with 1, 12 and 15 starts: 123 tables, 738 fits. Each fit is written as JSON with floats as ``float.hex`` (so two files
 are equal exactly when the fits are bit-identical) and active sets sorted (so
 the file does not depend on the set's iteration order). A fit that raises is
 written as its error's type, text and per-start diagnostics.
@@ -48,9 +49,9 @@ EDGES = {
     "degenerate-box": ((10, 0, 40), (30, 60, 70)),  # x10 * x01 = 0 in stratum A
     "degenerate-box-b": ((30, 60, 70), (10, 40, 0)),  # x10 * x01 = 0 in stratum B
     "infeasible-reduced": ((5, 9000, 50), (50, 100, 5000)),  # empty mapped N_B box
-    # log-likelihood about 3.1e10, floats 3.8e-6 apart: the one converged
-    # start of each mode ties stalled ones, and whether any full-mode start
-    # reaches the absolute gradient tolerance turns on the rounding of a step
+    # log-likelihood about 3.1e10, floats 3.8e-6 apart: most starts of each
+    # mode stall short of the absolute gradient tolerance, within the
+    # log-likelihood's rounding
     "large-counts": ((10_000_000, 800_000_000, 300_000_000),
                      (50_000_000, 200_000_000, 300_000_000)),
     "tiny": ((2, 3, 4), (1, 2, 3)),
@@ -60,6 +61,8 @@ STUDY2_VALUES = (0.01, 0.15, 0.35)
 # scenario 2 at p1A = 0.05, seed 11: only three to five of the 12 starts
 # reach the full-mode maximum, on the N_B and p2B bounds
 MULTI_MAXIMUM_REPLICATES = (1, 2, 3, 4, 5, 6, 8, 9)
+# the quarters scaled up: every count times this
+SCALE = 10**6
 MODES = ("reduced", "full")
 STARTS = (1, 12, 15)
 
@@ -68,6 +71,9 @@ def corpus() -> list[tuple[str, SurveyData]]:
     """(name, table) pairs, in a fixed order."""
     tables = [(name, SurveyData(CellCounts(*a), CellCounts(*b)))
               for name, (a, b) in {**QUARTERS, **EDGES}.items()]
+    tables += [(f"{name}x{SCALE}", SurveyData(CellCounts(*(SCALE * n for n in a)),
+                                               CellCounts(*(SCALE * n for n in b))))
+               for name, (a, b) in QUARTERS.items()]
     config = study1_config(seed=1)
     for rep in range(40):
         tables.append((f"study1/{rep}", _draw_survey(config, stream(config.seed, rep))[0]))

@@ -15,8 +15,8 @@ the pipeline's second pass, fill three solver blocks and run on two worker
 processes); and three edge commands: a bootstrap on a tiny table that
 fails too many replicates (exit 1), a small custom study with many
 zero-x11 redraws and full-mode fallbacks, and standard errors on a table
-with counts near 1e9, whose one converged start ties stalled ones within
-the log-likelihood's rounding noise.
+with counts near 1e9, whose starts converge within the log-likelihood's
+rounding.
 
 A bootstrap refit of a drawn table whose moment point lies inside its box
 is that point, in closed form; every other refit climbs from the drawn
