@@ -2,8 +2,9 @@
 
 The package's one replicate pipeline (``mle._fit_drawn``) certifies drawn
 tables in the calling process and hands only those that need the solver to
-``run_blocks``. It cuts them into blocks sized by solver columns
-(``blocks``) and runs one task per block through ``run_indexed``; its worker
+``run_blocks``, each table as the (a, b) pair of its strata's (x11, x10,
+x01) counts. It cuts them into blocks sized by solver columns (``blocks``)
+and runs one task per block through ``run_indexed``; its worker
 (``mle._fit_block``) fits a whole block in one batched solve, and the data
 shared by a block's tables is pickled once per block.
 Every replicate draws from its own random stream, keyed by the full 64-bit

@@ -21,9 +21,11 @@ import os
 import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
+from decimal import Decimal
 from pathlib import Path
 
 from . import __version__, inference, mle, simulate, tables
+from ._parallel import check_threads
 from .exceptions import DualdepError, NonConvergenceError, ValidationError
 
 
@@ -44,6 +46,12 @@ def _fmt_prob(value) -> str:
     if value is None or not math.isfinite(value):
         return "undefined"
     return f"{value:.4f}"
+
+
+def _fmt_percent(level: float) -> str:
+    """A confidence level as the percentage it was given as: 0.975 as
+    "97.5", 0.57 as "57" (the float product 0.57 * 100 is 56.99...)."""
+    return format((Decimal(repr(level)) * 100).normalize(), "f")
 
 
 def _fmt_quantity(name: str, value) -> str:
@@ -199,8 +207,11 @@ def cmd_diagnose(args) -> int:
 # --- estimate ------------------------------------------------------------------
 
 def cmd_estimate(args) -> int:
+    # usage errors before the input is read or fitted, so they exit 2 on any table
     if args.se in ("bootstrap", "both") and args.B < 1:
         raise ValidationError("B must be >= 1 for bootstrap")
+    inference.normal_quantile(args.level)
+    check_threads(args.threads)
     data = tables.load_survey(args.input, args.format)
     options = mle.FitOptions(
         mode=args.mode,
@@ -261,7 +272,7 @@ def cmd_estimate(args) -> int:
                 parts.append(f"{name}: undefined")
             else:
                 parts.append(f"{name}: [{_fmt_size(interval[0])}; {_fmt_size(interval[1])}]")
-        print(f"{int(unc.level * 100)}% CI ({method}): " + "  ".join(parts))
+        print(f"{_fmt_percent(unc.level)}% CI ({method}): " + "  ".join(parts))
     if unc.n_replicates:
         print(f"bootstrap: B={unc.n_replicates} failed={unc.n_failed_replicates}")
 

@@ -7,11 +7,12 @@ unobserved cell, then refits the model on the starred observed cells.
 Drawing and reducing run in the calling process, and each attempt's drawn
 tables are refitted by the package's one replicate pipeline, which the
 simulation studies share (``mle._fit_drawn``): a table whose moment point
-it certifies from the counts is refitted in closed form, and never built as
-a SurveyData nor set up for the solver; only the others go to the solver,
-in blocks spread over the worker processes, each refit climbing from the
-drawn table's starting grid, as every fit does. Stratum variances add for
-the total because the strata are independent.
+it certifies from the counts is refitted in closed form, and never set up
+for the solver; only the others go to the solver, as the same counts (no
+drawn table becomes a SurveyData), in blocks spread over the worker
+processes, each refit climbing from the drawn table's starting grid, as
+every fit does. Stratum variances add for the total because the strata are
+independent.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from . import _parallel, mle, model
 from .exceptions import BootstrapError, DualdepError, InformationMatrixError, ValidationError
 from .mle import DEFAULT_SEED, FitResult
 from .model import ModelParams, PARAM_NAMES
-from .tables import CellCounts, SurveyData
+from .tables import CellCounts, SurveyData, _pair
 
 __all__ = [
     "QUANTITIES",
@@ -127,7 +128,7 @@ def se_from_hessian(fit: FitResult, data: SurveyData) -> HessianSE:
     """
     if not fit.converged:
         raise ValidationError("fit did not converge; standard errors would be meaningless")
-    (outcome,) = _hessian_ses([(fit.params, fit.active_constraints, data)])
+    (outcome,) = _hessian_ses([(fit.params, fit.active_constraints, _pair(data))])
     if isinstance(outcome, DualdepError):
         raise outcome
     return outcome
@@ -135,7 +136,7 @@ def se_from_hessian(fit: FitResult, data: SurveyData) -> HessianSE:
 
 def _hessian_ses(fits) -> list:
     """``se_from_hessian`` of many fits, each given by what the studies keep
-    of it: a (params, active, data) triple, ``active`` the names of its
+    of it: a (params, active, counts) triple, ``active`` the names of its
     parameters on an active bound. One pass: one factor table over every
     fit's point, screened for evaluability in one pass
     (``model._unevaluable``; ``model._check`` gives a flagged point its
@@ -146,7 +147,7 @@ def _hessian_ses(fits) -> list:
     if not fits:
         return []
     theta = np.array([params.as_tuple() for params, _, _ in fits]).T
-    counts = np.array([model._counts(data) for _, _, data in fits]).T
+    counts = np.array([model._counts(*table) for _, _, table in fits]).T
     values, weights = model._values(theta, counts)
     hess = model._square(model._hess(values, weights))
     flagged = model._unevaluable(values, counts).tolist()
@@ -238,7 +239,7 @@ def _drawn_counts(table_a, table_b):
     unobserved) as lists of Python ints, or None when either stratum has
     x11 = 0, where no estimator is defined. The bootstrap (a failed
     attempt) and the studies (a redraw) decide that case here; with x11 >= 1
-    in both strata the counts are always a valid survey."""
+    in both strata the counts are a table the fit takes as it is."""
     a, b = table_a[:3].tolist(), table_b[:3].tolist()
     return None if a[0] < 1 or b[0] < 1 else (a, b)
 

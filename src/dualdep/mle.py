@@ -28,7 +28,7 @@ from .exceptions import (
     DualdepError, FitError, InfeasibleConstraintsError, NonConvergenceError, ValidationError,
 )
 from .model import ModelParams, PARAM_NAMES
-from .tables import SurveyData, _unchecked_survey, naive_estimate
+from .tables import SurveyData, _naive, _pair
 
 __all__ = [
     "DEFAULT_SEED", "FitOptions", "StartDiagnostics", "FitResult", "starting_points", "fit",
@@ -147,9 +147,8 @@ _UNIT = (0.0, 1.0)  # the box of a probability
 
 def _size_box(x11: int, x10: int, x01: int) -> tuple[float, float]:
     """A stratum's size box [observed total, naive estimate] from its counts
-    (x11 >= 1), the estimate divided as ``naive_estimate`` divides."""
-    x1 = x11 + x10
-    return float(x1 + x01), x1 * (x11 + x01) / x11
+    (x11 >= 1)."""
+    return float(x11 + x10 + x01), _naive(x11, x10, x01)
 
 
 def _ties(a, b) -> tuple[float, float]:
@@ -182,20 +181,25 @@ def _room(b_lo: float, b_hi: float, s: float, lo: float, hi: float) -> bool:
     return lo < hi and b_lo < s * (lo + pad) and s * (hi - pad) < b_hi
 
 
-def _setup(data: SurveyData, mode: str):
-    """The constants of one table's problem: the six parameters' boxes, the
-    size ratio and p2A multiplier (``_ties``), the ``scale`` of the mode's
-    map and the box (lo, hi) of each solver coordinate. A coordinate's box
-    is the intersection of its parameters' boxes, each divided by the
-    parameter's scale (``_tied_box``). Raises FitError when a stratum has
-    x11 = 0 (no naive upper bound), and InfeasibleConstraintsError when a
-    coordinate's box leaves no room for a start (``_room``)."""
+def _table(data: SurveyData):
+    """A survey as the fit takes it, its counts (``tables._pair``), or the
+    FitError naming by its label a stratum with x11 = 0 (no naive bound)."""
     for label, counts in data.strata:
         if counts.x11 < 1:
-            raise FitError(
+            return FitError(
                 f"stratum {label!r} has x11 = 0: the naive upper bound does not exist"
             )
-    a, b = ((c.x11, c.x10, c.x01) for c in (data.stratum_a, data.stratum_b))
+    return _pair(data)
+
+
+def _setup(a, b, mode: str):
+    """The constants of the problem of the strata's (x11, x10, x01) counts
+    ``a`` and ``b`` (x11 >= 1): the six parameters' boxes, the size ratio
+    and p2A multiplier (``_ties``), the ``scale`` of the mode's map and the
+    box (lo, hi) of each solver coordinate, the intersection of its
+    parameters' boxes, each divided by the parameter's scale
+    (``_tied_box``). Raises InfeasibleConstraintsError when a coordinate's
+    box leaves no room for a start (``_room``)."""
     box = (_size_box(*a), _size_box(*b), _UNIT, _UNIT, _UNIT, _UNIT)
     ratio, multiplier = _ties(a, b)
     ties = (ratio, 1.0, 1.0, 1.0, multiplier, 1.0)
@@ -314,13 +318,16 @@ def starting_points(data: SurveyData, options: FitOptions | None = None) -> list
     coordinate box with no interior, as when x10 * x01 = 0 in a stratum).
     """
     options = options or FitOptions()
-    starts = _starts(data, options, _setup(data, options.mode))
+    table = _table(data)
+    if isinstance(table, FitError):
+        raise table
+    starts = _starts(*table, options, _setup(*table, options.mode))
     return [ModelParams(*start) for start in starts.T.tolist()]
 
 
-def _starts(data: SurveyData, options: FitOptions, setup) -> np.ndarray:
-    """``starting_points`` from the table's ``_setup``: the six parameters
-    of each start, one start per column of a (6, n_starts) array."""
+def _starts(a, b, options: FitOptions, setup) -> np.ndarray:
+    """``starting_points`` of the counts ``a``, ``b`` from their ``_setup``:
+    the six parameters of each start, one per column of a (6, n) array."""
     _, (ratio, multiplier), scale, lo, hi = setup
     coords, sel, _ = _COORDINATES[options.mode]
     # the smallest pooled total the mode's box allows: x0 in full mode, and
@@ -329,14 +336,14 @@ def _starts(data: SurveyData, options: FitOptions, setup) -> np.ndarray:
     lo, hi = np.array((lo, hi))[..., None]  # (P, 1)
     pad = _START_MARGIN * (hi - lo)
     inner_lo, inner_hi = lo + pad, hi - pad  # each coordinate's box less the margin
-    pooled = data.pooled()
-    lo_anchor = 1.2 * max(float(pooled.total), lowest)
-    hi_anchor = 0.8 * naive_estimate(pooled)
+    x11, x10, x01 = (n_a + n_b for n_a, n_b in zip(a, b))  # the pooled table
+    lo_anchor = 1.2 * max(float(x11 + x10 + x01), lowest)
+    hi_anchor = 0.8 * _naive(x11, x10, x01)
     grid = min(options.n_starts, _GRID_ALPHA.size)
     total = np.array(((lo_anchor + hi_anchor) / 2.0, lo_anchor, hi_anchor))[_GRID_ANCHOR[:grid]]
     n_b = np.minimum(np.maximum(total / (1.0 + ratio), inner_lo[sel[1]]), inner_hi[sel[1]])
-    alpha, p1 = _GRID_ALPHA[:grid], pooled.n_list1 / total
-    p2b = float(data.stratum_b.n_list2) / n_b
+    alpha, p1 = _GRID_ALPHA[:grid], (x11 + x10) / total
+    p2b = float(b[0] + b[2]) / n_b
     if options.n_starts > grid:
         # per start, in order, a uniform draw for each of N_B, alpha, p1, p2B
         at = [sel[1], sel[2], sel[3], sel[5]]
@@ -837,18 +844,22 @@ def _line_search(run, step, width):
 def _solver_inputs(tables, options: FitOptions):
     """Each table's ``_setup`` and starting grid (``_starts``), stacked into
     the arguments of ``_solve_start``, one block of columns per table in
-    table order. Returns (outcomes, fitted, args): ``outcomes`` holds, at
+    table order. A table is the (a, b) counts of ``_setup`` or the error
+    of ``_table``. Returns (outcomes, fitted, args): ``outcomes`` holds, at
     the index of each table with no box, the package error that makes it
     unfittable (None elsewhere); ``fitted`` the (index, setup, starts) of
     every other table; ``args`` the arguments, or None if no table has a
     box."""
     outcomes: list = [None] * len(tables)
     fitted, counts = [], []
-    for index, data in enumerate(tables):
+    for index, table in enumerate(tables):
+        if isinstance(table, DualdepError):
+            outcomes[index] = table
+            continue
         try:
-            setup = _setup(data, options.mode)
-            fitted.append((index, setup, _starts(data, options, setup)))
-            counts.append(model._counts(data))
+            setup = _setup(*table, options.mode)
+            fitted.append((index, setup, _starts(*table, options, setup)))
+            counts.append(model._counts(*table))
         except DualdepError as exc:
             # without its traceback the error holds no frame, and so no
             # reference cycle through this list, alive
@@ -970,10 +981,10 @@ def _fits(tables, options: FitOptions) -> _Fits:
 
 
 def _fit_block(tables, options: FitOptions) -> list:
-    """The pool worker of ``_fit_drawn``: a block of tables fitted in one
-    batched solve (``_fits``). Per table, the winner's six parameters (None
-    where the fit raised a package error), its active-bound mask and that
-    error or None."""
+    """The pool worker of ``_fit_drawn``: a block of (a, b) counts fitted in
+    one batched solve (``_fits``). Per table, the winner's six parameters
+    (None where the fit raised a package error), its active-bound mask and
+    that error or None."""
     fits = _fits(tables, options)
     return [(None if error is not None else params, tuple(mask), error)
             for params, mask, error in zip(fits.theta.T.tolist(), fits.active.T.tolist(),
@@ -989,14 +1000,13 @@ def _fit_drawn(draws, options: FitOptions, threads: int) -> list:
     studies. A draw is an (a, b) pair of the strata's (x11, x10, x01) counts
     as Python ints, x11 >= 1 in both. Each draw is certified in this process
     (``_moment_point``): a certified draw's fit is its moment point, off
-    every bound. Only the declined draws become surveys and go to the
-    solver, in blocks of at most ``_parallel.BLOCK_COLUMNS`` solver columns
+    every bound. Only the declined draws go to the solver, as the same
+    counts, in blocks of at most ``_parallel.BLOCK_COLUMNS`` solver columns
     spread over ``threads`` processes (``run_blocks``)."""
     fits = [(_moment_point(a, b, options.mode), _OFF_BOUNDS, None) for a, b in draws]
     declined = [k for k, (point, _, _) in enumerate(fits) if point is None]
-    surveys = [_unchecked_survey(*draws[k], "A", "B") for k in declined]
-    for k, fit in zip(declined, run_blocks(_fit_block, surveys, options.n_starts, threads,
-                                           options)):
+    for k, fit in zip(declined, run_blocks(_fit_block, [draws[k] for k in declined],
+                                           options.n_starts, threads, options)):
         fits[k] = fit
     return fits
 
@@ -1046,7 +1056,7 @@ def fit_many(tables, options: FitOptions | None = None) -> list:
     winner, convergence and active bounds.
     """
     options = options or FitOptions()
-    fits = _fits(tables, options)
+    fits = _fits([_table(data) for data in tables], options)
     outcomes = list(fits.errors)
     for position, (index, _, _) in enumerate(fits.fitted):
         if outcomes[index] is None:

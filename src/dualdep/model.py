@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import EvaluationError, ValidationError
-from .tables import SurveyData
+from .tables import SurveyData, _pair
 
 __all__ = [
     "PARAM_NAMES",
@@ -319,12 +319,9 @@ _H_TARGETS = np.array(_H_LAYOUT[0], dtype=np.intp)
 _G_COEFF, _H_COEFF = _G_COEFF[:, None], _H_COEFF[:, None]
 
 
-def _counts(data: SurveyData) -> tuple[float, ...]:
-    a, b = data.stratum_a, data.stratum_b
-    return (
-        float(a.x11), float(a.x10), float(a.x01), float(a.total),
-        float(b.x11), float(b.x10), float(b.x01), float(b.total),
-    )
+def _counts(a, b) -> tuple[float, ...]:
+    """The counts column (x11A, x10A, x01A, x0A, x11B, ..., x0B) of ``a``, ``b``."""
+    return (*map(float, a), float(sum(a)), *map(float, b), float(sum(b)))
 
 
 def _values(theta, counts, out=None):
@@ -458,7 +455,7 @@ def _square(entries):
 def _one_point(params: ModelParams, data: SurveyData):
     """The factor table (values, weights) of one parameter point and its
     counts, checked to be evaluable: the arguments of ``_ll``."""
-    counts = np.array(_counts(data))[:, None]
+    counts = np.array(_counts(*_pair(data)))[:, None]
     values, weights = _values(np.array(params.as_tuple())[:, None], counts)
     _check(values, counts)
     return values, weights, counts

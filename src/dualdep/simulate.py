@@ -14,8 +14,9 @@ and only the others go to the solver, in blocks spread over the worker
 processes. So a study whose every draw is certified, as study 1's are,
 starts no process. The draws whose reduced constraint box is empty go
 through the pipeline a second time, in full mode. Per replicate, a record
-holds the survey with the fit's parameters and active bounds, or the reason
-the fit failed; no study builds a ``FitResult``. The studies are reductions
+holds the drawn counts with the fit's parameters and active bounds, or the
+reason the fit failed; no study builds a ``SurveyData`` or a ``FitResult``.
+The studies are reductions
 over those records, so summaries are independent of worker count and block
 size.
 """
@@ -36,7 +37,7 @@ from .exceptions import DualdepError, FitError, InfeasibleConstraintsError, Vali
 from .inference import _drawn_counts, _hessian_ses, _size_intervals, normal_quantile
 from .mle import DEFAULT_SEED, FitOptions
 from .model import PARAM_NAMES, ModelParams
-from .tables import CellCounts, SurveyData, naive_estimate
+from .tables import CellCounts, _naive
 
 __all__ = [
     "GeneratorConfig",
@@ -293,17 +294,17 @@ def draw_counts(
     return CellCounts(int(table[0]), int(table[1]), int(table[2])), int(table[3])
 
 
-def _draw_survey(config: GeneratorConfig, rng: np.random.Generator) -> tuple[SurveyData, int]:
+def _draw_survey(config: GeneratorConfig, rng: np.random.Generator):
     """Draw both strata, redrawing while either stratum has x11 = 0 (neither
-    estimator is defined there); returns the survey and the redraw count."""
+    estimator is defined there); returns the (a, b) counts (``_drawn_counts``)
+    and the redraw count."""
     probs_a, probs_b = config._cells
     for redraws in range(_MAX_REDRAWS):
         table_a = rng.multinomial(config.n_a, probs_a)
         table_b = rng.multinomial(config.n_b, probs_b)
         counts = _drawn_counts(table_a, table_b)
         if counts is not None:
-            a, b = counts
-            return SurveyData(CellCounts(*a), CellCounts(*b)), redraws
+            return counts, redraws
     raise ValidationError(
         f"could not draw a table with x11 >= 1 in both strata after {_MAX_REDRAWS} tries"
     )
@@ -313,15 +314,15 @@ def _draw_survey(config: GeneratorConfig, rng: np.random.Generator) -> tuple[Sur
 
 @dataclass(frozen=True, eq=False)
 class _Replicate:
-    """One drawn and fitted replicate: the fit's ``params`` and the names of
-    those on an active bound (``active``; none for a certified draw, whose
-    point is off every activity band). ``params`` is None when the fit
-    raised a package error (NonConvergenceError when its best start
-    stalled), and ``reason`` is that error's text. ``fallback`` is True
-    where ``params`` is the full-mode fit of a draw whose reduced box was
-    empty."""
+    """One drawn and fitted replicate: the drawn ``counts``, the fit's
+    ``params`` and the names of those on an active bound (``active``; none
+    for a certified draw, whose point is off every activity band).
+    ``params`` is None when the fit raised a package error
+    (NonConvergenceError when its best start stalled), and ``reason`` is
+    that error's text. ``fallback`` is True where ``params`` is the
+    full-mode fit of a draw whose reduced box was empty."""
 
-    survey: SurveyData
+    counts: tuple
     params: ModelParams | None
     active: frozenset[str]
     reason: str
@@ -329,14 +330,9 @@ class _Replicate:
     fallback: bool
 
 
-def _triples(survey: SurveyData):
-    """The (x11, x10, x01) counts of each stratum of ``survey``."""
-    return [(c.x11, c.x10, c.x01) for c in (survey.stratum_a, survey.stratum_b)]
-
-
 def _run_replicates(groups, options: FitOptions | None, threads: int) -> list[_Replicate]:
     """The records of (config, stream keys) groups, in group and key order.
-    Every survey is drawn in this process, on one generator per config
+    Every table is drawn in this process, on one generator per config
     (``Streams``), and fitted with ``options`` (default ``FitOptions()``)
     by ``mle._fit_drawn`` over ``threads`` processes. The draws whose
     reduced constraint box is empty (InfeasibleConstraintsError) are fitted
@@ -347,7 +343,7 @@ def _run_replicates(groups, options: FitOptions | None, threads: int) -> list[_R
     for config, keys in groups:
         streams = Streams(config.seed)
         draws += [_draw_survey(config, streams.at(key)) for key in keys]
-    counts = [_triples(survey) for survey, _ in draws]
+    counts = [table for table, _ in draws]
     fits = mle._fit_drawn(counts, options, threads)
     again = [] if options.mode == "full" else [
         k for k, fit in enumerate(fits) if isinstance(fit[2], InfeasibleConstraintsError)]
@@ -355,10 +351,10 @@ def _run_replicates(groups, options: FitOptions | None, threads: int) -> list[_R
     for k, refit in zip(again, mle._fit_drawn([counts[k] for k in again],
                                               replace(options, mode="full"), threads)):
         fits[k], fallback[k] = refit, refit[2] is None
-    return [_Replicate(survey, None if params is None else model._unchecked_params(*params),
+    return [_Replicate(table, None if params is None else model._unchecked_params(*params),
                        frozenset(compress(PARAM_NAMES, mask)),
                        "" if error is None else str(error), redraws, fell)
-            for (survey, redraws), (params, mask, error), fell in zip(draws, fits, fallback)]
+            for (table, redraws), (params, mask, error), fell in zip(draws, fits, fallback)]
 
 
 # --- study 1 -------------------------------------------------------------------
@@ -393,9 +389,9 @@ def run_study1(
     return Study1Result(
         config=config,
         naive=(
-            _summarize("N_A", np.array([naive_estimate(o.survey.stratum_a) for o in outcomes]),
+            _summarize("N_A", np.array([_naive(*o.counts[0]) for o in outcomes]),
                        float(config.n_a)),
-            _summarize("N_B", np.array([naive_estimate(o.survey.stratum_b) for o in outcomes]),
+            _summarize("N_B", np.array([_naive(*o.counts[1]) for o in outcomes]),
                        float(config.n_b)),
         ),
         proposed=tuple(
@@ -416,9 +412,9 @@ def _coverage_intervals(outcome: _Replicate, hessian_se, z: float, level: float)
     outcome), or None when the SEs failed or either interval is undefined."""
     if isinstance(hessian_se, DualdepError):
         return None
-    params, survey, se = outcome.params, outcome.survey, hessian_se.se
+    params, (a, b), se = outcome.params, outcome.counts, hessian_se.se
     centers = {"N_A": params.n_a, "N_B": params.n_b}
-    x0 = {"N_A": float(survey.stratum_a.total), "N_B": float(survey.stratum_b.total)}
+    x0 = {"N_A": float(sum(a)), "N_B": float(sum(b))}
     lognormal = _size_intervals(centers, x0, se, level)
     if None in lognormal.values():
         return None
@@ -442,7 +438,7 @@ def run_coverage(
 
     truth = {"N_A": float(config.n_a), "N_B": float(config.n_b)}
     fitted = [o for o in outcomes if o.params is not None]
-    ses = _hessian_ses([(o.params, o.active, o.survey) for o in fitted])
+    ses = _hessian_ses([(o.params, o.active, o.counts) for o in fitted])
     intervals = [i for i in (_coverage_intervals(o, se, z, level) for o, se in zip(fitted, ses))
                  if i is not None]
     n = len(intervals)
@@ -522,9 +518,7 @@ def run_study2(
     for gi, value in enumerate(grid):
         point = outcomes[gi * replicates:(gi + 1) * replicates]
         proposed = [(o.params.n_a, o.params.n_b) for o in point if o.params is not None]
-        naive = [
-            (naive_estimate(o.survey.stratum_a), naive_estimate(o.survey.stratum_b)) for o in point
-        ]
+        naive = [(_naive(*o.counts[0]), _naive(*o.counts[1])) for o in point]
         for estimator, pairs in (("proposed", proposed), ("naive", naive)):
             matrix = np.array(pairs, dtype=float).reshape(-1, 2)
             series = {

@@ -120,19 +120,10 @@ class SurveyData:
         return SurveyData(self.stratum_b, self.stratum_a, self.label_b, self.label_a)
 
 
-def _unchecked_survey(a, b, label_a: str, label_b: str) -> SurveyData:
-    """A SurveyData of two (x11, x10, x01) triples of Python ints known to
-    pass the checks of CellCounts and SurveyData (non-negative, with x11 >= 1
-    in both strata), built without running them: a drawn table."""
-    strata = []
-    for x11, x10, x01 in (a, b):
-        counts = object.__new__(CellCounts)
-        counts.__dict__.update(x11=x11, x10=x10, x01=x01)
-        strata.append(counts)
-    data = object.__new__(SurveyData)
-    data.__dict__.update(stratum_a=strata[0], stratum_b=strata[1], label_a=label_a,
-                         label_b=label_b)
-    return data
+def _pair(data: SurveyData):
+    """The (x11, x10, x01) counts of each stratum: the table as the package
+    computes with it."""
+    return tuple((c.x11, c.x10, c.x01) for c in (data.stratum_a, data.stratum_b))
 
 
 @dataclass(frozen=True)
@@ -167,7 +158,12 @@ def naive_estimate(counts: CellCounts) -> float:
     """
     if counts.x11 < 1:
         raise ValidationError("naive estimator undefined: x11 = 0")
-    return counts.n_list1 * counts.n_list2 / counts.x11
+    return _naive(counts.x11, counts.x10, counts.x01)
+
+
+def _naive(x11: int, x10: int, x01: int) -> float:
+    """``naive_estimate`` of one stratum's counts (x11 >= 1)."""
+    return (x11 + x10) * (x11 + x01) / x11
 
 
 def naive_pooled(data: SurveyData) -> float:

@@ -15,6 +15,13 @@ QUARTER_COUNTS = {
 }
 
 
+def survey_of(table) -> SurveyData:
+    """The SurveyData of a table as the package computes with it: an (a, b)
+    pair of the strata's (x11, x10, x01) counts, e.g. a study draw."""
+    a, b = table
+    return SurveyData(CellCounts(*a), CellCounts(*b))
+
+
 def make_survey(quarter: str) -> SurveyData:
     (a, b) = QUARTER_COUNTS[quarter]
     return SurveyData(CellCounts(*a), CellCounts(*b), "Small & medium", "Large")
@@ -40,4 +47,4 @@ def drawn_tables(draw):
         alpha=draw(st.floats(0.02, 0.2)), p1_a=p1, p1_b=p1,
         p2_a=draw(st.floats(0.01, 0.3)), p2_b=draw(st.floats(0.01, 0.3)), replicates=1,
     )
-    return _draw_survey(config, stream(draw(st.integers(0, 2**32)), 0))[0]
+    return survey_of(_draw_survey(config, stream(draw(st.integers(0, 2**32)), 0))[0])

@@ -336,12 +336,15 @@ def triples(data: SurveyData) -> tuple[tuple[int, int, int], tuple[int, int, int
 
 def reference_moment_point(data: SurveyData, mode: str) -> list[float] | None:
     """``mle._moment_point``'s result, the reference way: the table's
-    solver ``_setup`` first (None where it raises: the table has no box),
-    then the moment point in exact integers, each solver coordinate one
-    correctly rounded division, accepted strictly inside the trimmed box
-    and off every activity band."""
+    solver ``_setup`` first (None where the fit's door or ``_setup``
+    rejects it: the table has no box), then the moment point in exact
+    integers, each solver coordinate one correctly rounded division,
+    accepted strictly inside the trimmed box and off every activity band."""
+    table = mle._table(data)
+    if isinstance(table, DualdepError):
+        return None
     try:
-        box, _, scale, lo, hi = mle._setup(data, mode)
+        box, _, scale, lo, hi = mle._setup(*table, mode)
     except DualdepError:
         return None
     a, b = data.stratum_a, data.stratum_b

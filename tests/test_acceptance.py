@@ -25,7 +25,7 @@ from dualdep.simulate import (
 )
 from dualdep.tables import c_hat, naive_estimate, naive_pooled
 
-from conftest import QUARTER_COUNTS, make_survey
+from conftest import QUARTER_COUNTS, make_survey, survey_of
 from oracles import (
     exact_conditional_naive_mean,
     fd_gradient,
@@ -240,7 +240,7 @@ def test_criterion_6_property_suites(tiny):
     )
     box_ok = True
     for index in range(100):
-        survey, _ = _draw_survey(config, stream(62, index))
+        survey = survey_of(_draw_survey(config, stream(62, index))[0])
         params = fit(survey).params
         for counts, n in ((survey.stratum_a, params.n_a), (survey.stratum_b, params.n_b)):
             box_ok = box_ok and counts.total <= n <= naive_estimate(counts)

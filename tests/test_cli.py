@@ -516,6 +516,46 @@ def test_estimate_level_outside_unit_interval_fails_before_bootstrap(q1_csv, cap
     assert "level must be in (0, 1)" in capsys.readouterr().err
 
 
+NO_OVERLAP_CSV = "stratum,x11,x10,x01\nSmall & medium,0,10,10\nLarge,5,5,5\n"
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--threads", "0", "threads must be >= 1, got 0"),
+    ("--level", "1.5", "level must be in (0, 1), got 1.5"),
+])
+def test_estimate_usage_error_exits_2_on_a_table_the_fit_rejects(tmp_path, capsys, flag, value,
+                                                                 message):
+    # the table has x11 = 0 in stratum A, which the fit rejects with exit 1;
+    # a bad --threads or --level is a usage error on any table, checked
+    # before the input is read, as --B is
+    path = tmp_path / "t.csv"
+    path.write_text(NO_OVERLAP_CSV, encoding="utf-8")
+    code = main(["estimate", "--input", str(path), flag, value, "--output", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not list(tmp_path.glob("out*"))
+
+
+def test_estimate_on_a_table_with_no_overlap_names_the_stratum(tmp_path, capsys):
+    path = tmp_path / "t.csv"
+    path.write_text(NO_OVERLAP_CSV, encoding="utf-8")
+    assert main(["estimate", "--input", str(path), "--output", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "error: stratum 'Small & medium' has x11 = 0: the naive upper bound does not exist\n")
+    assert not list(tmp_path.glob("out*"))
+
+
+@pytest.mark.parametrize("level, label", [("0.975", "97.5"), ("0.57", "57"), ("0.95", "95")])
+def test_the_interval_label_is_the_level_as_given(q1_csv, tmp_path, capsys, level, label):
+    # 0.57 * 100 is 56.99... in floats, and truncating 97.5 drops its half
+    code = main(["estimate", "--input", str(q1_csv), "--se", "hessian", "--level", level,
+                 "--output", str(tmp_path / "out")])
+    assert code == 0
+    lines = [line for line in capsys.readouterr().out.splitlines() if " CI (" in line]
+    assert len(lines) == 1 and lines[0].startswith(f"{label}% CI (hessian): ")
+    assert read_report(tmp_path / "out")["results"]["uncertainty"]["level"] == float(level)
+
+
 @pytest.mark.parametrize("level", ["1.5", "0"])
 def test_coverage_level_outside_unit_interval_is_usage_error(tmp_path, capsys, monkeypatch, level):
     from dualdep import simulate

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dualdep import _parallel, inference, mle, model
+from dualdep import _parallel, inference, mle, model, simulate
 from dualdep.exceptions import (
-    BootstrapError, DualdepError, EvaluationError, InformationMatrixError, ValidationError,
+    BootstrapError, DualdepError, EvaluationError, InfeasibleConstraintsError,
+    InformationMatrixError, ValidationError,
 )
 from dualdep.inference import (
     BootstrapResult,
@@ -22,6 +23,7 @@ from dualdep.model import ModelParams
 from dualdep.simulate import GeneratorConfig, _draw_survey, _scenario_config
 from dualdep.tables import CellCounts, SurveyData
 
+from conftest import survey_of
 from oracles import fd_hessian, reference_moment_point, triples
 
 
@@ -37,7 +39,7 @@ def drawn_survey(table_a, table_b):
     """The survey of two drawn stratum tables, or None where either stratum
     has x11 = 0 (``inference._drawn_counts``)."""
     counts = inference._drawn_counts(table_a, table_b)
-    return None if counts is None else SurveyData(*(CellCounts(*c) for c in counts))
+    return None if counts is None else survey_of(counts)
 
 
 def test_hessian_se_reference_magnitudes(q1_fit):
@@ -89,7 +91,7 @@ def test_hessian_se_simulated_sanity():
         n_a=50_000, n_b=20_000, alpha=0.05, p1_a=0.15, p1_b=0.15,
         p2_a=0.05, p2_b=0.15, replicates=1, seed=3,
     )
-    survey, _ = _draw_survey(config, _parallel.stream(3, 0))
+    survey = survey_of(_draw_survey(config, _parallel.stream(3, 0))[0])
     result = fit(survey)
     ses = se_from_hessian(result, survey)
     assert all(math.isfinite(v) and v > 0 for v in ses.se.values())
@@ -139,7 +141,8 @@ def test_hessian_ses_in_one_pass_give_each_fit_its_own_bits(q1_fit):
         (corner_fit.params, frozenset(), corner),  # on bounds, none flagged
         (result.params, frozenset({"p2B"}), data),
     ]
-    got = inference._hessian_ses(fits)
+    got = inference._hessian_ses([(params, active, triples(survey))
+                                  for params, active, survey in fits])
     assert len(got) == len(fits)
     kinds = []
     for outcome, fitted in zip(got, fits):
@@ -240,7 +243,7 @@ def test_declined_draws_give_the_same_rows_on_two_workers(tiny, monkeypatch):
 
 def solver_only(monkeypatch):
     """Make ``mle._moment_point`` decline every drawn table, so that each one
-    a bootstrap draws becomes a survey and reaches the solver
+    a bootstrap draws reaches the solver
     (``mle._fits``), as no draw of a Q1 parent does otherwise."""
     monkeypatch.setattr(mle, "_moment_point", lambda *args: None)
 
@@ -250,9 +253,9 @@ def columns_per_call(monkeypatch):
     returns gains, per call, the solver columns of that call."""
     real, calls = mle._fits, []
 
-    def spy(surveys, options):
-        calls.append(len(surveys) * options.n_starts)
-        return real(surveys, options)
+    def spy(tables, options):
+        calls.append(len(tables) * options.n_starts)
+        return real(tables, options)
 
     monkeypatch.setattr(mle, "_fits", spy)
     return calls
@@ -309,9 +312,9 @@ def test_bootstrap_retries_a_package_error_and_reports_its_reason(q1_fit, monkey
     real = mle._fits
     calls = []
 
-    def first_table_fails(surveys, options):
-        calls.append(len(surveys))
-        fits = real(surveys, options)
+    def first_table_fails(tables, options):
+        calls.append(len(tables))
+        fits = real(tables, options)
         fits.errors[0] = EvaluationError("p11A", "probability 0.0 with count coefficient 3.0")
         return fits
 
@@ -345,9 +348,9 @@ def test_a_refit_passes_only_the_tables_the_certificate_declines_to_the_solver(m
     assert len(declined) == 2
     real, calls = mle._fits, []
 
-    def spy(surveys, options):
-        calls.append([triples(survey) for survey in surveys])
-        return real(surveys, options)
+    def spy(tables, options):
+        calls.append([tuple(map(tuple, table)) for table in tables])
+        return real(tables, options)
 
     monkeypatch.setattr(mle, "_fits", spy)
     rows = inference._bootstrap_rows(range(50), 5, MIXED, parent)
@@ -359,10 +362,13 @@ def test_a_refit_passes_only_the_tables_the_certificate_declines_to_the_solver(m
 
 def test_a_certified_draw_is_never_a_survey_and_a_declined_one_is_set_up_once(q1_fit,
                                                                             monkeypatch):
-    # no Q1 draw is declined, so its bootstrap builds no SurveyData and makes no
-    # solver set-up; the corner table's parent sits on bounds, so each draw
-    # the certificate declines is one survey, set up once for its grid refit
-    counted = {"_setup": 0, "survey": 0, "checked": 0}
+    # a drawn table stays its counts from the draw to its fit: the bootstrap
+    # and the studies build no CellCounts and no SurveyData; no Q1 draw is
+    # declined, so its bootstrap makes no solver set-up either; the corner
+    # table's parent sits on bounds, and study 2's draws at p1B = 0.01 have
+    # empty reduced boxes, so each table the certificate declines is set up
+    # once per pass of the pipeline
+    counted = {"_setup": 0, "counts": 0, "survey": 0}
 
     def counting(name, real):
         def wrapper(*args, **kwargs):
@@ -370,14 +376,15 @@ def test_a_certified_draw_is_never_a_survey_and_a_declined_one_is_set_up_once(q1
             return real(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(mle, "_setup", counting("_setup", mle._setup))
-    monkeypatch.setattr(mle, "_unchecked_survey", counting("survey", mle._unchecked_survey))
+    setup = mle._setup
+    monkeypatch.setattr(mle, "_setup", counting("_setup", setup))
+    monkeypatch.setattr(CellCounts, "__post_init__", counting("counts", CellCounts.__post_init__))
     monkeypatch.setattr(SurveyData, "__post_init__",
-                        counting("checked", SurveyData.__post_init__))
+                        counting("survey", SurveyData.__post_init__))
     data, parent = q1_fit
     rows = inference._bootstrap_rows(range(100), 7, data, parent)
     assert all(row is not None for _, row, _ in rows)
-    assert counted == {"_setup": 0, "survey": 0, "checked": 0}
+    assert counted == {"_setup": 0, "counts": 0, "survey": 0}
 
     corner = SurveyData(CellCounts(201, 4162, 4390), CellCounts(406, 2574, 3265))
     parent = fit(corner)
@@ -387,17 +394,33 @@ def test_a_certified_draw_is_never_a_survey_and_a_declined_one_is_set_up_once(q1
     assert all(survey is not None for survey in drawn)
     declined = sum(reference_moment_point(survey, "reduced") is None for survey in drawn)
     assert 0 < declined < 60
-    counted.update(_setup=0, survey=0, checked=0)
+    counted.update(_setup=0, counts=0, survey=0)
     rows = inference._bootstrap_rows(range(60), 7, corner, parent)
     assert all(row is not None for _, row, _ in rows)  # each first attempt refits
-    assert counted == {"_setup": declined, "survey": declined, "checked": 0}
+    assert counted == {"_setup": declined, "counts": 0, "survey": 0}
+
+    config = _scenario_config(1, 0.01, replicates=20, seed=9)
+    tables = [_draw_survey(config, _parallel.stream(config.seed, k))[0] for k in range(20)]
+    reduced = [t for t in tables if mle._moment_point(*t, "reduced") is None]
+    infeasible = []
+    for table in reduced:
+        try:
+            setup(*table, "reduced")
+        except InfeasibleConstraintsError:
+            infeasible.append(table)
+    full = [t for t in infeasible if mle._moment_point(*t, "full") is None]
+    assert reduced and full  # both passes reach the solver
+    counted.update(_setup=0, counts=0, survey=0)
+    records = simulate._run_replicates([(config, range(20))], None, 1)
+    assert sum(record.fallback for record in records) > 0
+    assert counted == {"_setup": len(reduced) + len(full), "counts": 0, "survey": 0}
 
 
 def test_bootstrap_propagates_programming_errors(q1_fit, monkeypatch):
     data, result = q1_fit
     solver_only(monkeypatch)
 
-    def broken(surveys, options):
+    def broken(tables, options):
         raise TypeError("bug in the fitting code")
 
     monkeypatch.setattr(mle, "_fits", broken)
@@ -412,11 +435,11 @@ def test_bootstrap_propagates_programming_errors_of_the_grid_pass(q1_fit, monkey
     solver_only(monkeypatch)
     calls = []
 
-    def broken(surveys, options):
-        calls.append(len(surveys))
+    def broken(tables, options):
+        calls.append(len(tables))
         if len(calls) > 1:
             raise TypeError("bug in the fitting code")
-        n = len(surveys)
+        n = len(tables)
         return mle._Fits(np.full((6, n), np.nan), np.zeros((6, n), dtype=bool),
                          [EvaluationError("p11A", "probability 0.0")] * n, [], [], None)
 
@@ -475,9 +498,9 @@ def test_the_bootstrap_never_falls_back_to_full_mode(tiny, monkeypatch):
     result = fit(tiny)
     real, modes = mle._fits, []
 
-    def spy(surveys, options):
+    def spy(tables, options):
         modes.append(options.mode)
-        return real(surveys, options)
+        return real(tables, options)
 
     monkeypatch.setattr(mle, "_fits", spy)
     rows = inference._bootstrap_rows(range(50), 1, tiny, result)
@@ -650,7 +673,7 @@ def test_a_multi_maximum_parent_refits_from_the_grid():
     # a study-2 draw whose full-mode maximum, on the N_B and p2B bounds, only
     # four of the twelve grid starts reach
     config = _scenario_config(2, 0.05, replicates=10, seed=11)
-    data, _ = _draw_survey(config, _parallel.stream(config.seed, 1))
+    data = survey_of(_draw_survey(config, _parallel.stream(config.seed, 1))[0])
     parent = fit(data, FitOptions(mode="full"))
     assert {"N_B", "p2B"} <= parent.active_constraints
     assert_grid_bits(data, parent, 3, 25)

@@ -20,7 +20,7 @@ from dualdep.simulate import (
 )
 from dualdep.tables import CellCounts, SurveyData, naive_estimate
 
-from conftest import QUARTER_COUNTS, drawn_tables, make_survey
+from conftest import QUARTER_COUNTS, drawn_tables, make_survey, survey_of
 from oracles import (
     moment_point, random_interior_params, reference_moment_point, saturated_bound,
     standard_errors, triples,
@@ -125,6 +125,33 @@ def test_fit_requires_overlap():
         fit(data)
 
 
+NO_OVERLAP_MESSAGE = (
+    "stratum {!r} has x11 = 0: the naive upper bound does not exist")
+
+
+@pytest.mark.parametrize("counts, label", [
+    (((0, 10, 10), (5, 5, 5)), "Small & medium"),
+    (((5, 5, 5), (0, 10, 10)), "Large"),
+    (((0, 10, 10), (0, 5, 5)), "Small & medium"),  # the first such stratum
+])
+def test_a_stratum_with_no_overlap_is_named_by_its_label_at_the_door(q1, counts, label):
+    # the table's labels reach no solver set-up, so the door names the
+    # stratum: fit and starting_points raise the FitError, and fit_many
+    # returns it in the table's place and still fits the tables around it
+    a, b = counts
+    data = SurveyData(CellCounts(*a), CellCounts(*b), "Small & medium", "Large")
+    message = NO_OVERLAP_MESSAGE.format(label)
+    with pytest.raises(FitError) as raised:
+        fit(data)
+    assert str(raised.value) == message
+    with pytest.raises(FitError) as raised:
+        starting_points(data, FitOptions(mode="full"))
+    assert str(raised.value) == message
+    first, bad, last = fit_many([q1, data, q1])
+    assert type(bad) is FitError and str(bad) == message
+    assert fingerprint(first) == fingerprint(last) == fingerprint(fit(q1))
+
+
 def test_fit_deterministic(q1):
     a = fit(q1)
     b = fit(q1)
@@ -146,12 +173,12 @@ def test_refit_from_optimum_is_stable(q1):
     refit = fit(q1, FitOptions(n_starts=1))
     start = starting_points(q1, FitOptions(n_starts=1))[0]
     assert refit.log_likelihood >= log_likelihood(start, q1)
-    counts = np.array(model._counts(q1))[:, None]
+    counts = np.array(model._counts(*triples(q1)))[:, None]
     ratio = size_ratio(q1)
     mult = p2a_ratio(q1)
     u0 = np.array([[result.params.n_b, result.params.alpha, result.params.p1, result.params.p2b]]).T
     scale = np.array([[ratio, 1.0, 1.0, 1.0, mult, 1.0]]).T
-    _, _, _, lo, hi = mle._setup(q1, "reduced")
+    _, _, _, lo, hi = mle._setup(*triples(q1), "reduced")
     lo_t, hi_t = np.array(mle._trimmed(lo, hi, mle._COORDINATES["reduced"][0]))[..., None]
     _, (value,), _, _, _ = mle._solve_start(
         u0, [0], counts, scale, (0, 0, 1, 2, 3, 3), lo_t, hi_t, 500, 1e-8,
@@ -198,7 +225,7 @@ def test_fit_box_respected_on_simulated_draws():
         p2_a=0.05, p2_b=0.15, replicates=1, seed=7,
     )
     for index in range(15):
-        survey, _ = _draw_survey(config, stream(7, index))
+        survey = survey_of(_draw_survey(config, stream(7, index))[0])
         result = fit(survey)
         assert in_box(result.params, survey, slack=1e-9)
         assert result.converged
@@ -210,7 +237,7 @@ def test_reduced_box_maps_exactly_inside_stratum_boxes():
     # ulp of overshoot
     data = SurveyData(CellCounts(10, 10, 80), CellCounts(10, 10, 90))
     ratio = size_ratio(data)
-    _, _, _, (lo, *_), (hi, *_) = mle._setup(data, "reduced")
+    _, _, _, (lo, *_), (hi, *_) = mle._setup(*triples(data), "reduced")
     assert data.stratum_b.total <= lo < hi <= naive_estimate(data.stratum_b)
     assert data.stratum_a.total <= ratio * lo
     assert ratio * hi <= naive_estimate(data.stratum_a)
@@ -366,7 +393,7 @@ def held_at_bounds(params, data, mode):
     Returns how many coordinates are held on a bound that way.
     """
     grad = gradient(params, data)
-    _, _, _, lo, hi = mle._setup(data, mode)
+    _, _, _, lo, hi = mle._setup(*triples(data), mode)
     lo, hi = np.array(lo), np.array(hi)
     if mode == "reduced":
         mult = p2a_ratio(data)
@@ -393,7 +420,7 @@ def test_fit_first_order_optimal_on_bounds():
     )
     held = 0
     for index in range(10):
-        survey, _ = _draw_survey(config, stream(2, index))
+        survey = survey_of(_draw_survey(config, stream(2, index))[0])
         result = fit(survey)
         assert result.converged
         held += held_at_bounds(result.params, survey, result.mode)
@@ -405,7 +432,7 @@ def test_fit_first_order_optimal_on_bounds():
     held = 0
     for record in _run_replicates([(config, range(4))], FitOptions(), 1):
         assert record.fallback and record.reason == "" and record.params is not None
-        held += held_at_bounds(record.params, record.survey, "full")
+        held += held_at_bounds(record.params, survey_of(record.counts), "full")
     assert held >= 4
 
 
@@ -480,7 +507,7 @@ MULTI_MAXIMUM = {1: 93244.35, 2: 93396.31, 3: 94299.07, 4: 94090.54, 5: 93789.14
 @pytest.mark.parametrize("replicate", sorted(MULTI_MAXIMUM))
 def test_full_fit_keeps_the_maximum_few_starts_reach(replicate):
     config = _scenario_config(2, 0.05, replicates=10, seed=11)
-    data, _ = _draw_survey(config, stream(config.seed, replicate))
+    data = survey_of(_draw_survey(config, stream(config.seed, replicate))[0])
     result = fit(data, FitOptions(mode="full"))
     assert result.converged
     assert result.log_likelihood == pytest.approx(MULTI_MAXIMUM[replicate], abs=0.01)
@@ -570,7 +597,7 @@ def test_every_start_reads_out_as_the_parameters_its_checks_give(mode):
                                         (5, -math.inf)])
 def test_a_non_finite_winner_is_still_checked(q1, mode, row, value):
     options = FitOptions(mode=mode)
-    _, ((_, setup, starts),), _ = mle._solver_inputs([q1], options)
+    _, ((_, setup, starts),), _ = mle._solver_inputs([triples(q1)], options)
     theta = starts.copy()
     theta[row, 0] = value
     n = starts.shape[1]
@@ -583,8 +610,8 @@ def solver_derivatives(data, mode, u):
     """``mle._gradient`` and ``mle._hessian`` of ``data`` at the solver points
     that are the columns of ``u``."""
     k = u.shape[1]
-    counts = np.repeat(np.array(model._counts(data))[:, None], k, axis=1)
-    scale = np.repeat(np.array(mle._setup(data, mode)[2])[:, None], k, axis=1)
+    counts = np.repeat(np.array(model._counts(*triples(data)))[:, None], k, axis=1)
+    scale = np.repeat(np.array(mle._setup(*triples(data), mode)[2])[:, None], k, axis=1)
     _, sel, _ = mle._COORDINATES[mode]
     values, weights = model._values(mle._expand(u, scale, sel), counts)
     return mle._gradient(values, weights, scale, sel), mle._hessian(values, weights, scale, sel)
@@ -592,7 +619,7 @@ def solver_derivatives(data, mode, u):
 
 def reduced_interior_points(rng, data, k):
     """k random points (N_B, alpha, p1, p2B) inside the reduced box, as columns."""
-    _, _, _, (nb_lo, _, _, _), (nb_hi, _, _, p2b_hi) = mle._setup(data, "reduced")
+    _, _, _, (nb_lo, _, _, _), (nb_hi, _, _, p2b_hi) = mle._setup(*triples(data), "reduced")
     return np.array([
         nb_lo + (nb_hi - nb_lo) * rng.uniform(0.1, 0.9, k), rng.uniform(0.02, 0.6, k),
         rng.uniform(0.05, 0.9, k), p2b_hi * rng.uniform(0.05, 0.9, k),
@@ -602,7 +629,7 @@ def reduced_interior_points(rng, data, k):
 def reduced_log_likelihood(u, data):
     """The log-likelihood at the reduced solver point ``u`` (N_B, alpha, p1,
     p2B), through the solver's own map to the six parameters."""
-    scale = np.array(mle._setup(data, "reduced")[2])[:, None]
+    scale = np.array(mle._setup(*triples(data), "reduced")[2])[:, None]
     theta = mle._expand(u[:, None], scale, mle._COORDINATES["reduced"][1])
     return log_likelihood(ModelParams(*theta[:, 0].tolist()), data)
 
@@ -659,7 +686,7 @@ def test_fit_is_stratum_swap_symmetric(mode):
     # two strata differently and only the fitted point is symmetric
     config = study1_config(seed=5)
     tables = [make_survey(q) for q in ("Q1", "Q2", "Q3", "Q4")] + [
-        _draw_survey(config, stream(config.seed, rep))[0] for rep in range(30)
+        survey_of(_draw_survey(config, stream(config.seed, rep))[0]) for rep in range(30)
     ]
     # the corner table's maximum sits on the N_B and p2B bounds
     tables.append(SurveyData(CellCounts(201, 4162, 4390), CellCounts(406, 2574, 3265)))
@@ -712,7 +739,7 @@ def test_full_fit_reaches_the_maximum_of_its_swapped_twin():
 def one_start_run(data, mode, u):
     """The solver state of one start at the solver point ``u`` (P,) of the
     table ``data``, and its trimmed box."""
-    _, _, args = mle._solver_inputs([data], FitOptions(mode=mode, n_starts=1))
+    _, _, args = mle._solver_inputs([triples(data)], FitOptions(mode=mode, n_starts=1))
     _, table, counts, scale, sel, lo_t, hi_t, *_ = args
     run = mle._initial_state(np.array(u, dtype=float)[:, None], table, counts, scale, sel,
                              lo_t, hi_t)
@@ -815,7 +842,7 @@ def test_a_certified_point_is_the_maximum_the_solver_finds(data, mode):
         assert result.log_likelihood <= bound + mle._tie_band(result.log_likelihood, bound)
     point = mle._moment_point(*triples(data), mode)
     assume(point is not None)
-    setup = mle._setup(data, mode)  # a certified table has a box
+    setup = mle._setup(*triples(data), mode)  # a certified table has a box
     # each solver coordinate is the exact point correctly rounded, and the
     # tied parameters follow through the mode's map
     coords, sel, _ = mle._COORDINATES[mode]
@@ -865,7 +892,7 @@ def test_a_stratum_with_no_list_2_only_units_has_no_box(mode):
     # which reports the error
     data = SurveyData(CellCounts(100, 900, 0), CellCounts(60, 440, 1500))
     with pytest.raises(InfeasibleConstraintsError):
-        mle._setup(data, mode)
+        mle._setup(*triples(data), mode)
     assert moment_point(data)[2] < 0.0  # alpha = -a_A: outside the box anyway
     assert mle._moment_point(*triples(data), mode) is None
 
@@ -876,7 +903,7 @@ def test_the_certificate_declines_a_point_in_the_activity_band(mode):
     # B, so the moment alpha is 3.3e-7: inside the trimmed box (1e-10), but
     # within the activity band (1e-6), as N_A is of its upper bound
     data = SurveyData(CellCounts(200000, 1800000, 600001), CellCounts(5000, 20000, 15000))
-    box, _, scale, lo, hi = mle._setup(data, mode)
+    box, _, scale, lo, hi = mle._setup(*triples(data), mode)
     coords, sel, _ = mle._COORDINATES[mode]
     u = [float(moment_point(data)[i]) for i in coords]
     lo_t, hi_t = mle._trimmed(lo, hi, coords)
@@ -996,7 +1023,7 @@ def study2_extreme_draws(draw):
     """A study-2 draw at a p1B of 0.01 to 0.03 (scenario 1), where most draws'
     reduced box is empty."""
     config = _scenario_config(1, draw(st.sampled_from([0.01, 0.02, 0.03])), 1, 1)
-    return triples(_draw_survey(config, stream(draw(st.integers(0, 2**32)), 0))[0])
+    return _draw_survey(config, stream(draw(st.integers(0, 2**32)), 0))[0]
 
 
 @settings(max_examples=60, deadline=None)
@@ -1005,9 +1032,8 @@ def test_the_full_mode_certificate_declines_a_table_with_no_reduced_box(table):
     # the moment point meets both reduced-mode ties, so where the reduced
     # box has no room it cannot lie inside the full box off every band: a
     # study's full-mode fallback always reaches the solver
-    data = SurveyData(CellCounts(*table[0]), CellCounts(*table[1]))
     try:
-        mle._setup(data, "reduced")
+        mle._setup(*table, "reduced")
     except InfeasibleConstraintsError:
         assert mle._moment_point(*table, "full") is None
 
@@ -1022,7 +1048,7 @@ def study2_draws():
     draws = []
     for value in (0.15, 0.35, 0.01):
         config = _scenario_config(1, value, replicates=4, seed=1)
-        draws += [triples(_draw_survey(config, stream(1, rep))[0]) for rep in range(4)]
+        draws += [_draw_survey(config, stream(1, rep))[0] for rep in range(4)]
     return draws
 
 
@@ -1049,8 +1075,7 @@ def test_the_replicate_pipeline_certifies_here_and_solves_the_rest_in_blocks(opt
         if point is not None:
             assert fit == (point, (False,) * 6, None)
         else:
-            data = SurveyData(CellCounts(*draw[0]), CellCounts(*draw[1]))
-            assert [outcome(fit)] == [outcome(f) for f in mle._fit_block([data], options)]
+            assert [outcome(fit)] == [outcome(f) for f in mle._fit_block([draw], options)]
     assert any(error is not None for _, _, error in fits) == (options != FitOptions(mode="full"))
     monkeypatch.setattr(_parallel, "BLOCK_COLUMNS", 2 * options.n_starts)
     monkeypatch.setattr(_parallel, "cpus", lambda: 2)

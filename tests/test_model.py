@@ -18,7 +18,7 @@ from dualdep.model import (
 )
 from dualdep.tables import CellCounts, SurveyData
 
-from oracles import fd_gradient, fd_hessian, random_interior_params, random_survey
+from oracles import fd_gradient, fd_hessian, random_interior_params, random_survey, triples
 
 TINY_THETA = ModelParams(n_a=20, n_b=10, alpha=0.1, p1=0.3, p2a=0.2, p2b=0.4)
 # frozen from an exact rational term-by-term evaluation of the Stirling form
@@ -82,7 +82,7 @@ def test_marginals_reference_values():
 def reduced_map(data, n_b, alpha, p1, p2b):
     """The six parameters at the reduced solver point (N_B, alpha, p1, p2B):
     the solver's own map, ``mle._setup``'s scale through ``mle._expand``."""
-    scale = np.array(mle._setup(data, "reduced")[2])[:, None]
+    scale = np.array(mle._setup(*triples(data), "reduced")[2])[:, None]
     u = np.array([[n_b], [alpha], [p1], [p2b]])
     return ModelParams(*mle._expand(u, scale, mle._COORDINATES["reduced"][1])[:, 0].tolist())
 
@@ -111,7 +111,7 @@ def test_expand_zero_x11a_gives_zero_p2a():
     data = SurveyData(CellCounts(0, 150, 80), CellCounts(40, 60, 30))
     assert p2a_ratio(data) == mle._ties((0, 150, 80), (40, 60, 30))[1] == 0.0
     with pytest.raises(FitError, match="x11 = 0"):
-        mle._setup(data, "reduced")
+        mle.starting_points(data)
 
 
 def test_expand_zero_x11b_errors():
@@ -119,7 +119,7 @@ def test_expand_zero_x11b_errors():
     with pytest.raises(ValidationError, match="x11B = 0"):
         p2a_ratio(data)
     with pytest.raises(FitError, match="x11 = 0"):
-        mle._setup(data, "reduced")
+        mle.starting_points(data)
 
 
 def test_expand_restriction_roundtrip(q1):

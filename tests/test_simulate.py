@@ -23,6 +23,7 @@ from dualdep.simulate import (
 )
 from dualdep.tables import SurveyData, naive_estimate
 
+from conftest import survey_of
 from oracles import exact_conditional_naive_mean
 
 
@@ -166,7 +167,8 @@ def test_study_draws_match_brute_force_naive_mean():
     config = GeneratorConfig(n_a=n, n_b=n, alpha=alpha, p1_a=p1, p1_b=p1, p2_a=p2, p2_b=p2,
                              replicates=20_000, seed=65)
     draws = np.array([
-        naive_estimate(simulate._draw_survey(config, stream(config.seed, rep))[0].stratum_a)
+        naive_estimate(survey_of(simulate._draw_survey(config, stream(config.seed, rep))[0])
+                       .stratum_a)
         for rep in range(config.replicates)
     ])
     exact = exact_conditional_naive_mean(n, cell_probabilities(alpha, p1, p2).as_tuple())
@@ -192,7 +194,7 @@ def test_study_zero_x11_draw_is_redrawn_on_its_stream_and_never_a_failure():
             redraws += 1
         expected.append((SurveyData(counts_a, counts_b), redraws))
     records = simulate._run_replicates([(config, range(config.replicates))], FitOptions(), 1)
-    assert [(r.survey, r.redraws) for r in records] == expected
+    assert [(survey_of(r.counts), r.redraws) for r in records] == expected
     assert all(r.params is not None and r.reason == "" for r in records)
     result = run_study1(config)
     assert (result.redraws, result.fit_failures, result.reduced_fallbacks) == (36, 0, 4)
@@ -209,16 +211,16 @@ def test_a_study_record_is_the_certified_point_or_the_solvers_winner(value, cert
     records = simulate._run_replicates([(config, range(config.replicates))], FitOptions(), 1)
     points = 0
     for record in records:
-        point = mle._moment_point(*simulate._triples(record.survey), "reduced")
+        point = mle._moment_point(*record.counts, "reduced")
         if point is not None:
             points += 1
             assert record.params.as_tuple() == tuple(point)
             assert (record.active, record.reason, record.fallback) == (frozenset(), "", False)
             continue
-        (fit,) = fit_many([record.survey])
+        (fit,) = fit_many([survey_of(record.counts)])
         fallback = isinstance(fit, InfeasibleConstraintsError)
         if fallback:
-            (fit,) = fit_many([record.survey], FitOptions(mode="full"))
+            (fit,) = fit_many([survey_of(record.counts)], FitOptions(mode="full"))
         if isinstance(fit, DualdepError):
             assert (record.params, record.reason, record.fallback) == (None, str(fit), False)
             continue
@@ -236,9 +238,9 @@ def test_a_failed_fallback_is_a_failure_and_not_a_fallback():
     config = simulate._scenario_config(1, 0.01, replicates=6, seed=1)
     records = simulate._run_replicates([(config, range(6))], options, 1)
     for record in records:
-        (reduced,) = fit_many([record.survey], options)
+        (reduced,) = fit_many([survey_of(record.counts)], options)
         assert isinstance(reduced, InfeasibleConstraintsError)
-        (full,) = fit_many([record.survey], replace(options, mode="full"))
+        (full,) = fit_many([survey_of(record.counts)], replace(options, mode="full"))
         assert isinstance(full, NonConvergenceError)
         assert (record.params, record.active, record.reason, record.fallback) == (
             None, frozenset(), str(full), False)

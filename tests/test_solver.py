@@ -18,7 +18,7 @@ from dualdep.simulate import _draw_survey, _scenario_config
 from dualdep.tables import CellCounts, SurveyData
 
 import oracles
-from conftest import make_survey
+from conftest import make_survey, survey_of
 from oracles import reference_solve
 
 # Counts near 1e8 whose full-mode log-likelihood (about 2.6e9) is 4.8e-7
@@ -33,7 +33,7 @@ STALLING = SurveyData(CellCounts(54_210_000, 16_290_000, 21_690_000),
 def solver_inputs(tables, options):
     """The arguments ``fit_many`` passes to ``mle._solve_start`` for the
     tables that have a box, as a list, or None if none has."""
-    _, _, args = mle._solver_inputs(tables, options)
+    _, _, args = mle._solver_inputs([mle._table(data) for data in tables], options)
     return list(args) if args is not None else None
 
 
@@ -52,7 +52,7 @@ def assert_same_solve(args):
 
 def study2_draws(value, n=6):
     config = _scenario_config(1, value, replicates=n, seed=3)
-    return [_draw_survey(config, stream(config.seed, rep))[0] for rep in range(n)]
+    return [survey_of(_draw_survey(config, stream(config.seed, rep))[0]) for rep in range(n)]
 
 
 @pytest.mark.parametrize("mode", ["reduced", "full"])

@@ -15,7 +15,7 @@ import fit_digest  # noqa: E402
 import paired_cpu  # noqa: E402
 import report_digest  # noqa: E402
 import dualdep  # noqa: E402
-from dualdep import mle, simulate  # noqa: E402
+from dualdep import mle  # noqa: E402
 from dualdep.exceptions import FitError  # noqa: E402
 from dualdep.mle import fit_many  # noqa: E402
 from dualdep.model import PARAM_NAMES  # noqa: E402
@@ -157,9 +157,8 @@ def test_paired_cpu_times_the_solver_alone_on_two_copies_of_one_tree(tmp_path):
     assert [options.mode for _, options in blocks] == ["full", "reduced"]
     for draws, options in blocks:
         assert len(draws) == paired_cpu.SOLVE_DRAWS
-        assert all(mle._moment_point(*simulate._triples(d), options.mode) is None for d in draws)
+        assert all(mle._moment_point(*d, options.mode) is None for d in draws)
     assert [options.mode for _, options in fits] == ["reduced"] * 4
-    assert [tuple(simulate._triples(data)) for (data,), _ in fits] == list(
-        paired_cpu.QUARTERS.values())
+    assert [table for (table,), _ in fits] == list(paired_cpu.QUARTERS.values())
     for width, calls in zip((60, 12), (blocks, fits)):
         assert all(mle._solver_inputs(*call)[2][0].shape[1] == width for call in calls)

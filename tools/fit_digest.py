@@ -67,24 +67,28 @@ MODES = ("reduced", "full")
 STARTS = (1, 12, 15)
 
 
+def _survey(a, b) -> SurveyData:
+    """The survey of two strata's (x11, x10, x01) counts."""
+    return SurveyData(CellCounts(*a), CellCounts(*b))
+
+
+def _drawn(config, rep: int) -> SurveyData:
+    """The survey of ``config``'s draw on stream ``rep``."""
+    return _survey(*_draw_survey(config, stream(config.seed, rep))[0])
+
+
 def corpus() -> list[tuple[str, SurveyData]]:
     """(name, table) pairs, in a fixed order."""
-    tables = [(name, SurveyData(CellCounts(*a), CellCounts(*b)))
-              for name, (a, b) in {**QUARTERS, **EDGES}.items()]
-    tables += [(f"{name}x{SCALE}", SurveyData(CellCounts(*(SCALE * n for n in a)),
-                                               CellCounts(*(SCALE * n for n in b))))
+    tables = [(name, _survey(a, b)) for name, (a, b) in {**QUARTERS, **EDGES}.items()]
+    tables += [(f"{name}x{SCALE}", _survey([SCALE * n for n in a], [SCALE * n for n in b]))
                for name, (a, b) in QUARTERS.items()]
     config = study1_config(seed=1)
-    for rep in range(40):
-        tables.append((f"study1/{rep}", _draw_survey(config, stream(config.seed, rep))[0]))
+    tables += [(f"study1/{rep}", _drawn(config, rep)) for rep in range(40)]
     for value in STUDY2_VALUES:
         config = _scenario_config(1, value, replicates=20, seed=3)
-        for rep in range(20):
-            tables.append((f"study2/{value}/{rep}",
-                           _draw_survey(config, stream(config.seed, rep))[0]))
+        tables += [(f"study2/{value}/{rep}", _drawn(config, rep)) for rep in range(20)]
     config = _scenario_config(2, 0.05, replicates=10, seed=11)
-    for rep in MULTI_MAXIMUM_REPLICATES:
-        tables.append((f"study2-multi/{rep}", _draw_survey(config, stream(config.seed, rep))[0]))
+    tables += [(f"study2-multi/{rep}", _drawn(config, rep)) for rep in MULTI_MAXIMUM_REPLICATES]
     return tables
 
 

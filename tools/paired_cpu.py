@@ -26,7 +26,9 @@ blocks are:
   drawn with the tree's own ``simulate`` from the round's seed before the
   clock starts. At 12 columns: the reduced-mode point fit of each of Q1-Q4,
   one call each, the fit ``estimate`` makes on every command. A "command"
-  is then one call.
+  is then one call. Each table is the (a, b) pair of its strata's (x11,
+  x10, x01) counts, as ``mle._fits`` takes it, so this workload pairs
+  only trees whose ``_fits`` takes count pairs.
 
 It prints each tree's CPU per command and the per-round ratio change/parent,
 each as its quartiles (``statistics.quantiles``, exclusive method) with the
@@ -127,20 +129,19 @@ def solve_inputs(package, seed: int) -> dict:
     ``SOLVE_POINTS``, the first ``SOLVE_DRAWS`` draws of study 2's scenario
     1 that the certificate declines, drawn on the study's streams; and each
     quarter of ``QUARTERS`` alone, in reduced mode."""
-    mle, simulate, tables = package.mle, package.simulate, package.tables
+    mle, simulate = package.mle, package.simulate
     blocks = []
     for value, mode in SOLVE_POINTS:
         config = simulate._scenario_config(1, value, replicates=1, seed=seed)
         streams = simulate.Streams(config.seed)
         draws, rep = [], 0
         while len(draws) < SOLVE_DRAWS:
-            survey, _ = simulate._draw_survey(config, streams.at(rep))
+            table, _ = simulate._draw_survey(config, streams.at(rep))
             rep += 1
-            if mle._moment_point(*simulate._triples(survey), mode) is None:
-                draws.append(survey)
+            if mle._moment_point(*table, mode) is None:
+                draws.append(table)
         blocks.append((draws, mle.FitOptions(mode=mode)))
-    fits = [([tables.SurveyData(tables.CellCounts(*a), tables.CellCounts(*b))],
-             mle.FitOptions(mode="reduced")) for a, b in QUARTERS.values()]
+    fits = [([table], mle.FitOptions(mode="reduced")) for table in QUARTERS.values()]
     return dict(zip(SOLVE_WIDTHS, (blocks, fits)))
 
 
