@@ -128,7 +128,8 @@ def se_from_hessian(fit: FitResult, data: SurveyData) -> HessianSE:
     """
     if not fit.converged:
         raise ValidationError("fit did not converge; standard errors would be meaningless")
-    (outcome,) = _hessian_ses([(fit.params, fit.active_constraints, _pair(data))])
+    active = tuple(name in fit.active_constraints for name in PARAM_NAMES)
+    (outcome,) = _hessian_ses([(fit.params.as_tuple(), active, _pair(data))])
     if isinstance(outcome, DualdepError):
         raise outcome
     return outcome
@@ -136,9 +137,10 @@ def se_from_hessian(fit: FitResult, data: SurveyData) -> HessianSE:
 
 def _hessian_ses(fits) -> list:
     """``se_from_hessian`` of many fits, each given by what the studies keep
-    of it: a (params, active, counts) triple, ``active`` the names of its
-    parameters on an active bound. One pass: one factor table over every
-    fit's point, screened for evaluability in one pass
+    of it: a (params, active, counts) row, ``params`` its six parameters and
+    ``active`` which of them lie on an active bound, both in PARAM_NAMES
+    order, and ``counts`` its table's (a, b) counts. One pass: one factor
+    table over every fit's point, screened for evaluability in one pass
     (``model._unevaluable``; ``model._check`` gives a flagged point its
     error), then per set of free parameters one stacked Cholesky test and
     one stacked inverse. Returns, per fit, its HessianSE or the package error
@@ -146,7 +148,7 @@ def _hessian_ses(fits) -> list:
     fits."""
     if not fits:
         return []
-    theta = np.array([params.as_tuple() for params, _, _ in fits]).T
+    theta = np.array([params for params, _, _ in fits]).T
     counts = np.array([model._counts(*table) for _, _, table in fits]).T
     values, weights = model._values(theta, counts)
     hess = model._square(model._hess(values, weights))
@@ -160,7 +162,7 @@ def _hessian_ses(fits) -> list:
             except DualdepError as exc:
                 outcomes[k] = exc.with_traceback(None)
                 continue
-        free = tuple(i for i, name in enumerate(PARAM_NAMES) if name not in active)
+        free = tuple(i for i, on in enumerate(active) if not on)
         if free:
             groups.setdefault(free, []).append(k)
         else:

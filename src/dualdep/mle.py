@@ -151,14 +151,6 @@ def _size_box(x11: int, x10: int, x01: int) -> tuple[float, float]:
     return float(x11 + x10 + x01), _naive(x11, x10, x01)
 
 
-def _ties(a, b) -> tuple[float, float]:
-    """The size ratio and the p2A multiplier of two strata's (x11, x10, x01)
-    counts, in the operation order of ``model.size_ratio`` and
-    ``model.p2a_ratio``."""
-    x1a, x1b = a[0] + a[1], b[0] + b[1]
-    return x1a / x1b, (a[0] / b[0]) * (x1b / x1a)
-
-
 def _tied_box(lo: float, hi: float, s: float, b_lo: float, b_hi: float) -> tuple[float, float]:
     """The box [lo, hi] of a solver coordinate intersected with the box
     [b_lo, b_hi] of a parameter tied to it at scale ``s``, divided by ``s``.
@@ -195,13 +187,13 @@ def _table(data: SurveyData):
 def _setup(a, b, mode: str):
     """The constants of the problem of the strata's (x11, x10, x01) counts
     ``a`` and ``b`` (x11 >= 1): the six parameters' boxes, the size ratio
-    and p2A multiplier (``_ties``), the ``scale`` of the mode's map and the
-    box (lo, hi) of each solver coordinate, the intersection of its
-    parameters' boxes, each divided by the parameter's scale
-    (``_tied_box``). Raises InfeasibleConstraintsError when a coordinate's
-    box leaves no room for a start (``_room``)."""
+    and p2A multiplier (``model._size_ratio``, ``model._p2a_ratio``), the
+    ``scale`` of the mode's map and the box (lo, hi) of each solver
+    coordinate, the intersection of its parameters' boxes, each divided by
+    the parameter's scale (``_tied_box``). Raises InfeasibleConstraintsError
+    when a coordinate's box leaves no room for a start (``_room``)."""
     box = (_size_box(*a), _size_box(*b), _UNIT, _UNIT, _UNIT, _UNIT)
-    ratio, multiplier = _ties(a, b)
+    ratio, multiplier = model._size_ratio(a, b), model._p2a_ratio(a, b)
     ties = (ratio, 1.0, 1.0, 1.0, multiplier, 1.0)
     coords, sel, tied = _COORDINATES[mode]
     scale = [1.0] * 6
@@ -235,8 +227,8 @@ def _moment_point(a, b, mode: str) -> list[float] | None:
     q), N_s = x1._s (1 + q), alpha = b_A/q - a_A and p2s = a_s/(1 - alpha).
     Each solver coordinate of the mode (``_COORDINATES``) is one correctly
     rounded division of integer polynomials in the counts; in reduced mode
-    N_A = ratio N_B and p2A = multiplier p2B (``_ties``), exactly as the
-    solver's map gives them.
+    N_A = ratio N_B and p2A = multiplier p2B (``model._size_ratio``,
+    ``model._p2a_ratio``), exactly as the solver's map gives them.
 
     The certificate builds only what it tests, with the float operations of
     ``_setup``. It returns the six parameters only where the point is
@@ -270,7 +262,7 @@ def _moment_point(a, b, mode: str) -> list[float] | None:
     p1 = den / (den + num)
     p2b = b11 * x1a * num / (x1b * rest)
     if mode == "reduced":  # coordinates N_B, alpha, p1 and p2B
-        ratio, multiplier = _ties(a, b)
+        ratio, multiplier = model._size_ratio(a, b), model._p2a_ratio(a, b)
         lo, hi = _tied_box(box_b[0], box_b[1], ratio, box_a[0], box_a[1])
         low, high = _trim_size(lo, hi)
         if not (low < n_b < high and _room(box_a[0], box_a[1], ratio, lo, hi)
@@ -876,19 +868,23 @@ def _solver_inputs(tables, options: FitOptions):
                               options.max_iterations, options.gradient_tolerance)
 
 
+# The active-bound mask of a fit off every bound, as a certified fit is, or
+# of a table with no fit.
+_OFF_BOUNDS = (False,) * 6
+
+
 class _Fits(NamedTuple):
-    """A batch of fits read out as arrays (``_read_out``), table k in column
-    k: the winning start's parameters ``theta`` (6, T), NaN where a table has
-    no fit, and which of them lie in the activity band of a bound
-    (``active``, (6, T)); per table in ``errors``, None or the package error
-    that left it without a fit. ``fitted`` (``_solver_inputs``), ``winners``
-    (each fitted table's winning column) and ``solved`` (the solve's
+    """A batch of fits read out (``_read_out``), one row per table in
+    ``rows``: the fit as the package passes it on, (params, active, error),
+    the winner's six parameters as Python floats (None where the table has
+    no fit), which of them lie in the activity band of a bound (a 6-tuple of
+    bools in PARAM_NAMES order) and None or the package error that left the
+    table without a fit. ``fitted`` (``_solver_inputs``), ``winners`` (each
+    fitted table's winning column) and ``solved`` (the solve's
     log-likelihoods, projected gradients, iterations and messages, one entry
     per column) are what ``fit_many`` builds its FitResults from."""
 
-    theta: np.ndarray
-    active: np.ndarray
-    errors: list
+    rows: list
     fitted: list
     winners: list
     solved: tuple
@@ -930,10 +926,9 @@ def _read_out(outcomes, fitted, theta, solved, options) -> _Fits:
     not another start did. Only the winners' parameters are checked, as
     ``ModelParams`` checks them; one that fails raises its
     ValidationError."""
-    params = np.full((6, len(outcomes)), np.nan)
-    active = np.zeros(params.shape, dtype=bool)
+    rows = [(None, _OFF_BOUNDS, error) for error in outcomes]
     if not fitted:
-        return _Fits(params, active, outcomes, fitted, [], solved)
+        return _Fits(rows, fitted, [], solved)
     lls, _, _, messages = solved
     n = options.n_starts
     totals = (theta[0] + theta[1]).tolist()
@@ -950,11 +945,11 @@ def _read_out(outcomes, fitted, theta, solved, options) -> _Fits:
         cols = slice(k - k % n, k - k % n + n)
         stalled = ("the best start did not reach" if any(converged[cols])
                    else "no starting point reached")
-        outcomes[index] = NonConvergenceError(
+        rows[index] = (None, _OFF_BOUNDS, NonConvergenceError(
             f"{stalled} gradient tolerance {options.gradient_tolerance}",
-            _diagnostics(starts, solved, cols))
+            _diagnostics(starts, solved, cols)))
     if not fit_at:
-        return _Fits(params, active, outcomes, fitted, winners, solved)
+        return _Fits(rows, fitted, winners, solved)
     won = theta[:, won]
     sizes, probs = won[:2], won[2:]
     bad = ~((np.isfinite(sizes) & (sizes > 0.0)).all(axis=0)
@@ -962,14 +957,14 @@ def _read_out(outcomes, fitted, theta, solved, options) -> _Fits:
     if bad.any():
         ModelParams(*won[:, np.argmax(bad)].tolist())  # raises its ValidationError
     lo, hi = np.array(boxes).T  # each (6, len(fit_at))
-    params[:, fit_at] = won
-    active[:, fit_at] = _active(won, lo, hi)
-    return _Fits(params, active, outcomes, fitted, winners, solved)
+    for index, params, mask in zip(fit_at, won.T.tolist(), _active(won, lo, hi).T.tolist()):
+        rows[index] = (params, tuple(mask), None)
+    return _Fits(rows, fitted, winners, solved)
 
 
 def _fits(tables, options: FitOptions) -> _Fits:
     """Fit many tables with one batched solve over every start of every
-    table's starting grid (``_solver_inputs``), read out as arrays
+    table's starting grid (``_solver_inputs``), read out as rows
     (``_read_out``)."""
     outcomes, fitted, args = _solver_inputs(tables, options)
     if args is None:
@@ -982,22 +977,14 @@ def _fits(tables, options: FitOptions) -> _Fits:
 
 def _fit_block(tables, options: FitOptions) -> list:
     """The pool worker of ``_fit_drawn``: a block of (a, b) counts fitted in
-    one batched solve (``_fits``). Per table, the winner's six parameters
-    (None where the fit raised a package error), its active-bound mask and
-    that error or None."""
-    fits = _fits(tables, options)
-    return [(None if error is not None else params, tuple(mask), error)
-            for params, mask, error in zip(fits.theta.T.tolist(), fits.active.T.tolist(),
-                                           fits.errors)]
-
-
-_OFF_BOUNDS = (False,) * 6  # the active-bound mask of a certified fit
+    one batched solve, each table's row of ``_fits``."""
+    return _fits(tables, options).rows
 
 
 def _fit_drawn(draws, options: FitOptions, threads: int) -> list:
-    """The fits of drawn tables with ``options``, in draw order, each as
-    ``_fit_block`` gives it: the replicate pipeline of the bootstrap and the
-    studies. A draw is an (a, b) pair of the strata's (x11, x10, x01) counts
+    """The fits of drawn tables with ``options``, in draw order, each a row
+    as ``_fit_block`` gives it: the replicate pipeline of the bootstrap and
+    the studies. A draw is an (a, b) pair of the strata's (x11, x10, x01) counts
     as Python ints, x11 >= 1 in both. Each draw is certified in this process
     (``_moment_point``): a certified draw's fit is its moment point, off
     every bound. Only the declined draws go to the solver, as the same
@@ -1019,7 +1006,8 @@ def _result(fits: _Fits, position: int, options: FitOptions) -> FitResult:
     k = fits.winners[position]
     diagnostics = _diagnostics(starts, fits.solved, slice(position * n, (position + 1) * n))
     winner = diagnostics[k - position * n]
-    params = model._unchecked_params(*fits.theta[:, index].tolist())
+    theta, active, _ = fits.rows[index]
+    params = model._unchecked_params(*theta)
     # in reduced mode theta is built from the same products, so both gaps are 0
     expected_na = ratio * params.n_b
     size_gap = abs(params.n_a - expected_na) / expected_na
@@ -1031,8 +1019,7 @@ def _result(fits: _Fits, position: int, options: FitOptions) -> FitResult:
         log_likelihood=winner.log_likelihood,
         converged=True,
         iterations=winner.iterations,
-        active_constraints=frozenset(
-            name for name, on in zip(PARAM_NAMES, fits.active[:, index].tolist()) if on),
+        active_constraints=frozenset(name for name, on in zip(PARAM_NAMES, active) if on),
         n_hat_total=params.total,
         mode=options.mode,
         options=options,
@@ -1052,12 +1039,12 @@ def fit_many(tables, options: FitOptions | None = None) -> list:
     share the batch. Each table climbs from its starting grid of
     ``options.n_starts`` points. The batch holds one column per start;
     callers with many tables pass them in blocks. The FitResults are built
-    from the batch's array read-out (``_fits``), which decides each table's
+    from the batch's rows (``_fits``), whose read-out decides each table's
     winner, convergence and active bounds.
     """
     options = options or FitOptions()
     fits = _fits([_table(data) for data in tables], options)
-    outcomes = list(fits.errors)
+    outcomes = [error for _, _, error in fits.rows]
     for position, (index, _, _) in enumerate(fits.fitted):
         if outcomes[index] is None:
             outcomes[index] = _result(fits, position, options)

@@ -150,7 +150,7 @@ def marginals_and_covariance(alpha: float, p1: float, p2: float) -> tuple[float,
 
 def size_ratio(data: SurveyData) -> float:
     """Ratio of list-1 marginals x1.A / x1.B that ties N_A to N_B."""
-    return data.stratum_a.n_list1 / data.stratum_b.n_list1
+    return _size_ratio(*_pair(data))
 
 
 def p2a_ratio(data: SurveyData) -> float:
@@ -161,9 +161,17 @@ def p2a_ratio(data: SurveyData) -> float:
     """
     if data.stratum_b.x11 == 0:
         raise ValidationError("cannot relate p2A to p2B: x11B = 0")
-    return (data.stratum_a.x11 / data.stratum_b.x11) * (
-        data.stratum_b.n_list1 / data.stratum_a.n_list1
-    )
+    return _p2a_ratio(*_pair(data))
+
+
+def _size_ratio(a, b) -> float:
+    """``size_ratio`` of two strata's (x11, x10, x01) counts."""
+    return (a[0] + a[1]) / (b[0] + b[1])
+
+
+def _p2a_ratio(a, b) -> float:
+    """``p2a_ratio`` of two strata's (x11, x10, x01) counts (x11B >= 1)."""
+    return (a[0] / b[0]) * ((b[0] + b[1]) / (a[0] + a[1]))
 
 
 # --- array kernels -------------------------------------------------------------

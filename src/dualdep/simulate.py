@@ -14,11 +14,11 @@ and only the others go to the solver, in blocks spread over the worker
 processes. So a study whose every draw is certified, as study 1's are,
 starts no process. The draws whose reduced constraint box is empty go
 through the pipeline a second time, in full mode. Per replicate, a record
-holds the drawn counts with the fit's parameters and active bounds, or the
-reason the fit failed; no study builds a ``SurveyData`` or a ``FitResult``.
-The studies are reductions
-over those records, so summaries are independent of worker count and block
-size.
+holds the drawn counts with the fit's row as the pipeline gives it: the
+parameters as a list and the active-bound mask, or the package error that
+left the draw without a fit; no study builds a ``SurveyData``, a
+``ModelParams`` or a ``FitResult``. The studies are reductions over those
+records, so summaries are independent of worker count and block size.
 """
 
 from __future__ import annotations
@@ -27,16 +27,14 @@ import functools
 import math
 from dataclasses import dataclass, replace
 from decimal import ROUND_HALF_EVEN, Decimal, InvalidOperation
-from itertools import compress
 
 import numpy as np
 
 from . import mle, model
 from ._parallel import Streams, check_threads
 from .exceptions import DualdepError, FitError, InfeasibleConstraintsError, ValidationError
-from .inference import _drawn_counts, _hessian_ses, _size_intervals, normal_quantile
+from .inference import _drawn_counts, _hessian_ses, _size_intervals, _tables, normal_quantile
 from .mle import DEFAULT_SEED, FitOptions
-from .model import PARAM_NAMES, ModelParams
 from .tables import CellCounts, _naive
 
 __all__ = [
@@ -97,11 +95,12 @@ class GeneratorConfig:
             raise ValidationError("seed must fit in 64 unsigned bits")
 
     @functools.cached_property
-    def _cells(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each stratum's cell probabilities (``_cell_array``), computed on
-        the config's first draw and kept for its others."""
-        return (_cell_array(self.dependence, self.alpha, self.p1_a, self.p2_a),
-                _cell_array(self.dependence, self.alpha, self.p1_b, self.p2_b))
+    def _rates(self):
+        """Each stratum's size and cell probabilities (``_cell_array``), as
+        ``inference._tables`` draws them, computed on the config's first
+        draw and kept for its others."""
+        return ((self.n_a, _cell_array(self.dependence, self.alpha, self.p1_a, self.p2_a)),
+                (self.n_b, _cell_array(self.dependence, self.alpha, self.p1_b, self.p2_b)))
 
 
 def study1_config(replicates: int = 500, seed: int = DEFAULT_SEED) -> GeneratorConfig:
@@ -297,12 +296,10 @@ def draw_counts(
 def _draw_survey(config: GeneratorConfig, rng: np.random.Generator):
     """Draw both strata, redrawing while either stratum has x11 = 0 (neither
     estimator is defined there); returns the (a, b) counts (``_drawn_counts``)
-    and the redraw count."""
-    probs_a, probs_b = config._cells
+    and the redraw count. Each draw is one ``inference._tables``, as a
+    bootstrap draw is."""
     for redraws in range(_MAX_REDRAWS):
-        table_a = rng.multinomial(config.n_a, probs_a)
-        table_b = rng.multinomial(config.n_b, probs_b)
-        counts = _drawn_counts(table_a, table_b)
+        counts = _drawn_counts(*_tables(rng, config._rates))
         if counts is not None:
             return counts, redraws
     raise ValidationError(
@@ -314,18 +311,19 @@ def _draw_survey(config: GeneratorConfig, rng: np.random.Generator):
 
 @dataclass(frozen=True, eq=False)
 class _Replicate:
-    """One drawn and fitted replicate: the drawn ``counts``, the fit's
-    ``params`` and the names of those on an active bound (``active``; none
-    for a certified draw, whose point is off every activity band).
-    ``params`` is None when the fit raised a package error
-    (NonConvergenceError when its best start stalled), and ``reason`` is
-    that error's text. ``fallback`` is True where ``params`` is the
-    full-mode fit of a draw whose reduced box was empty."""
+    """One drawn and fitted replicate: the drawn ``counts`` and the fit's
+    row as ``mle._fit_drawn`` gives it. ``params`` is the six parameters as
+    a list in PARAM_NAMES order, ``active`` which of them lie on an active
+    bound (a 6-tuple of bools, all False for a certified draw, whose point
+    is off every activity band). ``params`` is None when the fit raised a
+    package error, and ``error`` is that error (NonConvergenceError when its
+    best start stalled), else None. ``fallback`` is True where ``params`` is
+    the full-mode fit of a draw whose reduced box was empty."""
 
     counts: tuple
-    params: ModelParams | None
-    active: frozenset[str]
-    reason: str
+    params: list | None
+    active: tuple
+    error: DualdepError | None
     redraws: int
     fallback: bool
 
@@ -351,10 +349,8 @@ def _run_replicates(groups, options: FitOptions | None, threads: int) -> list[_R
     for k, refit in zip(again, mle._fit_drawn([counts[k] for k in again],
                                               replace(options, mode="full"), threads)):
         fits[k], fallback[k] = refit, refit[2] is None
-    return [_Replicate(table, None if params is None else model._unchecked_params(*params),
-                       frozenset(compress(PARAM_NAMES, mask)),
-                       "" if error is None else str(error), redraws, fell)
-            for (table, redraws), (params, mask, error), fell in zip(draws, fits, fallback)]
+    return [_Replicate(table, *fit, redraws, fell)
+            for (table, redraws), fit, fell in zip(draws, fits, fallback)]
 
 
 # --- study 1 -------------------------------------------------------------------
@@ -377,7 +373,7 @@ def run_study1(
             f"every one of the {config.replicates} replicate fits failed; "
             "the configuration is outside the estimator's working range"
         )
-    fitted_m = np.array([p.as_tuple() for p in fitted], dtype=float)
+    fitted_m = np.array(fitted, dtype=float)
     proposed_truths = (
         ("N_A", float(config.n_a)),
         ("N_B", float(config.n_b)),
@@ -413,7 +409,7 @@ def _coverage_intervals(outcome: _Replicate, hessian_se, z: float, level: float)
     if isinstance(hessian_se, DualdepError):
         return None
     params, (a, b), se = outcome.params, outcome.counts, hessian_se.se
-    centers = {"N_A": params.n_a, "N_B": params.n_b}
+    centers = {"N_A": params[0], "N_B": params[1]}
     x0 = {"N_A": float(sum(a)), "N_B": float(sum(b))}
     lognormal = _size_intervals(centers, x0, se, level)
     if None in lognormal.values():
@@ -517,7 +513,7 @@ def run_study2(
     rows = []
     for gi, value in enumerate(grid):
         point = outcomes[gi * replicates:(gi + 1) * replicates]
-        proposed = [(o.params.n_a, o.params.n_b) for o in point if o.params is not None]
+        proposed = [o.params[:2] for o in point if o.params is not None]
         naive = [(_naive(*o.counts[0]), _naive(*o.counts[1])) for o in point]
         for estimator, pairs in (("proposed", proposed), ("naive", naive)):
             matrix = np.array(pairs, dtype=float).reshape(-1, 2)

@@ -290,10 +290,12 @@ CSV_HEADER = ("stratum", "x11", "x10", "x01")
 
 
 def _read_text(path: Path) -> str:
-    """The file's UTF-8 text, newlines untranslated; a file that cannot be
-    read or is not UTF-8 is a ValidationError."""
+    """The file's UTF-8 text, newlines untranslated and one leading
+    byte-order mark dropped (spreadsheets write one); a file that cannot be
+    read or is not UTF-8 is a ValidationError, whose byte offset counts the
+    mark."""
     try:
-        return path.read_bytes().decode("utf-8")
+        return path.read_bytes().decode("utf-8").removeprefix("\ufeff")
     except OSError as exc:
         raise ValidationError(f"{path}: cannot read: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:

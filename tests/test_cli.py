@@ -96,6 +96,27 @@ def test_unreadable_or_malformed_input_is_usage_error(tmp_path, capsys, name, co
     assert err.startswith("error: ") and err.count("\n") == 1 and message in err
 
 
+@pytest.mark.parametrize("name, text", [
+    ("q1.csv", Q1_CSV),
+    ("q1.json", '{"strata": [{"label": "A", "x11": 100, "x10": 8900, "x01": 3641}, '
+                '{"label": "B", "x11": 534, "x10": 2584, "x01": 3780}]}'),
+])
+def test_a_byte_order_mark_is_read_as_no_mark(tmp_path, capsys, name, text):
+    # a spreadsheet's "CSV UTF-8" export starts the file with a byte-order
+    # mark; both readers drop it, and a bad byte's offset still counts it
+    plain, marked = tmp_path / name, tmp_path / f"bom-{name}"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    for path in (plain, marked):
+        assert main(["diagnose", "--input", str(path)]) == 0
+    assert (read_report(marked.with_suffix(""))["results"]
+            == read_report(plain.with_suffix(""))["results"])
+    marked.write_bytes(b"\xef\xbb\xbfab\xff")
+    capsys.readouterr()
+    assert main(["diagnose", "--input", str(marked)]) == 2
+    assert "not UTF-8 text: invalid start byte at byte 5" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("blocked", ["directory", "report", "summary"])
 @pytest.mark.parametrize("argv", [["estimate", "--se", "hessian"], ["diagnose"]],
                          ids=["estimate", "diagnose"])

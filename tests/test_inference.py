@@ -141,8 +141,11 @@ def test_hessian_ses_in_one_pass_give_each_fit_its_own_bits(q1_fit):
         (corner_fit.params, frozenset(), corner),  # on bounds, none flagged
         (result.params, frozenset({"p2B"}), data),
     ]
-    got = inference._hessian_ses([(params, active, triples(survey))
-                                  for params, active, survey in fits])
+    # the screen takes each fit as its row: the parameters and the mask of
+    # those on an active bound, in PARAM_NAMES order
+    got = inference._hessian_ses([
+        (params.as_tuple(), tuple(name in active for name in model.PARAM_NAMES),
+         triples(survey)) for params, active, survey in fits])
     assert len(got) == len(fits)
     kinds = []
     for outcome, fitted in zip(got, fits):
@@ -162,8 +165,14 @@ def test_hessian_ses_in_one_pass_give_each_fit_its_own_bits(q1_fit):
     assert kinds == ["se", "se", "se", "InformationMatrixError", "EvaluationError",
                      "InformationMatrixError", "InformationMatrixError",
                      "InformationMatrixError", "se"]
-    # se_from_hessian is the one-fit pass
-    assert repr(se_from_hessian(result, data).se) == repr(got[0].se)
+    # se_from_hessian is the one-fit pass, also where its fit's name set of
+    # active bounds is not empty: the corner's N_B and p2B are on bounds
+    assert corner_fit.active_constraints == {"N_B", "p2B"}
+    for one, outcome in ((se_from_hessian(result, data), got[0]),
+                         (se_from_hessian(corner_fit, corner), got[2])):
+        assert repr((one.se, one.se_total)) == repr((outcome.se, outcome.se_total))
+        assert (one.flagged, one.free) == (outcome.flagged, outcome.free)
+        assert one.covariance.tobytes() == outcome.covariance.tobytes()
     assert inference._hessian_ses([]) == []
 
 
@@ -315,7 +324,8 @@ def test_bootstrap_retries_a_package_error_and_reports_its_reason(q1_fit, monkey
     def first_table_fails(tables, options):
         calls.append(len(tables))
         fits = real(tables, options)
-        fits.errors[0] = EvaluationError("p11A", "probability 0.0 with count coefficient 3.0")
+        fits.rows[0] = (None, (False,) * 6,
+                        EvaluationError("p11A", "probability 0.0 with count coefficient 3.0"))
         return fits
 
     monkeypatch.setattr(mle, "_fits", first_table_fails)
@@ -440,8 +450,8 @@ def test_bootstrap_propagates_programming_errors_of_the_grid_pass(q1_fit, monkey
         if len(calls) > 1:
             raise TypeError("bug in the fitting code")
         n = len(tables)
-        return mle._Fits(np.full((6, n), np.nan), np.zeros((6, n), dtype=bool),
-                         [EvaluationError("p11A", "probability 0.0")] * n, [], [], None)
+        return mle._Fits([(None, (False,) * 6, EvaluationError("p11A", "probability 0.0"))] * n,
+                         [], [], None)
 
     monkeypatch.setattr(mle, "_fits", broken)
     with pytest.raises(TypeError, match="bug in the fitting code"):

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from dualdep import mle, model
-from dualdep.exceptions import EvaluationError, FitError, ValidationError
+from dualdep.exceptions import (
+    EvaluationError, FitError, InfeasibleConstraintsError, ValidationError,
+)
 from dualdep.model import (
     ModelParams,
     cell_probabilities,
@@ -109,13 +111,14 @@ def test_expand_zero_x11a_gives_zero_p2a():
     # the ratios tie p2A to 0; the solver refuses the table, which has no
     # naive upper bound for N_A
     data = SurveyData(CellCounts(0, 150, 80), CellCounts(40, 60, 30))
-    assert p2a_ratio(data) == mle._ties((0, 150, 80), (40, 60, 30))[1] == 0.0
+    assert p2a_ratio(data) == model._p2a_ratio((0, 150, 80), (40, 60, 30)) == 0.0
     with pytest.raises(FitError, match="x11 = 0"):
         mle.starting_points(data)
 
 
 def test_expand_zero_x11b_errors():
     data = SurveyData(CellCounts(40, 60, 30), CellCounts(0, 150, 80))
+    assert size_ratio(data) == 100 / 150  # the size ratio does not divide by x11B
     with pytest.raises(ValidationError, match="x11B = 0"):
         p2a_ratio(data)
     with pytest.raises(FitError, match="x11 = 0"):
@@ -133,11 +136,21 @@ stratum = st.tuples(st.integers(0, 10**12), st.integers(0, 10**12), st.integers(
 
 @given(a=stratum, b=stratum)
 def test_the_solver_ties_are_the_public_ratios_bit_for_bit(a, b):
-    # mle._ties reads the counts as Python ints and must divide in the
-    # operation order of size_ratio and p2a_ratio
+    # each ratio has one home on counts (model._size_ratio, _p2a_ratio),
+    # which reads them as Python ints and divides in the stated operation
+    # order; the public ratios and the solver's set-up both call it
     assume(a[0] + a[1] >= 1 and b[0] >= 1)
     data = SurveyData(CellCounts(*a), CellCounts(*b))
-    assert mle._ties(a, b) == (size_ratio(data), p2a_ratio(data))
+    x1a, x1b = a[0] + a[1], b[0] + b[1]
+    ties = (x1a / x1b, (a[0] / b[0]) * (x1b / x1a))
+    assert (model._size_ratio(a, b), model._p2a_ratio(a, b)) == ties
+    assert (size_ratio(data), p2a_ratio(data)) == ties
+    if a[0] >= 1:
+        try:
+            setup = mle._setup(a, b, "full")
+        except InfeasibleConstraintsError:
+            return
+        assert setup[1] == ties
 
 
 def test_log_likelihood_frozen_value(tiny):

@@ -1,16 +1,17 @@
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from dualdep import _parallel, mle, simulate
+from dualdep import _parallel, mle, model, simulate
 from dualdep._parallel import stream
 from dualdep.exceptions import (
     DualdepError, InfeasibleConstraintsError, NonConvergenceError, ValidationError,
 )
 from dualdep.mle import FitOptions, fit_many
-from dualdep.model import cell_probabilities
+from dualdep.model import PARAM_NAMES, ModelParams, cell_probabilities
 from dualdep.simulate import (
     GeneratorConfig,
     cell_probabilities_for,
@@ -195,7 +196,7 @@ def test_study_zero_x11_draw_is_redrawn_on_its_stream_and_never_a_failure():
         expected.append((SurveyData(counts_a, counts_b), redraws))
     records = simulate._run_replicates([(config, range(config.replicates))], FitOptions(), 1)
     assert [(survey_of(r.counts), r.redraws) for r in records] == expected
-    assert all(r.params is not None and r.reason == "" for r in records)
+    assert all(r.params is not None and r.error is None for r in records)
     result = run_study1(config)
     assert (result.redraws, result.fit_failures, result.reduced_fallbacks) == (36, 0, 4)
 
@@ -214,19 +215,20 @@ def test_a_study_record_is_the_certified_point_or_the_solvers_winner(value, cert
         point = mle._moment_point(*record.counts, "reduced")
         if point is not None:
             points += 1
-            assert record.params.as_tuple() == tuple(point)
-            assert (record.active, record.reason, record.fallback) == (frozenset(), "", False)
+            assert record.params == point
+            assert (record.active, record.error, record.fallback) == ((False,) * 6, None, False)
             continue
         (fit,) = fit_many([survey_of(record.counts)])
         fallback = isinstance(fit, InfeasibleConstraintsError)
         if fallback:
             (fit,) = fit_many([survey_of(record.counts)], FitOptions(mode="full"))
         if isinstance(fit, DualdepError):
-            assert (record.params, record.reason, record.fallback) == (None, str(fit), False)
+            assert (record.params, type(record.error), str(record.error), record.fallback) == (
+                None, type(fit), str(fit), False)
             continue
-        assert record.params.as_tuple() == fit.params.as_tuple()
-        assert (record.active, record.reason, record.fallback) == (
-            fit.active_constraints, "", fallback)
+        assert record.params == list(fit.params.as_tuple())
+        assert (record.active, record.error, record.fallback) == (
+            tuple(name in fit.active_constraints for name in PARAM_NAMES), None, fallback)
     assert points == certified
 
 
@@ -242,8 +244,8 @@ def test_a_failed_fallback_is_a_failure_and_not_a_fallback():
         assert isinstance(reduced, InfeasibleConstraintsError)
         (full,) = fit_many([survey_of(record.counts)], replace(options, mode="full"))
         assert isinstance(full, NonConvergenceError)
-        assert (record.params, record.active, record.reason, record.fallback) == (
-            None, frozenset(), str(full), False)
+        assert (record.params, record.active, type(record.error), str(record.error),
+                record.fallback) == (None, (False,) * 6, NonConvergenceError, str(full), False)
     assert run_study2(1, (0.01,), replicates=6, seed=1, options=options).reduced_fallbacks == 0
 
 
@@ -261,6 +263,53 @@ def test_a_certified_study_makes_no_solver_call_and_starts_no_process_pool(monke
     result = run_study1(threads=2)
     assert (result.fit_failures, result.reduced_fallbacks) == (0, 0)
     assert all(s.n_used == 500 for s in result.proposed)
+
+
+def test_a_fit_is_its_row_from_the_solver_to_the_study_reductions(monkeypatch):
+    # from the solver to the studies' reductions a fit is its row: no study
+    # builds a ModelParams, checked or not, but for the starts of a
+    # NonConvergenceError (mle._diagnostics), and every record's active
+    # bounds are a 6-tuple of bools. Study 1's and coverage's draws are
+    # certified; study 2's at p1B = 0.35 are solved in reduced mode, and at
+    # 0.01 they fall back to full mode
+    unchecked, post_init = model._unchecked_params, ModelParams.__post_init__
+    run_replicates, callers, records = simulate._run_replicates, set(), []
+
+    def caller():
+        """The function that built the ModelParams: the nearest frame above
+        the spy outside the model module, dataclass-generated code and list
+        comprehensions (their own frames before Python 3.12)."""
+        frame = sys._getframe(2)
+        while (frame.f_code.co_filename in (model.__file__, "<string>")
+               or frame.f_code.co_name == "<listcomp>"):
+            frame = frame.f_back
+        return frame.f_code.co_filename, frame.f_code.co_name
+
+    def spy_unchecked(*args):
+        callers.add(caller())
+        return unchecked(*args)
+
+    def spy_post_init(self):
+        callers.add(caller())
+        post_init(self)
+
+    def spy_replicates(*args):
+        out = run_replicates(*args)
+        records.extend(out)
+        return out
+
+    monkeypatch.setattr(model, "_unchecked_params", spy_unchecked)
+    monkeypatch.setattr(ModelParams, "__post_init__", spy_post_init)
+    monkeypatch.setattr(simulate, "_run_replicates", spy_replicates)
+    run_study1(study1_config(replicates=8, seed=3))
+    run_coverage(study1_config(replicates=8, seed=3))
+    run_study2(1, (0.01, 0.35), replicates=6, seed=1)
+    assert callers <= {(mle.__file__, "_diagnostics")}
+    assert len(records) == 8 + 8 + 12
+    assert {record.fallback for record in records} == {False, True}
+    for record in records:
+        assert type(record.active) is tuple and len(record.active) == 6
+        assert all(type(on) is bool for on in record.active)
 
 
 def test_scenario_grid():
